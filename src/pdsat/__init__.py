@@ -6,8 +6,8 @@ from .automata import (AltAutomaton, EPS, Language, Nfa, S_BOT, S_STAR, alt,
                        nfa_accepts, pattern_forbidden_factors,
                        product_intersect, words_upto)
 from .errors import InvalidInputError, ResourceLimitError
-from .pds import (Configuration, PushdownSystem, Rule, invert, pds,
-                  predecessors, successors, validate)
+from .pds import (Configuration, PushdownSystem, Rule, pds, predecessors,
+                  successors, validate)
 from .reachability import (PAutomatonView, buchi_target_automaton,
                            pop_relation, poststar, prestar, rew_closure,
                            singleton_view)

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import derivation, games, oracle, reachability
-from .automata import AltAutomaton, Nfa, alt_membership
+from .automata import AltAutomaton, Nfa
 from .errors import InvalidInputError, ResourceLimitError
 from .pds import Configuration, PushdownSystem, Rule, validate
 from .symbols import SymbolTable

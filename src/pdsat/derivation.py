@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .automata import (EPS, Language, Nfa, eps_closure, language_empty, nfa,
-                       nfa_accepts, pattern_forbidden_factors,
-                       product_intersect, relabel, reverse, words_upto)
+from .automata import (EPS, Language, Nfa, eps_closure,
+                       pattern_forbidden_factors, product_intersect, relabel,
+                       reverse)
 from .errors import InvalidInputError
 from .pds import PushdownSystem, check_valid
 

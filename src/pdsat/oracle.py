@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .automata import Sentinel, alt_membership
 from .errors import InvalidInputError, ResourceLimitError

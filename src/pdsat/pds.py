@@ -42,15 +42,6 @@ class Configuration:
         return f"({self.control}, {''.join(str(a) for a in self.stack)})"
 
 
-@dataclass(frozen=True)
-class IntermediaryControl:
-    """Fresh control introduced by :func:`invert` to split a push-2 rule."""
-
-    second_symbol: object
-    orig_control: object
-    orig_symbol: object
-
-
 def pds(controls=(), alphabet=(), bottom=None, rules=()) -> PushdownSystem:
     """Convenience constructor from rule tuples ``(q, A, p, w)``."""
     rs = frozenset(
@@ -137,44 +128,3 @@ def predecessors(pds: PushdownSystem, c: Configuration):
         if is_valid_configuration(pds, pre):
             result.add(pre)
     return result
-
-
-def is_intermediary(control) -> bool:
-    return isinstance(control, IntermediaryControl)
-
-
-def invert(system: PushdownSystem) -> PushdownSystem:
-    """A system whose derivation relation is the inverse of ``system``'s.
-
-    Pop rules ``(q,A)->(p,ε)`` become ``(p,X)->(q,AX)`` for every symbol X
-    (with the bottom case ``(p,⊥)->(q,A⊥)``).  Swap rules are reversed
-    directly.  A push rule ``(q,A)->(p,BC)`` is split through a fresh
-    intermediary control: ``(p,B)->(r,ε)`` and ``(r,C)->(q,A)``.
-
-    For configurations over the original controls, ``c => c'`` in the input
-    holds iff ``c' => c`` in the result.
-    """
-    check_valid(system)
-    bot = system.bottom
-    rules = set()
-    controls = set(system.controls)
-    for r in system.rules:
-        if len(r.pushed) == 0:
-            for x in system.alphabet:
-                if x == bot:
-                    rules.add(Rule(r.to_control, bot, r.from_control,
-                                   (r.from_symbol, bot)))
-                else:
-                    rules.add(Rule(r.to_control, x, r.from_control,
-                                   (r.from_symbol, x)))
-        elif len(r.pushed) == 1:
-            rules.add(Rule(r.to_control, r.pushed[0], r.from_control,
-                           (r.from_symbol,)))
-        else:
-            b, c = r.pushed
-            mid = IntermediaryControl(c, r.from_control, r.from_symbol)
-            controls.add(mid)
-            rules.add(Rule(r.to_control, b, mid, ()))
-            rules.add(Rule(mid, c, r.from_control, (r.from_symbol,)))
-    return PushdownSystem(frozenset(controls), system.alphabet, bot,
-                          frozenset(rules))

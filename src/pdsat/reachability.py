@@ -1,6 +1,9 @@
-"""Saturation-based reachability: pre*, post* via inversion, the pop relation
-as a least fixed point, and the classical guess-the-intermediate-states
-construction for single-target pre* — two independent routes to the same sets.
+"""Saturation-based reachability: pre* and post*, each by direct saturation
+of a P-automaton; the pop relation as a least fixed point; and the classical
+guess-the-intermediate-states construction for single-target pre*.  pre* and
+post* are independent algorithms that check each other (``c'`` is in
+post*({c}) iff ``c`` is in pre*({c'})), and the pop-guessing construction is
+a second route to single-target pre*.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 from .automata import EPS, Nfa, S_BOT, eps_closure, nfa_accepts
 from .errors import InvalidInputError
-from .pds import (Configuration, PushdownSystem, check_valid, is_intermediary)
+from .pds import Configuration, PushdownSystem, check_valid
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +73,21 @@ def repair_view(view: PAutomatonView) -> PAutomatonView:
     return PAutomatonView(aut, dict(view.control_embed))
 
 
+def _saturation_input(system: PushdownSystem, view: PAutomatonView):
+    """The ε-free automaton and embedding a saturation starts from, after
+    checking the system and the view and repairing the view's shape."""
+    check_valid(system)
+    missing = [q for q in system.controls if q not in view.control_embed]
+    if missing:
+        raise InvalidInputError(f"controls not embedded: {missing!r}")
+    view = repair_view(view)
+    errors = view_errors(view)
+    if errors:
+        raise InvalidInputError("; ".join(errors))
+    aut = eps_closure(view.aut) if view.aut.has_eps() else view.aut
+    return aut, view.control_embed
+
+
 def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutomatonView:
     """Saturate ``view`` so that it accepts exactly pre*(L(view)).
 
@@ -83,16 +101,7 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
     ``trace``, if given, is a list receiving every added transition as
     ``(control, symbol, target_state)``.
     """
-    check_valid(system)
-    missing = [q for q in system.controls if q not in view.control_embed]
-    if missing:
-        raise InvalidInputError(f"controls not embedded: {missing!r}")
-    view = repair_view(view)
-    errors = view_errors(view)
-    if errors:
-        raise InvalidInputError("; ".join(errors))
-    aut = eps_closure(view.aut) if view.aut.has_eps() else view.aut
-    embed = view.control_embed
+    aut, embed = _saturation_input(system, view)
 
     # Rule indexes keyed by the automaton transition that can fire them.
     swap_idx = defaultdict(list)  # (state(q), B)  -> [(state(p), A)]
@@ -135,24 +144,89 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
     return PAutomatonView(out, dict(embed))
 
 
-def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
-    """post* computed as pre* of the inverted system; the returned view only
-    embeds the original controls (intermediary controls are internal)."""
-    from .pds import invert
+@dataclass(frozen=True)
+class _PushState:
+    """The state post* adds for the push target ``(control, symbol)``: the
+    stacks below a ``symbol`` pushed on entering ``control``.  The class is
+    private, so a caller's state can never equal one of these."""
 
-    inverted = invert(system)
-    embed = dict(view.control_embed)
-    states = set(view.aut.states)
-    for q in inverted.controls:
-        if is_intermediary(q):
-            embed[q] = q  # fresh state, never collides with automaton states
-            states.add(q)
-    aut = Nfa(frozenset(states), view.aut.alphabet, view.aut.finals,
-              view.aut.transitions)
-    saturated = prestar(inverted, PAutomatonView(aut, embed))
-    original = {p: s for p, s in saturated.control_embed.items()
-                if not is_intermediary(p)}
-    return PAutomatonView(saturated.aut, original)
+    control: object
+    symbol: object
+
+
+def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
+    """Saturate ``view`` so that it accepts exactly post*(L(view)).
+
+    Direct saturation (Schwoon 2002, Alg. 2).  Each push target
+    ``(q, B)`` gets one fresh state ``m``; a rule fires on a transition
+    ``p -A-> s`` out of an embedded control:
+
+    - ``(p,A)->(q,ε)`` adds ``q -ε-> s``;
+    - ``(p,A)->(q,B)`` adds ``q -B-> s``;
+    - ``(p,A)->(q,BC)`` adds ``q -B-> m`` and ``m -C-> s``.
+
+    An edge ``p -ε-> s`` adds ``p -X-> t`` for every ``s -X-> t``, including
+    those added to a fresh ``s`` later.  Transitions out of embedded
+    controls go through a FIFO worklist; the others fire no rule and go
+    straight into the result.  ε-edges only ever leave embedded controls, and stacks are never empty,
+    so the returned automaton drops them and is ε-free.
+    """
+    aut, embed = _saturation_input(system, view)
+
+    # Rule indexes keyed by the transition out of a control that fires them.
+    pop_idx = defaultdict(list)   # (state(p), A) -> [state(q)]
+    swap_idx = defaultdict(list)  # (state(p), A) -> [(state(q), B)]
+    push_idx = defaultdict(list)  # (state(p), A) -> [(state(q), B, m, C)]
+    fresh = set()
+    for r in system.rules:
+        key, qs = (embed[r.from_control], r.from_symbol), embed[r.to_control]
+        if len(r.pushed) == 0:
+            pop_idx[key].append(qs)
+        elif len(r.pushed) == 1:
+            swap_idx[key].append((qs, r.pushed[0]))
+        else:
+            m = _PushState(r.to_control, r.pushed[0])
+            fresh.add(m)
+            push_idx[key].append((qs, r.pushed[0], m, r.pushed[1]))
+
+    embedded = set(embed.values())
+    rel = set()
+    out = defaultdict(list)       # state outside the controls -> [(X, t)]
+    eps_into = defaultdict(list)  # state -> [control state with an ε-edge to it]
+    worklist = deque()
+    for t in aut.transitions:
+        if t[0] in embedded:
+            worklist.append(t)
+        else:
+            rel.add(t)
+            out[t[0]].append(t[1:])
+    while worklist:
+        t = worklist.popleft()
+        if t in rel:
+            continue
+        rel.add(t)
+        s, a, s2 = t
+        if a is EPS:
+            eps_into[s2].append(s)
+            for x, s3 in out.get(s2, ()):
+                worklist.append((s, x, s3))
+            continue
+        for qs in pop_idx.get((s, a), ()):
+            worklist.append((qs, EPS, s2))
+        for qs, b in swap_idx.get((s, a), ()):
+            worklist.append((qs, b, s2))
+        for qs, b, m, c in push_idx.get((s, a), ()):
+            worklist.append((qs, b, m))
+            below = (m, c, s2)
+            if below not in rel:
+                rel.add(below)
+                out[m].append((c, s2))
+                for ps in eps_into.get(m, ()):
+                    worklist.append((ps, c, s2))
+
+    transitions = frozenset(t for t in rel if t[1] is not EPS)
+    result = Nfa(aut.states | fresh, aut.alphabet, aut.finals, transitions)
+    return PAutomatonView(result, dict(embed))
 
 
 def pop_relation(system: PushdownSystem) -> frozenset:
@@ -160,33 +234,42 @@ def pop_relation(system: PushdownSystem) -> frozenset:
     consumed entirely, control ends in ``q``), closed under:
     a pop rule gives a triple directly; a swap rule chains into one; a push
     rule chains into two.
+
+    New triples are processed FIFO; each one fires only the rules indexed by
+    its ``(q, B)``, as the first pushed symbol of a swap or push rule, or as
+    the second pushed symbol a push rule is waiting to see popped.
     """
     check_valid(system)
+    swap_idx = defaultdict(list)   # (q, B) -> [(p, A)] for pA -> qB
+    first_idx = defaultdict(list)  # (q, B) -> [(p, A, C)] for pA -> qBC
+    pending = defaultdict(set)     # (s, C) -> {(p, A)} waiting for sC =>* ·
+    by_pa = defaultdict(set)       # (p, A) -> {q}
     rel = set()
-    by_pa = defaultdict(set)  # (p, A) -> {q}
-
-    def add(p, a, q):
-        if (p, a, q) not in rel:
-            rel.add((p, a, q))
-            by_pa[(p, a)].add(q)
-            return True
-        return False
-
+    worklist = deque()
     for r in system.rules:
         if len(r.pushed) == 0:
-            add(r.from_control, r.from_symbol, r.to_control)
-    changed = True
-    while changed:
-        changed = False
-        for r in system.rules:
-            if len(r.pushed) == 1:
-                for q in list(by_pa[(r.to_control, r.pushed[0])]):
-                    changed |= add(r.from_control, r.from_symbol, q)
-            elif len(r.pushed) == 2:
-                b, c = r.pushed
-                for s in list(by_pa[(r.to_control, b)]):
-                    for q in list(by_pa[(s, c)]):
-                        changed |= add(r.from_control, r.from_symbol, q)
+            worklist.append((r.from_control, r.from_symbol, r.to_control))
+        elif len(r.pushed) == 1:
+            swap_idx[(r.to_control, r.pushed[0])].append(
+                (r.from_control, r.from_symbol))
+        else:
+            first_idx[(r.to_control, r.pushed[0])].append(
+                (r.from_control, r.from_symbol, r.pushed[1]))
+    while worklist:
+        t = worklist.popleft()
+        if t in rel:
+            continue
+        rel.add(t)
+        q, b, s = t
+        by_pa[(q, b)].add(s)
+        for p, a in swap_idx.get((q, b), ()):
+            worklist.append((p, a, s))
+        for p, a, c in first_idx.get((q, b), ()):
+            pending[(s, c)].add((p, a))
+            for s2 in by_pa.get((s, c), ()):
+                worklist.append((p, a, s2))
+        for p, a in pending.get((q, b), ()):
+            worklist.append((p, a, s))
     return frozenset(rel)
 
 
@@ -249,27 +332,27 @@ def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
         raise InvalidInputError(f"unknown control: {q_f!r}")
     pops = pop_relation(system)
     bot = system.bottom
+    pops_from = defaultdict(list)  # (p, A) -> [q] with pA =>* q
+    for p, a, q in pops:
+        pops_from[(p, a)].append(q)
 
-    # Control-to-control moves at the bottom stratum.
-    edges = defaultdict(set)
+    # Control-to-control moves at the bottom stratum, reversed.
+    preds = defaultdict(set)
     for r in system.rules:
         if r.from_symbol != bot:
             continue
         if r.pushed == (bot,):
-            edges[r.from_control].add(r.to_control)
+            preds[r.to_control].add(r.from_control)
         else:  # (q,⊥)->(p,A⊥): must return to the bottom via a full pop
-            a = r.pushed[0]
-            for (p2, a2, q2) in pops:
-                if p2 == r.to_control and a2 == a:
-                    edges[r.from_control].add(q2)
+            for q2 in pops_from.get((r.to_control, r.pushed[0]), ()):
+                preds[q2].add(r.from_control)
     reaches_qf = {q_f}
-    changed = True
-    while changed:
-        changed = False
-        for p in system.controls:
-            if p not in reaches_qf and edges[p] & reaches_qf:
+    todo = deque(reaches_qf)
+    while todo:
+        for p in preds.get(todo.popleft(), ()):
+            if p not in reaches_qf:
                 reaches_qf.add(p)
-                changed = True
+                todo.append(p)
 
     states = set(system.controls) | {S_BOT}
     transitions = {(p, a, q) for (p, a, q) in pops if a != bot}

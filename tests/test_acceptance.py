@@ -271,12 +271,13 @@ def test_criterion_08_game_brackets(capsys):
             game, P.solve_reachability_game(game), (3, 4))
     for i in range(100):
         system, owner = random_total_game(rng)
-        finals = frozenset(p for p in system.controls if rng.random() < 0.5)
+        finals = frozenset(p for p in sorted(system.controls)
+                           if rng.random() < 0.5)
         game = P.PushdownGame(system, owner, P.BuchiCondition(finals))
         failures += _bracket_failures(game, P.solve_buchi_game(game), (3, 4))
     for i in range(100):
         system, owner = random_total_game(rng)
-        colours = {p: rng.randint(0, 3) for p in system.controls}
+        colours = {p: rng.randint(0, 3) for p in sorted(system.controls)}
         game = P.PushdownGame(system, owner, P.ParityCondition(colours, 3))
         failures += _bracket_failures(game, P.solve_parity_game(game), (3, 4))
     announce(capsys, 8, "winning-region brackets", failures)
@@ -307,7 +308,8 @@ def test_criterion_09_degenerations(capsys):
     # a Büchi condition is a two-colour parity condition
     for i in range(15):
         system, owner = random_total_game(rng)
-        finals = frozenset(p for p in system.controls if rng.random() < 0.5)
+        finals = frozenset(p for p in sorted(system.controls)
+                           if rng.random() < 0.5)
         buchi = P.solve_buchi_game(
             P.PushdownGame(system, owner, P.BuchiCondition(finals)))
         colours = {p: 0 if p in finals else 1 for p in system.controls}
@@ -338,7 +340,7 @@ def test_criterion_10_determinacy_partition(capsys):
     failures = []
     for i in range(50):
         system, owner = random_total_game(rng)
-        colours = {p: rng.randint(0, 3) for p in system.controls}
+        colours = {p: rng.randint(0, 3) for p in sorted(system.controls)}
         game = P.PushdownGame(system, owner, P.ParityCondition(colours, 3))
         region = P.solve_parity_game(game)
         dual_region = P.solve_parity_game(P.dual_game(game))

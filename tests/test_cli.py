@@ -105,6 +105,23 @@ def test_prestar_output_round_trips(tmp_path, capsys):
     assert not view.accepts(Configuration("q", ("A", "_")))
 
 
+def test_poststar_output_round_trips(tmp_path, capsys):
+    doc = (REACH_DOC.split("automaton")[0]
+           + "automaton\nstates m f\nfinal f\ntrans p A m\ntrans m _ f\n")
+    out = tmp_path / "out.pds"
+    assert run_cli(tmp_path, doc, "poststar", "--out", str(out)) == 0
+    text = out.read_text()
+    assert "None" not in text  # no ε-labels in the saturated automaton
+    back = cli.parse(doc.split("automaton")[0] + text)
+    system = cli._build_pds(back)
+    view = cli._as_view(cli._build_automaton(back, system), system)
+    from pdsat import Configuration
+    for stack in [("A", "_"), ("_",)]:
+        assert view.accepts(Configuration("p", stack))
+    assert view.accepts(Configuration("q", ("B", "A", "_")))
+    assert not view.accepts(Configuration("q", ("A", "_")))
+
+
 def test_oracle_check_agreement(tmp_path, capsys):
     assert run_cli(tmp_path, REACH_DOC, "prestar", "--oracle-check", "4") == 0
     assert "oracle agreement" in capsys.readouterr().out

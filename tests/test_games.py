@@ -103,7 +103,7 @@ def test_buchi_game_brackets_and_parity_agreement():
     for i in range(15):
         system, owner = random_total_game(rng)
         finals = frozenset(
-            p for p in system.controls if rng.random() < 0.5)
+            p for p in sorted(system.controls) if rng.random() < 0.5)
         game = PushdownGame(system, owner, BuchiCondition(finals))
         region = solve_buchi_game(game)
         under, over = bracket_region(game, 4)
@@ -123,7 +123,7 @@ def test_parity_game_brackets():
     rng = make_rng(43)
     for i in range(10):
         system, owner = random_total_game(rng)
-        colours = {p: rng.randint(0, 3) for p in system.controls}
+        colours = {p: rng.randint(0, 3) for p in sorted(system.controls)}
         game = PushdownGame(system, owner, ParityCondition(colours, 3))
         region = solve_parity_game(game)
         under, over = bracket_region(game, 4)
@@ -172,7 +172,7 @@ def test_dual_game_determinacy():
     rng = make_rng(46)
     for i in range(10):
         system, owner = random_total_game(rng)
-        colours = {p: rng.randint(0, 3) for p in system.controls}
+        colours = {p: rng.randint(0, 3) for p in sorted(system.controls)}
         game = PushdownGame(system, owner, ParityCondition(colours, 3))
         region = solve_parity_game(game)
         dual_region = solve_parity_game(dual_game(game))

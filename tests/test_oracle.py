@@ -91,7 +91,7 @@ def test_bracket_monotone_in_height():
     rng = make_rng(51)
     for i in range(10):
         system, owner = random_total_game(rng)
-        colours = {p: rng.randint(0, 2) for p in system.controls}
+        colours = {p: rng.randint(0, 2) for p in sorted(system.controls)}
         game = PushdownGame(system, owner, ParityCondition(colours, 2))
         u3, o3 = bracket_region(game, 3)
         u4, o4 = bracket_region(game, 4)

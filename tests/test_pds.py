@@ -1,9 +1,9 @@
 import pytest
 
 from conftest import configurations_upto, make_rng, random_pds
-from pdsat import (Configuration, InvalidInputError, Rule, invert, pds,
-                   predecessors, successors, validate)
-from pdsat.pds import IntermediaryControl, is_intermediary, is_valid_configuration
+from pdsat import (Configuration, InvalidInputError, Rule, pds, predecessors,
+                   successors, validate)
+from pdsat.pds import is_valid_configuration
 
 
 def simple_system():
@@ -60,37 +60,6 @@ def test_predecessors_inverts_successors():
         for c in configurations_upto(sys_i, 2):
             for c0 in predecessors(sys_i, c):
                 assert c in successors(sys_i, c0), (sys_i, c0, c)
-
-
-def test_invert_reverses_steps():
-    rng = make_rng(12)
-    for i in range(25):
-        sys_i = random_pds(rng)
-        inv = invert(sys_i)
-        for c in configurations_upto(sys_i, 2):
-            for c2 in successors(sys_i, c):
-                # one original step is one or two inverted steps (push rules
-                # pass through an intermediary control)
-                back = successors(inv, c2)
-                if c in back:
-                    continue
-                twostep = {c3 for c1 in back if is_intermediary(c1.control)
-                           for c3 in successors(inv, c1)}
-                assert c in twostep, (sys_i, c, c2)
-
-
-def test_invert_shapes():
-    sys1 = simple_system()
-    inv = invert(sys1)
-    # the pop rule (p,A)->(p,) becomes pushes from p back over every symbol
-    assert Rule("p", "B", "p", ("A", "B")) in inv.rules
-    assert Rule("p", "_", "p", ("A", "_")) in inv.rules
-    # the push rule (p,A)->(q,BA) splits through an intermediary
-    mid = IntermediaryControl("A", "p", "A")
-    assert mid in inv.controls
-    assert Rule("q", "B", mid, ()) in inv.rules
-    assert Rule(mid, "A", "p", ("A",)) in inv.rules
-    assert validate(inv) == []
 
 
 def test_successors_rejects_invalid_configuration():

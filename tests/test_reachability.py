@@ -1,9 +1,10 @@
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
 from conftest import configurations_upto, make_rng, random_pds, random_view
-from pdsat import (Configuration, InvalidInputError, Nfa, PAutomatonView,
+from pdsat import (EPS, Configuration, InvalidInputError, Nfa, PAutomatonView,
                    buchi_target_automaton, pds, pop_relation, poststar,
                    predecessors, prestar, rew_closure, singleton_view,
                    successors)
@@ -117,6 +118,113 @@ def test_poststar_contains_forward_closure():
                 if len(c2.stack) <= 4 and c2 not in seen:
                     seen.add(c2)
                     todo.append(c2)
+
+
+def _reached_from(system, view, c, h):
+    """Whether some configuration accepted by ``view`` reaches ``c`` over
+    stacks of height at most ``h`` (a bounded search backwards from ``c``)."""
+    seen = {c}
+    todo = deque(seen)
+    while todo:
+        c1 = todo.popleft()
+        if view.accepts(c1):
+            return True
+        for c0 in predecessors(system, c1):
+            if len(c0.stack) <= h and c0 not in seen:
+                seen.add(c0)
+                todo.append(c0)
+    return False
+
+
+def _assert_poststar_matches_search(system, view, result):
+    for c in configurations_upto(system, 2):
+        assert result.accepts(c) == _reached_from(system, view, c, 5), (system, c)
+
+
+def _with_extra_transitions(view, extra, finals=()):
+    aut = view.aut
+    return PAutomatonView(
+        Nfa(aut.states, aut.alphabet, aut.finals | frozenset(finals),
+            aut.transitions | frozenset(extra)),
+        dict(view.control_embed))
+
+
+def test_poststar_eps_input_matches_bounded_search():
+    rng = make_rng(31)
+    for i in range(12):
+        sys_i = random_pds(rng)
+        view = random_view(rng, sys_i, n_extra=3)
+        extras = sorted(set(view.aut.states) - set(view.control_embed.values()))
+        sources = sorted(view.aut.states)
+        eps = {(rng.choice(sources), EPS, rng.choice(extras)) for _ in range(2)}
+        eps.add((rng.choice(extras), EPS, min(view.aut.finals)))
+        view = _with_extra_transitions(view, eps)
+        assert view.aut.has_eps()
+        _assert_poststar_matches_search(sys_i, view, poststar(sys_i, view))
+
+
+def test_poststar_repaired_input_matches_bounded_search():
+    rng = make_rng(32)
+    for i in range(12):
+        sys_i = random_pds(rng)
+        view = random_view(rng, sys_i)
+        controls = sorted(view.control_embed.values())
+        into = {(rng.choice(sorted(view.aut.states)), rng.choice(
+            sorted(sys_i.alphabet)), rng.choice(controls)) for _ in range(2)}
+        view = _with_extra_transitions(view, into, {rng.choice(controls)})
+        assert view_errors(view)
+        with pytest.warns(UserWarning):
+            result = poststar(sys_i, view)
+        _assert_poststar_matches_search(sys_i, view, result)
+
+
+def _push_targets(system):
+    return {(r.to_control, r.pushed[0]) for r in system.rules
+            if len(r.pushed) == 2}
+
+
+def test_poststar_is_eps_free_with_one_state_per_push_target():
+    rng = make_rng(33)
+    for i in range(20):
+        sys_i = random_pds(rng, n_rules=8)
+        view = random_view(rng, sys_i)
+        result = poststar(sys_i, view)
+        assert not result.aut.has_eps()
+        assert all(a is not EPS for _, a, _ in result.aut.transitions)
+        assert view.aut.states <= result.aut.states
+        added = result.aut.states - view.aut.states
+        assert len(added) <= len(_push_targets(sys_i)), (sys_i, added)
+        assert result.control_embed == view.control_embed
+
+
+@dataclass(frozen=True)
+class _PushState:
+    """Same name and fields as the states post* adds."""
+
+    control: object
+    symbol: object
+
+
+def test_poststar_with_state_names_imitating_fresh_states():
+    rng = make_rng(34)
+    for i in range(12):
+        sys_i = random_pds(rng, n_rules=8)
+        targets = sorted(_push_targets(sys_i)) or [("q0", "A")]
+        fakes = [_PushState(*t) for t in targets] + targets
+        view = random_view(rng, sys_i, n_extra=len(fakes))
+        rename = {("x", k): fake for k, fake in enumerate(fakes)}
+        aut = view.aut
+        mimic = PAutomatonView(
+            Nfa(frozenset(rename.get(s, s) for s in aut.states), aut.alphabet,
+                frozenset(rename.get(s, s) for s in aut.finals),
+                frozenset((rename.get(s, s), a, rename.get(t, t))
+                          for s, a, t in aut.transitions)),
+            dict(view.control_embed))
+        plain, mimicked = poststar(sys_i, view), poststar(sys_i, mimic)
+        assert (len(mimicked.aut.states - mimic.aut.states)
+                == len(plain.aut.states - view.aut.states))
+        for c in configurations_upto(sys_i, 3):
+            assert mimicked.accepts(c) == plain.accepts(c), (sys_i, c)
 
 
 # ---------------------------------------------------------------------------
