@@ -22,6 +22,5 @@ from .games import (ABELARD, BuchiCondition, ELOISE, ParityCondition,
                     solve_reachability_game, subsume)
 from .oracle import (BoundedGraph, bfs_prestar_member, bounded_graph,
                      bounded_nodes, bracket_region, finite_game_region)
-from .symbols import SymbolTable
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,9 +1,9 @@
 """Nondeterministic and alternating finite automata on bounded alphabets.
 
-States and symbols are arbitrary hashable values (integer handles from a
-:class:`~pdsat.symbols.SymbolTable`, strings, tuples, ...).  Automata do not
-store initial states; every query names its start state explicitly.  All
-values are immutable after construction and all operations are pure.
+States and symbols are arbitrary hashable values (strings, tuples, ...).
+Automata do not store initial states; every query names its start state
+explicitly.  All values are immutable after construction and all operations
+are pure; the lookup indexes a query builds are kept on the automaton itself.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 from .errors import InvalidInputError
 
@@ -67,7 +67,26 @@ def nfa(states=(), alphabet=(), finals=(), transitions=()) -> Nfa:
     return Nfa(states, frozenset(alphabet), frozenset(finals), transitions)
 
 
-@lru_cache(maxsize=None)
+def _per_object(build):
+    """Memoise ``build(aut)`` in the automaton's own instance ``__dict__``.
+
+    The index lives exactly as long as the automaton, and equal but distinct
+    automata never share one.  Dataclass fields, equality and hashing only
+    look at the declared fields, so they are unaffected.
+    """
+    key = build.__name__
+
+    @wraps(build)
+    def get(aut):
+        memo = aut.__dict__
+        if key not in memo:
+            memo[key] = build(aut)
+        return memo[key]
+
+    return get
+
+
+@_per_object
 def _step_index(aut: Nfa):
     """dict (state, label) -> frozenset of targets."""
     index = defaultdict(set)
@@ -76,7 +95,7 @@ def _step_index(aut: Nfa):
     return {k: frozenset(v) for k, v in index.items()}
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def _eps_reach(aut: Nfa):
     """dict state -> frozenset of states reachable by epsilon moves (incl. itself)."""
     step = defaultdict(set)
@@ -156,6 +175,40 @@ def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
             for t2 in ridx.get((t, a), ()):
                 transitions.add(((s, t), a, (s2, t2)))
     finals = {(s, t) for s in left.finals for t in pattern.finals}
+    return Nfa(frozenset(states), aut.alphabet, frozenset(finals), frozenset(transitions))
+
+
+def _reachable_product(aut: Nfa, start, pattern: Nfa, pattern_start) -> Nfa:
+    """The part of ``product_intersect(aut, pattern, pattern_start)`` that is
+    reachable from ``(start, pattern_start)``, built forwards from that pair.
+    Epsilon moves of ``aut`` are closed in as the product steps.
+    """
+    if start not in aut.states:
+        raise InvalidInputError(f"unknown state: {start!r}")
+    steps = defaultdict(list)
+    for s, a, t in aut.transitions:
+        if a is not EPS:
+            steps[s].append((a, t))
+    closure = _eps_reach(aut)
+    ridx = _step_index(pattern)
+    first = (start, pattern_start)
+    states = {first}
+    todo = [first]
+    transitions = set()
+    finals = set()
+    while todo:
+        pair = todo.pop()
+        s, t = pair
+        if t in pattern.finals and not closure[s].isdisjoint(aut.finals):
+            finals.add(pair)
+        for u in closure[s]:
+            for a, u2 in steps.get(u, ()):
+                for t2 in ridx.get((t, a), ()):
+                    nxt = (u2, t2)
+                    transitions.add((pair, a, nxt))
+                    if nxt not in states:
+                        states.add(nxt)
+                        todo.append(nxt)
     return Nfa(frozenset(states), aut.alphabet, frozenset(finals), frozenset(transitions))
 
 
@@ -307,7 +360,7 @@ def alt(states=(), alphabet=(), finals=(), transitions=()) -> AltAutomaton:
     return AltAutomaton(states, frozenset(alphabet), frozenset(finals), transitions)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def _alt_index(aut: AltAutomaton):
     index = defaultdict(list)
     for s, a, targets in aut.transitions:

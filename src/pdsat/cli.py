@@ -17,7 +17,6 @@ from . import derivation, games, oracle, reachability
 from .automata import AltAutomaton, Nfa
 from .errors import InvalidInputError, ResourceLimitError
 from .pds import Configuration, PushdownSystem, Rule, validate
-from .symbols import SymbolTable
 
 SECTION_NAMES = ("pds", "automaton", "game")
 
@@ -74,26 +73,20 @@ def serialise(doc: InputDocument) -> str:
 
 def _build_pds(doc: InputDocument):
     body = doc.section("pds")
-    table = SymbolTable()
     controls, alphabet, rules = set(), set(), set()
     bottom = None
     for lineno, tokens in body:
         key = tokens[0]
         if key == "states":
-            for name in tokens[1:]:
-                table.intern(name)
-                controls.add(name)
+            controls.update(tokens[1:])
         elif key == "alphabet":
-            for name in tokens[1:]:
-                table.intern(name)
-                alphabet.add(name)
+            alphabet.update(tokens[1:])
         elif key == "bottom":
             if len(tokens) != 2:
                 raise ParseError(lineno, "bottom takes exactly one symbol")
             if bottom is not None:
                 raise ParseError(lineno, "duplicate bottom declaration")
             bottom = tokens[1]
-            table.intern(bottom)
             alphabet.add(bottom)
         elif key == "rule":
             if len(tokens) < 5 or tokens[3] != "->":
@@ -494,9 +487,9 @@ def _run(args) -> int:
         return 0
 
     if command == "deriv":
-        rel = derivation.deriv_relation(system, args.from_control, args.to_control)
         if args.oracle_check:
             raise InvalidInputError("--oracle-check is not supported for deriv")
+        rel = derivation.deriv_relation(system, args.from_control, args.to_control)
         _write_output(args, _emit_relation(rel) if args.format == "text"
                       else _emit_relation_dot(rel))
         return 0

@@ -10,12 +10,11 @@ push-prefix language) pairs.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .automata import (EPS, Language, Nfa, eps_closure,
-                       pattern_forbidden_factors, product_intersect, relabel,
-                       reverse)
+from .automata import (EPS, Language, Nfa, _reachable_product,
+                       pattern_forbidden_factors)
 from .errors import InvalidInputError
 from .pds import PushdownSystem, check_valid
 
@@ -119,47 +118,50 @@ def _check_action_alphabet(aut: Nfa) -> ActionAlphabet:
 def benois_reduce(lang: Language) -> Language:
     """Language of the reduced forms of the words of ``lang``.
 
-    Epsilon edges are saturated in: one is added from p to q whenever q is
-    reachable from p reading a word of the shape A+ ε* A-.  The saturated
-    automaton is epsilon-closed and intersected with the words containing no
-    A+A- factor.
+    Epsilon edges are saturated in: one is added from p to t whenever
+    p -A+-> m -eps*-> u -A--> t, by an indexed worklist over the pairs (m, u)
+    with m a push target and u epsilon-reachable from m; each new edge p -> t
+    extends every pair ending in p.  The result is intersected with the words
+    containing no A+A- factor, building only the product states reachable
+    from ``(lang.start, pattern start)``.
     """
     alpha = _check_action_alphabet(lang.aut)
     aut = lang.aut
-    transitions = set(aut.transitions)
-    pushes = [(s, a[1], t) for s, a, t in transitions if a is not EPS and a[0] == PUSH]
-    changed = True
-    while changed:
-        changed = False
-        eps_step = {}
-        for s, a, t in transitions:
-            if a is EPS:
-                eps_step.setdefault(s, set()).add(t)
-        # epsilon reachability, recomputed per round (cubic overall)
-        reach = {}
-        for s in aut.states:
-            seen = {s}
-            todo = deque([s])
-            while todo:
-                u = todo.popleft()
-                for v in eps_step.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        todo.append(v)
-            reach[s] = seen
-        for s, base_symbol, mid in pushes:
-            for u in reach[mid]:
-                for s2, a, t in list(transitions):
-                    if s2 == u and a == (POP, base_symbol):
-                        edge = (s, EPS, t)
-                        if edge not in transitions:
-                            transitions.add(edge)
-                            changed = True
-    saturated = Nfa(aut.states, aut.alphabet, aut.finals, frozenset(transitions))
-    closed = eps_closure(saturated)
+    pushes_into = defaultdict(list)  # m -> [(p, A)] for p -A+-> m
+    pops = defaultdict(list)  # (u, A) -> [t] for u -A--> t
+    eps = defaultdict(set)
+    for s, a, t in aut.transitions:
+        if a is EPS:
+            eps[s].add(t)
+        elif a[0] == PUSH:
+            pushes_into[t].append((s, a[1]))
+        else:
+            pops[(s, a[1])].append(t)
+    reached = defaultdict(set)  # u -> push targets m with m -eps*-> u
+    todo = deque()
+
+    def add_reach(m, u):
+        if m not in reached[u]:
+            reached[u].add(m)
+            todo.append((m, u))
+
+    for m in pushes_into:
+        add_reach(m, m)
+    while todo:
+        m, u = todo.popleft()
+        for p, base_symbol in pushes_into[m]:
+            for t in pops.get((u, base_symbol), ()):
+                if t not in eps[p]:
+                    eps[p].add(t)
+                    for m2 in list(reached[p]):
+                        add_reach(m2, t)
+        for v in list(eps[u]):
+            add_reach(m, v)
+    saturated = Nfa(aut.states, aut.alphabet, aut.finals, aut.transitions
+                    | {(p, EPS, t) for p, ts in eps.items() for t in ts})
     factors = {(push(a), pop(a)) for a in alpha.base}
     pattern, pstart = pattern_forbidden_factors(alpha.symbols, factors)
-    product = product_intersect(closed, pattern, pstart)
+    product = _reachable_product(saturated, lang.start, pattern, pstart)
     return Language(product, (lang.start, pstart))
 
 
@@ -185,94 +187,80 @@ def productive_filter(lang: Language) -> Language:
     alpha = _check_action_alphabet(lang.aut)
     factors = {(push(a), pop(b)) for a in alpha.base for b in alpha.base if a != b}
     pattern, pstart = pattern_forbidden_factors(alpha.symbols, factors)
-    product = product_intersect(lang.aut, pattern, pstart)
+    product = _reachable_product(lang.aut, lang.start, pattern, pstart)
     return Language(product, (lang.start, pstart))
 
 
-def _trim(aut: Nfa, start):
-    """States reachable from ``start`` and co-reachable to a final state."""
-    fwd = {start}
-    todo = deque([start])
-    succ = {}
-    pred = {}
-    for s, a, t in aut.transitions:
-        succ.setdefault(s, []).append((a, t))
-        pred.setdefault(t, []).append((a, s))
+def _index(transitions):
+    """Two dicts state -> [(s, a, t)]: the transitions leaving, entering it."""
+    out = defaultdict(list)
+    into = defaultdict(list)
+    for tr in transitions:
+        out[tr[0]].append(tr)
+        into[tr[2]].append(tr)
+    return out, into
+
+
+def _reach(index, end, sources, within=None):
+    """States reachable from ``sources`` through an :func:`_index` dict, going
+    to position ``end`` of each transition (2 forwards, 0 backwards), and
+    never leaving ``within`` when it is given."""
+    seen = set(sources)
+    todo = list(seen)
     while todo:
-        s = todo.popleft()
-        for _, t in succ.get(s, ()):
-            if t not in fwd:
-                fwd.add(t)
-                todo.append(t)
-    bwd = set(aut.finals)
-    todo = deque(aut.finals)
-    while todo:
-        s = todo.popleft()
-        for _, t in pred.get(s, ()):
-            if t not in bwd:
-                bwd.add(t)
-                todo.append(t)
-    keep = fwd & bwd
-    transitions = frozenset((s, a, t) for s, a, t in aut.transitions
-                            if s in keep and t in keep)
-    return keep, transitions
+        for tr in index.get(todo.pop(), ()):
+            v = tr[end]
+            if v not in seen and (within is None or v in within):
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def _useful(alphabet, out, into, fwd, start, finals) -> Language:
+    """Cut an automaton, given by its index, to the states on a path from
+    ``start`` to ``finals``; ``fwd`` is the set reachable from ``start``."""
+    keep = _reach(into, 0, finals & fwd, within=fwd) | {start}
+    transitions = frozenset(tr for s in keep for tr in out.get(s, ()) if tr[2] in keep)
+    return Language(Nfa(frozenset(keep), alphabet, frozenset(finals & keep),
+                        transitions), start)
+
+
+def _split(lang: Language):
+    """Trim and index ``lang`` once.  Returns its trimmed states, finals, pop
+    and push transitions, and boundary states in the order of ``repr``."""
+    _check_action_alphabet(lang.aut)
+    if lang.aut.has_eps():
+        raise InvalidInputError("decompose requires an epsilon-free automaton")
+    out, into = _index(lang.aut.transitions)
+    fwd = _reach(out, 2, {lang.start})
+    keep = frozenset(_reach(into, 0, lang.aut.finals & fwd, within=fwd))
+    trimmed = [tr for s in keep for tr in out[s] if tr[2] in keep]
+    pop_trans = frozenset(tr for tr in trimmed if tr[1][0] == POP)
+    push_trans = frozenset(tr for tr in trimmed if tr[1][0] == PUSH)
+    # Validation: in the trimmed automaton no pop may follow a push.
+    after_push = _reach(out, 2, {t for _, _, t in push_trans}, within=keep)
+    if any(s in after_push for s, _, _ in pop_trans):
+        raise InvalidInputError("language is not included in pops* pushes*")
+    finals = lang.aut.finals & keep
+    # Boundary states: reachable from the start via pops only, and reaching a
+    # final state via pushes only (none when nothing is kept).
+    boundary = (_reach(_index(pop_trans)[0], 2, {lang.start})
+                & _reach(_index(push_trans)[1], 0, finals))
+    return keep, finals, pop_trans, push_trans, sorted(boundary, key=repr)
 
 
 def decompose(lang: Language):
     """Split a language included in pops* pushes* into pairs ``(X, Y)`` of a
     pop-only language and a push-only language whose concatenations union to
-    the input language.  One pair per boundary state sitting between the pop
-    prefix and the push suffix of some accepting path.
-    """
-    _check_action_alphabet(lang.aut)
-    if lang.aut.has_eps():
-        raise InvalidInputError("decompose requires an epsilon-free automaton")
-    keep, transitions = _trim(lang.aut, lang.start)
-    if lang.start not in keep:
-        return []
-    # Validation: in the trimmed automaton no pop may follow a push.
-    after_push = set()
-    todo = deque(t for s, a, t in transitions if a[0] == PUSH)
-    after_push.update(todo)
-    while todo:
-        s = todo.popleft()
-        for s2, a, t in transitions:
-            if s2 == s and t not in after_push:
-                after_push.add(t)
-                todo.append(t)
-    for s, a, _ in transitions:
-        if a[0] == POP and s in after_push:
-            raise InvalidInputError("language is not included in pops* pushes*")
-    pop_trans = frozenset((s, a, t) for s, a, t in transitions if a[0] == POP)
-    push_trans = frozenset((s, a, t) for s, a, t in transitions if a[0] == PUSH)
-
-    # Boundary candidates: reachable from the start via pops only.
-    boundary = {lang.start}
-    todo = deque([lang.start])
-    while todo:
-        s = todo.popleft()
-        for s2, a, t in pop_trans:
-            if s2 == s and t not in boundary:
-                boundary.add(t)
-                todo.append(t)
-    pairs = []
-    for q in sorted(boundary, key=repr):
-        x = Language(Nfa(lang.aut.states, lang.aut.alphabet, frozenset({q}),
-                         pop_trans), lang.start)
-        y = Language(Nfa(lang.aut.states, lang.aut.alphabet, lang.aut.finals,
-                         push_trans), q)
-        if x.is_empty() or y.is_empty():
-            continue
-        pairs.append((x, y))
-    return pairs
-
-
-def _trimmed_language(lang: Language) -> Language:
-    keep, transitions = _trim(lang.aut, lang.start)
-    keep = keep | {lang.start}
-    aut = Nfa(frozenset(keep), lang.aut.alphabet,
-              frozenset(lang.aut.finals & keep), transitions)
-    return Language(aut, lang.start)
+    the input language: one pair per boundary state q between the pop prefix
+    and the push suffix of some accepting path, in the order of ``repr(q)``.
+    Every X and Y holds the trimmed states: X the pop transitions and final
+    state q, Y the push transitions and start q."""
+    keep, finals, pop_trans, push_trans, boundary = _split(lang)
+    alphabet = lang.aut.alphabet
+    return [(Language(Nfa(keep, alphabet, frozenset({q}), pop_trans), lang.start),
+             Language(Nfa(keep, alphabet, finals, push_trans), q))
+            for q in boundary]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,21 +272,33 @@ class PrefixRewriteRelation:
 
 
 def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
-    """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks."""
-    behaviour = behaviour_automaton(system, q0, qf)
-    reduced = benois_reduce(behaviour)
-    productive = productive_filter(reduced)
-    pairs = []
-    for x, y in decompose(productive):
-        # X reads A1- ... An- for the popped prefix A1 ... An: strip the tag.
-        u_aut = relabel(x.aut, lambda a: a[1])
-        u = Language(u_aut, x.start)
-        # Y reads An+ ... A1+ for the pushed prefix A1 ... An: strip and reverse.
-        y_base = relabel(y.aut, lambda a: a[1])
-        v_aut, v_start = reverse(y_base, y.start)
-        v = Language(eps_closure(v_aut), v_start)
-        pairs.append((_trimmed_language(u), _trimmed_language(v)))
-    return PrefixRewriteRelation(tuple(pairs))
+    """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks.
+
+    The productive language is split as by :func:`decompose`, but its pop side
+    is relabelled, and its push side relabelled, reversed and epsilon-closed,
+    once for all pairs; each pair's U and V are then cut to their useful
+    states.
+    """
+    lang = productive_filter(benois_reduce(behaviour_automaton(system, q0, qf)))
+    _, finals, pop_trans, push_trans, boundary = _split(lang)
+    alphabet = frozenset(a[1] for a in lang.aut.alphabet)
+    # The pop side reads A1- ... An- for the popped prefix A1 ... An.
+    u_out, u_into = _index((s, a[1], t) for s, a, t in pop_trans)
+    u_fwd = _reach(u_out, 2, {lang.start})
+    # The push side reads An+ ... A1+ for the pushed prefix A1 ... An: strip
+    # and reverse.  The fresh start takes, without epsilon, the reversed last
+    # step into a final state.
+    v_start = ("rev", "start")
+    v_trans = [(t, a[1], s) for s, a, t in push_trans]
+    v_trans += [(v_start, a[1], s) for s, a, t in push_trans if t in finals]
+    v_out, v_into = _index(v_trans)
+    v_fwd = _reach(v_out, 2, {v_start})
+    # V's start is final exactly when q is: the empty word is pushed.
+    return PrefixRewriteRelation(tuple(
+        (_useful(alphabet, u_out, u_into, u_fwd, lang.start, {q}),
+         _useful(alphabet, v_out, v_into, v_fwd, v_start,
+                 {q, v_start} if q in finals else {q}))
+        for q in boundary))
 
 
 def deriv_member(rel: PrefixRewriteRelation, w1, w2) -> bool:

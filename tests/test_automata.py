@@ -1,12 +1,15 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
 from conftest import make_rng
 from pdsat import InvalidInputError
-from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, alt,
-                            alt_membership, alt_run_targets, antichain,
-                            eps_closure, language_empty, nfa, nfa_accepts,
+from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _alt_index,
+                            _eps_reach, _step_index, alt, alt_membership,
+                            alt_run_targets, antichain, eps_closure,
+                            language_empty, nfa, nfa_accepts,
                             pattern_forbidden_factors, product_intersect,
                             relabel, reverse, words_upto)
 
@@ -222,3 +225,53 @@ def test_alt_rejects_empty_target_set():
     with pytest.raises(InvalidInputError):
         AltAutomaton(frozenset({0}), frozenset("a"), frozenset(),
                      frozenset({(0, "a", frozenset())}))
+
+
+def _equal_pair(make):
+    first, second = make(), make()
+    assert first == second and first is not second
+    return first, second
+
+
+def test_equal_automata_keep_their_own_indexes():
+    def make_nfa():
+        return nfa(alphabet="ab", finals=[2],
+                   transitions=[(0, "a", 1), (1, EPS, 2), (2, "b", 0)])
+
+    def make_alt():
+        return alt(alphabet="ab", finals=[1], transitions=[(0, "a", {1, 2})])
+
+    for index, make in ((_step_index, make_nfa), (_eps_reach, make_nfa),
+                        (_alt_index, make_alt)):
+        first, second = _equal_pair(make)
+        assert index(first) is index(first)
+        assert index(second) is not index(first)
+        assert index(second) == index(first)
+        # the stored index leaves equality and hashing alone
+        assert first == second and hash(first) == hash(second)
+        assert first == make() and hash(first) == hash(make())
+
+
+def _query_fresh_automata(count, offset):
+    for i in range(offset, offset + count):
+        aut = nfa(alphabet="ab", finals=[("f", i)],
+                  transitions=[(0, "a", ("f", i)), (0, EPS, ("f", i))])
+        assert nfa_accepts(aut, 0, "a")
+        game = alt(alphabet="ab", finals=[("f", i)],
+                   transitions=[(0, "a", {("f", i)})])
+        assert alt_membership(game, 0, "a")
+
+
+def test_indexes_die_with_their_automata():
+    tracemalloc.start()
+    try:
+        _query_fresh_automata(1000, 0)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        _query_fresh_automata(10_000, 1000)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 10k automata with indexes kept alive would hold megabytes
+    assert grown < 100_000, grown

@@ -149,6 +149,18 @@ def test_deriv_command(tmp_path, capsys):
     assert "pair" in out
 
 
+def test_deriv_oracle_check_rejected_before_analysis(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("deriv_relation ran before the flag was rejected")
+
+    monkeypatch.setattr(cli.derivation, "deriv_relation", fail)
+    doc = "pds\nstates p\nalphabet A\nbottom _\nrule p A -> p\n"
+    code = run_cli(tmp_path, doc, "deriv", "--from", "p", "--to", "p",
+                   "--oracle-check", "3")
+    assert code == 2
+    assert "--oracle-check is not supported for deriv" in capsys.readouterr().err
+
+
 def test_bad_input_exit_code(tmp_path, capsys):
     assert run_cli(tmp_path, "pds\nstates p\nrule p A -> p\n", "prestar") == 2
     assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import pytest
 
@@ -8,6 +9,9 @@ from pdsat import (Configuration, InvalidInputError, apply_actions,
                    behaviour_automaton, benois_reduce, decompose, deriv_member,
                    deriv_relation, pds, poststar, productive_filter,
                    singleton_view)
+from pdsat.automata import (EPS, Language, Nfa, eps_closure,
+                            pattern_forbidden_factors, product_intersect,
+                            relabel, reverse)
 from pdsat.derivation import (POP, PUSH, action_alphabet, pop, push,
                               reduce_word)
 
@@ -171,3 +175,123 @@ def test_action_alphabet():
     assert alpha.contains(push("A"))
     assert not alpha.contains(push("_"))
     assert not alpha.contains("A")
+
+
+def naive_saturation(aut):
+    """Reference Benois saturation: recompute epsilon reachability and scan
+    every transition for each push edge, round after round."""
+    transitions = set(aut.transitions)
+    pushes = [(s, a[1], t) for s, a, t in transitions if a is not EPS and a[0] == PUSH]
+    changed = True
+    while changed:
+        changed = False
+        step = {}
+        for s, a, t in transitions:
+            if a is EPS:
+                step.setdefault(s, set()).add(t)
+        for s, base_symbol, mid in pushes:
+            for u in reach_from(step, mid):
+                for s2, a, t in list(transitions):
+                    if (s2 == u and a == (POP, base_symbol)
+                            and (s, EPS, t) not in transitions):
+                        transitions.add((s, EPS, t))
+                        changed = True
+    return Nfa(aut.states, aut.alphabet, aut.finals, frozenset(transitions))
+
+
+def reach_from(step, start):
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        for v in step.get(todo.popleft(), ()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def reachable_part(aut, start):
+    """The sub-automaton of the states reachable from ``start``."""
+    step = {}
+    for s, _, t in aut.transitions:
+        step.setdefault(s, set()).add(t)
+    keep = reach_from(step, start)
+    return (keep, aut.finals & keep,
+            {tr for tr in aut.transitions if tr[0] in keep})
+
+
+def random_action_automaton(rng, base=("A", "B")):
+    symbols = sorted(f(a) for a in base for f in (push, pop))
+    states = list(range(rng.randint(2, 6)))
+    transitions = set()
+    for _ in range(rng.randint(2, 10)):
+        label = EPS if rng.random() < 0.2 else rng.choice(symbols)
+        transitions.add((rng.choice(states), label, rng.choice(states)))
+    finals = frozenset(rng.sample(states, rng.randint(1, len(states))))
+    return Language(Nfa(frozenset(states), frozenset(symbols), finals,
+                        frozenset(transitions)), 0)
+
+
+def test_benois_saturation_matches_naive_rounds():
+    rng = make_rng(36)
+    for i in range(100):
+        lang = random_action_automaton(rng)
+        pattern, pstart = pattern_forbidden_factors(
+            lang.aut.alphabet, {(push(a), pop(a)) for a in ("A", "B")})
+        reference = product_intersect(eps_closure(naive_saturation(lang.aut)),
+                                      pattern, pstart)
+        got = benois_reduce(lang)
+        assert got.start == (0, pstart)
+        assert reachable_part(reference, got.start) == (
+            got.aut.states, got.aut.finals, got.aut.transitions), (i, lang.aut)
+
+
+def deriv_instances(seed, count):
+    rng = make_rng(seed)
+    for i in range(count):
+        system = bottom_free(random_bottom_free_pds(
+            rng, n_controls=rng.randint(2, 4), n_symbols=rng.randint(1, 3),
+            n_rules=rng.randint(3, 9)))
+        controls = sorted(system.controls)
+        yield system, rng.choice(controls), rng.choice(controls)
+
+
+def test_products_hold_only_reachable_states():
+    for system, q0, qf in deriv_instances(37, 30):
+        reduced = benois_reduce(behaviour_automaton(system, q0, qf))
+        productive = productive_filter(reduced)
+        for lang in (reduced, productive):
+            assert reachable_part(lang.aut, lang.start)[0] == lang.aut.states
+
+
+def is_trimmed(lang):
+    keep, _, _ = reachable_part(lang.aut, lang.start)
+    back = {}
+    for s, _, t in lang.aut.transitions:
+        back.setdefault(t, set()).add(s)
+    co = set()
+    for f in lang.aut.finals:
+        co |= reach_from(back, f)
+    return keep == lang.aut.states == co
+
+
+def test_deriv_relation_pairs_are_trimmed():
+    for system, q0, qf in deriv_instances(38, 30):
+        for u, v in deriv_relation(system, q0, qf).pairs:
+            assert is_trimmed(u) and is_trimmed(v), (system, q0, qf)
+
+
+def test_deriv_relation_matches_per_pair_reference():
+    for system, q0, qf in deriv_instances(39, 50):
+        productive = productive_filter(
+            benois_reduce(behaviour_automaton(system, q0, qf)))
+        pairs = decompose(productive)
+        rel = deriv_relation(system, q0, qf)
+        assert len(rel.pairs) == len(pairs)
+        for (x, y), (u, v) in zip(pairs, rel.pairs):
+            assert u.aut.finals == x.aut.finals and u.start == x.start
+            u_ref = Language(relabel(x.aut, lambda a: a[1]), x.start)
+            v_aut, v_start = reverse(relabel(y.aut, lambda a: a[1]), y.start)
+            v_ref = Language(eps_closure(v_aut), v_start)
+            assert u.words(4) == u_ref.words(4), (system, q0, qf)
+            assert v.words(4) == v_ref.words(4), (system, q0, qf)
