@@ -8,7 +8,6 @@ are pure; the lookup indexes a query builds are kept on the automaton itself.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import wraps
@@ -360,12 +359,20 @@ def alt(states=(), alphabet=(), finals=(), transitions=()) -> AltAutomaton:
     return AltAutomaton(states, frozenset(alphabet), frozenset(finals), transitions)
 
 
+def _alt_entries(transitions, minimal=True) -> dict:
+    """dict ``(state, symbol) -> frozenset of target sets``; with
+    ``minimal``, each entry is cut to its antichain, which changes no run's
+    minimal targets and no membership."""
+    grouped = defaultdict(set)
+    for s, a, targets in transitions:
+        grouped[(s, a)].add(targets)
+    reduce = antichain if minimal else frozenset
+    return {key: reduce(sets) for key, sets in grouped.items()}
+
+
 @_per_object
 def _alt_index(aut: AltAutomaton):
-    index = defaultdict(list)
-    for s, a, targets in aut.transitions:
-        index[(s, a)].append(targets)
-    return dict(index)
+    return _alt_entries(aut.transitions)
 
 
 def alt_membership(aut: AltAutomaton, start, word) -> bool:
@@ -389,32 +396,49 @@ def alt_membership(aut: AltAutomaton, start, word) -> bool:
 
 def antichain(sets):
     """The subset-minimal elements of an iterable of frozensets."""
+    sets = set(sets)
+    if len(sets) < 2:
+        return frozenset(sets)
     result = []
-    for s in sorted(set(sets), key=len):
+    for s in sorted(sets, key=len):
         if not any(r <= s for r in result):
             result.append(s)
     return frozenset(result)
+
+
+def _minimal_unions(options):
+    """The minimal unions of one set from each of ``options``, each an
+    antichain of frozensets; empty if some option is empty.
+
+    Folded one option at a time with an antichain after each step, instead of
+    taking the whole product: the minimal unions of a product are unions of
+    minimal elements, so the result is the same.
+    """
+    options = iter(options)
+    acc = frozenset(next(options, {frozenset()}))
+    for choices in options:
+        acc = antichain(x | y for x in acc for y in choices)
+        if not acc:
+            break
+    return acc
+
+
+def _run_targets(index, start, word) -> frozenset:
+    """``alt_run_targets`` over an index ``(state, symbol) -> antichain of
+    target sets``."""
+    frontier = frozenset({frozenset({start})})
+    for a in word:
+        runs = [_minimal_unions(index.get((s, a), ()) for s in sset)
+                for sset in frontier]
+        frontier = runs[0] if len(runs) == 1 else antichain(
+            targets for sets in runs for targets in sets)
+        if not frontier:
+            break
+    return frontier
 
 
 def alt_run_targets(aut: AltAutomaton, start, word) -> frozenset:
     """All subset-minimal state sets S with a run ``start -word-> S``."""
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
-    index = _alt_index(aut)
-    frontier = {frozenset({start})}
-    for a in word:
-        nxt = set()
-        for sset in frontier:
-            options = []
-            for s in sset:
-                choices = index.get((s, a))
-                if not choices:
-                    break
-                options.append(choices)
-            else:
-                for combo in itertools.product(*options):
-                    nxt.add(frozenset().union(*combo))
-        frontier = antichain(nxt)
-        if not frontier:
-            return frozenset()
-    return antichain(frontier)
+    return _run_targets(_alt_index(aut), start, word)

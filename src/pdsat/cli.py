@@ -223,10 +223,15 @@ def _build_game(doc: InputDocument, system: PushdownSystem, kind: str):
             p, n = tokens[1], tokens[2]
             if p not in system.controls:
                 raise ParseError(lineno, f"undeclared control state {p!r}")
+            if p in colours:
+                raise ParseError(lineno, f"duplicate colour for {p!r}")
             try:
                 colours[p] = int(n)
             except ValueError:
-                raise ParseError(lineno, f"colour must be an integer: {n!r}")
+                colours[p] = -1
+            if colours[p] < 0:
+                raise ParseError(
+                    lineno, f"colour must be a non-negative integer: {n!r}")
         elif key == "final":
             for p in tokens[1:]:
                 if p not in system.controls:

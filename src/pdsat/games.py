@@ -1,20 +1,27 @@
 """Two-player pushdown games solved by alternating-automaton saturation.
 
-Reachability games need a single least fixed point.  Büchi games nest a least
-fixed point inside a greatest one; parity games generalise to one fixed point
-per colour, dispatched recursively.  Winning-region automata use one state
-``(p, i)`` per control ``p`` and fixed-point level ``i``, plus the universal
-state ``S_STAR`` and the bottom-accepting state ``S_BOT``.
+Reachability games need a single least fixed point.  Parity games nest one
+fixed point per colour, greatest for even colours and least for odd ones,
+dispatched recursively; a Büchi game is the parity game with colour 0 on its
+designated controls and colour 1 elsewhere.  Winning-region automata use one
+state ``(p, i)`` per control ``p`` and fixed-point level ``i``, plus the
+universal state ``S_STAR`` and the bottom-accepting state ``S_BOT``.
+
+All solvers run on one kernel.  It keeps the region as a mutable dict
+``(state, symbol) -> antichain of target sets`` for the whole solve and builds
+the ``AltAutomaton`` once at the end.  Each parity level rewrites, projects
+and compares only its own entries.  The public ``pre_step``, ``project`` and
+``subsume`` apply the kernel's operations to a whole automaton.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .automata import (AltAutomaton, S_BOT, S_STAR, alt_membership,
-                       alt_run_targets, antichain)
+from .automata import (AltAutomaton, S_BOT, S_STAR, _alt_entries,
+                       _minimal_unions, _run_targets, alt_membership,
+                       antichain)
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
 
@@ -75,16 +82,18 @@ def region_member(region: RegionAutomaton, c: Configuration) -> bool:
     return alt_membership(region.aut, entry, c.stack)
 
 
+def _automaton(states, alphabet, finals, entries) -> AltAutomaton:
+    return AltAutomaton(frozenset(states), alphabet, finals,
+                        frozenset((s, a, targets)
+                                  for (s, a), sets in entries.items()
+                                  for targets in sets))
+
+
 def subsume(aut: AltAutomaton) -> AltAutomaton:
     """Drop every transition whose target set strictly contains another
     target for the same source and symbol; languages are unchanged."""
-    grouped = defaultdict(set)
-    for s, a, targets in aut.transitions:
-        grouped[(s, a)].add(targets)
-    transitions = frozenset((s, a, targets)
-                            for (s, a), sets in grouped.items()
-                            for targets in antichain(sets))
-    return AltAutomaton(aut.states, aut.alphabet, aut.finals, transitions)
+    return _automaton(aut.states, aut.alphabet, aut.finals,
+                      _alt_entries(aut.transitions))
 
 
 def _rules_by_source(system: PushdownSystem):
@@ -94,34 +103,49 @@ def _rules_by_source(system: PushdownSystem):
     return index
 
 
-def _game_moves(aut: AltAutomaton, game: PushdownGame, entry_for):
-    """Transitions of one game-predecessor step.
+def _moves(entries, states, owner, rules, entry_for) -> dict:
+    """Entries of one game-predecessor step, keyed ``(p, A)``.
 
-    For every control p and top symbol A: an Éloïse control gets one
-    transition per rule and per minimal run of the rule's pushed word; an
-    Abelard control gets the unions of one minimal run target per rule.
-    ``entry_for(p, q)`` names the automaton state standing for the successor
-    control ``q`` when moving from ``p``.
+    For every control p and top symbol A: an Éloïse control gets one target
+    per rule and per minimal run of the rule's pushed word; an Abelard
+    control gets the minimal unions of one run target per rule.
+    ``entry_for(p, q)`` names the state standing for the successor control
+    ``q`` when moving from ``p``; runs read ``entries`` and start only from
+    ``states``.
     """
-    rules = _rules_by_source(game.pds)
-    moves = defaultdict(set)  # (p, A) -> {frozenset targets}
+    runs = {}  # (state, pushed) -> minimal run targets, shared by the rules
+    moves = {}
     for (p, a), applicable in rules.items():
         per_rule = []
         for r in applicable:
-            state = entry_for(p, r.to_control)
-            if state not in aut.states:
-                per_rule.append(frozenset())
-                continue
-            per_rule.append(alt_run_targets(aut, state, r.pushed))
-        if game.owner[p] == ELOISE:
-            for targets in per_rule:
-                moves[(p, a)] |= targets
+            key = (entry_for(p, r.to_control), r.pushed)
+            if key not in runs:
+                runs[key] = (_run_targets(entries, *key) if key[0] in states
+                             else frozenset())
+            per_rule.append(runs[key])
+        if owner[p] == ELOISE:
+            sets = antichain(frozenset().union(*per_rule))
         else:
-            if any(not t for t in per_rule):
-                continue  # some rule admits no run: Abelard escapes
-            for combo in itertools.product(*per_rule):
-                moves[(p, a)].add(frozenset().union(*combo))
-    return {key: antichain(sets) for key, sets in moves.items() if sets}
+            sets = _minimal_unions(per_rule)  # empty if Abelard escapes
+        if sets:
+            moves[(p, a)] = sets
+    return moves
+
+
+def _project_entries(entries, rename, dropped, reduce=frozenset) -> dict:
+    """Delete the entries out of ``dropped`` and move those out of each
+    state of ``rename`` onto its image, renaming inside their target sets
+    too.  Returns the moved entries, each cut by ``reduce``."""
+    moved = {}
+    for key in [k for k in entries if k[0] in rename or k[0] in dropped]:
+        sets = entries.pop(key)
+        if key[0] in rename:
+            moved[(rename[key[0]], key[1])] = reduce(
+                targets if rename.keys().isdisjoint(targets)
+                else frozenset(rename.get(t, t) for t in targets)
+                for targets in sets)
+    entries.update(moved)
+    return moved
 
 
 def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
@@ -146,19 +170,22 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     if cond.target.alphabet != game.pds.alphabet:
         raise InvalidInputError("target alphabet differs from the game alphabet")
 
-    aut = subsume(cond.target)
-    while True:
-        moves = _game_moves(aut, game, lambda p, q: embed[q])
-        transitions = set(aut.transitions)
-        for (p, a), sets in moves.items():
-            for targets in sets:
-                transitions.add((embed[p], a, targets))
-        nxt = subsume(AltAutomaton(aut.states, aut.alphabet, aut.finals,
-                                   frozenset(transitions)))
-        if nxt == aut:
-            break
-        aut = nxt
-    return RegionAutomaton(aut, embed)
+    target, rules = cond.target, _rules_by_source(game.pds)
+    entries = _alt_entries(target.transitions)
+    changed = True
+    while changed:
+        grown = defaultdict(set)
+        for (p, a), sets in _moves(entries, target.states, game.owner, rules,
+                                   lambda p, q: embed[q]).items():
+            grown[(embed[p], a)] |= sets
+        changed = False
+        for key, sets in grown.items():
+            sets = antichain(sets | entries.get(key, frozenset()))
+            if sets != entries.get(key):
+                entries[key] = sets
+                changed = True
+    return RegionAutomaton(
+        _automaton(target.states, target.alphabet, target.finals, entries), embed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +214,17 @@ def project(aut: AltAutomaton, from_idx, to_idx) -> AltAutomaton:
     if from_idx == to_idx:
         raise InvalidInputError("projection indices must differ")
 
-    def is_level(s, idx):
-        return isinstance(s, tuple) and len(s) == 2 and s[1] == idx
+    def level(idx):
+        return {s for s in aut.states
+                if isinstance(s, tuple) and len(s) == 2 and s[1] == idx}
 
-    if not any(is_level(s, from_idx) for s in aut.states):
+    rename = {s: (s[0], to_idx) for s in level(from_idx)}
+    if not rename:
         raise InvalidInputError(f"no states at level {from_idx!r}")
-
-    def rename(s):
-        return (s[0], to_idx) if is_level(s, from_idx) else s
-
-    transitions = set()
-    for s, a, targets in aut.transitions:
-        if is_level(s, to_idx):
-            continue
-        if is_level(s, from_idx):
-            transitions.add(((s[0], to_idx), a, frozenset(rename(t) for t in targets)))
-        else:
-            transitions.add((s, a, targets))
-    states = frozenset(s for s in aut.states if not is_level(s, from_idx))
-    return AltAutomaton(states, aut.alphabet, aut.finals, frozenset(transitions))
+    entries = _alt_entries(aut.transitions, minimal=False)
+    _project_entries(entries, rename, level(to_idx))
+    return _automaton(aut.states - rename.keys(), aut.alphabet, aut.finals,
+                      entries)
 
 
 def pre_step(aut: AltAutomaton, game: PushdownGame, fresh_idx, colour_of) -> AltAutomaton:
@@ -215,58 +234,24 @@ def pre_step(aut: AltAutomaton, game: PushdownGame, fresh_idx, colour_of) -> Alt
     colour of the source control, per the fixed-point formula: a
     configuration of colour c must step into the variable of colour c.
     """
-    entries = {(p, fresh_idx) for p in game.pds.controls}
-    states = aut.states | entries
-    moves = _game_moves(aut, game, lambda p, q: (q, colour_of[p]))
+    moves = _moves(_alt_entries(aut.transitions), aut.states, game.owner,
+                   _rules_by_source(game.pds), lambda p, q: (q, colour_of[p]))
     transitions = set(aut.transitions)
-    for (p, a), sets in moves.items():
-        for targets in sets:
-            transitions.add(((p, fresh_idx), a, targets))
-    return AltAutomaton(frozenset(states), aut.alphabet, aut.finals,
+    transitions.update(((p, fresh_idx), a, targets)
+                       for (p, a), sets in moves.items() for targets in sets)
+    states = aut.states | {(p, fresh_idx) for p in game.pds.controls}
+    return AltAutomaton(states, aut.alphabet, aut.finals,
                         frozenset(transitions))
 
 
-def _full_value_transitions(system: PushdownSystem, level, states):
-    """Initial transitions giving a fresh even level the largest value: in
-    subsumed form, one singleton target per non-bottom state, plus the
-    bottom transition into S_BOT."""
-    bot = system.bottom
-    transitions = set()
-    for p in system.controls:
-        src = (p, level)
-        for a in system.alphabet:
-            if a == bot:
-                transitions.add((src, bot, frozenset({S_BOT})))
-            else:
-                for s in states:
-                    if s is not S_BOT:
-                        transitions.add((src, a, frozenset({s})))
-    return transitions
-
-
-def _fix(aut: AltAutomaton, level, game, colour_of, max_colour) -> AltAutomaton:
-    """One fixed-point level: even levels start from the largest value
-    (greatest fixed point), odd levels from the empty one (least)."""
-    system = game.pds
-    entries = {(p, level) for p in system.controls}
-    states = aut.states | entries
-    transitions = set(aut.transitions)
-    if level % 2 == 0:
-        transitions |= _full_value_transitions(system, level, states)
-    current = subsume(AltAutomaton(frozenset(states), aut.alphabet,
-                                   aut.finals, frozenset(transitions)))
-    while True:
-        nxt = _dispatch(current, level + 1, game, colour_of, max_colour)
-        nxt = subsume(project(nxt, level + 1, level))
-        if nxt == current:
-            return current
-        current = nxt
-
-
-def _dispatch(aut, level, game, colour_of, max_colour):
-    if level == max_colour + 1:
-        return pre_step(aut, game, level, colour_of)
-    return _fix(aut, level, game, colour_of, max_colour)
+def _full_value(system: PushdownSystem, level, states) -> dict:
+    """Entries giving a fresh even level the largest value: in subsumed
+    form, one singleton target per non-bottom state, plus the bottom entry
+    into S_BOT."""
+    top = frozenset(frozenset({s}) for s in states if s is not S_BOT)
+    bottom = frozenset({frozenset({S_BOT})})
+    return {((p, level), a): bottom if a == system.bottom else top
+            for p in system.controls for a in system.alphabet}
 
 
 def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
@@ -279,21 +264,59 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     max_colour = cond.max_colour
     if max_colour % 2 == 0:
         max_colour += 1  # pad with an unused odd colour
-    colour_of = dict(cond.colours)
-    aut = _initial_region_automaton(game.pds)
-    result = _dispatch(aut, 0, game, colour_of, max_colour)
-    entry = {p: (p, 0) for p in game.pds.controls}
-    return RegionAutomaton(result, entry)
+    system, colour_of = game.pds, dict(cond.colours)
+    by_colour = defaultdict(dict)  # colour -> rules of the controls of it
+    for (p, a), applicable in _rules_by_source(system).items():
+        by_colour[colour_of[p]][(p, a)] = applicable
+    base = _initial_region_automaton(system)
+    states, entries = set(base.states), _alt_entries(base.transitions)
+    known = {}  # colour c -> moves of its controls, whose runs start at level c
+
+    def forget(level):
+        """Level-c entries only target states of levels <= c, so the moves
+        of colour c stay valid until an entry of level <= c changes."""
+        for c in [c for c in known if c >= level]:
+            del known[c]
+
+    def fix(level):
+        """Level ``level``'s fixed point: even levels start from the largest
+        value (greatest fixed point), odd levels from the empty one (least).
+        Each round solves level + 1 (or, at the top, takes one pre_step into
+        it) and projects it back; only this level's entries change."""
+        fresh = {(p, level) for p in system.controls}
+        states.update(fresh)
+        if level % 2 == 0:
+            entries.update(_full_value(system, level, states))
+        forget(level)
+        rename = {(p, level + 1): (p, level) for p in system.controls}
+        while True:
+            if level == max_colour:
+                for c, rules in by_colour.items():
+                    if c not in known:
+                        known[c] = _moves(entries, states, game.owner, rules,
+                                          lambda p, q: (q, c))
+                    entries.update({((p, level + 1), a): sets
+                                    for (p, a), sets in known[c].items()})
+            else:
+                fix(level + 1)
+            before = {k: v for k, v in entries.items() if k[0] in fresh}
+            after = _project_entries(entries, rename, fresh, antichain)
+            states.difference_update(rename)
+            if after == before:
+                return
+            forget(level)
+
+    fix(0)
+    return RegionAutomaton(
+        _automaton(states, system.alphabet, base.finals, entries),
+        {p: (p, 0) for p in system.controls})
 
 
 def solve_buchi_game(game: PushdownGame) -> RegionAutomaton:
-    """Winning region of a Büchi game: a greatest fixed point over the
-    designated controls wrapping a least fixed point over the others.
-
-    Written out as the explicit two-level nesting (colour 0 on the Büchi
-    controls, colour 1 elsewhere); the parity solver reproduces it through
-    its generic dispatch, which the tests cross-check.
-    """
+    """Winning region of a Büchi game: the parity game with colour 0 on the
+    designated controls and colour 1 elsewhere, that is, a greatest fixed
+    point over the Büchi controls wrapping a least fixed point over the
+    others."""
     check_game(game)
     cond = game.condition
     if not isinstance(cond, BuchiCondition):
@@ -301,33 +324,9 @@ def solve_buchi_game(game: PushdownGame) -> RegionAutomaton:
     unknown = cond.finals - game.pds.controls
     if unknown:
         raise InvalidInputError(f"unknown Büchi controls: {unknown!r}")
-    system = game.pds
-    colour_of = {p: 0 if p in cond.finals else 1 for p in system.controls}
-    base = _initial_region_automaton(system)
-
-    def fix1(aut):
-        states = aut.states | {(p, 1) for p in system.controls}
-        current = subsume(AltAutomaton(frozenset(states), aut.alphabet,
-                                       aut.finals, aut.transitions))
-        while True:
-            nxt = pre_step(current, game, 2, colour_of)
-            nxt = subsume(project(nxt, 2, 1))
-            if nxt == current:
-                return current
-            current = nxt
-
-    states = base.states | {(p, 0) for p in system.controls}
-    transitions = set(base.transitions)
-    transitions |= _full_value_transitions(system, 0, states)
-    current = subsume(AltAutomaton(frozenset(states), base.alphabet,
-                                   base.finals, frozenset(transitions)))
-    while True:
-        nxt = subsume(project(fix1(current), 1, 0))
-        if nxt == current:
-            break
-        current = nxt
-    entry = {p: (p, 0) for p in system.controls}
-    return RegionAutomaton(current, entry)
+    colours = {p: 0 if p in cond.finals else 1 for p in game.pds.controls}
+    return solve_parity_game(
+        PushdownGame(game.pds, game.owner, ParityCondition(colours, 1)))
 
 
 def dual_game(game: PushdownGame) -> PushdownGame:

@@ -7,9 +7,9 @@ import pytest
 from conftest import make_rng
 from pdsat import InvalidInputError
 from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _alt_index,
-                            _eps_reach, _step_index, alt, alt_membership,
-                            alt_run_targets, antichain, eps_closure,
-                            language_empty, nfa, nfa_accepts,
+                            _eps_reach, _minimal_unions, _step_index, alt,
+                            alt_membership, alt_run_targets, antichain,
+                            eps_closure, language_empty, nfa, nfa_accepts,
                             pattern_forbidden_factors, product_intersect,
                             relabel, reverse, words_upto)
 
@@ -219,6 +219,46 @@ def test_alt_run_targets_characterises_membership():
                     all(alt_membership(aut, t, suffix) for t in tset)
                     for tset in targets)
                 assert via_targets == alt_membership(aut, 0, word + suffix)
+
+
+def minimal(sets):
+    return frozenset(t for t in sets if not any(u < t for u in sets))
+
+
+def product_run_targets(aut, start, word):
+    """Reference: the union of every combination of per-state choices,
+    through the full product, cut to the minimal sets at the end."""
+    index = {}
+    for s, a, targets in aut.transitions:
+        index.setdefault((s, a), []).append(targets)
+    frontier = {frozenset({start})}
+    for a in word:
+        frontier = {frozenset().union(*combo) for sset in frontier
+                    for combo in itertools.product(
+                        *(index.get((s, a), []) for s in sset))}
+    return minimal(frontier)
+
+
+def test_folded_run_targets_match_product_reference():
+    rng = make_rng(708)
+    for i in range(200):
+        states = list(range(6))
+        transitions = {(rng.choice(states), rng.choice("ab"),
+                        frozenset(rng.sample(states, rng.randint(1, 3))))
+                       for _ in range(rng.randint(6, 16))}
+        aut = AltAutomaton(frozenset(states), frozenset("ab"),
+                           frozenset({0}), frozenset(transitions))
+        for word in itertools.chain.from_iterable(
+                itertools.product("ab", repeat=k) for k in range(4)):
+            for start in (0, 1):
+                assert alt_run_targets(aut, start, word) == \
+                    product_run_targets(aut, start, word), (aut, start, word)
+        # the same fold gives Abelard's minimal unions over the rules
+        options = [minimal({frozenset(rng.sample(states, rng.randint(1, 3)))
+                            for _ in range(rng.randint(0, 4))})
+                   for _ in range(rng.randint(1, 4))]
+        assert _minimal_unions(options) == minimal(
+            {frozenset().union(*combo) for combo in itertools.product(*options)})
 
 
 def test_alt_rejects_empty_target_set():

@@ -178,3 +178,23 @@ def test_reachgame_uses_automaton_target(tmp_path, capsys):
                    "--analysis", "reachgame")
     # p can pop its A straight into q at the bottom
     assert code == 0
+
+
+def test_duplicate_colour_rejected(tmp_path, capsys):
+    # GAME_DOC ends with the colour lines 14-15; a second colour for p is
+    # line 16, even when it is the same value
+    for extra in ("colour p 1\n", "colour p 0\n"):
+        assert run_cli(tmp_path, GAME_DOC + extra, "paritygame") == 2
+        err = capsys.readouterr().err
+        assert "line 16" in err and "duplicate colour for 'p'" in err
+
+
+def test_negative_colour_rejected_at_its_line(tmp_path, capsys):
+    doc = GAME_DOC.replace("colour q 1", "colour q -1")
+    assert run_cli(tmp_path, doc, "paritygame") == 2
+    err = capsys.readouterr().err
+    assert "line 15" in err and "colour must be a non-negative integer" in err
+    assert "has no colour" not in err
+    assert run_cli(tmp_path, GAME_DOC.replace("colour q 1", "colour q x"),
+                   "paritygame") == 2
+    assert "line 15" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    solve_buchi_game, solve_parity_game,
                    solve_reachability_game, subsume)
 from pdsat.automata import S_BOT, S_STAR
-from pdsat.games import pre_step, project
+from pdsat.games import _initial_region_automaton, pre_step, project
 from pdsat.oracle import bounded_nodes, bracket_region
 
 
@@ -198,7 +198,6 @@ def test_subsume_preserves_membership():
 def test_pre_step_adds_one_step_states():
     system, owner = loop_or_pop_game()
     game = PushdownGame(system, owner, BuchiCondition(frozenset({"p"})))
-    from pdsat.games import _initial_region_automaton
     base = _initial_region_automaton(system)
     colour_of = {"p": 0, "q": 1}
     # give the colour levels somewhere to land: create entry states first
@@ -225,3 +224,106 @@ def test_solver_input_validation():
     with pytest.raises(InvalidInputError):
         solve_buchi_game(PushdownGame(system, owner,
                                       BuchiCondition(frozenset({"zzz"}))))
+
+
+# Reference solvers: the round loops written over whole automata and the
+# public pre_step / project / subsume, one new automaton per round.
+
+
+def extend(aut, states, transitions):
+    return subsume(AltAutomaton(aut.states | states, aut.alphabet, aut.finals,
+                                aut.transitions | transitions))
+
+
+def full_value(system, level, states):
+    return frozenset(((p, level), a, frozenset({S_BOT if a == BOT else s}))
+                     for p in system.controls for a in system.alphabet
+                     for s in states if s is not S_BOT)
+
+
+def reference_parity(game):
+    colour_of, top = game.condition.colours, game.condition.max_colour | 1
+    controls = game.pds.controls
+
+    def fix(aut, level):
+        fresh = frozenset((p, level) for p in controls)
+        current = extend(aut, fresh, full_value(
+            game.pds, level, aut.states | fresh) if level % 2 == 0 else frozenset())
+        while True:
+            nxt = (pre_step(current, game, level + 1, colour_of)
+                   if level == top else fix(current, level + 1))
+            nxt = subsume(project(nxt, level + 1, level))
+            if nxt == current:
+                return current
+            current = nxt
+
+    return fix(_initial_region_automaton(game.pds), 0)
+
+
+def reference_buchi(game):
+    controls = game.pds.controls
+    colour_of = {p: 0 if p in game.condition.finals else 1 for p in controls}
+    level0 = frozenset((p, 0) for p in controls)
+    level1 = frozenset((p, 1) for p in controls)
+    base = _initial_region_automaton(game.pds)
+    current = extend(base, level0,
+                     full_value(game.pds, 0, base.states | level0))
+    while True:
+        inner = extend(current, level1, frozenset())
+        while True:
+            nxt = subsume(project(pre_step(inner, game, 2, colour_of), 2, 1))
+            if nxt == inner:
+                break
+            inner = nxt
+        nxt = subsume(project(inner, 1, 0))
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def reference_reachability(game):
+    """Runs pre_step on a copy whose embedded states are renamed (p, 0),
+    with every control of colour 0, and adds its level-1 moves at level 0."""
+    target, embed = game.condition.target, game.condition.embed
+    name = {s: (p, 0) for p, s in embed.items()}
+    back = {v: k for k, v in name.items()}
+    fresh = {(p, 1) for p in game.pds.controls}
+    assert len(back) == len(name) and not (set(back) | fresh) & target.states
+    aut = subsume(AltAutomaton(
+        frozenset(name.get(s, s) for s in target.states), target.alphabet,
+        target.finals, frozenset((name.get(s, s), a, ts)
+                                 for s, a, ts in target.transitions)))
+    colour_of = {p: 0 for p in game.pds.controls}
+    while True:
+        moves = frozenset(((s[0], 0), a, ts) for s, a, ts
+                          in pre_step(aut, game, 1, colour_of).transitions
+                          if s in fresh)
+        nxt = extend(aut, frozenset(), moves)
+        if nxt == aut:
+            break
+        aut = nxt
+    return AltAutomaton(
+        target.states, aut.alphabet, aut.finals,
+        frozenset((back.get(s, s), a, frozenset(back.get(t, t) for t in ts))
+                  for s, a, ts in aut.transitions))
+
+
+def test_solvers_match_round_loop_references():
+    rng = make_rng(48)
+    for i in range(60):
+        system, owner = random_total_game(rng)
+        controls = sorted(system.controls)
+        game = PushdownGame(system, owner,
+                            random_reachability_condition(rng, system))
+        assert solve_reachability_game(game).aut == \
+            reference_reachability(game), (system, owner)
+        finals = frozenset(p for p in controls if rng.random() < 0.5)
+        game = PushdownGame(system, owner, BuchiCondition(finals))
+        assert solve_buchi_game(game).aut == reference_buchi(game), \
+            (system, owner, finals)
+        max_colour = rng.randint(0, 4)
+        colours = {p: rng.randint(0, max_colour) for p in controls}
+        game = PushdownGame(system, owner,
+                            ParityCondition(colours, max_colour))
+        assert solve_parity_game(game).aut == reference_parity(game), \
+            (system, owner, colours)
