@@ -3,14 +3,12 @@ sets, pre*/post*, the derivation relation, and pushdown game solving."""
 
 from .automata import (AltAutomaton, EPS, Language, Nfa, S_BOT, S_STAR, alt,
                        alt_membership, alt_run_targets, eps_closure, nfa,
-                       nfa_accepts, pattern_forbidden_factors,
-                       product_intersect, words_upto)
+                       nfa_accepts, pattern_forbidden_factors, words_upto)
 from .errors import InvalidInputError, ResourceLimitError
 from .pds import (Configuration, PushdownSystem, Rule, pds, predecessors,
                   successors, validate)
 from .reachability import (PAutomatonView, buchi_target_automaton,
-                           pop_relation, poststar, prestar, rew_closure,
-                           singleton_view)
+                           pop_relation, poststar, prestar, singleton_view)
 from .derivation import (ActionAlphabet, PrefixRewriteRelation, apply_actions,
                          behaviour_automaton, benois_reduce, decompose,
                          deriv_member, deriv_relation, productive_filter,

@@ -152,34 +152,10 @@ def eps_closure(aut: Nfa) -> Nfa:
     return Nfa(aut.states, aut.alphabet, frozenset(finals), frozenset(transitions))
 
 
-def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
-    """Product automaton; the language from ``(s, pattern_start)`` is the
-    intersection of the two component languages.
-
-    ``pattern`` must be epsilon-free; ``aut`` is epsilon-closed first.
-    """
-    if aut.alphabet != pattern.alphabet:
-        raise InvalidInputError("product_intersect requires matching alphabets")
-    if pattern.has_eps():
-        raise InvalidInputError("pattern must be epsilon-free")
-    if pattern_start not in pattern.states:
-        raise InvalidInputError(f"unknown pattern state: {pattern_start!r}")
-    left = eps_closure(aut) if aut.has_eps() else aut
-    lidx = _step_index(left)
-    ridx = _step_index(pattern)
-    states = {(s, t) for s in left.states for t in pattern.states}
-    transitions = set()
-    for s, a, s2 in left.transitions:
-        for t in pattern.states:
-            for t2 in ridx.get((t, a), ()):
-                transitions.add(((s, t), a, (s2, t2)))
-    finals = {(s, t) for s in left.finals for t in pattern.finals}
-    return Nfa(frozenset(states), aut.alphabet, frozenset(finals), frozenset(transitions))
-
-
 def _reachable_product(aut: Nfa, start, pattern: Nfa, pattern_start) -> Nfa:
-    """The part of ``product_intersect(aut, pattern, pattern_start)`` that is
-    reachable from ``(start, pattern_start)``, built forwards from that pair.
+    """Product of ``aut`` and the epsilon-free ``pattern``, built forwards
+    from ``(start, pattern_start)`` so that only reachable pairs exist; the
+    language from that pair is the intersection of the two languages.
     Epsilon moves of ``aut`` are closed in as the product steps.
     """
     if start not in aut.states:
@@ -268,43 +244,6 @@ def words_upto(aut: Nfa, start, maxlen: int):
     return found
 
 
-def language_empty(aut: Nfa, start) -> bool:
-    """True iff no final state is reachable from ``start``."""
-    closure = _eps_reach(aut)
-    index = _step_index(aut)
-    seen = set(closure[start])
-    todo = deque(seen)
-    while todo:
-        s = todo.popleft()
-        if s in aut.finals:
-            return False
-        for a in aut.alphabet:
-            for t in index.get((s, a), ()):
-                for u in closure[t]:
-                    if u not in seen:
-                        seen.add(u)
-                        todo.append(u)
-    return True
-
-
-def reverse(aut: Nfa, start):
-    """Automaton for the reversed language; returns ``(nfa, new_start)``."""
-    new_start = ("rev", "start")
-    transitions = {(t, a, s) for s, a, t in aut.transitions}
-    transitions |= {(new_start, EPS, f) for f in aut.finals}
-    states = aut.states | {new_start}
-    return Nfa(frozenset(states), aut.alphabet, frozenset({start}),
-               frozenset(transitions)), new_start
-
-
-def relabel(aut: Nfa, mapping) -> Nfa:
-    """Apply ``mapping`` to every non-epsilon transition label."""
-    alphabet = frozenset(mapping(a) for a in aut.alphabet)
-    transitions = frozenset(
-        (s, a if a is EPS else mapping(a), t) for s, a, t in aut.transitions)
-    return Nfa(aut.states, alphabet, aut.finals, transitions)
-
-
 @dataclass(frozen=True, eq=False)
 class Language:
     """A regular language as an automaton plus its designated start state."""
@@ -317,9 +256,6 @@ class Language:
 
     def words(self, maxlen: int):
         return words_upto(self.aut, self.start, maxlen)
-
-    def is_empty(self) -> bool:
-        return language_empty(self.aut, self.start)
 
 
 # ---------------------------------------------------------------------------

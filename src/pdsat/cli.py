@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import derivation, games, oracle, reachability
 from .automata import AltAutomaton, Nfa
 from .errors import InvalidInputError, ResourceLimitError
-from .pds import Configuration, PushdownSystem, Rule, validate
+from .pds import (Configuration, PushdownSystem, Rule, predecessors,
+                  successors, validate)
 
 SECTION_NAMES = ("pds", "automaton", "game")
 
@@ -59,16 +59,6 @@ def parse(text: str) -> InputDocument:
     if doc.section("pds") is None:
         raise ParseError(0, "document has no pds section")
     return doc
-
-
-def serialise(doc: InputDocument) -> str:
-    lines = []
-    for name, body in doc.sections:
-        lines.append(name)
-        for _, tokens in body:
-            lines.append(" ".join(tokens))
-        lines.append("")
-    return "\n".join(lines).rstrip("\n") + "\n"
 
 
 def _build_pds(doc: InputDocument):
@@ -302,13 +292,20 @@ def _emit_view(view) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _alt_key(transition):
+    """Sort key of an alternating transition.  The ``repr`` of its frozenset
+    of targets lists them in hash order, which varies with the hash seed."""
+    s, a, targets = transition
+    return repr(s), repr(a), sorted(map(repr, targets))
+
+
 def _emit_region(region) -> str:
     names = _state_names(region.aut.states, region.entry)
     lines = ["automaton"]
     lines.append("states " + " ".join(sorted(set(names.values()))))
     if region.aut.finals:
         lines.append("final " + " ".join(sorted(names[s] for s in region.aut.finals)))
-    for s, a, targets in sorted(region.aut.transitions, key=repr):
+    for s, a, targets in sorted(region.aut.transitions, key=_alt_key):
         ts = " ".join(sorted(names[t] for t in targets))
         lines.append(f"alttrans {names[s]} {a} {{ {ts} }}")
     for p, s in sorted(region.entry.items(), key=lambda kv: str(kv[0])):
@@ -356,7 +353,8 @@ def _emit_region_dot(region) -> str:
         shape = "doublecircle" if s in region.aut.finals else "circle"
         lines.append(f"  {_dot_escape(names[s])} [shape={shape}];")
     # Alternating transitions become hyperedges through point nodes.
-    for i, (s, a, targets) in enumerate(sorted(region.aut.transitions, key=repr)):
+    for i, (s, a, targets) in enumerate(sorted(region.aut.transitions,
+                                               key=_alt_key)):
         point = f"h{i}"
         lines.append(f"  {point} [shape=point];")
         lines.append(f"  {_dot_escape(names[s])} -> {point} [label={_dot_escape(a)}];")
@@ -391,38 +389,22 @@ def _emit_relation_dot(rel) -> str:
 # Oracle checks
 
 
-def _oracle_check_prestar(system, view, result, h):
-    target = view.accepts
-    for c in oracle.bounded_nodes(system, h):
-        if oracle.bfs_prestar_member(system, target, c, h) and not result.accepts(c):
-            return c
-    return None
-
-
-def _oracle_check_poststar(system, view, result, h):
-    seeds = [c for c in oracle.bounded_nodes(system, h) if view.accepts(c)]
-    seen = set(seeds)
-    todo = deque(seeds)
-    from .pds import successors
-    while todo:
-        c = todo.popleft()
-        if not result.accepts(c):
-            return c
-        for nxt in successors(system, c):
-            if len(nxt.stack) <= h and nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return None
+def _oracle_check_saturation(system, view, result, h, step):
+    """The first bounded node, in ``bounded_nodes`` order, that a search
+    through ``step`` (``predecessors`` for pre*, ``successors`` for post*)
+    from the input language finds and ``result`` rejects; None if none."""
+    nodes = oracle.bounded_nodes(system, h)
+    found = set(oracle._bounded_search(
+        system, [c for c in nodes if view.accepts(c)], step, h))
+    return next((c for c in nodes if c in found and not result.accepts(c)),
+                None)
 
 
 def _oracle_check_game(game, region, h):
     under, over = oracle.bracket_region(game, h)
     nodes = oracle.bounded_nodes(game.pds, h)
     for c in nodes:
-        member = games.region_member(region, c)
-        if under(c) and not member:
-            return c, len(nodes)
-        if member and not over(c):
+        if not under(c) <= games.region_member(region, c) <= over(c):
             return c, len(nodes)
     return None, len(nodes)
 
@@ -439,17 +421,18 @@ def _make_parser():
     for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", required=True)
+        if name == "member":
+            p.add_argument("--config", required=True)
+            p.add_argument("--analysis", default="prestar",
+                           choices=("prestar", "poststar", "reachgame",
+                                    "buchigame", "paritygame"))
+            continue
         p.add_argument("--out", dest="outfile")
         p.add_argument("--format", choices=("text", "dot"), default="text")
         p.add_argument("--oracle-check", dest="oracle_check", type=int)
         if name == "deriv":
             p.add_argument("--from", dest="from_control", required=True)
             p.add_argument("--to", dest="to_control", required=True)
-        if name == "member":
-            p.add_argument("--config", required=True)
-            p.add_argument("--analysis", default="prestar",
-                           choices=("prestar", "poststar", "reachgame",
-                                    "buchigame", "paritygame"))
     return parser
 
 
@@ -480,9 +463,9 @@ def _run(args) -> int:
             sys.stdout.write("yes\n" if answer else "no\n")
             return 0 if answer else 1
         if args.oracle_check:
-            check = (_oracle_check_prestar if command == "prestar"
-                     else _oracle_check_poststar)
-            bad = check(system, view, result, args.oracle_check)
+            step = predecessors if command == "prestar" else successors
+            bad = _oracle_check_saturation(system, view, result,
+                                           args.oracle_check, step)
             if bad is not None:
                 sys.stdout.write(f"oracle disagreement at {bad!r}\n")
                 return 3

@@ -41,10 +41,6 @@ class ActionAlphabet:
         return frozenset(push(a) for a in self.base) \
             | frozenset(pop(a) for a in self.base)
 
-    def contains(self, action) -> bool:
-        return (isinstance(action, tuple) and len(action) == 2
-                and action[0] in (PUSH, POP) and action[1] in self.base)
-
 
 def action_alphabet(system: PushdownSystem) -> ActionAlphabet:
     return ActionAlphabet(frozenset(system.alphabet) - {system.bottom})

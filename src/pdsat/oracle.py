@@ -32,23 +32,20 @@ class BoundedGraph:
     sink_winner: str
 
 
-def _all_configurations(system: PushdownSystem, h: int):
+def bounded_nodes(system: PushdownSystem, h: int):
+    """All valid configurations with stack height at most ``h``."""
     base = sorted(system.alphabet - {system.bottom}, key=repr)
-    for q in sorted(system.controls, key=repr):
-        for k in range(h):
-            for word in itertools.product(base, repeat=k):
-                yield Configuration(q, word + (system.bottom,))
+    return [Configuration(q, word + (system.bottom,))
+            for q in sorted(system.controls, key=repr)
+            for k in range(h)
+            for word in itertools.product(base, repeat=k)]
 
 
 def bounded_graph(system_or_game, h: int, sink_winner: str,
-                  node_cap: int = DEFAULT_NODE_CAP,
-                  require_total: bool = False) -> BoundedGraph:
+                  node_cap: int = DEFAULT_NODE_CAP) -> BoundedGraph:
     """Finite restriction of the configuration graph to stacks of length at
-    most ``h``; moves growing past ``h`` lead to the sink.
-
-    With ``require_total`` every non-sink node must have a successor (the
-    game-totality precondition); otherwise stuck nodes are kept and count as
-    lost for the player to move.
+    most ``h``; moves growing past ``h`` lead to the sink.  Stuck nodes are
+    kept and count as lost for the player to move.
     """
     if h < 1:
         raise InvalidInputError("height bound must be at least 1")
@@ -67,19 +64,34 @@ def bounded_graph(system_or_game, h: int, sink_winner: str,
     nodes = {SINK}
     edges = {SINK: {SINK}}
     owner = {}
-    for c in _all_configurations(system, h):
+    for c in bounded_nodes(system, h):
         nodes.add(c)
-        succ = set()
-        for c2 in successors(system, c):
-            succ.add(SINK if len(c2.stack) > h else c2)
-        if not succ and require_total:
-            raise InvalidInputError(f"configuration is stuck: {c!r}")
-        edges[c] = succ
+        edges[c] = {SINK if len(c2.stack) > h else c2
+                    for c2 in successors(system, c)}
         if game is not None:
             owner[c] = game.owner[c.control]
     # The sink belongs to nobody in particular; its self-loop decides it.
     owner[SINK] = ELOISE
     return BoundedGraph(nodes, edges, owner, h, sink_winner)
+
+
+def _bounded_search(system: PushdownSystem, seeds, step, h: int,
+                    node_cap: int = DEFAULT_NODE_CAP):
+    """Breadth-first search from ``seeds`` through ``step`` (``successors``
+    or ``predecessors``), keeping to stacks at most ``h`` high: yields each
+    configuration found, seeds first, once.  Raises ``ResourceLimitError``
+    once more than ``node_cap`` configurations have been found."""
+    seen = set(seeds)
+    todo = deque(seen)
+    while todo:
+        cur = todo.popleft()
+        yield cur
+        if len(seen) > node_cap:
+            raise ResourceLimitError("bounded search exceeded the node cap")
+        for nxt in step(system, cur):
+            if len(nxt.stack) <= h and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
 
 
 def bfs_prestar_member(system: PushdownSystem, target, c: Configuration,
@@ -90,19 +102,8 @@ def bfs_prestar_member(system: PushdownSystem, target, c: Configuration,
     check_valid(system)
     if len(c.stack) > h:
         raise InvalidInputError("start configuration exceeds the height bound")
-    seen = {c}
-    todo = deque([c])
-    while todo:
-        cur = todo.popleft()
-        if target(cur):
-            return True
-        if len(seen) > node_cap:
-            raise ResourceLimitError("bounded search exceeded the node cap")
-        for nxt in successors(system, cur):
-            if len(nxt.stack) <= h and nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return False
+    return any(target(cur)
+               for cur in _bounded_search(system, [c], successors, h, node_cap))
 
 
 def attractor(nodes, edges, owner, target, player):
@@ -168,17 +169,16 @@ def finite_game_region(g: BoundedGraph, condition):
     if isinstance(condition, BuchiCondition):
         colour = {n: (0 if n is not SINK and n.control in condition.finals else 1)
                   for n in g.nodes}
-        colour[SINK] = 0 if g.sink_winner == ELOISE else 1
     elif isinstance(condition, ParityCondition):
         colour = {n: (condition.colours[n.control] if n is not SINK else 0)
                   for n in g.nodes}
-        colour[SINK] = 0 if g.sink_winner == ELOISE else 1
     else:
         raise InvalidInputError(f"unsupported condition: {condition!r}")
-    for n in g.nodes:
-        if not g.edges.get(n):
-            raise InvalidInputError(
-                f"finite Büchi/parity solving needs a total graph; {n!r} is stuck")
+    colour[SINK] = 0 if g.sink_winner == ELOISE else 1
+    stuck = [n for n in g.nodes if not g.edges.get(n)]
+    if stuck:
+        raise InvalidInputError("finite Büchi/parity solving needs a total "
+                                f"graph; {min(stuck, key=repr)!r} is stuck")
     w0, _ = _zielonka(set(g.nodes), g.edges, g.owner, colour)
     return w0
 
@@ -188,24 +188,8 @@ def bracket_region(game: PushdownGame, h: int,
     """Lower and upper bounds on Éloïse's winning region, as predicates on
     configurations with stack height at most ``h``: the truncated game solved
     with the sink lost for her, then won."""
-    under_graph = bounded_graph(game, h, ABELARD, node_cap=node_cap,
-                                require_total=not isinstance(
-                                    game.condition, ReachabilityCondition))
-    over_graph = bounded_graph(game, h, ELOISE, node_cap=node_cap,
-                               require_total=not isinstance(
-                                   game.condition, ReachabilityCondition))
-    under = finite_game_region(under_graph, game.condition)
-    over = finite_game_region(over_graph, game.condition)
-
-    def under_member(c: Configuration) -> bool:
-        return c in under
-
-    def over_member(c: Configuration) -> bool:
-        return c in over
-
-    return under_member, over_member
-
-
-def bounded_nodes(system: PushdownSystem, h: int):
-    """All valid configurations with stack height at most ``h``."""
-    return list(_all_configurations(system, h))
+    under = finite_game_region(
+        bounded_graph(game, h, ABELARD, node_cap=node_cap), game.condition)
+    over = finite_game_region(
+        bounded_graph(game, h, ELOISE, node_cap=node_cap), game.condition)
+    return under.__contains__, over.__contains__

@@ -273,52 +273,6 @@ def pop_relation(system: PushdownSystem) -> frozenset:
     return frozenset(rel)
 
 
-def rew_closure(system: PushdownSystem) -> frozenset:
-    """Least relation of pairs ``((p,A),(q,B))`` with ``pA =>* qB`` (the top
-    symbol is rewritten without consuming below it): reflexive, contains the
-    swap rules, transitive, and closed under push-then-consume steps.
-    """
-    check_valid(system)
-    pops = defaultdict(set)  # (t, D) -> {q} for pop rules tD -> q
-    for r in system.rules:
-        if len(r.pushed) == 0:
-            pops[(r.from_control, r.from_symbol)].add(r.to_control)
-
-    rel = set()
-    succ = defaultdict(set)  # (p,A) -> {(q,B)}
-
-    def add(src, dst):
-        if (src, dst) not in rel:
-            rel.add((src, dst))
-            succ[src].add(dst)
-            return True
-        return False
-
-    for p in system.controls:
-        for a in system.alphabet:
-            add((p, a), (p, a))
-    for r in system.rules:
-        if len(r.pushed) == 1:
-            add((r.from_control, r.from_symbol), (r.to_control, r.pushed[0]))
-    changed = True
-    while changed:
-        changed = False
-        # transitivity
-        for src in list(succ):
-            for mid in list(succ[src]):
-                for dst in list(succ[mid]):
-                    changed |= add(src, dst)
-        # push rule pA -> rBC, rB =>* tD, tD -> q  gives  pA =>* qC
-        for r in system.rules:
-            if len(r.pushed) != 2:
-                continue
-            b, c = r.pushed
-            for (t, d) in list(succ[(r.to_control, b)]):
-                for q in pops[(t, d)]:
-                    changed |= add((r.from_control, r.from_symbol), (q, c))
-    return frozenset(rel)
-
-
 def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
     """P-automaton for pre*({(q_f, ⊥)}) built without saturation.
 

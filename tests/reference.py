@@ -1,0 +1,47 @@
+"""Reference automaton constructions that the tests compare pdsat against:
+each is the textbook definition, built in full, with no pruning."""
+
+from pdsat import InvalidInputError
+from pdsat.automata import EPS, Nfa, _step_index, eps_closure
+
+
+def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
+    """Product automaton; the language from ``(s, pattern_start)`` is the
+    intersection of the two component languages.
+
+    ``pattern`` must be epsilon-free; ``aut`` is epsilon-closed first.
+    """
+    if aut.alphabet != pattern.alphabet:
+        raise InvalidInputError("product_intersect requires matching alphabets")
+    if pattern.has_eps():
+        raise InvalidInputError("pattern must be epsilon-free")
+    if pattern_start not in pattern.states:
+        raise InvalidInputError(f"unknown pattern state: {pattern_start!r}")
+    left = eps_closure(aut) if aut.has_eps() else aut
+    ridx = _step_index(pattern)
+    states = {(s, t) for s in left.states for t in pattern.states}
+    transitions = set()
+    for s, a, s2 in left.transitions:
+        for t in pattern.states:
+            for t2 in ridx.get((t, a), ()):
+                transitions.add(((s, t), a, (s2, t2)))
+    finals = {(s, t) for s in left.finals for t in pattern.finals}
+    return Nfa(frozenset(states), aut.alphabet, frozenset(finals), frozenset(transitions))
+
+
+def reverse(aut: Nfa, start):
+    """Automaton for the reversed language; returns ``(nfa, new_start)``."""
+    new_start = ("rev", "start")
+    transitions = {(t, a, s) for s, a, t in aut.transitions}
+    transitions |= {(new_start, EPS, f) for f in aut.finals}
+    states = aut.states | {new_start}
+    return Nfa(frozenset(states), aut.alphabet, frozenset({start}),
+               frozenset(transitions)), new_start
+
+
+def relabel(aut: Nfa, mapping) -> Nfa:
+    """Apply ``mapping`` to every non-epsilon transition label."""
+    alphabet = frozenset(mapping(a) for a in aut.alphabet)
+    transitions = frozenset(
+        (s, a if a is EPS else mapping(a), t) for s, a, t in aut.transitions)
+    return Nfa(aut.states, alphabet, aut.finals, transitions)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from pdsat import cli
+from pdsat import alt, cli, games
+from pdsat.oracle import bfs_prestar_member, bounded_nodes, bracket_region
 
 REACH_DOC = """\
 pds
@@ -36,17 +42,16 @@ colour q 1
 """
 
 
+# REACH_DOC's pds section with the starting language {(p, A _)}
+POST_DOC = (REACH_DOC.split("automaton")[0]
+            + "automaton\nstates m f\nfinal f\ntrans p A m\ntrans m _ f\n")
+
+
 def test_parse_sections_and_comments():
     doc = cli.parse("# header\npds\nstates p  # trailing comment\nbottom _\n")
     assert [name for name, _ in doc.sections] == ["pds"]
     body = doc.section("pds")
     assert body == [(3, ["states", "p"]), (4, ["bottom", "_"])]
-
-
-def test_parse_round_trip():
-    doc = cli.parse(REACH_DOC)
-    again = cli.parse(cli.serialise(doc))
-    assert cli.serialise(again) == cli.serialise(doc)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -81,6 +86,15 @@ def test_member_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "no"
 
 
+def test_member_rejects_output_flags(tmp_path, capsys):
+    for flag in (["--out", "out.pds"], ["--format", "dot"],
+                 ["--oracle-check", "3"]):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(tmp_path, REACH_DOC, "member", "--config", "q : B A _", *flag)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_member_game_analysis(tmp_path, capsys):
     code = run_cli(tmp_path, GAME_DOC, "member", "--config", "p : A _",
                    "--analysis", "buchigame")
@@ -106,13 +120,11 @@ def test_prestar_output_round_trips(tmp_path, capsys):
 
 
 def test_poststar_output_round_trips(tmp_path, capsys):
-    doc = (REACH_DOC.split("automaton")[0]
-           + "automaton\nstates m f\nfinal f\ntrans p A m\ntrans m _ f\n")
     out = tmp_path / "out.pds"
-    assert run_cli(tmp_path, doc, "poststar", "--out", str(out)) == 0
+    assert run_cli(tmp_path, POST_DOC, "poststar", "--out", str(out)) == 0
     text = out.read_text()
     assert "None" not in text  # no ε-labels in the saturated automaton
-    back = cli.parse(doc.split("automaton")[0] + text)
+    back = cli.parse(POST_DOC.split("automaton")[0] + text)
     system = cli._build_pds(back)
     view = cli._as_view(cli._build_automaton(back, system), system)
     from pdsat import Configuration
@@ -129,6 +141,49 @@ def test_oracle_check_agreement(tmp_path, capsys):
     assert "bracket agreement" in capsys.readouterr().out
 
 
+def _disagreement(capsys):
+    out = capsys.readouterr().out
+    assert out.startswith("oracle disagreement at ")
+    return out[len("oracle disagreement at "):].strip()
+
+
+def test_oracle_disagreement_names_a_counterexample(tmp_path, capsys,
+                                                   monkeypatch):
+    # Each analysis is replaced by one returning too small a result; the
+    # check must exit 3 and print a configuration the true result holds.
+    h = 4
+    doc = cli.parse(POST_DOC)
+    system = cli._build_pds(doc)
+    view = cli._as_view(cli._build_automaton(doc, system), system)
+    nodes = bounded_nodes(system, h)
+    sources = [c for c in nodes if view.accepts(c)]
+    monkeypatch.setattr(cli.reachability, "prestar", lambda s, v: v)
+    monkeypatch.setattr(cli.reachability, "poststar", lambda s, v: v)
+
+    assert run_cli(tmp_path, POST_DOC, "prestar", "--oracle-check", str(h)) == 3
+    missed = {repr(c) for c in nodes if not view.accepts(c)
+              and bfs_prestar_member(system, view.accepts, c, h)}
+    assert missed and _disagreement(capsys) in missed
+
+    assert run_cli(tmp_path, POST_DOC, "poststar", "--oracle-check", str(h)) == 3
+    missed = {repr(c) for c in nodes if not view.accepts(c)
+              and any(bfs_prestar_member(system, c.__eq__, s, h)
+                      for s in sources)}
+    assert missed and _disagreement(capsys) in missed
+
+    def empty_region(game):
+        nowhere = alt(states={"x"}, alphabet=game.pds.alphabet)
+        return games.RegionAutomaton(nowhere, dict.fromkeys(game.pds.controls, "x"))
+
+    monkeypatch.setattr(games, "solve_buchi_game", empty_region)
+    assert run_cli(tmp_path, GAME_DOC, "buchigame", "--oracle-check", "3") == 3
+    game_doc = cli.parse(GAME_DOC)
+    game = cli._build_game(game_doc, cli._build_pds(game_doc), "buchigame")
+    under, _ = bracket_region(game, 3)
+    winning = {repr(c) for c in bounded_nodes(game.pds, 3) if under(c)}
+    assert winning and _disagreement(capsys) in winning
+
+
 def test_dot_output(tmp_path, capsys):
     assert run_cli(tmp_path, REACH_DOC, "prestar", "--format", "dot") == 0
     out = capsys.readouterr().out
@@ -137,6 +192,24 @@ def test_dot_output(tmp_path, capsys):
     assert run_cli(tmp_path, GAME_DOC, "buchigame", "--format", "dot") == 0
     out = capsys.readouterr().out
     assert "shape=point" in out  # hyperedges drawn through point nodes
+
+
+def test_game_output_independent_of_hash_seed():
+    # The fixture's region has several alternating transitions with one
+    # source and symbol; the CLI must print them in the same order, and wire
+    # the same dot hyperedges, whatever the hash seed.
+    fixture = Path(__file__).parent / "data" / "parity_game.pds"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for fmt in ("text", "dot"):
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "pdsat.cli", "paritygame",
+                 "--in", str(fixture), "--format", fmt],
+                env=env, capture_output=True, check=True, timeout=60)
+            outputs.add(run.stdout)
+        assert len(outputs) == 1, fmt
 
 
 def test_deriv_command(tmp_path, capsys):

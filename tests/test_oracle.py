@@ -67,7 +67,7 @@ def test_finite_buchi_region_hand_example():
                rules=[("p", "_", "p", ("_",)), ("q", "_", "p", ("_",))])
     game = PushdownGame(sys1, {"p": ELOISE, "q": ABELARD},
                         BuchiCondition(frozenset({"p"})))
-    g = bounded_graph(game, 2, ABELARD, require_total=True)
+    g = bounded_graph(game, 2, ABELARD)
     region = finite_game_region(g, game.condition)
     assert Configuration("p", ("_",)) in region
     assert Configuration("q", ("_",)) in region
@@ -82,7 +82,7 @@ def test_finite_parity_region_respects_colours():
     game_odd = PushdownGame(sys1, {"p": ELOISE, "q": ELOISE},
                             ParityCondition({"p": 1, "q": 2}, 3))
     for game, expect in ((game_even, True), (game_odd, False)):
-        g = bounded_graph(game, 2, ABELARD, require_total=True)
+        g = bounded_graph(game, 2, ABELARD)
         region = finite_game_region(g, game.condition)
         assert (Configuration("p", ("_",)) in region) == expect
 

@@ -6,8 +6,7 @@ import pytest
 from conftest import configurations_upto, make_rng, random_pds, random_view
 from pdsat import (EPS, Configuration, InvalidInputError, Nfa, PAutomatonView,
                    buchi_target_automaton, pds, pop_relation, poststar,
-                   predecessors, prestar, rew_closure, singleton_view,
-                   successors)
+                   predecessors, prestar, singleton_view, successors)
 from pdsat.oracle import bfs_prestar_member
 from pdsat.reachability import repair_view, view_errors
 
@@ -228,7 +227,7 @@ def test_poststar_with_state_names_imitating_fresh_states():
 
 
 # ---------------------------------------------------------------------------
-# Pop and top-rewrite relations
+# Pop relation
 
 
 def _bottom_free_rules(system):
@@ -266,22 +265,6 @@ def test_pop_relation_matches_bounded_simulation():
                 for q in sys_i.controls:
                     assert ((p, a, q) in rel) == ((q, ()) in reached), \
                         (sys_i, p, a, q)
-
-
-def test_rew_closure_matches_bounded_simulation():
-    rng = make_rng(28)
-    for i in range(25):
-        sys_i = random_pds(rng)
-        rel = rew_closure(sys_i)
-        base = sorted(sys_i.alphabet - {sys_i.bottom})
-        for p in sys_i.controls:
-            for a in base:
-                reached = _bounded_stack_reach(sys_i, p, (a,), 5)
-                for q in sys_i.controls:
-                    for b in base:
-                        got = ((p, a), (q, b)) in rel
-                        want = (q, (b,)) in reached
-                        assert got == want, (sys_i, p, a, q, b)
 
 
 def test_buchi_target_matches_prestar():
