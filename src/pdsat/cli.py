@@ -413,6 +413,17 @@ def _oracle_check_game(game, region, h):
 # Entry point
 
 
+def _height(text: str) -> int:
+    """An ``--oracle-check`` height: an integer of at least 1."""
+    try:
+        h = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if h < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {h}")
+    return h
+
+
 def _make_parser():
     parser = argparse.ArgumentParser(prog="pdsat")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -429,7 +440,7 @@ def _make_parser():
             continue
         p.add_argument("--out", dest="outfile")
         p.add_argument("--format", choices=("text", "dot"), default="text")
-        p.add_argument("--oracle-check", dest="oracle_check", type=int)
+        p.add_argument("--oracle-check", dest="oracle_check", type=_height)
         if name == "deriv":
             p.add_argument("--from", dest="from_control", required=True)
             p.add_argument("--to", dest="to_control", required=True)
@@ -462,7 +473,7 @@ def _run(args) -> int:
             answer = result.accepts(config)
             sys.stdout.write("yes\n" if answer else "no\n")
             return 0 if answer else 1
-        if args.oracle_check:
+        if args.oracle_check is not None:
             step = predecessors if command == "prestar" else successors
             bad = _oracle_check_saturation(system, view, result,
                                            args.oracle_check, step)
@@ -475,7 +486,7 @@ def _run(args) -> int:
         return 0
 
     if command == "deriv":
-        if args.oracle_check:
+        if args.oracle_check is not None:
             raise InvalidInputError("--oracle-check is not supported for deriv")
         rel = derivation.deriv_relation(system, args.from_control, args.to_control)
         _write_output(args, _emit_relation(rel) if args.format == "text"
@@ -491,7 +502,7 @@ def _run(args) -> int:
         answer = games.region_member(region, config)
         sys.stdout.write("yes\n" if answer else "no\n")
         return 0 if answer else 1
-    if args.oracle_check:
+    if args.oracle_check is not None:
         bad, count = _oracle_check_game(game, region, args.oracle_check)
         if bad is not None:
             sys.stdout.write(f"oracle disagreement at {bad!r}\n")

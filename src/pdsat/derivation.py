@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .automata import (EPS, Language, Nfa, _reachable_product,
                        pattern_forbidden_factors)
@@ -261,52 +262,122 @@ def decompose(lang: Language):
 
 @dataclass(frozen=True, eq=False)
 class PrefixRewriteRelation:
-    """Finite union of prefix-rewrite pairs: pop a stack prefix in U_i, push
-    a replacement in V_i, keeping the untouched suffix."""
+    """The derivation relation in shared form: the pairs (U_q, V_q) of
+    prefix-rewrite languages, one per boundary state q, kept as one pop
+    automaton and one push automaton that every pair cuts with its own final
+    state.  A pair pops a stack prefix in U_q and pushes a replacement in
+    V_q, keeping the untouched suffix.
 
-    pairs: tuple  # of (U: Language, V: Language) over the base alphabet
+    The pop side reads a popped prefix A1 ... An, top first, from ``u_start``;
+    U_q accepts what it reads into q.  The push side is reversed: it reads a
+    pushed prefix, top first, from ``V_START``; V_q accepts what it reads into
+    q, and the empty word when q is in ``finals``.  Both sides are step
+    indexes (state, A) -> [target] over the base alphabet.
+    """
+
+    V_START = ("rev", "start")
+
+    alphabet: frozenset  # the base alphabet
+    u_step: dict  # pop side
+    u_start: object
+    v_step: dict  # reversed push side, from V_START
+    finals: frozenset
+    boundary: tuple  # in the order of ``repr``
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """The pairs ``(U_q, V_q)`` as trimmed languages over the base
+        alphabet, in the order of ``boundary``; built on first use."""
+        u_out, u_into = _index(_transitions(self.u_step))
+        v_out, v_into = _index(_transitions(self.v_step))
+        u_fwd = _reach(u_out, 2, {self.u_start})
+        v_fwd = _reach(v_out, 2, {self.V_START})
+        return tuple(
+            (_useful(self.alphabet, u_out, u_into, u_fwd, self.u_start, {q}),
+             _useful(self.alphabet, v_out, v_into, v_fwd, self.V_START,
+                     {q, self.V_START} if q in self.finals else {q}))
+            for q in self.boundary)
+
+
+def _step(transitions):
+    """The step index (s, A) -> [t] of ``transitions``."""
+    step = defaultdict(list)
+    for s, a, t in transitions:
+        step[(s, a)].append(t)
+    return dict(step)
+
+
+def _transitions(step):
+    """The transitions (s, A, t) of a step index."""
+    return ((s, a, t) for (s, a), ts in step.items() for t in ts)
 
 
 def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks.
 
-    The productive language is split as by :func:`decompose`, but its pop side
-    is relabelled, and its push side relabelled, reversed and epsilon-closed,
-    once for all pairs; each pair's U and V are then cut to their useful
-    states.
+    The productive language is split as by :func:`decompose`; its pop side is
+    relabelled, and its push side relabelled and reversed, once for all
+    pairs.  No pair is built here: see :class:`PrefixRewriteRelation`.
     """
     lang = productive_filter(benois_reduce(behaviour_automaton(system, q0, qf)))
     _, finals, pop_trans, push_trans, boundary = _split(lang)
-    alphabet = frozenset(a[1] for a in lang.aut.alphabet)
     # The pop side reads A1- ... An- for the popped prefix A1 ... An.
-    u_out, u_into = _index((s, a[1], t) for s, a, t in pop_trans)
-    u_fwd = _reach(u_out, 2, {lang.start})
+    u_step = _step((s, a[1], t) for s, a, t in pop_trans)
     # The push side reads An+ ... A1+ for the pushed prefix A1 ... An: strip
     # and reverse.  The fresh start takes, without epsilon, the reversed last
     # step into a final state.
-    v_start = ("rev", "start")
+    v_start = PrefixRewriteRelation.V_START
     v_trans = [(t, a[1], s) for s, a, t in push_trans]
     v_trans += [(v_start, a[1], s) for s, a, t in push_trans if t in finals]
-    v_out, v_into = _index(v_trans)
-    v_fwd = _reach(v_out, 2, {v_start})
-    # V's start is final exactly when q is: the empty word is pushed.
-    return PrefixRewriteRelation(tuple(
-        (_useful(alphabet, u_out, u_into, u_fwd, lang.start, {q}),
-         _useful(alphabet, v_out, v_into, v_fwd, v_start,
-                 {q, v_start} if q in finals else {q}))
-        for q in boundary))
+    return PrefixRewriteRelation(frozenset(a[1] for a in lang.aut.alphabet),
+                                 u_step, lang.start, _step(v_trans),
+                                 frozenset(finals), tuple(boundary))
+
+
+def _frontiers(step, start, word):
+    """The set of states reached from ``start`` through the step index
+    ``step`` after each prefix of ``word``, shortest first; stops after the
+    first empty set."""
+    current = {start}
+    yield current
+    for a in word:
+        current = {t for s in current for t in step.get((s, a), ())}
+        yield current
+        if not current:
+            return
 
 
 def deriv_member(rel: PrefixRewriteRelation, w1, w2) -> bool:
     """True iff ``w1 = u·w`` and ``w2 = v·w`` for some pair ``(U, V)`` of the
-    relation with ``u ∈ U``, ``v ∈ V`` and a common suffix ``w``."""
+    relation with ``u ∈ U``, ``v ∈ V`` and a common suffix ``w``.
+
+    One pass reads ``w1`` on the pop side, and at most one reads ``w2`` on the
+    push side.  Split k pops ``w1[:k]`` and pushes ``w2[:j]``, with
+    ``j = len(w2) - len(w1) + k``; it holds iff the pop frontier after k
+    symbols meets the push frontier after j, or, for j = 0, meets
+    ``rel.finals``.  A state in both frontiers is a boundary state.  A symbol
+    outside the base alphabet can only sit in the suffix ``w``: every split
+    that would pop or push one fails, and no symbol raises an error.
+    """
     w1, w2 = tuple(w1), tuple(w2)
-    for u_lang, v_lang in rel.pairs:
-        for k in range(len(w1) + 1):
-            suffix = w1[k:]
-            if len(suffix) > len(w2) or (len(suffix) and w2[-len(suffix):] != suffix):
-                continue
-            v = w2[:len(w2) - len(suffix)]
-            if u_lang.accepts(w1[:k]) and v_lang.accepts(v):
+    shared = 0  # length of the longest common suffix
+    for a, b in zip(reversed(w1), reversed(w2)):
+        if a != b:
+            break
+        shared += 1
+    offset = len(w2) - len(w1)
+    wanted = {}  # j > 0 -> the pop frontier of split j - offset
+    for k, front in enumerate(_frontiers(rel.u_step, rel.u_start, w1)):
+        if not front or k < len(w1) - shared:
+            continue
+        if k + offset == 0:
+            if front & rel.finals:
                 return True
+        else:
+            wanted[k + offset] = front
+    if not wanted:
+        return False
+    for j, front in enumerate(_frontiers(rel.v_step, rel.V_START, w2[:max(wanted)])):
+        if j in wanted and front & wanted[j]:
+            return True
     return False

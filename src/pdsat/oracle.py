@@ -32,9 +32,23 @@ class BoundedGraph:
     sink_winner: str
 
 
-def bounded_nodes(system: PushdownSystem, h: int):
-    """All valid configurations with stack height at most ``h``."""
+def bounded_nodes(system: PushdownSystem, h: int,
+                  node_cap: int = DEFAULT_NODE_CAP):
+    """All valid configurations with stack height at most ``h``.  Raises
+    ``ResourceLimitError``, before listing any, when there are more than
+    ``node_cap``."""
     base = sorted(system.alphabet - {system.bottom}, key=repr)
+    # Summed level by level, so that a huge ``h`` fails as fast as a small
+    # one.  A level counts at least one stack per control even with no stack
+    # symbols, because listing it still takes time; so no more than
+    # ``node_cap`` levels fit under the cap.
+    size, level = 0, len(system.controls)
+    for _ in range(min(h, node_cap + 1)):
+        size += level
+        level *= max(1, len(base))
+        if size > node_cap:
+            raise ResourceLimitError(
+                f"bounded graph would have more than {node_cap} nodes")
     return [Configuration(q, word + (system.bottom,))
             for q in sorted(system.controls, key=repr)
             for k in range(h)
@@ -56,15 +70,10 @@ def bounded_graph(system_or_game, h: int, sink_winner: str,
         game = None
         system = system_or_game
     check_valid(system)
-    size = len(system.controls) * sum(
-        max(1, len(system.alphabet) - 1) ** k for k in range(h))
-    if size > node_cap:
-        raise ResourceLimitError(f"bounded graph would have ~{size} nodes")
-
     nodes = {SINK}
     edges = {SINK: {SINK}}
     owner = {}
-    for c in bounded_nodes(system, h):
+    for c in bounded_nodes(system, h, node_cap):
         nodes.add(c)
         edges[c] = {SINK if len(c2.stack) > h else c2
                     for c2 in successors(system, c)}

@@ -1,5 +1,6 @@
-"""Reference automaton constructions that the tests compare pdsat against:
-each is the textbook definition, built in full, with no pruning."""
+"""Reference automaton constructions and queries that the tests compare
+pdsat against: each is the textbook definition, built in full, with no
+pruning."""
 
 from pdsat import InvalidInputError
 from pdsat.automata import EPS, Nfa, _step_index, eps_closure
@@ -45,3 +46,19 @@ def relabel(aut: Nfa, mapping) -> Nfa:
     transitions = frozenset(
         (s, a if a is EPS else mapping(a), t) for s, a, t in aut.transitions)
     return Nfa(aut.states, alphabet, aut.finals, transitions)
+
+
+def deriv_member_pairwise(rel, w1, w2) -> bool:
+    """``deriv_member`` by the definition: for every pair ``(U, V)`` of
+    ``rel.pairs`` and every split ``w1 = u·w``, test ``u ∈ U`` and whether
+    ``w2 = v·w`` with ``v ∈ V``."""
+    w1, w2 = tuple(w1), tuple(w2)
+    for u_lang, v_lang in rel.pairs:
+        for k in range(len(w1) + 1):
+            suffix = w1[k:]
+            if len(suffix) > len(w2) or (len(suffix) and w2[-len(suffix):] != suffix):
+                continue
+            v = w2[:len(w2) - len(suffix)]
+            if u_lang.accepts(w1[:k]) and v_lang.accepts(v):
+                return True
+    return False

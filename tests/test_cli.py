@@ -141,6 +141,30 @@ def test_oracle_check_agreement(tmp_path, capsys):
     assert "bracket agreement" in capsys.readouterr().out
 
 
+def test_oracle_check_height_below_one_rejected(tmp_path, capsys):
+    # argparse refuses the height before the document is read
+    for command in ("prestar", "poststar", "deriv", "reachgame", "buchigame",
+                    "paritygame"):
+        extra = ["--from", "p", "--to", "p"] if command == "deriv" else []
+        for h in ("0", "-1"):
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(tmp_path, REACH_DOC, command, "--oracle-check", h, *extra)
+            assert exit_.value.code == 2
+            assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_oracle_check_refuses_a_large_height_before_listing(tmp_path, capsys,
+                                                             monkeypatch):
+    def fail(*args):
+        raise AssertionError("a bounded node was listed")
+
+    # REACH_DOC has 2 * (2**18 - 1) configurations up to height 18
+    monkeypatch.setattr(cli.oracle, "Configuration", fail)
+    for command in ("prestar", "poststar"):
+        assert run_cli(tmp_path, REACH_DOC, command, "--oracle-check", "18") == 2
+        assert "more than 200000 nodes" in capsys.readouterr().err
+
+
 def _disagreement(capsys):
     out = capsys.readouterr().out
     assert out.startswith("oracle disagreement at ")
@@ -220,6 +244,17 @@ def test_deriv_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("relation")
     assert "pair" in out
+
+
+def test_deriv_output_matches_fixture(capsys):
+    # deriv.txt and deriv.dot were printed when deriv_relation still built
+    # every pair itself; the pairs built on first use must print the same
+    # bytes
+    data = Path(__file__).parent / "data"
+    for fmt, expected in (("text", "deriv.txt"), ("dot", "deriv.dot")):
+        assert cli.main(["deriv", "--in", str(data / "deriv.pds"), "--from", "q0",
+                         "--to", "q3", "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == (data / expected).read_bytes()
 
 
 def test_deriv_oracle_check_rejected_before_analysis(tmp_path, capsys, monkeypatch):

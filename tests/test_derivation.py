@@ -7,13 +7,14 @@ from conftest import (configurations_upto, make_rng, random_bottom_free_pds,
                       stacks_upto)
 from pdsat import (Configuration, InvalidInputError, apply_actions,
                    behaviour_automaton, benois_reduce, decompose, deriv_member,
-                   deriv_relation, pds, poststar, productive_filter,
-                   singleton_view)
+                   deriv_relation, derivation, pds, poststar,
+                   productive_filter, singleton_view)
 from pdsat.automata import (EPS, Language, Nfa, eps_closure,
                             pattern_forbidden_factors)
 from pdsat.derivation import (POP, PUSH, action_alphabet, pop, push,
                               reduce_word)
-from reference import product_intersect, relabel, reverse
+from reference import (deriv_member_pairwise, product_intersect, relabel,
+                       reverse)
 
 
 def test_apply_actions_basic():
@@ -143,6 +144,20 @@ def test_deriv_relation_hand_example():
     assert deriv_member(rel, ("X",), ("X",)) is True  # zero steps, any suffix
 
 
+def test_deriv_member_unknown_symbols_only_in_the_suffix():
+    sys1 = pds(controls={"p"}, alphabet={"A", "B", "C", "D", "_"}, bottom="_",
+               rules=[("p", "A", "p", ()), ("p", "B", "p", ("D", "C"))])
+    rel = deriv_relation(sys1, "p", "p")
+    assert deriv_member(rel, ("A", "X"), ("X",))  # pop A, keep X
+    assert deriv_member(rel, ("B", "X"), ("D", "C", "X"))
+    # every split would pop or push an unknown symbol: no, and no error
+    assert deriv_member(rel, ("X",), ("Y",)) is False
+    assert deriv_member(rel, ("X", "A"), ("A",)) is False
+    assert deriv_member(rel, ("A",), ("Y",)) is False
+    assert deriv_member(rel, ("X",), ()) is False
+    assert deriv_member(rel, (), ("Y",)) is False
+
+
 def test_deriv_member_matches_poststar():
     rng = make_rng(35)
     for i in range(20):
@@ -159,6 +174,34 @@ def test_deriv_member_matches_poststar():
                     itertools.product(base, repeat=k) for k in range(3)):
                 want = reached.accepts(Configuration(qf, w2 + (sys_i.bottom,)))
                 assert deriv_member(rel, w1, w2) == want, (sys_i, w1, w2)
+
+
+def words_upto(base, maxlen):
+    return list(itertools.chain.from_iterable(
+        itertools.product(base, repeat=k) for k in range(maxlen + 1)))
+
+
+def test_deriv_member_matches_pairwise_reference():
+    for system, q0, qf in deriv_instances(40, 100):
+        rel = deriv_relation(system, q0, qf)
+        words = words_upto(sorted(system.alphabet - {system.bottom}), 3)
+        for w1 in words:
+            for w2 in words:
+                assert deriv_member(rel, w1, w2) == deriv_member_pairwise(
+                    rel, w1, w2), (system, q0, qf, w1, w2)
+
+
+def test_deriv_member_builds_no_pair(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(derivation, "_useful", fail)
+    for system, q0, qf in deriv_instances(41, 20):
+        rel = deriv_relation(system, q0, qf)
+        words = words_upto(sorted(system.alphabet - {system.bottom}), 2)
+        for w1 in words:
+            for w2 in words:
+                deriv_member(rel, w1, w2)
 
 
 def test_deriv_relation_rejects_bottom_rules():
