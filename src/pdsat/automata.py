@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property
 
 from .errors import InvalidInputError
 
@@ -57,6 +57,38 @@ class Nfa:
     def has_eps(self) -> bool:
         return any(a is EPS for _, a, _ in self.transitions)
 
+    # The lookup indexes are cached in the instance ``__dict__``: each lives
+    # exactly as long as its automaton, equal but distinct automata never
+    # share one, and equality and hashing only look at the declared fields.
+
+    @cached_property
+    def _step_index(self):
+        """dict (state, label) -> frozenset of targets."""
+        index = defaultdict(set)
+        for s, a, t in self.transitions:
+            index[(s, a)].add(t)
+        return {k: frozenset(v) for k, v in index.items()}
+
+    @cached_property
+    def _eps_reach(self):
+        """dict state -> frozenset of states reachable by epsilon moves (incl. itself)."""
+        step = defaultdict(set)
+        for s, a, t in self.transitions:
+            if a is EPS:
+                step[s].add(t)
+        closure = {}
+        for s in self.states:
+            seen = {s}
+            todo = deque([s])
+            while todo:
+                u = todo.popleft()
+                for v in step[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            closure[s] = frozenset(seen)
+        return closure
+
 
 def nfa(states=(), alphabet=(), finals=(), transitions=()) -> Nfa:
     """Convenience constructor; endpoints of transitions are added to states."""
@@ -66,55 +98,6 @@ def nfa(states=(), alphabet=(), finals=(), transitions=()) -> Nfa:
     return Nfa(states, frozenset(alphabet), frozenset(finals), transitions)
 
 
-def _per_object(build):
-    """Memoise ``build(aut)`` in the automaton's own instance ``__dict__``.
-
-    The index lives exactly as long as the automaton, and equal but distinct
-    automata never share one.  Dataclass fields, equality and hashing only
-    look at the declared fields, so they are unaffected.
-    """
-    key = build.__name__
-
-    @wraps(build)
-    def get(aut):
-        memo = aut.__dict__
-        if key not in memo:
-            memo[key] = build(aut)
-        return memo[key]
-
-    return get
-
-
-@_per_object
-def _step_index(aut: Nfa):
-    """dict (state, label) -> frozenset of targets."""
-    index = defaultdict(set)
-    for s, a, t in aut.transitions:
-        index[(s, a)].add(t)
-    return {k: frozenset(v) for k, v in index.items()}
-
-
-@_per_object
-def _eps_reach(aut: Nfa):
-    """dict state -> frozenset of states reachable by epsilon moves (incl. itself)."""
-    step = defaultdict(set)
-    for s, a, t in aut.transitions:
-        if a is EPS:
-            step[s].add(t)
-    closure = {}
-    for s in aut.states:
-        seen = {s}
-        todo = deque([s])
-        while todo:
-            u = todo.popleft()
-            for v in step[u]:
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        closure[s] = frozenset(seen)
-    return closure
-
-
 def nfa_accepts(aut: Nfa, start, word) -> bool:
     """True iff some run over ``word`` from ``start`` ends in a final state."""
     if start not in aut.states:
@@ -122,8 +105,8 @@ def nfa_accepts(aut: Nfa, start, word) -> bool:
     for a in word:
         if a not in aut.alphabet:
             raise InvalidInputError(f"unknown symbol: {a!r}")
-    index = _step_index(aut)
-    closure = _eps_reach(aut)
+    index = aut._step_index
+    closure = aut._eps_reach
     current = set(closure[start])
     for a in word:
         nxt = set()
@@ -138,8 +121,8 @@ def nfa_accepts(aut: Nfa, start, word) -> bool:
 
 def eps_closure(aut: Nfa) -> Nfa:
     """Equivalent epsilon-free automaton (same language from every state)."""
-    closure = _eps_reach(aut)
-    index = _step_index(aut)
+    closure = aut._eps_reach
+    index = aut._step_index
     transitions = set()
     finals = set()
     for s in aut.states:
@@ -164,8 +147,8 @@ def _reachable_product(aut: Nfa, start, pattern: Nfa, pattern_start) -> Nfa:
     for s, a, t in aut.transitions:
         if a is not EPS:
             steps[s].append((a, t))
-    closure = _eps_reach(aut)
-    ridx = _step_index(pattern)
+    closure = aut._eps_reach
+    ridx = pattern._step_index
     first = (start, pattern_start)
     states = {first}
     todo = [first]
@@ -218,8 +201,8 @@ def words_upto(aut: Nfa, start, maxlen: int):
     """The set of accepted words of length at most ``maxlen`` (as tuples)."""
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
-    closure = _eps_reach(aut)
-    index = _step_index(aut)
+    closure = aut._eps_reach
+    index = aut._step_index
     found = set()
     words = {frozenset(closure[start]): {()}}
     for k in range(maxlen + 1):
@@ -285,6 +268,12 @@ class AltAutomaton:
                 raise InvalidInputError(
                     f"target set must be a non-empty subset of states: {targets!r}")
 
+    @cached_property
+    def _alt_index(self):
+        """dict (state, symbol) -> antichain of target sets, cached as
+        ``Nfa``'s indexes are."""
+        return _alt_entries(self.transitions)
+
 
 def alt(states=(), alphabet=(), finals=(), transitions=()) -> AltAutomaton:
     """Convenience constructor; canonicalises target sets to frozensets."""
@@ -306,11 +295,6 @@ def _alt_entries(transitions, minimal=True) -> dict:
     return {key: reduce(sets) for key, sets in grouped.items()}
 
 
-@_per_object
-def _alt_index(aut: AltAutomaton):
-    return _alt_entries(aut.transitions)
-
-
 def alt_membership(aut: AltAutomaton, start, word) -> bool:
     """True iff there is an accepting run over ``word`` from ``start``.
 
@@ -322,7 +306,7 @@ def alt_membership(aut: AltAutomaton, start, word) -> bool:
     for a in word:
         if a not in aut.alphabet:
             raise InvalidInputError(f"unknown symbol: {a!r}")
-    index = _alt_index(aut)
+    index = aut._alt_index
     good = set(aut.finals)
     for a in reversed(word):
         good = {s for s in aut.states
@@ -377,4 +361,4 @@ def alt_run_targets(aut: AltAutomaton, start, word) -> frozenset:
     """All subset-minimal state sets S with a run ``start -word-> S``."""
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
-    return _run_targets(_alt_index(aut), start, word)
+    return _run_targets(aut._alt_index, start, word)

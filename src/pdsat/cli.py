@@ -9,8 +9,9 @@ separated.  Exit codes: 0 success (or membership yes), 1 membership no,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import derivation, games, oracle, reachability
 from .automata import AltAutomaton, Nfa
@@ -27,18 +28,10 @@ class ParseError(Exception):
         self.lineno = lineno
 
 
-@dataclass
-class InputDocument:
-    sections: list = field(default_factory=list)  # (name, [(lineno, tokens)])
-
-    def section(self, name):
-        found = [body for n, body in self.sections if n == name]
-        return found[0] if found else None
-
-
-def parse(text: str) -> InputDocument:
-    """Parse the textual input format into an ordered section structure."""
-    doc = InputDocument()
+def parse(text: str) -> dict:
+    """Parse the textual input format: a dict mapping each section name to
+    its ``[(lineno, tokens)]``, in document order."""
+    doc = {}
     current = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
@@ -48,21 +41,20 @@ def parse(text: str) -> InputDocument:
         if not tokens:
             continue
         if tokens[0] in SECTION_NAMES and len(tokens) == 1:
-            if any(n == tokens[0] for n, _ in doc.sections):
+            if tokens[0] in doc:
                 raise ParseError(lineno, f"duplicate section {tokens[0]!r}")
-            current = []
-            doc.sections.append((tokens[0], current))
+            current = doc[tokens[0]] = []
             continue
         if current is None:
             raise ParseError(lineno, f"content before any section: {line.strip()!r}")
         current.append((lineno, tokens))
-    if doc.section("pds") is None:
+    if "pds" not in doc:
         raise ParseError(0, "document has no pds section")
     return doc
 
 
-def _build_pds(doc: InputDocument):
-    body = doc.section("pds")
+def _build_pds(doc: dict):
+    body = doc["pds"]
     controls, alphabet, rules = set(), set(), set()
     bottom = None
     for lineno, tokens in body:
@@ -112,22 +104,20 @@ class AutomatonSection:
     embed: dict      # control -> state
 
 
-def _build_automaton(doc: InputDocument, system: PushdownSystem) -> AutomatonSection:
-    body = doc.section("automaton")
+def _build_automaton(doc: dict, system: PushdownSystem) -> AutomatonSection:
+    body = doc.get("automaton")
     if body is None:
         raise ParseError(0, "this command needs an automaton section")
     states, finals, trans, alttrans = set(), set(), set(), set()
     embed = {}
-    declared = set()
 
     def need_state(lineno, name):
-        if name not in declared and name not in system.controls:
+        if name not in states and name not in system.controls:
             raise ParseError(lineno, f"undeclared automaton state {name!r}")
 
     for lineno, tokens in body:
         key = tokens[0]
         if key == "states":
-            declared.update(tokens[1:])
             states.update(tokens[1:])
         elif key == "final":
             for name in tokens[1:]:
@@ -191,8 +181,8 @@ def _as_alt_target(section: AutomatonSection, system: PushdownSystem):
     return games.ReachabilityCondition(aut, dict(section.embed))
 
 
-def _build_game(doc: InputDocument, system: PushdownSystem, kind: str):
-    body = doc.section("game")
+def _build_game(doc: dict, system: PushdownSystem, kind: str):
+    body = doc.get("game")
     if body is None:
         raise ParseError(0, "this command needs a game section")
     owner, colours, buchi = {}, {}, set()
@@ -267,15 +257,16 @@ def _parse_config(system: PushdownSystem, text: str) -> Configuration:
 
 
 def _state_names(states, embed):
-    """Stable printable names; embedded controls keep their own names."""
-    names = {}
-    for control, state in sorted(embed.items(), key=lambda kv: str(kv[0])):
-        names[state] = str(control)
-    counter = 0
-    for state in sorted(states, key=repr):
-        if state not in names:
-            names[state] = f"s{counter}"
-            counter += 1
+    """Stable printable names: embedded controls keep their own names, and
+    the other states take ``s0``, ``s1``, ... in order, skipping the names of
+    controls, so that no printed state merges with a control's."""
+    names = {state: str(control) for control, state
+             in sorted(embed.items(), key=lambda kv: str(kv[0]))}
+    taken = {str(control) for control in embed}
+    fresh = (name for name in map("s{}".format, itertools.count())
+             if name not in taken)
+    names.update(zip(sorted((s for s in states if s not in names), key=repr),
+                     fresh))
     return names
 
 
@@ -324,8 +315,7 @@ def _emit_relation(rel) -> str:
                 lines.append(f"{tag} final " +
                              " ".join(sorted(names[s] for s in lang.aut.finals)))
             for s, a, t in sorted(lang.aut.transitions, key=repr):
-                label = "eps" if a is None else str(a)
-                lines.append(f"{tag} trans {names[s]} {label} {names[t]}")
+                lines.append(f"{tag} trans {names[s]} {a} {names[t]}")
     return "\n".join(lines) + "\n"
 
 
@@ -376,10 +366,9 @@ def _emit_relation_dot(rel) -> str:
                 shape = "doublecircle" if s in lang.aut.finals else "circle"
                 lines.append(f"    {_dot_escape(prefix + names[s])} [shape={shape}];")
             for s, a, t in sorted(lang.aut.transitions, key=repr):
-                label = "eps" if a is None else str(a)
                 lines.append(f"    {_dot_escape(prefix + names[s])} -> "
                              f"{_dot_escape(prefix + names[t])} "
-                             f"[label={_dot_escape(label)}];")
+                             f"[label={_dot_escape(a)}];")
             lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -392,21 +381,25 @@ def _emit_relation_dot(rel) -> str:
 def _oracle_check_saturation(system, view, result, h, step):
     """The first bounded node, in ``bounded_nodes`` order, that a search
     through ``step`` (``predecessors`` for pre*, ``successors`` for post*)
-    from the input language finds and ``result`` rejects; None if none."""
+    from the input language finds and ``result`` rejects, or None; and the
+    agreement line."""
     nodes = oracle.bounded_nodes(system, h)
     found = set(oracle._bounded_search(
         system, [c for c in nodes if view.accepts(c)], step, h))
-    return next((c for c in nodes if c in found and not result.accepts(c)),
-                None)
+    bad = next((c for c in nodes if c in found and not result.accepts(c)),
+               None)
+    return bad, "oracle agreement"
 
 
 def _oracle_check_game(game, region, h):
+    """The first bounded node outside the bracket of ``bracket_region``, or
+    None; and the agreement line."""
     under, over = oracle.bracket_region(game, h)
     nodes = oracle.bounded_nodes(game.pds, h)
-    for c in nodes:
-        if not under(c) <= games.region_member(region, c) <= over(c):
-            return c, len(nodes)
-    return None, len(nodes)
+    bad = next((c for c in nodes
+                if not under(c) <= games.region_member(region, c) <= over(c)),
+               None)
+    return bad, f"bracket agreement on {len(nodes)} nodes"
 
 
 # ---------------------------------------------------------------------------
@@ -447,69 +440,58 @@ def _make_parser():
     return parser
 
 
-def _write_output(args, text):
-    if args.outfile:
-        with open(args.outfile, "w", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _run(args) -> int:
     with open(args.infile, encoding="utf-8") as handle:
         doc = parse(handle.read())
     system = _build_pds(doc)
     command = args.command
-    analysis = getattr(args, "analysis", command)
     if command == "member":
         config = _parse_config(system, args.config)
-        command = analysis
+        command = args.analysis
+    h = getattr(args, "oracle_check", None)
 
+    # deriv sets no membership test or oracle check: neither runs for it.
     if command in ("prestar", "poststar"):
         view = _as_view(_build_automaton(doc, system), system)
-        run = reachability.prestar if command == "prestar" else reachability.poststar
-        result = run(system, view)
-        if args.command == "member":
-            answer = result.accepts(config)
-            sys.stdout.write("yes\n" if answer else "no\n")
-            return 0 if answer else 1
-        if args.oracle_check is not None:
-            step = predecessors if command == "prestar" else successors
-            bad = _oracle_check_saturation(system, view, result,
-                                           args.oracle_check, step)
-            if bad is not None:
-                sys.stdout.write(f"oracle disagreement at {bad!r}\n")
-                return 3
-            sys.stdout.write("oracle agreement\n")
-        _write_output(args, _emit_view(result) if args.format == "text"
-                      else _emit_view_dot(result))
-        return 0
-
-    if command == "deriv":
-        if args.oracle_check is not None:
+        saturate, step = ((reachability.prestar, predecessors)
+                          if command == "prestar"
+                          else (reachability.poststar, successors))
+        result = saturate(system, view)
+        member = result.accepts
+        check = lambda: _oracle_check_saturation(system, view, result, h, step)
+        emit = {"text": _emit_view, "dot": _emit_view_dot}
+    elif command == "deriv":
+        if h is not None:
             raise InvalidInputError("--oracle-check is not supported for deriv")
-        rel = derivation.deriv_relation(system, args.from_control, args.to_control)
-        _write_output(args, _emit_relation(rel) if args.format == "text"
-                      else _emit_relation_dot(rel))
-        return 0
+        result = derivation.deriv_relation(system, args.from_control,
+                                           args.to_control)
+        emit = {"text": _emit_relation, "dot": _emit_relation_dot}
+    else:
+        game = _build_game(doc, system, command)
+        solve = {"reachgame": games.solve_reachability_game,
+                 "buchigame": games.solve_buchi_game,
+                 "paritygame": games.solve_parity_game}[command]
+        result = solve(game)
+        member = lambda c: games.region_member(result, c)
+        check = lambda: _oracle_check_game(game, result, h)
+        emit = {"text": _emit_region, "dot": _emit_region_dot}
 
-    game = _build_game(doc, system, command)
-    solver = {"reachgame": games.solve_reachability_game,
-              "buchigame": games.solve_buchi_game,
-              "paritygame": games.solve_parity_game}[command]
-    region = solver(game)
     if args.command == "member":
-        answer = games.region_member(region, config)
+        answer = member(config)
         sys.stdout.write("yes\n" if answer else "no\n")
         return 0 if answer else 1
-    if args.oracle_check is not None:
-        bad, count = _oracle_check_game(game, region, args.oracle_check)
+    if h is not None:
+        bad, agreement = check()
         if bad is not None:
             sys.stdout.write(f"oracle disagreement at {bad!r}\n")
             return 3
-        sys.stdout.write(f"bracket agreement on {count} nodes\n")
-    _write_output(args, _emit_region(region) if args.format == "text"
-                  else _emit_region_dot(region))
+        sys.stdout.write(agreement + "\n")
+    output = emit[args.format](result)
+    if args.outfile:
+        with open(args.outfile, "w", newline="\n") as handle:
+            handle.write(output)
+    else:
+        sys.stdout.write(output)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Brute-force ground truth at desk scale.
 
 Configurations up to a stack-height bound form a finite graph; pushes past
-the bound are redirected to a sink whose winner is a parameter.  Solving the
-truncated game with the sink lost, then won, for Éloïse brackets the true
-winning region from below and above.
+the bound are redirected to a sink, whose winner is chosen when the graph is
+solved.  Solving the truncated game with the sink lost, then won, for Éloïse
+brackets the true winning region from below and above.
 """
 
 from __future__ import annotations
@@ -28,74 +28,63 @@ class BoundedGraph:
     nodes: set  # configurations plus SINK
     edges: dict  # node -> set of successor nodes
     owner: dict  # node -> ELOISE | ABELARD (games only)
-    height: int
-    sink_winner: str
 
 
-def bounded_nodes(system: PushdownSystem, h: int,
-                  node_cap: int = DEFAULT_NODE_CAP):
+def bounded_nodes(system: PushdownSystem, h: int):
     """All valid configurations with stack height at most ``h``.  Raises
     ``ResourceLimitError``, before listing any, when there are more than
-    ``node_cap``."""
+    ``DEFAULT_NODE_CAP``."""
     base = sorted(system.alphabet - {system.bottom}, key=repr)
     # Summed level by level, so that a huge ``h`` fails as fast as a small
     # one.  A level counts at least one stack per control even with no stack
     # symbols, because listing it still takes time; so no more than
-    # ``node_cap`` levels fit under the cap.
+    # ``DEFAULT_NODE_CAP`` levels fit under the cap.
     size, level = 0, len(system.controls)
-    for _ in range(min(h, node_cap + 1)):
+    for _ in range(min(h, DEFAULT_NODE_CAP + 1)):
         size += level
         level *= max(1, len(base))
-        if size > node_cap:
+        if size > DEFAULT_NODE_CAP:
             raise ResourceLimitError(
-                f"bounded graph would have more than {node_cap} nodes")
+                f"bounded graph would have more than {DEFAULT_NODE_CAP} nodes")
     return [Configuration(q, word + (system.bottom,))
             for q in sorted(system.controls, key=repr)
             for k in range(h)
             for word in itertools.product(base, repeat=k)]
 
 
-def bounded_graph(system_or_game, h: int, sink_winner: str,
-                  node_cap: int = DEFAULT_NODE_CAP) -> BoundedGraph:
+def bounded_graph(system_or_game, h: int) -> BoundedGraph:
     """Finite restriction of the configuration graph to stacks of length at
     most ``h``; moves growing past ``h`` lead to the sink.  Stuck nodes are
-    kept and count as lost for the player to move.
+    kept without moves: in a reachability game one outside the target is lost
+    for Éloïse, whoever owns it, and Büchi and parity solving refuse them.
     """
     if h < 1:
         raise InvalidInputError("height bound must be at least 1")
-    if isinstance(system_or_game, PushdownGame):
-        game = system_or_game
-        system = game.pds
-    else:
-        game = None
-        system = system_or_game
+    game = system_or_game if isinstance(system_or_game, PushdownGame) else None
+    system = system_or_game if game is None else game.pds
     check_valid(system)
-    nodes = {SINK}
     edges = {SINK: {SINK}}
-    owner = {}
-    for c in bounded_nodes(system, h, node_cap):
-        nodes.add(c)
+    # The sink belongs to nobody in particular; its self-loop decides it.
+    owner = {SINK: ELOISE}
+    for c in bounded_nodes(system, h):
         edges[c] = {SINK if len(c2.stack) > h else c2
                     for c2 in successors(system, c)}
         if game is not None:
             owner[c] = game.owner[c.control]
-    # The sink belongs to nobody in particular; its self-loop decides it.
-    owner[SINK] = ELOISE
-    return BoundedGraph(nodes, edges, owner, h, sink_winner)
+    return BoundedGraph(set(edges), edges, owner)
 
 
-def _bounded_search(system: PushdownSystem, seeds, step, h: int,
-                    node_cap: int = DEFAULT_NODE_CAP):
+def _bounded_search(system: PushdownSystem, seeds, step, h: int):
     """Breadth-first search from ``seeds`` through ``step`` (``successors``
     or ``predecessors``), keeping to stacks at most ``h`` high: yields each
     configuration found, seeds first, once.  Raises ``ResourceLimitError``
-    once more than ``node_cap`` configurations have been found."""
+    once more than ``DEFAULT_NODE_CAP`` configurations have been found."""
     seen = set(seeds)
     todo = deque(seen)
     while todo:
         cur = todo.popleft()
         yield cur
-        if len(seen) > node_cap:
+        if len(seen) > DEFAULT_NODE_CAP:
             raise ResourceLimitError("bounded search exceeded the node cap")
         for nxt in step(system, cur):
             if len(nxt.stack) <= h and nxt not in seen:
@@ -104,7 +93,7 @@ def _bounded_search(system: PushdownSystem, seeds, step, h: int,
 
 
 def bfs_prestar_member(system: PushdownSystem, target, c: Configuration,
-                       h: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:
+                       h: int) -> bool:
     """True iff some path from ``c`` reaches a configuration satisfying the
     ``target`` predicate with every intermediate stack at most ``h`` high.
     Monotone in ``h``; a sound under-approximation of pre* membership."""
@@ -112,7 +101,7 @@ def bfs_prestar_member(system: PushdownSystem, target, c: Configuration,
     if len(c.stack) > h:
         raise InvalidInputError("start configuration exceeds the height bound")
     return any(target(cur)
-               for cur in _bounded_search(system, [c], successors, h, node_cap))
+               for cur in _bounded_search(system, [c], successors, h))
 
 
 def attractor(nodes, edges, owner, target, player):
@@ -166,13 +155,14 @@ def _zielonka(nodes, edges, owner, colour):
     return w0b | b, w1b
 
 
-def finite_game_region(g: BoundedGraph, condition):
-    """Exact Éloïse winning set of the truncated game."""
+def finite_game_region(g: BoundedGraph, condition, sink_winner):
+    """Exact Éloïse winning set of the truncated game, with the sink won by
+    ``sink_winner``."""
     if isinstance(condition, ReachabilityCondition):
         target = {n for n in g.nodes
                   if n is not SINK and alt_membership(
                       condition.target, condition.embed[n.control], n.stack)}
-        if g.sink_winner == ELOISE:
+        if sink_winner == ELOISE:
             target.add(SINK)
         return attractor(g.nodes, g.edges, g.owner, target, ELOISE)
     if isinstance(condition, BuchiCondition):
@@ -183,7 +173,7 @@ def finite_game_region(g: BoundedGraph, condition):
                   for n in g.nodes}
     else:
         raise InvalidInputError(f"unsupported condition: {condition!r}")
-    colour[SINK] = 0 if g.sink_winner == ELOISE else 1
+    colour[SINK] = 0 if sink_winner == ELOISE else 1
     stuck = [n for n in g.nodes if not g.edges.get(n)]
     if stuck:
         raise InvalidInputError("finite Büchi/parity solving needs a total "
@@ -192,13 +182,11 @@ def finite_game_region(g: BoundedGraph, condition):
     return w0
 
 
-def bracket_region(game: PushdownGame, h: int,
-                   node_cap: int = DEFAULT_NODE_CAP):
+def bracket_region(game: PushdownGame, h: int):
     """Lower and upper bounds on Éloïse's winning region, as predicates on
     configurations with stack height at most ``h``: the truncated game solved
     with the sink lost for her, then won."""
-    under = finite_game_region(
-        bounded_graph(game, h, ABELARD, node_cap=node_cap), game.condition)
-    over = finite_game_region(
-        bounded_graph(game, h, ELOISE, node_cap=node_cap), game.condition)
+    g = bounded_graph(game, h)
+    under = finite_game_region(g, game.condition, ABELARD)
+    over = finite_game_region(g, game.condition, ELOISE)
     return under.__contains__, over.__contains__

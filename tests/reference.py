@@ -3,7 +3,7 @@ pdsat against: each is the textbook definition, built in full, with no
 pruning."""
 
 from pdsat import InvalidInputError
-from pdsat.automata import EPS, Nfa, _step_index, eps_closure
+from pdsat.automata import EPS, Nfa, eps_closure
 
 
 def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
@@ -19,7 +19,7 @@ def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
     if pattern_start not in pattern.states:
         raise InvalidInputError(f"unknown pattern state: {pattern_start!r}")
     left = eps_closure(aut) if aut.has_eps() else aut
-    ridx = _step_index(pattern)
+    ridx = pattern._step_index
     states = {(s, t) for s in left.states for t in pattern.states}
     transitions = set()
     for s, a, s2 in left.transitions:

@@ -6,9 +6,8 @@ import pytest
 
 from conftest import make_rng
 from pdsat import InvalidInputError
-from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _alt_index,
-                            _eps_reach, _minimal_unions, _step_index, alt,
-                            alt_membership, alt_run_targets, antichain,
+from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _minimal_unions,
+                            alt, alt_membership, alt_run_targets, antichain,
                             eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
 from reference import product_intersect, relabel, reverse
@@ -279,12 +278,12 @@ def test_equal_automata_keep_their_own_indexes():
     def make_alt():
         return alt(alphabet="ab", finals=[1], transitions=[(0, "a", {1, 2})])
 
-    for index, make in ((_step_index, make_nfa), (_eps_reach, make_nfa),
-                        (_alt_index, make_alt)):
+    for index, make in (("_step_index", make_nfa), ("_eps_reach", make_nfa),
+                        ("_alt_index", make_alt)):
         first, second = _equal_pair(make)
-        assert index(first) is index(first)
-        assert index(second) is not index(first)
-        assert index(second) == index(first)
+        assert getattr(first, index) is getattr(first, index)
+        assert getattr(second, index) is not getattr(first, index)
+        assert getattr(second, index) == getattr(first, index)
         # the stored index leaves equality and hashing alone
         assert first == second and hash(first) == hash(second)
         assert first == make() and hash(first) == hash(make())

@@ -1,11 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pdsat import alt, cli, games
+from pdsat import alt, alt_membership, cli, games
 from pdsat.oracle import bfs_prestar_member, bounded_nodes, bracket_region
 
 REACH_DOC = """\
@@ -49,9 +50,7 @@ POST_DOC = (REACH_DOC.split("automaton")[0]
 
 def test_parse_sections_and_comments():
     doc = cli.parse("# header\npds\nstates p  # trailing comment\nbottom _\n")
-    assert [name for name, _ in doc.sections] == ["pds"]
-    body = doc.section("pds")
-    assert body == [(3, ["states", "p"]), (4, ["bottom", "_"])]
+    assert doc == {"pds": [(3, ["states", "p"]), (4, ["bottom", "_"])]}
 
 
 def test_parse_errors_carry_line_numbers():
@@ -218,6 +217,57 @@ def test_dot_output(tmp_path, capsys):
     assert "shape=point" in out  # hyperedges drawn through point nodes
 
 
+# Controls named like the printed names of unembedded states
+COLLIDING_DOC = """\
+pds
+states s0 s1
+alphabet A
+bottom _
+rule s0 A -> s1
+rule s0 _ -> s0 A _
+
+automaton
+states m f
+final f
+trans s0 A m
+trans m _ f
+
+game
+owner E s0
+owner A s1
+"""
+
+
+@pytest.mark.parametrize("command", ["prestar", "reachgame"])
+def test_printed_states_never_take_a_control_name(command, tmp_path, capsys):
+    doc = cli.parse(COLLIDING_DOC)
+    system = cli._build_pds(doc)
+    if command == "prestar":
+        result = cli.reachability.prestar(
+            system, cli._as_view(cli._build_automaton(doc, system), system))
+    else:
+        result = games.solve_reachability_game(
+            cli._build_game(doc, system, command))
+
+    assert run_cli(tmp_path, COLLIDING_DOC, command) == 0
+    back = cli.parse(COLLIDING_DOC.split("automaton")[0]
+                     + capsys.readouterr().out)
+    section = cli._build_automaton(back, system)
+    if command == "prestar":
+        printed, expected = cli._as_view(section, system).accepts, result.accepts
+    else:
+        target = cli._as_alt_target(section, system)
+        printed = lambda c: alt_membership(target.target, target.embed[c.control],
+                                           c.stack)
+        expected = lambda c: games.region_member(result, c)
+    assert all(printed(c) == expected(c) for c in bounded_nodes(system, 4))
+
+    assert run_cli(tmp_path, COLLIDING_DOC, command, "--format", "dot") == 0
+    nodes = re.findall(r'^  ("[^"]*") \[shape=(?:double)?circle\];$',
+                       capsys.readouterr().out, re.MULTILINE)
+    assert len(set(nodes)) == len(nodes) == len(result.aut.states)
+
+
 def test_game_output_independent_of_hash_seed():
     # The fixture's region has several alternating transitions with one
     # source and symbol; the CLI must print them in the same order, and wire
@@ -246,15 +296,23 @@ def test_deriv_command(tmp_path, capsys):
     assert "pair" in out
 
 
-def test_deriv_output_matches_fixture(capsys):
-    # deriv.txt and deriv.dot were printed when deriv_relation still built
-    # every pair itself; the pairs built on first use must print the same
-    # bytes
+# Each fixture document comes with the bytes the command printed for it,
+# as text (.txt) and as dot (.dot)
+FIXTURES = {"prestar": ("prestar", []), "poststar": ("poststar", []),
+            "deriv": ("deriv", ["--from", "q0", "--to", "q3"]),
+            "reachgame": ("reachgame", []), "buchigame": ("buchigame", []),
+            "paritygame": ("parity_game", [])}
+
+
+@pytest.mark.parametrize("command", FIXTURES)
+def test_output_matches_fixture(command, capsys):
     data = Path(__file__).parent / "data"
-    for fmt, expected in (("text", "deriv.txt"), ("dot", "deriv.dot")):
-        assert cli.main(["deriv", "--in", str(data / "deriv.pds"), "--from", "q0",
-                         "--to", "q3", "--format", fmt]) == 0
-        assert capsys.readouterr().out.encode() == (data / expected).read_bytes()
+    name, extra = FIXTURES[command]
+    for fmt, suffix in (("text", ".txt"), ("dot", ".dot")):
+        assert cli.main([command, "--in", str(data / f"{name}.pds"), *extra,
+                         "--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == \
+            (data / f"{name}{suffix}").read_bytes()
 
 
 def test_deriv_oracle_check_rejected_before_analysis(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,9 @@ import pytest
 from conftest import make_rng, random_pds, random_total_game
 from pdsat import (ABELARD, BuchiCondition, Configuration, ELOISE,
                    InvalidInputError, ParityCondition, PushdownGame,
-                   ResourceLimitError, pds)
+                   ReachabilityCondition, ResourceLimitError, alt, pds,
+                   region_member, solve_reachability_game)
+from pdsat import oracle
 from pdsat.oracle import (SINK, attractor, bfs_prestar_member, bounded_graph,
                           bounded_nodes, bracket_region, finite_game_region)
 
@@ -18,19 +20,25 @@ def test_bounded_nodes_count():
 def test_bounded_graph_redirects_tall_pushes_to_sink():
     sys1 = pds(controls={"p"}, alphabet={"A", "_"}, bottom="_",
                rules=[("p", "A", "p", ("A", "A")), ("p", "_", "p", ("A", "_"))])
-    g = bounded_graph(sys1, 2, ELOISE)
+    g = bounded_graph(sys1, 2)
     tall = Configuration("p", ("A", "_"))
     assert g.edges[tall] == {SINK}
     assert g.edges[SINK] == {SINK}
 
 
-def test_bounded_graph_caps():
+def test_bounded_graph_caps(monkeypatch):
     sys1 = pds(controls={"p"}, alphabet={"A", "B", "C", "D", "_"}, bottom="_",
                rules=[])
+
+    def fail(*args):
+        raise AssertionError("a bounded node was listed")
+
+    # 1 + 4 + ... + 4**9 = 349,525 stacks, more than DEFAULT_NODE_CAP
+    monkeypatch.setattr(oracle, "Configuration", fail)
     with pytest.raises(ResourceLimitError):
-        bounded_graph(sys1, 8, ELOISE, node_cap=100)
+        bounded_graph(sys1, 10)
     with pytest.raises(InvalidInputError):
-        bounded_graph(sys1, 0, ELOISE)
+        bounded_graph(sys1, 0)
 
 
 def test_bfs_prestar_member():
@@ -61,14 +69,30 @@ def test_attractor_never_attracts_stuck_opponent():
     assert attractor(nodes, edges, owner, {"goal"}, ELOISE) == {"goal"}
 
 
+def test_stuck_abelard_outside_the_target_is_lost_for_eloise():
+    # (q, _) has no move and is not in the target {(p, _)}; from (q, A _)
+    # Abelard's only move pops into the target
+    sys1 = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
+               rules=[("q", "A", "p", ())])
+    target = alt(states={"p", "q"}, alphabet={"A", "_"}, finals={"f"},
+                 transitions=[("p", "_", {"f"})])
+    game = PushdownGame(sys1, {"p": ELOISE, "q": ABELARD},
+                        ReachabilityCondition(target, {"p": "p", "q": "q"}))
+    region = solve_reachability_game(game)
+    under, over = bracket_region(game, 3)
+    for stack, won in ((("_",), False), (("A", "_"), True)):
+        c = Configuration("q", stack)
+        assert region_member(region, c) == under(c) == over(c) == won
+
+
 def test_finite_buchi_region_hand_example():
     # p loops on the spot; q is forced into p. Büchi target p.
     sys1 = pds(controls={"p", "q"}, alphabet={"_"}, bottom="_",
                rules=[("p", "_", "p", ("_",)), ("q", "_", "p", ("_",))])
     game = PushdownGame(sys1, {"p": ELOISE, "q": ABELARD},
                         BuchiCondition(frozenset({"p"})))
-    g = bounded_graph(game, 2, ABELARD)
-    region = finite_game_region(g, game.condition)
+    g = bounded_graph(game, 2)
+    region = finite_game_region(g, game.condition, ABELARD)
     assert Configuration("p", ("_",)) in region
     assert Configuration("q", ("_",)) in region
 
@@ -82,8 +106,8 @@ def test_finite_parity_region_respects_colours():
     game_odd = PushdownGame(sys1, {"p": ELOISE, "q": ELOISE},
                             ParityCondition({"p": 1, "q": 2}, 3))
     for game, expect in ((game_even, True), (game_odd, False)):
-        g = bounded_graph(game, 2, ABELARD)
-        region = finite_game_region(g, game.condition)
+        g = bounded_graph(game, 2)
+        region = finite_game_region(g, game.condition, ABELARD)
         assert (Configuration("p", ("_",)) in region) == expect
 
 
