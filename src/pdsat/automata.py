@@ -274,6 +274,15 @@ class AltAutomaton:
         ``Nfa``'s indexes are."""
         return _alt_entries(self.transitions)
 
+    @cached_property
+    def _alt_by_symbol(self):
+        """dict symbol -> [(state, antichain of target sets)], the entries
+        of ``_alt_index`` grouped by symbol."""
+        index = defaultdict(list)
+        for (s, a), sets in self._alt_index.items():
+            index[a].append((s, sets))
+        return dict(index)
+
 
 def alt(states=(), alphabet=(), finals=(), transitions=()) -> AltAutomaton:
     """Convenience constructor; canonicalises target sets to frozensets."""
@@ -299,18 +308,19 @@ def alt_membership(aut: AltAutomaton, start, word) -> bool:
     """True iff there is an accepting run over ``word`` from ``start``.
 
     Evaluated backwards: a state accepts a suffix iff some transition on its
-    first symbol leads into a set of states all accepting the remainder.
+    first symbol leads into a set of states all accepting the remainder; so
+    each step looks only at the states with an entry on its symbol.
     """
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
     for a in word:
         if a not in aut.alphabet:
             raise InvalidInputError(f"unknown symbol: {a!r}")
-    index = aut._alt_index
+    by_symbol = aut._alt_by_symbol
     good = set(aut.finals)
     for a in reversed(word):
-        good = {s for s in aut.states
-                if any(targets <= good for targets in index.get((s, a), ()))}
+        good = {s for s, sets in by_symbol.get(a, ())
+                if any(targets <= good for targets in sets)}
     return start in good
 
 
@@ -343,11 +353,16 @@ def _minimal_unions(options):
     return acc
 
 
-def _run_targets(index, start, word) -> frozenset:
+def _run_targets(index, start, word, reads=None) -> frozenset:
     """``alt_run_targets`` over an index ``(state, symbol) -> antichain of
-    target sets``."""
+    target sets``.  With a dict ``reads``, each entry the run may look up is
+    recorded in it as ``key -> value`` (None when absent): the targets are a
+    function of those values alone."""
     frontier = frozenset({frozenset({start})})
     for a in word:
+        if reads is not None:
+            reads.update(((s, a), index.get((s, a)))
+                         for sset in frontier for s in sset)
         runs = [_minimal_unions(index.get((s, a), ()) for s in sset)
                 for sset in frontier]
         frontier = runs[0] if len(runs) == 1 else antichain(

@@ -394,10 +394,13 @@ def _oracle_check_saturation(system, view, result, h, step):
 def _oracle_check_game(game, region, h):
     """The first bounded node outside the bracket of ``bracket_region``, or
     None; and the agreement line."""
-    under, over = oracle.bracket_region(game, h)
-    nodes = oracle.bounded_nodes(game.pds, h)
+    g = oracle.bounded_graph(game, h)
+    under, over = oracle._regions(g, game.condition,
+                                  (games.ABELARD, games.ELOISE))
+    nodes = [c for c in g.edges if c is not oracle.SINK]
     bad = next((c for c in nodes
-                if not under(c) <= games.region_member(region, c) <= over(c)),
+                if not (c in under) <= games.region_member(region, c)
+                <= (c in over)),
                None)
     return bad, f"bracket agreement on {len(nodes)} nodes"
 

@@ -9,9 +9,35 @@ universal state ``S_STAR`` and the bottom-accepting state ``S_BOT``.
 
 All solvers run on one kernel.  It keeps the region as a mutable dict
 ``(state, symbol) -> antichain of target sets`` for the whole solve and builds
-the ``AltAutomaton`` once at the end.  Each parity level rewrites, projects
-and compares only its own entries.  The public ``pre_step``, ``project`` and
-``subsume`` apply the kernel's operations to a whole automaton.
+the ``AltAutomaton`` once at the end.  The public ``pre_step``, ``project``
+and ``subsume`` apply the kernel's operations to a whole automaton.
+
+A parity round costs what its own level changed:
+
+- Each level's entries are the keys ``((p, level), A)``, listed once per
+  solve.  A round takes the level above's entries off by those keys, renames
+  them down, compares them with this level's and replaces only the entries
+  that differ; an entry that compares equal keeps its object.
+- The top level, which is always odd, takes the game-predecessor moves as its
+  next value directly.  Each colour's moves are kept until a level at or
+  below that colour changes, since a run from level c reads levels <= c
+  only.
+- A memo lives for one solve, of the parity top level or of the
+  reachability loop.  It keeps each run, ``(state, pushed) -> (run targets,
+  entries read)``, and computes it again only when an entry it read no
+  longer compares equal, so the rules whose inputs did not change are not
+  run again (as in Cachat's saturation, ICALP 2002).  It keeps each move
+  ``(p, A)`` with the runs of its rules, and combines them again only when
+  one of those runs changed.
+
+None of this changes an automaton; every solver returns what the round loop
+written over whole automata returns.  The sequence of iterates is the same:
+a run is a function of the entries it reads and a move of its rules' runs,
+so a reused one equals the one it stands for.  Renaming the top level's
+moves would be a no-op, because no target is at the level above the top,
+and the moves are antichains already.  Below the top, every entry is an
+antichain, so an entry none of whose targets was renamed is one as it
+stands, and only the others are cut again.
 """
 
 from __future__ import annotations
@@ -103,7 +129,19 @@ def _rules_by_source(system: PushdownSystem):
     return index
 
 
-def _moves(entries, states, owner, rules, entry_for) -> dict:
+class _Memo:
+    """The runs and moves of one solve, each with what it was computed
+    from: ``runs`` maps ``(state, pushed)`` to the run's targets and the
+    ``(key, value)`` of each entry it read, ``moves`` maps ``(p, A)`` to the
+    runs of the rules and the move made of them."""
+
+    __slots__ = ("runs", "moves")
+
+    def __init__(self):
+        self.runs, self.moves = {}, {}
+
+
+def _moves(entries, states, owner, rules, entry_for, memo) -> dict:
     """Entries of one game-predecessor step, keyed ``(p, A)``.
 
     For every control p and top symbol A: an Éloïse control gets one target
@@ -111,7 +149,9 @@ def _moves(entries, states, owner, rules, entry_for) -> dict:
     control gets the minimal unions of one run target per rule.
     ``entry_for(p, q)`` names the state standing for the successor control
     ``q`` when moving from ``p``; runs read ``entries`` and start only from
-    ``states``.
+    ``states``.  From the ``_Memo``, a run is computed again only when an
+    entry it read no longer compares equal, and a move only when a run of
+    one of its rules does.
     """
     runs = {}  # (state, pushed) -> minimal run targets, shared by the rules
     moves = {}
@@ -120,32 +160,33 @@ def _moves(entries, states, owner, rules, entry_for) -> dict:
         for r in applicable:
             key = (entry_for(p, r.to_control), r.pushed)
             if key not in runs:
-                runs[key] = (_run_targets(entries, *key) if key[0] in states
+                runs[key] = (_run(entries, key, memo) if key[0] in states
                              else frozenset())
             per_rule.append(runs[key])
-        if owner[p] == ELOISE:
-            sets = antichain(frozenset().union(*per_rule))
-        else:
-            sets = _minimal_unions(per_rule)  # empty if Abelard escapes
-        if sets:
-            moves[(p, a)] = sets
+        last = memo.moves.get((p, a))
+        if last is None or last[0] != per_rule:
+            if owner[p] == ELOISE:
+                sets = antichain(frozenset().union(*per_rule))
+            else:
+                sets = _minimal_unions(per_rule)  # empty if Abelard escapes
+            memo.moves[(p, a)] = last = (per_rule, sets)
+        if last[1]:
+            moves[(p, a)] = last[1]
     return moves
 
 
-def _project_entries(entries, rename, dropped, reduce=frozenset) -> dict:
-    """Delete the entries out of ``dropped`` and move those out of each
-    state of ``rename`` onto its image, renaming inside their target sets
-    too.  Returns the moved entries, each cut by ``reduce``."""
-    moved = {}
-    for key in [k for k in entries if k[0] in rename or k[0] in dropped]:
-        sets = entries.pop(key)
-        if key[0] in rename:
-            moved[(rename[key[0]], key[1])] = reduce(
-                targets if rename.keys().isdisjoint(targets)
-                else frozenset(rename.get(t, t) for t in targets)
-                for targets in sets)
-    entries.update(moved)
-    return moved
+def _run(entries, key, memo):
+    """Minimal targets of the run ``key = (state, pushed)`` over
+    ``entries``, reused from ``memo`` while each entry it read still
+    compares equal: a run is a function of the entries it reads."""
+    hit = memo.runs.get(key)
+    if hit is not None and all(entries.get(k) is v or entries.get(k) == v
+                               for k, v in hit[1]):
+        return hit[0]
+    reads = {}
+    targets = _run_targets(entries, *key, reads)
+    memo.runs[key] = (targets, tuple(reads.items()))
+    return targets
 
 
 def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
@@ -172,11 +213,12 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
 
     target, rules = cond.target, _rules_by_source(game.pds)
     entries = _alt_entries(target.transitions)
+    memo = _Memo()
     changed = True
     while changed:
         grown = defaultdict(set)
         for (p, a), sets in _moves(entries, target.states, game.owner, rules,
-                                   lambda p, q: embed[q]).items():
+                                   lambda p, q: embed[q], memo).items():
             grown[(embed[p], a)] |= sets
         changed = False
         for key, sets in grown.items():
@@ -221,8 +263,14 @@ def project(aut: AltAutomaton, from_idx, to_idx) -> AltAutomaton:
     rename = {s: (s[0], to_idx) for s in level(from_idx)}
     if not rename:
         raise InvalidInputError(f"no states at level {from_idx!r}")
-    entries = _alt_entries(aut.transitions, minimal=False)
-    _project_entries(entries, rename, level(to_idx))
+    dropped = level(to_idx)
+    entries = {}
+    for (s, a), sets in _alt_entries(aut.transitions, minimal=False).items():
+        if s in rename:
+            entries[(rename[s], a)] = frozenset(
+                frozenset(rename.get(t, t) for t in targets) for targets in sets)
+        elif s not in dropped:
+            entries[(s, a)] = sets
     return _automaton(aut.states - rename.keys(), aut.alphabet, aut.finals,
                       entries)
 
@@ -235,7 +283,8 @@ def pre_step(aut: AltAutomaton, game: PushdownGame, fresh_idx, colour_of) -> Alt
     configuration of colour c must step into the variable of colour c.
     """
     moves = _moves(_alt_entries(aut.transitions), aut.states, game.owner,
-                   _rules_by_source(game.pds), lambda p, q: (q, colour_of[p]))
+                   _rules_by_source(game.pds), lambda p, q: (q, colour_of[p]),
+                   _Memo())
     transitions = set(aut.transitions)
     transitions.update(((p, fresh_idx), a, targets)
                        for (p, a), sets in moves.items() for targets in sets)
@@ -254,6 +303,17 @@ def _full_value(system: PushdownSystem, level, states) -> dict:
             for p in system.controls for a in system.alphabet}
 
 
+def _renamed(sets, rename):
+    """An entry moved down a level: ``rename`` applied inside its target
+    sets.  Every entry is an antichain, so it is cut again only when a
+    target was renamed."""
+    if sets is None or all(rename.keys().isdisjoint(targets)
+                           for targets in sets):
+        return sets
+    return antichain(frozenset(rename.get(t, t) for t in targets)
+                     for targets in sets)
+
+
 def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     """Winning region of a parity game (Éloïse wins when the least colour
     seen infinitely often is even), via one nested fixed point per colour."""
@@ -268,9 +328,14 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     by_colour = defaultdict(dict)  # colour -> rules of the controls of it
     for (p, a), applicable in _rules_by_source(system).items():
         by_colour[colour_of[p]][(p, a)] = applicable
+    # each level's entry keys ((p, level), A), in the order of ``pairs``
+    pairs = [(p, a) for p in system.controls for a in system.alphabet]
+    keys = [[((p, level), a) for p, a in pairs]
+            for level in range(max_colour + 1)]
     base = _initial_region_automaton(system)
     states, entries = set(base.states), _alt_entries(base.transitions)
     known = {}  # colour c -> moves of its controls, whose runs start at level c
+    memo = _Memo()
 
     def forget(level):
         """Level-c entries only target states of levels <= c, so the moves
@@ -281,28 +346,41 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     def fix(level):
         """Level ``level``'s fixed point: even levels start from the largest
         value (greatest fixed point), odd levels from the empty one (least).
-        Each round solves level + 1 (or, at the top, takes one pre_step into
-        it) and projects it back; only this level's entries change."""
-        fresh = {(p, level) for p in system.controls}
-        states.update(fresh)
+        Each round solves level + 1 and projects it back or, at the top,
+        takes one game-predecessor step; only this level's entries change,
+        and an entry that compares equal is kept as it is."""
+        states.update((p, level) for p in system.controls)
         if level % 2 == 0:
             entries.update(_full_value(system, level, states))
         forget(level)
         rename = {(p, level + 1): (p, level) for p in system.controls}
         while True:
             if level == max_colour:
+                # A run from level c reads levels <= c only, so no target
+                # is at level + 1: the moves, antichains already, are this
+                # level's next value as they stand.
+                moves = {}
                 for c, rules in by_colour.items():
                     if c not in known:
                         known[c] = _moves(entries, states, game.owner, rules,
-                                          lambda p, q: (q, c))
-                    entries.update({((p, level + 1), a): sets
-                                    for (p, a), sets in known[c].items()})
+                                          lambda p, q: (q, c), memo)
+                    moves.update(known[c])
+                values = [moves.get(pair) for pair in pairs]
             else:
                 fix(level + 1)
-            before = {k: v for k, v in entries.items() if k[0] in fresh}
-            after = _project_entries(entries, rename, fresh, antichain)
-            states.difference_update(rename)
-            if after == before:
+                values = [_renamed(entries.pop(key, None), rename)
+                          for key in keys[level + 1]]
+                states.difference_update(rename)
+            changed = False
+            for key, new in zip(keys[level], values):
+                old = entries.get(key)
+                if old is not new and old != new:
+                    changed = True
+                    if new is None:
+                        del entries[key]
+                    else:
+                        entries[key] = new
+            if not changed:
                 return
             forget(level)
 

@@ -26,7 +26,7 @@ DEFAULT_NODE_CAP = 200_000
 @dataclass(eq=False)
 class BoundedGraph:
     nodes: set  # configurations plus SINK
-    edges: dict  # node -> set of successor nodes
+    edges: dict  # node -> set of successors; SINK, then bounded_nodes order
     owner: dict  # node -> ELOISE | ABELARD (games only)
 
 
@@ -158,13 +158,21 @@ def _zielonka(nodes, edges, owner, colour):
 def finite_game_region(g: BoundedGraph, condition, sink_winner):
     """Exact Éloïse winning set of the truncated game, with the sink won by
     ``sink_winner``."""
+    return _regions(g, condition, (sink_winner,))[0]
+
+
+def _regions(g: BoundedGraph, condition, sink_winners):
+    """``finite_game_region`` for each of ``sink_winners`` in turn; what only
+    depends on ``condition`` (a reachability game's target set, the
+    colours) is computed once for all of them."""
     if isinstance(condition, ReachabilityCondition):
         target = {n for n in g.nodes
                   if n is not SINK and alt_membership(
                       condition.target, condition.embed[n.control], n.stack)}
-        if sink_winner == ELOISE:
-            target.add(SINK)
-        return attractor(g.nodes, g.edges, g.owner, target, ELOISE)
+        return [attractor(g.nodes, g.edges, g.owner,
+                          target | {SINK} if winner == ELOISE else target,
+                          ELOISE)
+                for winner in sink_winners]
     if isinstance(condition, BuchiCondition):
         colour = {n: (0 if n is not SINK and n.control in condition.finals else 1)
                   for n in g.nodes}
@@ -173,20 +181,21 @@ def finite_game_region(g: BoundedGraph, condition, sink_winner):
                   for n in g.nodes}
     else:
         raise InvalidInputError(f"unsupported condition: {condition!r}")
-    colour[SINK] = 0 if sink_winner == ELOISE else 1
     stuck = [n for n in g.nodes if not g.edges.get(n)]
     if stuck:
         raise InvalidInputError("finite Büchi/parity solving needs a total "
                                 f"graph; {min(stuck, key=repr)!r} is stuck")
-    w0, _ = _zielonka(set(g.nodes), g.edges, g.owner, colour)
-    return w0
+    regions = []
+    for winner in sink_winners:
+        colour[SINK] = 0 if winner == ELOISE else 1
+        regions.append(_zielonka(set(g.nodes), g.edges, g.owner, colour)[0])
+    return regions
 
 
 def bracket_region(game: PushdownGame, h: int):
     """Lower and upper bounds on Éloïse's winning region, as predicates on
     configurations with stack height at most ``h``: the truncated game solved
     with the sink lost for her, then won."""
-    g = bounded_graph(game, h)
-    under = finite_game_region(g, game.condition, ABELARD)
-    over = finite_game_region(g, game.condition, ELOISE)
+    under, over = _regions(bounded_graph(game, h), game.condition,
+                           (ABELARD, ELOISE))
     return under.__contains__, over.__contains__

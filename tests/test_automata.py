@@ -188,6 +188,23 @@ def test_alt_membership_matches_powerset_expansion():
             assert got == want, (aut, word)
 
 
+def test_alt_membership_unread_symbol_and_empty_word():
+    # "c" is in the alphabet but no state reads it: no word containing it is
+    # accepted, even from a final state; the empty word is accepted exactly
+    # from the final states
+    aut = alt(alphabet="abc", finals=[1],
+              transitions=[(0, "a", {1}), (1, "b", {1}), (2, "a", {0, 1})])
+    expanded = powerset_expand(aut)
+    for word in ("c", "ac", "ca", "bc", "cb", "abc"):
+        for start in aut.states:
+            assert not alt_membership(aut, start, word), (start, word)
+            assert not nfa_accepts(expanded, frozenset({start}), word)
+    assert alt_membership(aut, 1, "")
+    assert not alt_membership(aut, 0, "")
+    assert not alt_membership(aut, 2, "")
+    assert alt_membership(aut, 0, "ab")
+
+
 def test_alt_membership_basic():
     aut = alt(alphabet="ab", finals=[1, 2],
               transitions=[(0, "a", {1, 2}), (1, "b", {1}), (2, "b", {2})])

@@ -315,6 +315,26 @@ def test_output_matches_fixture(command, capsys):
             (data / f"{name}{suffix}").read_bytes()
 
 
+def test_reachgame_oracle_check_computes_the_target_set_once(capsys,
+                                                            monkeypatch):
+    # one alt_membership per bounded node for both solves of the bracket
+    calls = []
+    membership = cli.oracle.alt_membership
+
+    def counted(*args):
+        calls.append(args)
+        return membership(*args)
+
+    monkeypatch.setattr(cli.oracle, "alt_membership", counted)
+    data = Path(__file__).parent / "data"
+    assert cli.main(["reachgame", "--in", str(data / "reachgame.pds"),
+                     "--oracle-check", "4"]) == 0
+    assert len(calls) == 200
+    assert capsys.readouterr().out.encode() == \
+        b"bracket agreement on 200 nodes\n" \
+        + (data / "reachgame.txt").read_bytes()
+
+
 def test_deriv_oracle_check_rejected_before_analysis(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("deriv_relation ran before the flag was rejected")

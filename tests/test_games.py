@@ -10,6 +10,7 @@ from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    prestar, region_member, singleton_view,
                    solve_buchi_game, solve_parity_game,
                    solve_reachability_game, subsume)
+from pdsat import games
 from pdsat.automata import S_BOT, S_STAR
 from pdsat.games import _initial_region_automaton, pre_step, project
 from pdsat.oracle import bounded_nodes, bracket_region
@@ -327,3 +328,57 @@ def test_solvers_match_round_loop_references():
                             ParityCondition(colours, max_colour))
         assert solve_parity_game(game).aut == reference_parity(game), \
             (system, owner, colours)
+
+
+def test_deeper_nests_match_round_loop_references():
+    # three controls and colours up to 5: a six-level nest
+    rng = make_rng(49)
+    for i in range(15):
+        system, owner = random_total_game(rng, n_controls=3)
+        controls = sorted(system.controls)
+        colours = {p: rng.randint(0, 5) for p in controls}
+        game = PushdownGame(system, owner, ParityCondition(colours, 5))
+        assert solve_parity_game(game).aut == reference_parity(game), \
+            (system, owner, colours)
+        finals = frozenset(p for p in controls if rng.random() < 0.5)
+        game = PushdownGame(system, owner, BuchiCondition(finals))
+        assert solve_buchi_game(game).aut == reference_buchi(game), \
+            (system, owner, finals)
+
+
+def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
+    def parity_game(seed):
+        rng = make_rng(seed)
+        system, owner = random_total_game(rng, n_controls=3)
+        colours = {p: rng.randint(0, 5) for p in sorted(system.controls)}
+        return PushdownGame(system, owner, ParityCondition(colours, 5))
+
+    def containers():
+        return {name: len(value) for name, value in vars(games).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set))}
+
+    asked, computed = [0], [0]
+    moves, run_targets = games._moves, games._run_targets
+
+    def counting_moves(entries, states, owner, rules, entry_for, memo):
+        # the distinct runs one call needs, each of which it used to compute
+        runs = {(entry_for(p, r.to_control), r.pushed)
+                for (p, a), applicable in rules.items() for r in applicable}
+        asked[0] += sum(state in states for state, pushed in runs)
+        return moves(entries, states, owner, rules, entry_for, memo)
+
+    def counting_run_targets(*args):
+        computed[0] += 1
+        return run_targets(*args)
+
+    monkeypatch.setattr(games, "_moves", counting_moves)
+    monkeypatch.setattr(games, "_run_targets", counting_run_targets)
+    a, b = parity_game(50), parity_game(51)
+    before = containers()
+    first = solve_parity_game(a).aut
+    assert 0 < computed[0] < asked[0]
+    assert containers() == before
+    assert solve_parity_game(b).aut != first
+    assert solve_parity_game(a).aut == first == reference_parity(a)
+    assert containers() == before
