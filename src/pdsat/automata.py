@@ -55,19 +55,24 @@ class Nfa:
                 raise InvalidInputError(f"transition label not in alphabet: {a!r}")
 
     def has_eps(self) -> bool:
-        return any(a is EPS for _, a, _ in self.transitions)
+        return self._has_eps
 
     # The lookup indexes are cached in the instance ``__dict__``: each lives
     # exactly as long as its automaton, equal but distinct automata never
     # share one, and equality and hashing only look at the declared fields.
 
     @cached_property
+    def _has_eps(self) -> bool:
+        return any(a is EPS for _, a, _ in self.transitions)
+
+    @cached_property
     def _step_index(self):
-        """dict (state, label) -> frozenset of targets."""
-        index = defaultdict(set)
+        """dict (state, label) -> tuple of targets (distinct, since the
+        transitions are a set)."""
+        index = {}
         for s, a, t in self.transitions:
-            index[(s, a)].add(t)
-        return {k: frozenset(v) for k, v in index.items()}
+            index.setdefault((s, a), []).append(t)
+        return {k: tuple(v) for k, v in index.items()}
 
     @cached_property
     def _eps_reach(self):
@@ -106,6 +111,19 @@ def nfa_accepts(aut: Nfa, start, word) -> bool:
         if a not in aut.alphabet:
             raise InvalidInputError(f"unknown symbol: {a!r}")
     index = aut._step_index
+    if not aut._has_eps:  # every closure is a singleton: skip building them
+        current = (start,)
+        for a in word:
+            if len(current) == 1:
+                current = index.get((current[0], a), ())
+            else:
+                nxt = set()
+                for s in current:
+                    nxt.update(index.get((s, a), ()))
+                current = tuple(nxt)
+            if not current:
+                return False
+        return not aut.finals.isdisjoint(current)
     closure = aut._eps_reach
     current = set(closure[start])
     for a in word:

@@ -9,6 +9,7 @@ separated.  Exit codes: 0 success (or membership yes), 1 membership no,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -420,6 +421,7 @@ def _height(text: str) -> int:
     return h
 
 
+@functools.cache  # one fixed parser, built on the first call, not at import
 def _make_parser():
     parser = argparse.ArgumentParser(prog="pdsat")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,11 +4,17 @@ A rule ``(q, A) -> (p, w)`` with ``|w| <= 2`` rewrites the top stack symbol.
 Stacks are tuples with the top at index 0 and the bottom symbol last.  The
 one-step successor/predecessor enumeration here is the semantic ground truth
 the oracles are built on.
+
+A system is checked once, on first use: the violations ``validate`` reports
+are computed the first time an analysis (or ``validate`` itself) asks for
+them and kept on the frozen system, so every later entry point reads them
+instead of walking the rules again.  ``pds()`` does not check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidInputError
 
@@ -31,6 +37,12 @@ class PushdownSystem:
     alphabet: frozenset  # stack symbols, including the bottom symbol
     bottom: object
     rules: frozenset
+
+    # Cached in the instance ``__dict__`` like ``Nfa``'s indexes: it lives as
+    # long as its system, and equality and hashing only look at the fields.
+    @cached_property
+    def _violations(self) -> tuple:
+        return tuple(_find_violations(self))
 
 
 @dataclass(frozen=True)
@@ -59,34 +71,40 @@ def validate(pds: PushdownSystem):
 
     Rules on the bottom symbol must preserve it at the bottom: allowed shapes
     are ``(q,⊥)->(p,⊥)`` and ``(q,⊥)->(p,A⊥)`` with ``A != ⊥``.  Rules on
-    other symbols may not mention the bottom symbol at all.
+    other symbols may not mention the bottom symbol at all.  The check runs
+    once per system; the list is a fresh copy on every call.
     """
+    return list(pds._violations)
+
+
+def _find_violations(pds: PushdownSystem):
     errors = []
-    bot = pds.bottom
-    if bot not in pds.alphabet:
+    controls, alphabet, bot = pds.controls, pds.alphabet, pds.bottom
+    if bot not in alphabet:
         errors.append("bottom symbol is not in the alphabet")
     for r in pds.rules:
-        if r.from_control not in pds.controls or r.to_control not in pds.controls:
+        if r.from_control not in controls or r.to_control not in controls:
             errors.append(f"rule {r!r}: unknown control state")
-        if r.from_symbol not in pds.alphabet or any(a not in pds.alphabet for a in r.pushed):
+        pushed = r.pushed
+        if r.from_symbol not in alphabet or not alphabet.issuperset(pushed):
             errors.append(f"rule {r!r}: unknown stack symbol")
             continue
-        if len(r.pushed) > 2:
+        if len(pushed) > 2:
             errors.append(f"rule {r!r}: pushes more than two symbols")
             continue
         if r.from_symbol == bot:
-            ok = r.pushed == (bot,) or (
-                len(r.pushed) == 2 and r.pushed[1] == bot and r.pushed[0] != bot)
+            ok = pushed == (bot,) or (
+                len(pushed) == 2 and pushed[1] == bot and pushed[0] != bot)
             if not ok:
-                errors.append(f"rule {r!r}: pops bottom" if bot not in r.pushed
+                errors.append(f"rule {r!r}: pops bottom" if bot not in pushed
                               else f"rule {r!r}: malformed bottom rule")
-        elif bot in r.pushed:
+        elif bot in pushed:
             errors.append(f"rule {r!r}: pushes bottom")
     return errors
 
 
 def check_valid(pds: PushdownSystem):
-    errors = validate(pds)
+    errors = pds._violations
     if errors:
         raise InvalidInputError("; ".join(errors))
 

@@ -52,13 +52,19 @@ def view_errors(view: PAutomatonView):
 def repair_view(view: PAutomatonView) -> PAutomatonView:
     """Clone embedded control states that have incoming transitions or are
     final, redirecting the offending role to the copy."""
+    return _repaired(view, stacklevel=3)
+
+
+def _repaired(view: PAutomatonView, stacklevel) -> PAutomatonView:
+    """``repair_view``, warning ``stacklevel`` frames up from here, so that
+    the warning names the user's call, not pdsat's."""
     embedded = set(view.control_embed.values())
     offending = {t for _, _, t in view.aut.transitions if t in embedded}
     offending |= embedded & view.aut.finals
     if not offending:
         return view
     warnings.warn("P-automaton has transitions into control states; "
-                  "cloning the offending states", stacklevel=2)
+                  "cloning the offending states", stacklevel=stacklevel)
     clone = {s: ("clone", s) for s in offending}
     transitions = set()
     for s, a, t in view.aut.transitions:
@@ -80,7 +86,7 @@ def _saturation_input(system: PushdownSystem, view: PAutomatonView):
     missing = [q for q in system.controls if q not in view.control_embed]
     if missing:
         raise InvalidInputError(f"controls not embedded: {missing!r}")
-    view = repair_view(view)
+    view = _repaired(view, stacklevel=4)  # the caller of prestar/poststar
     errors = view_errors(view)
     if errors:
         raise InvalidInputError("; ".join(errors))
@@ -127,17 +133,18 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
             continue
         rel.add(t)
         s, a, s2 = t
-        by_source[(s, a)].add(s2)
+        key = (s, a)
+        by_source[key].add(s2)
         if trace is not None and t not in initial:
             trace.append((state_control[s], a, s2))
-        for ps, A in swap_idx.get((s, a), ()):
+        for ps, A in swap_idx.get(key, ()):
             worklist.append((ps, A, s2))
-        for ps, A, c in push_idx.get((s, a), ()):
-            key = (s2, c)
-            pending[key].add((ps, A))
-            for s3 in by_source.get(key, ()):
+        for ps, A, c in push_idx.get(key, ()):
+            below = (s2, c)
+            pending[below].add((ps, A))
+            for s3 in by_source.get(below, ()):
                 worklist.append((ps, A, s3))
-        for ps, A in pending.get((s, a), ()):
+        for ps, A in pending.get(key, ()):
             worklist.append((ps, A, s2))
 
     out = Nfa(aut.states, aut.alphabet, aut.finals, frozenset(rel))
@@ -309,7 +316,7 @@ def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
                 todo.append(p)
 
     states = set(system.controls) | {S_BOT}
-    transitions = {(p, a, q) for (p, a, q) in pops if a != bot}
+    transitions = {t for t in pops if t[1] != bot}
     transitions |= {(p, bot, S_BOT) for p in reaches_qf}
     aut = Nfa(frozenset(states), system.alphabet, frozenset({S_BOT}),
               frozenset(transitions))

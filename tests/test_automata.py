@@ -74,6 +74,20 @@ def test_accepts_matches_path_search():
             assert nfa_accepts(aut, 0, word) == accepts_by_path_search(aut, 0, word)
 
 
+@pytest.mark.parametrize("eps_frac", [0.0, 0.3])
+def test_accepts_with_and_without_eps_matches_path_search(eps_frac):
+    rng = make_rng(103)
+    for i in range(60):
+        aut = random_nfa(rng, n_states=5, n_trans=14, eps_frac=eps_frac)
+        for start in aut.states:
+            for word in itertools.chain.from_iterable(
+                    itertools.product("ab", repeat=k) for k in range(5)):
+                assert nfa_accepts(aut, start, word) \
+                    == accepts_by_path_search(aut, start, word), (aut, word)
+        # queries on an ε-free automaton build no closure
+        assert ("_eps_reach" in aut.__dict__) == aut.has_eps()
+
+
 def test_eps_closure_preserves_language():
     rng = make_rng(202)
     for i in range(40):

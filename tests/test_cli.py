@@ -85,6 +85,19 @@ def test_member_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "no"
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    parser = cli._make_parser()
+    assert cli._make_parser() is parser
+    # a failed parse leaves the shared parser as it was
+    with pytest.raises(SystemExit):
+        run_cli(tmp_path, REACH_DOC, "member", "--format", "dot")
+    assert run_cli(tmp_path, REACH_DOC, "member", "--config", "q : A _") == 1
+    assert run_cli(tmp_path, REACH_DOC, "prestar", "--format", "dot") == 0
+    assert run_cli(tmp_path, REACH_DOC, "member", "--config", "q : B A _") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "yes"
+    assert cli._make_parser() is parser
+
+
 def test_member_rejects_output_flags(tmp_path, capsys):
     for flag in (["--out", "out.pds"], ["--format", "dot"],
                  ["--oracle-check", "3"]):

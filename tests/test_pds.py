@@ -1,9 +1,17 @@
+import gc
+import importlib
+import tracemalloc
+
 import pytest
 
+import pdsat as P
 from conftest import configurations_upto, make_rng, random_pds
 from pdsat import (Configuration, InvalidInputError, Rule, pds, predecessors,
                    successors, validate)
-from pdsat.pds import is_valid_configuration
+from pdsat.pds import check_valid, is_valid_configuration
+
+# the module; the package's ``pdsat.pds`` is the constructor
+pds_module = importlib.import_module("pdsat.pds")
 
 
 def simple_system():
@@ -65,3 +73,119 @@ def test_predecessors_inverts_successors():
 def test_successors_rejects_invalid_configuration():
     with pytest.raises(InvalidInputError):
         successors(simple_system(), Configuration("p", ()))
+
+
+# ---------------------------------------------------------------------------
+# Each system is checked once
+
+
+def _count_checks(monkeypatch):
+    calls = []
+    find = pds_module._find_violations
+
+    def counted(system):
+        calls.append(system)
+        return find(system)
+
+    monkeypatch.setattr(pds_module, "_find_violations", counted)
+    return calls
+
+
+def _identity_view(system):
+    aut = P.Nfa(frozenset(system.controls) | {"f"}, system.alphabet,
+                frozenset({"f"}),
+                frozenset((p, system.bottom, "f") for p in system.controls))
+    return P.PAutomatonView(aut, {p: p for p in system.controls})
+
+
+def test_saturations_check_a_system_once(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    system = simple_system()
+    view = _identity_view(system)
+    P.prestar(system, view)
+    P.poststar(system, view)
+    P.pop_relation(system)
+    P.buchi_target_automaton(system, "p")
+    P.prestar(system, view)
+    assert len(calls) == 1 and calls[0] is system
+    # an equal but distinct system is checked on its own
+    P.pop_relation(simple_system())
+    assert len(calls) == 2
+
+
+def _bad_system():
+    return pds(controls={"p", "q"}, bottom="_",
+               rules=[("p", "_", "q", ()), ("q", "A", "p", ("_",)),
+                      ("p", "A", "q", ("A", "A"))])
+
+
+def test_invalid_system_fails_alike_at_every_entry_point(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    system = _bad_system()
+    expected = "; ".join(validate(system))
+    assert "pops bottom" in expected and "pushes bottom" in expected
+    view = _identity_view(system)
+    owner = {p: P.ELOISE for p in system.controls}
+    reach = P.ReachabilityCondition(
+        P.alt(states={"p", "q", "f"}, alphabet=system.alphabet, finals={"f"},
+              transitions=[("p", "_", {"f"})]), {"p": "p", "q": "q"})
+    start = Configuration("p", ("_",))
+    entry_points = {
+        "prestar": lambda: P.prestar(system, view),
+        "poststar": lambda: P.poststar(system, view),
+        "pop_relation": lambda: P.pop_relation(system),
+        "buchi_target_automaton": lambda: P.buchi_target_automaton(system, "p"),
+        "deriv_relation": lambda: P.deriv_relation(system, "p", "q"),
+        "solve_reachability_game": lambda: P.solve_reachability_game(
+            P.PushdownGame(system, owner, reach)),
+        "solve_buchi_game": lambda: P.solve_buchi_game(
+            P.PushdownGame(system, owner, P.BuchiCondition(frozenset({"p"})))),
+        "solve_parity_game": lambda: P.solve_parity_game(
+            P.PushdownGame(system, owner,
+                           P.ParityCondition({"p": 0, "q": 1}, 1))),
+        "bounded_graph": lambda: P.bounded_graph(system, 2),
+        "bfs_prestar_member": lambda: P.bfs_prestar_member(
+            system, lambda c: False, start, 2),
+    }
+    for _ in range(2):
+        for name, call in entry_points.items():
+            with pytest.raises(InvalidInputError) as info:
+                call()
+            assert str(info.value) == expected, name
+    assert len(calls) == 1 and calls[0] is system
+
+
+def test_validate_returns_a_fresh_list():
+    good, bad = simple_system(), _bad_system()
+    validate(good).append("not a violation")
+    assert validate(good) == []
+    check_valid(good)
+    P.pop_relation(good)
+    errors = validate(bad)
+    errors.clear()
+    assert validate(bad) != []
+    with pytest.raises(InvalidInputError):
+        P.pop_relation(bad)
+    assert validate(bad) is not validate(bad)
+
+
+def _check_fresh_systems(count, offset):
+    for i in range(offset, offset + count):
+        system = pds(controls={("p", i)}, alphabet={"A"}, bottom="_",
+                     rules=[(("p", i), "A", ("p", i), ())])
+        check_valid(system)
+
+
+def test_checks_die_with_their_systems():
+    tracemalloc.start()
+    try:
+        _check_fresh_systems(1000, 0)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        _check_fresh_systems(10_000, 1000)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # 10k systems with their checks kept alive would hold megabytes
+    assert grown < 100_000, grown

@@ -320,6 +320,22 @@ def test_view_errors_and_repair():
         assert view.accepts(c) == fixed.accepts(c)
 
 
+def test_repair_warning_names_the_callers_line():
+    sys1 = simple_system()
+    embed = {p: ("ctrl", p) for p in sys1.controls}
+    aut = Nfa(frozenset(embed.values()) | {"f"}, sys1.alphabet,
+              frozenset({"f"}),
+              frozenset({(("ctrl", "p"), "A", ("ctrl", "q")),
+                         (("ctrl", "q"), "_", "f")}))
+    view = PAutomatonView(aut, embed)
+    for call in (repair_view, lambda v: prestar(sys1, v),
+                 lambda v: poststar(sys1, v)):
+        with pytest.warns(UserWarning) as record:
+            call(view)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+
 def test_prestar_requires_embedded_controls():
     sys1 = simple_system()
     view = singleton_view(sys1, Configuration("p", ("_",)))
