@@ -60,6 +60,7 @@ class Nfa:
     # The lookup indexes are cached in the instance ``__dict__``: each lives
     # exactly as long as its automaton, equal but distinct automata never
     # share one, and equality and hashing only look at the declared fields.
+    # A saturation's result gets its step index there when it is built.
 
     @cached_property
     def _has_eps(self) -> bool:
@@ -67,8 +68,9 @@ class Nfa:
 
     @cached_property
     def _step_index(self):
-        """dict (state, label) -> tuple of targets (distinct, since the
-        transitions are a set)."""
+        """dict (state, label) -> a sequence of the distinct targets (a
+        tuple here; a saturation hands over its own lists, see
+        ``_saturated``)."""
         index = {}
         for s, a, t in self.transitions:
             index.setdefault((s, a), []).append(t)
@@ -95,6 +97,22 @@ class Nfa:
         return closure
 
 
+def _saturated(states, alphabet, finals, transitions, step_index) -> Nfa:
+    """The ε-free ``Nfa`` a saturation built from checked parts, carrying
+    the step index it built on the way, so that no query builds it again.
+
+    Skips ``__post_init__``: every endpoint is a state of the saturation's
+    checked input (or a state it added) and every label a symbol of its
+    checked system.  ``step_index`` must map each ``(state, symbol)`` of
+    ``transitions`` to a sequence of its distinct targets, and nothing else.
+    """
+    aut = object.__new__(Nfa)
+    aut.__dict__.update(states=states, alphabet=alphabet, finals=finals,
+                        transitions=transitions, _step_index=step_index,
+                        _has_eps=False)
+    return aut
+
+
 def nfa(states=(), alphabet=(), finals=(), transitions=()) -> Nfa:
     """Convenience constructor; endpoints of transitions are added to states."""
     transitions = frozenset(transitions)
@@ -115,7 +133,8 @@ def nfa_accepts(aut: Nfa, start, word) -> bool:
         current = (start,)
         for a in word:
             if len(current) == 1:
-                current = index.get((current[0], a), ())
+                [s] = current
+                current = index.get((s, a), ())
             else:
                 nxt = set()
                 for s in current:

@@ -55,22 +55,26 @@ def parse(text: str) -> dict:
 
 
 def _build_pds(doc: dict):
+    """The document's system.  Names are kept as ``name -> first token``,
+    and the rules are built from those objects, so that every occurrence of
+    a name is one object and the analyses' lookups compare by identity."""
     body = doc["pds"]
-    controls, alphabet, rules = set(), set(), set()
+    controls, alphabet, rules = {}, {}, set()
     bottom = None
     for lineno, tokens in body:
         key = tokens[0]
         if key == "states":
-            controls.update(tokens[1:])
+            for name in tokens[1:]:
+                controls.setdefault(name, name)
         elif key == "alphabet":
-            alphabet.update(tokens[1:])
+            for name in tokens[1:]:
+                alphabet.setdefault(name, name)
         elif key == "bottom":
             if len(tokens) != 2:
                 raise ParseError(lineno, "bottom takes exactly one symbol")
             if bottom is not None:
                 raise ParseError(lineno, "duplicate bottom declaration")
-            bottom = tokens[1]
-            alphabet.add(bottom)
+            bottom = alphabet.setdefault(tokens[1], tokens[1])
         elif key == "rule":
             if len(tokens) < 5 or tokens[3] != "->":
                 raise ParseError(lineno, "rule syntax: rule p A -> q [B [C]]")
@@ -83,7 +87,8 @@ def _build_pds(doc: dict):
             for name in (a,) + pushed:
                 if name not in alphabet:
                     raise ParseError(lineno, f"undeclared stack symbol {name!r}")
-            rules.add(Rule(p, a, q, pushed))
+            rules.add(Rule(controls[p], alphabet[a], controls[q],
+                           tuple(map(alphabet.get, pushed))))
         else:
             raise ParseError(lineno, f"unknown keyword {key!r} in pds section")
     if bottom is None:

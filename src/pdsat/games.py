@@ -95,10 +95,25 @@ def check_game(game: PushdownGame):
             raise InvalidInputError(f"control has no owner: {q!r}")
     cond = game.condition
     if isinstance(cond, ParityCondition):
+        if not _is_colour(cond.max_colour):
+            raise InvalidInputError(
+                f"max_colour must be a non-negative integer: {cond.max_colour!r}")
         for q in game.pds.controls:
             c = cond.colours.get(q)
-            if c is None or not 0 <= c <= cond.max_colour:
+            if c is None:
                 raise InvalidInputError(f"control has no colour: {q!r}")
+            if not _is_colour(c):
+                raise InvalidInputError(
+                    f"colour must be a non-negative integer: {c!r} of control {q!r}")
+            if c > cond.max_colour:
+                raise InvalidInputError(
+                    f"colour {c!r} of control {q!r} exceeds max_colour "
+                    f"{cond.max_colour!r}")
+
+
+def _is_colour(c) -> bool:
+    """A non-negative ``int``; ``bool`` does not count as one."""
+    return isinstance(c, int) and not isinstance(c, bool) and c >= 0
 
 
 def region_member(region: RegionAutomaton, c: Configuration) -> bool:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .automata import EPS, Nfa, S_BOT, eps_closure, nfa_accepts
+from .automata import EPS, Nfa, S_BOT, _saturated, eps_closure, nfa_accepts
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
 
@@ -114,7 +115,7 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
     push_idx = defaultdict(list)  # (state(q), B)  -> [(state(p), A, C)]
     initial = set(aut.transitions)
     rel = set()
-    by_source = defaultdict(set)  # (state, symbol) -> targets
+    by_source = defaultdict(list)  # (state, symbol) -> targets, the step index
     worklist = deque(initial)
     for r in system.rules:
         ps, qs = embed[r.from_control], embed[r.to_control]
@@ -134,7 +135,7 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
         rel.add(t)
         s, a, s2 = t
         key = (s, a)
-        by_source[key].add(s2)
+        by_source[key].append(s2)
         if trace is not None and t not in initial:
             trace.append((state_control[s], a, s2))
         for ps, A in swap_idx.get(key, ()):
@@ -147,18 +148,30 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
         for ps, A in pending.get(key, ()):
             worklist.append((ps, A, s2))
 
-    out = Nfa(aut.states, aut.alphabet, aut.finals, frozenset(rel))
+    out = _saturated(aut.states, aut.alphabet, aut.finals, frozenset(rel),
+                     dict(by_source))
     return PAutomatonView(out, dict(embed))
 
 
-@dataclass(frozen=True)
-class _PushState:
-    """The state post* adds for the push target ``(control, symbol)``: the
-    stacks below a ``symbol`` pushed on entering ``control``.  The class is
-    private, so a caller's state can never equal one of these."""
+_PUSH = object()  # first item of every _PushState; private to this module
 
-    control: object
-    symbol: object
+
+class _PushState(tuple):
+    """The state post* adds for the push target ``(control, symbol)``: the
+    stacks below a ``symbol`` pushed on entering ``control``.  A tuple, so
+    that it hashes and compares in C, headed by a private marker, so that a
+    caller's state can never equal one of these."""
+
+    __slots__ = ()
+
+    def __new__(cls, control, symbol):
+        return tuple.__new__(cls, (_PUSH, control, symbol))
+
+    control = property(itemgetter(1))
+    symbol = property(itemgetter(2))
+
+    def __repr__(self):  # the CLI sorts states by repr
+        return f"_PushState(control={self[1]!r}, symbol={self[2]!r})"
 
 
 def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
@@ -198,6 +211,7 @@ def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
 
     embedded = set(embed.values())
     rel = set()
+    by_source = defaultdict(list)  # (state, symbol) -> targets, the step index
     out = defaultdict(list)       # state outside the controls -> [(X, t)]
     eps_into = defaultdict(list)  # state -> [control state with an ε-edge to it]
     worklist = deque()
@@ -206,6 +220,7 @@ def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
             worklist.append(t)
         else:
             rel.add(t)
+            by_source[t[:2]].append(t[2])
             out[t[0]].append(t[1:])
     while worklist:
         t = worklist.popleft()
@@ -218,6 +233,7 @@ def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
             for x, s3 in out.get(s2, ()):
                 worklist.append((s, x, s3))
             continue
+        by_source[(s, a)].append(s2)
         for qs in pop_idx.get((s, a), ()):
             worklist.append((qs, EPS, s2))
         for qs, b in swap_idx.get((s, a), ()):
@@ -227,12 +243,14 @@ def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
             below = (m, c, s2)
             if below not in rel:
                 rel.add(below)
+                by_source[(m, c)].append(s2)
                 out[m].append((c, s2))
                 for ps in eps_into.get(m, ()):
                     worklist.append((ps, c, s2))
 
     transitions = frozenset(t for t in rel if t[1] is not EPS)
-    result = Nfa(aut.states | fresh, aut.alphabet, aut.finals, transitions)
+    result = _saturated(aut.states | fresh, aut.alphabet, aut.finals,
+                        transitions, dict(by_source))
     return PAutomatonView(result, dict(embed))
 
 
@@ -247,10 +265,16 @@ def pop_relation(system: PushdownSystem) -> frozenset:
     the second pushed symbol a push rule is waiting to see popped.
     """
     check_valid(system)
+    return frozenset(_pops(system)[0])
+
+
+def _pops(system: PushdownSystem):
+    """``pop_relation``'s worklist on a checked system: the set of triples
+    and the dict ``(p, A) -> [q]`` of their distinct targets."""
     swap_idx = defaultdict(list)   # (q, B) -> [(p, A)] for pA -> qB
     first_idx = defaultdict(list)  # (q, B) -> [(p, A, C)] for pA -> qBC
     pending = defaultdict(set)     # (s, C) -> {(p, A)} waiting for sC =>* ·
-    by_pa = defaultdict(set)       # (p, A) -> {q}
+    by_pa = defaultdict(list)      # (p, A) -> [q]
     rel = set()
     worklist = deque()
     for r in system.rules:
@@ -268,7 +292,7 @@ def pop_relation(system: PushdownSystem) -> frozenset:
             continue
         rel.add(t)
         q, b, s = t
-        by_pa[(q, b)].add(s)
+        by_pa[(q, b)].append(s)
         for p, a in swap_idx.get((q, b), ()):
             worklist.append((p, a, s))
         for p, a, c in first_idx.get((q, b), ()):
@@ -277,7 +301,7 @@ def pop_relation(system: PushdownSystem) -> frozenset:
                 worklist.append((p, a, s2))
         for p, a in pending.get((q, b), ()):
             worklist.append((p, a, s))
-    return frozenset(rel)
+    return rel, by_pa
 
 
 def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
@@ -291,11 +315,8 @@ def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
     check_valid(system)
     if q_f not in system.controls:
         raise InvalidInputError(f"unknown control: {q_f!r}")
-    pops = pop_relation(system)
+    pops, pops_from = _pops(system)  # pops_from: (p, A) -> [q] with pA =>* q
     bot = system.bottom
-    pops_from = defaultdict(list)  # (p, A) -> [q] with pA =>* q
-    for p, a, q in pops:
-        pops_from[(p, a)].append(q)
 
     # Control-to-control moves at the bottom stratum, reversed.
     preds = defaultdict(set)
@@ -315,11 +336,13 @@ def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
                 reaches_qf.add(p)
                 todo.append(p)
 
-    states = set(system.controls) | {S_BOT}
-    transitions = {t for t in pops if t[1] != bot}
-    transitions |= {(p, bot, S_BOT) for p in reaches_qf}
-    aut = Nfa(frozenset(states), system.alphabet, frozenset({S_BOT}),
-              frozenset(transitions))
+    # A checked system never pops its bottom symbol, so no triple reads ⊥.
+    index = dict(pops_from)
+    for p in reaches_qf:
+        pops.add((p, bot, S_BOT))
+        index[(p, bot)] = (S_BOT,)
+    aut = _saturated(system.controls | {S_BOT}, system.alphabet,
+                     frozenset({S_BOT}), frozenset(pops), index)
     return PAutomatonView(aut, {p: p for p in system.controls})
 
 

@@ -7,8 +7,8 @@ import pytest
 from conftest import make_rng
 from pdsat import InvalidInputError
 from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _minimal_unions,
-                            alt, alt_membership, alt_run_targets, antichain,
-                            eps_closure, nfa, nfa_accepts,
+                            _saturated, alt, alt_membership, alt_run_targets,
+                            antichain, eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
 from reference import product_intersect, relabel, reverse
 
@@ -86,6 +86,36 @@ def test_accepts_with_and_without_eps_matches_path_search(eps_frac):
                     == accepts_by_path_search(aut, start, word), (aut, word)
         # queries on an ε-free automaton build no closure
         assert ("_eps_reach" in aut.__dict__) == aut.has_eps()
+
+
+def test_nfa_constructor_checks_every_input():
+    states, alphabet = frozenset({0, 1}), frozenset("ab")
+    for finals, transitions in ((frozenset({2}), frozenset()),
+                                (frozenset(), frozenset({(0, "a", 2)})),
+                                (frozenset(), frozenset({(2, EPS, 0)})),
+                                (frozenset(), frozenset({(0, "c", 1)}))):
+        with pytest.raises(InvalidInputError):
+            Nfa(states, alphabet, finals, transitions)
+
+
+def test_saturated_automaton_answers_as_the_checked_one():
+    rng = make_rng(105)
+    words = list(itertools.chain.from_iterable(
+        itertools.product("ab", repeat=k) for k in range(5)))
+    for i in range(40):
+        aut = random_nfa(rng, n_states=5, n_trans=14, eps_frac=0.0)
+        # a saturation hands over lists; any collection of distinct targets
+        for collect in (list, frozenset):
+            index = {key: collect(targets)
+                     for key, targets in aut._step_index.items()}
+            handed = _saturated(aut.states, aut.alphabet, aut.finals,
+                                aut.transitions, index)
+            assert handed == aut and hash(handed) == hash(aut)
+            assert handed._step_index is index and not handed.has_eps()
+            for start in aut.states:
+                for word in words:
+                    assert nfa_accepts(handed, start, word) \
+                        == nfa_accepts(aut, start, word), (aut, start, word)
 
 
 def test_eps_closure_preserves_language():

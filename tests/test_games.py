@@ -225,6 +225,22 @@ def test_solver_input_validation():
     with pytest.raises(InvalidInputError):
         solve_buchi_game(PushdownGame(system, owner,
                                       BuchiCondition(frozenset({"zzz"}))))
+    # a colour is a non-negative int, and a bool does not count as one
+    for colour in (0.5, 2.0, True, "0", -1):
+        game = PushdownGame(system, owner,
+                            ParityCondition({"p": colour, "q": 1}, 2))
+        with pytest.raises(InvalidInputError,
+                           match="colour must be a non-negative integer.*'p'"):
+            solve_parity_game(game)
+    for max_colour in (2.0, True, "2", -1):
+        game = PushdownGame(system, owner,
+                            ParityCondition({"p": 0, "q": 1}, max_colour))
+        with pytest.raises(InvalidInputError,
+                           match="max_colour must be a non-negative integer"):
+            solve_parity_game(game)
+    with pytest.raises(InvalidInputError, match="'q' exceeds max_colour 2"):
+        solve_parity_game(PushdownGame(system, owner,
+                                       ParityCondition({"p": 0, "q": 3}, 2)))
 
 
 # Reference solvers: the round loops written over whole automata and the

@@ -1,5 +1,6 @@
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import pytest
 
@@ -148,16 +149,28 @@ def _with_extra_transitions(view, extra, finals=()):
         dict(view.control_embed))
 
 
+def _with_eps(rng, view):
+    """``view`` with ε-edges added (``view`` needs three extra states)."""
+    extras = sorted(set(view.aut.states) - set(view.control_embed.values()))
+    sources = sorted(view.aut.states)
+    eps = {(rng.choice(sources), EPS, rng.choice(extras)) for _ in range(2)}
+    eps.add((rng.choice(extras), EPS, min(view.aut.finals)))
+    return _with_extra_transitions(view, eps)
+
+
+def _needing_repair(rng, system, view):
+    """``view`` with edges into its controls and a final control."""
+    controls = sorted(view.control_embed.values())
+    into = {(rng.choice(sorted(view.aut.states)), rng.choice(
+        sorted(system.alphabet)), rng.choice(controls)) for _ in range(2)}
+    return _with_extra_transitions(view, into, {rng.choice(controls)})
+
+
 def test_poststar_eps_input_matches_bounded_search():
     rng = make_rng(31)
     for i in range(12):
         sys_i = random_pds(rng)
-        view = random_view(rng, sys_i, n_extra=3)
-        extras = sorted(set(view.aut.states) - set(view.control_embed.values()))
-        sources = sorted(view.aut.states)
-        eps = {(rng.choice(sources), EPS, rng.choice(extras)) for _ in range(2)}
-        eps.add((rng.choice(extras), EPS, min(view.aut.finals)))
-        view = _with_extra_transitions(view, eps)
+        view = _with_eps(rng, random_view(rng, sys_i, n_extra=3))
         assert view.aut.has_eps()
         _assert_poststar_matches_search(sys_i, view, poststar(sys_i, view))
 
@@ -166,11 +179,7 @@ def test_poststar_repaired_input_matches_bounded_search():
     rng = make_rng(32)
     for i in range(12):
         sys_i = random_pds(rng)
-        view = random_view(rng, sys_i)
-        controls = sorted(view.control_embed.values())
-        into = {(rng.choice(sorted(view.aut.states)), rng.choice(
-            sorted(sys_i.alphabet)), rng.choice(controls)) for _ in range(2)}
-        view = _with_extra_transitions(view, into, {rng.choice(controls)})
+        view = _needing_repair(rng, sys_i, random_view(rng, sys_i))
         assert view_errors(view)
         with pytest.warns(UserWarning):
             result = poststar(sys_i, view)
@@ -224,6 +233,86 @@ def test_poststar_with_state_names_imitating_fresh_states():
                 == len(plain.aut.states - view.aut.states))
         for c in configurations_upto(sys_i, 3):
             assert mimicked.accepts(c) == plain.accepts(c), (sys_i, c)
+
+
+def test_poststar_results_on_one_input_are_equal():
+    sys1 = simple_system()
+    view = singleton_view(sys1, Configuration("p", ("A", "_")))
+    first, second = poststar(sys1, view), poststar(sys1, view)
+    assert first.aut == second.aut and first.aut is not second.aut
+    assert hash(first.aut) == hash(second.aut)
+    fresh = sorted(first.aut.states - view.aut.states, key=repr)
+    # the CLI sorts states by repr, so the repr is part of the output
+    assert list(map(repr, fresh)) == ["_PushState(control='p', symbol='A')",
+                                      "_PushState(control='q', symbol='B')"]
+    assert [(m.control, m.symbol) for m in fresh] == [("p", "A"), ("q", "B")]
+    assert ("q", "B") not in first.aut.states
+    rng = make_rng(37)
+    for i in range(10):
+        sys_i = random_pds(rng, n_rules=8)
+        view = random_view(rng, sys_i)
+        assert poststar(sys_i, view).aut == poststar(sys_i, view).aut
+
+
+# ---------------------------------------------------------------------------
+# Step indexes handed over by the saturations
+
+
+def _saturation_results(rng, count):
+    """``(system, result)`` of pre*, post* (on plain, ε and repaired
+    inputs) and the pop-guessing automaton, on ``count`` random systems."""
+    results = []
+    for i in range(count):
+        sys_i = random_pds(rng)
+        view = random_view(rng, sys_i, n_extra=3)
+        inputs = [view, _with_eps(rng, view)]
+        repaired = _needing_repair(rng, sys_i, view)
+        with pytest.warns(UserWarning):
+            results += [(sys_i, prestar(sys_i, repaired)),
+                        (sys_i, poststar(sys_i, repaired))]
+        results += [(sys_i, saturate(sys_i, v))
+                    for v in inputs for saturate in (prestar, poststar)]
+        results += [(sys_i, buchi_target_automaton(sys_i, q_f))
+                    for q_f in sorted(sys_i.controls)]
+    return results
+
+
+def test_saturations_hand_over_the_index_a_checked_nfa_builds():
+    for system, result in _saturation_results(make_rng(35), 12):
+        aut = result.aut
+        handed = aut.__dict__["_step_index"]  # there before any query
+        assert aut.__dict__["_has_eps"] is False
+        assert all(len(set(targets)) == len(targets)
+                   for targets in handed.values())
+        # the checked constructor accepts what the unchecked one built
+        checked = Nfa(aut.states, aut.alphabet, aut.finals, aut.transitions)
+        assert checked == aut and not checked.has_eps()
+        assert ({key: set(targets) for key, targets in handed.items()}
+                == {key: set(targets)
+                    for key, targets in checked._step_index.items()})
+
+
+def test_queries_on_saturation_results_build_no_index(monkeypatch):
+    results = _saturation_results(make_rng(36), 6)
+    sys1, first = results[0]
+    unindexed = PAutomatonView(
+        Nfa(first.aut.states, first.aut.alphabet, first.aut.finals,
+            first.aut.transitions), first.control_embed)
+
+    def build_index(aut):
+        raise AssertionError("a query built a second step index")
+
+    replaced = cached_property(build_index)
+    replaced.__set_name__(Nfa, "_step_index")
+    monkeypatch.setattr(Nfa, "_step_index", replaced)
+    c = Configuration(sorted(sys1.controls)[0], (sys1.bottom,))
+    with pytest.raises(AssertionError):
+        unindexed.accepts(c)  # an automaton without a handed-over index
+    accepted = 0
+    for system, result in results:
+        for c in configurations_upto(system, 3):
+            accepted += result.accepts(c)
+    assert accepted > 0
 
 
 # ---------------------------------------------------------------------------
