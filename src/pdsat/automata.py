@@ -101,10 +101,12 @@ def _saturated(states, alphabet, finals, transitions, step_index) -> Nfa:
     """The ε-free ``Nfa`` a saturation built from checked parts, carrying
     the step index it built on the way, so that no query builds it again.
 
-    Skips ``__post_init__``: every endpoint is a state of the saturation's
-    checked input (or a state it added) and every label a symbol of its
-    checked system.  ``step_index`` must map each ``(state, symbol)`` of
-    ``transitions`` to a sequence of its distinct targets, and nothing else.
+    Skips ``__post_init__``, so the caller vouches for its checks: every
+    endpoint must be one of ``states`` and every label one of ``alphabet``
+    (a saturation's labels are its checked system's symbols, so that
+    system's alphabet must lie within ``alphabet``).  ``step_index`` must
+    map each ``(state, symbol)`` of ``transitions`` to a sequence of its
+    distinct targets, and nothing else.
     """
     aut = object.__new__(Nfa)
     aut.__dict__.update(states=states, alphabet=alphabet, finals=finals,

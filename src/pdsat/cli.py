@@ -55,26 +55,22 @@ def parse(text: str) -> dict:
 
 
 def _build_pds(doc: dict):
-    """The document's system.  Names are kept as ``name -> first token``,
-    and the rules are built from those objects, so that every occurrence of
-    a name is one object and the analyses' lookups compare by identity."""
     body = doc["pds"]
-    controls, alphabet, rules = {}, {}, set()
+    controls, alphabet, rules = set(), set(), set()
     bottom = None
     for lineno, tokens in body:
         key = tokens[0]
         if key == "states":
-            for name in tokens[1:]:
-                controls.setdefault(name, name)
+            controls.update(tokens[1:])
         elif key == "alphabet":
-            for name in tokens[1:]:
-                alphabet.setdefault(name, name)
+            alphabet.update(tokens[1:])
         elif key == "bottom":
             if len(tokens) != 2:
                 raise ParseError(lineno, "bottom takes exactly one symbol")
             if bottom is not None:
                 raise ParseError(lineno, "duplicate bottom declaration")
-            bottom = alphabet.setdefault(tokens[1], tokens[1])
+            bottom = tokens[1]
+            alphabet.add(bottom)
         elif key == "rule":
             if len(tokens) < 5 or tokens[3] != "->":
                 raise ParseError(lineno, "rule syntax: rule p A -> q [B [C]]")
@@ -87,8 +83,7 @@ def _build_pds(doc: dict):
             for name in (a,) + pushed:
                 if name not in alphabet:
                     raise ParseError(lineno, f"undeclared stack symbol {name!r}")
-            rules.add(Rule(controls[p], alphabet[a], controls[q],
-                           tuple(map(alphabet.get, pushed))))
+            rules.add(Rule(p, a, q, pushed))
         else:
             raise ParseError(lineno, f"unknown keyword {key!r} in pds section")
     if bottom is None:

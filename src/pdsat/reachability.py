@@ -95,6 +95,18 @@ def _saturation_input(system: PushdownSystem, view: PAutomatonView):
     return aut, view.control_embed
 
 
+def _result(system: PushdownSystem, aut: Nfa, states, transitions,
+            by_source) -> Nfa:
+    """The saturation of ``aut`` with these states and transitions.  It
+    carries the step index ``by_source`` when every symbol of ``system`` is
+    one of ``aut``'s, and is otherwise checked like any ``Nfa``: a rule may
+    then have added a label outside the alphabet, which raises."""
+    if system.alphabet <= aut.alphabet:
+        return _saturated(states, aut.alphabet, aut.finals, transitions,
+                          dict(by_source))
+    return Nfa(states, aut.alphabet, aut.finals, transitions)
+
+
 def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutomatonView:
     """Saturate ``view`` so that it accepts exactly pre*(L(view)).
 
@@ -148,8 +160,7 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
         for ps, A in pending.get(key, ()):
             worklist.append((ps, A, s2))
 
-    out = _saturated(aut.states, aut.alphabet, aut.finals, frozenset(rel),
-                     dict(by_source))
+    out = _result(system, aut, aut.states, frozenset(rel), by_source)
     return PAutomatonView(out, dict(embed))
 
 
@@ -169,6 +180,9 @@ class _PushState(tuple):
 
     control = property(itemgetter(1))
     symbol = property(itemgetter(2))
+
+    def __reduce__(self):  # copies and unpickles get this process's marker
+        return _PushState, (self[1], self[2])
 
     def __repr__(self):  # the CLI sorts states by repr
         return f"_PushState(control={self[1]!r}, symbol={self[2]!r})"
@@ -249,8 +263,7 @@ def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
                     worklist.append((ps, c, s2))
 
     transitions = frozenset(t for t in rel if t[1] is not EPS)
-    result = _saturated(aut.states | fresh, aut.alphabet, aut.finals,
-                        transitions, dict(by_source))
+    result = _result(system, aut, aut.states | fresh, transitions, by_source)
     return PAutomatonView(result, dict(embed))
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -252,6 +254,78 @@ def test_poststar_results_on_one_input_are_equal():
         sys_i = random_pds(rng, n_rules=8)
         view = random_view(rng, sys_i)
         assert poststar(sys_i, view).aut == poststar(sys_i, view).aut
+
+
+def test_poststar_results_survive_copy_and_pickle():
+    sys1 = simple_system()
+    view = singleton_view(sys1, Configuration("p", ("A", "_")))
+    result = poststar(sys1, view)
+    fresh = result.aut.states - view.aut.states
+    assert fresh
+    copies = [copy.deepcopy(result.aut)]
+    copies += [pickle.loads(pickle.dumps(result.aut, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for aut in copies:
+        assert aut == result.aut
+        assert aut.states - view.aut.states == fresh
+        assert (sorted(map(repr, aut.transitions))
+                == sorted(map(repr, result.aut.transitions)))
+        copied = PAutomatonView(aut, result.control_embed)
+        for c in configurations_upto(sys1, 3):
+            assert copied.accepts(c) == result.accepts(c), c
+    for m in fresh:
+        assert copy.copy(m) == m and repr(copy.copy(m)) == repr(m)
+
+
+def _over_alphabet(view, alphabet):
+    """``view`` over ``alphabet``, less the transitions reading other symbols."""
+    aut = view.aut
+    return PAutomatonView(
+        Nfa(aut.states, frozenset(alphabet), aut.finals,
+            frozenset(t for t in aut.transitions if t[1] in alphabet)),
+        dict(view.control_embed))
+
+
+def test_saturations_check_labels_against_a_narrower_view_alphabet():
+    sys1 = simple_system()
+    # pre*: pA_ -> p_ pops the A that the view's alphabet lacks
+    narrow = _over_alphabet(singleton_view(sys1, Configuration("p", ("_",))),
+                            {"B", "_"})
+    with pytest.raises(InvalidInputError, match="label not in alphabet: 'A'"):
+        prestar(sys1, narrow)
+    # post*: q_ -> pA_ pushes it
+    narrow = _over_alphabet(singleton_view(sys1, Configuration("q", ("_",))),
+                            {"B", "_"})
+    with pytest.raises(InvalidInputError, match="label not in alphabet: 'A'"):
+        poststar(sys1, narrow)
+
+    # Otherwise the result is the one over the system's alphabet, checked.
+    rng = make_rng(38)
+    outcomes = set()
+    for i in range(30):
+        sys_i = random_pds(rng)
+        dropped = rng.choice(sorted(sys_i.alphabet - {sys_i.bottom}))
+        narrow = _over_alphabet(random_view(rng, sys_i),
+                                sys_i.alphabet - {dropped})
+        wide = _over_alphabet(narrow, sys_i.alphabet)
+        for saturate in (prestar, poststar):
+            expected = saturate(sys_i, wide)
+            if any(a == dropped for _, a, _ in expected.aut.transitions):
+                with pytest.raises(InvalidInputError,
+                                   match="label not in alphabet"):
+                    saturate(sys_i, narrow)
+                outcomes.add("raised")
+                continue
+            result = saturate(sys_i, narrow)
+            aut = result.aut
+            assert aut.transitions == expected.aut.transitions
+            assert Nfa(aut.states, aut.alphabet, aut.finals,
+                       aut.transitions) == aut
+            for c in configurations_upto(sys_i, 3):
+                if dropped not in c.stack:
+                    assert result.accepts(c) == expected.accepts(c), c
+            outcomes.add("returned")
+    assert outcomes == {"raised", "returned"}
 
 
 # ---------------------------------------------------------------------------
