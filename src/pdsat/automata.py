@@ -310,7 +310,8 @@ class AltAutomaton:
     @cached_property
     def _alt_index(self):
         """dict (state, symbol) -> antichain of target sets, cached as
-        ``Nfa``'s indexes are."""
+        ``Nfa``'s indexes are; a game solver's result gets it when it is
+        built (see ``games._decoded_automaton``)."""
         return _alt_entries(self.transitions)
 
     @cached_property
@@ -364,55 +365,178 @@ def alt_membership(aut: AltAutomaton, start, word) -> bool:
 
 
 def antichain(sets):
-    """The subset-minimal elements of an iterable of frozensets."""
+    """The subset-minimal elements of an iterable of frozensets: the mask
+    ``_antichain`` over a numbering of their members."""
     sets = set(sets)
     if len(sets) < 2:
         return frozenset(sets)
-    result = []
-    for s in sorted(sets, key=len):
-        if not any(r <= s for r in result):
-            result.append(s)
-    return frozenset(result)
+    bit = _numbering(frozenset().union(*sets))[1]
+    by_mask = {_mask(s, bit): s for s in sets}
+    return frozenset(by_mask[m] for m in _antichain(by_mask))
 
 
 def _minimal_unions(options):
     """The minimal unions of one set from each of ``options``, each an
-    antichain of frozensets; empty if some option is empty.
+    antichain of frozensets; empty if some option is empty.  The mask
+    ``_fold`` over a numbering of their members."""
+    options = [list(sets) for sets in options]
+    names, bit = _numbering(frozenset().union(*(s for sets in options
+                                                for s in sets)))
+    return _decoded(_fold([_mask(s, bit) for s in sets] for sets in options),
+                    names)
 
-    Folded one option at a time with an antichain after each step, instead of
-    taking the whole product: the minimal unions of a product are unions of
-    minimal elements, so the result is the same.
+
+# The mask kernel.  A caller numbers its states densely and writes each set
+# of states as an ``int`` whose bit ``i`` stands for state ``names[i]``, so a
+# subset test is ``r & s == r`` and a union is ``r | s``.
+
+
+def _numbering(states):
+    """``(names, bit)``: the states in some order and each one's bit."""
+    names = list(states)
+    return names, {s: i for i, s in enumerate(names)}
+
+
+def _mask(states, bit) -> int:
+    m = 0
+    for s in states:
+        m |= 1 << bit[s]
+    return m
+
+
+def _members(mask, names) -> frozenset:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+def _decoded(masks, names) -> frozenset:
+    return frozenset(_members(m, names) for m in masks)
+
+
+def _mask_entries(transitions, bit) -> dict:
+    """``_alt_entries`` over masks: ``(bit of state, symbol) -> antichain of
+    target masks``."""
+    grouped = defaultdict(list)
+    for s, a, targets in transitions:
+        grouped[(bit[s], a)].append(_mask(targets, bit))
+    return {key: _antichain(masks) for key, masks in grouped.items()}
+
+
+# Below this many candidates the plain loop beats the buckets' bookkeeping.
+_PLAIN_ANTICHAIN = 8
+
+
+def _antichain(masks) -> frozenset:
+    """The subset-minimal masks of an iterable of masks.
+
+    Candidates are taken smallest first, so a kept mask is never dominated
+    later.  Past a few candidates, the kept masks are bucketed by their
+    lowest bit: a kept subset of a candidate has its lowest bit among the
+    candidate's bits, so only those buckets are searched.  The empty mask
+    ``0`` has no lowest bit, and dominates everything, so it is settled
+    first.
     """
-    options = iter(options)
-    acc = frozenset(next(options, {frozenset()}))
-    for choices in options:
-        acc = antichain(x | y for x in acc for y in choices)
+    masks = set(masks)
+    if len(masks) < 2:
+        return frozenset(masks)
+    if 0 in masks:
+        return frozenset((0,))
+    order = sorted(masks, key=int.bit_count)
+    if len(order) <= _PLAIN_ANTICHAIN:
+        kept = []
+        for m in order:
+            for r in kept:
+                if r & m == r:
+                    break
+            else:
+                kept.append(m)
+        return frozenset(kept)
+    buckets = {}  # lowest bit -> the kept masks with that lowest bit
+    lows = 0  # the bits that have a bucket
+    for m in order:
+        rest = m & lows
+        while rest:
+            low = rest & -rest
+            for r in buckets[low]:
+                if r & m == r:
+                    break
+            else:
+                rest ^= low
+                continue
+            break  # a kept mask lies within m
+        if not rest:
+            low = m & -m
+            if low & lows:
+                buckets[low].append(m)
+            else:
+                buckets[low] = [m]
+                lows |= low
+    return frozenset(m for bucket in buckets.values() for m in bucket)
+
+
+def _fold(options) -> frozenset:
+    """The minimal unions of one mask from each of ``options``, each an
+    antichain of masks; empty if some option is empty.
+
+    Folded one option at a time, fewest choices first, with an antichain
+    after each step, instead of taking the whole product: the minimal unions
+    of a product are unions of minimal elements, so the result is the same.
+    A choice y within a partial union x absorbs it: x | y = x lies within
+    every other x | y', so x is kept alone.
+    """
+    options = sorted(options, key=len)
+    if not options:
+        return frozenset((0,))
+    acc = options[0]
+    for choices in options[1:]:
         if not acc:
             break
-    return acc
+        unions = []
+        for x in acc:
+            grown = [x | y for y in choices]
+            if x in grown:
+                unions.append(x)
+            else:
+                unions += grown
+        acc = _antichain(unions)
+    return frozenset(acc)
 
 
 def _run_targets(index, start, word, reads=None) -> frozenset:
-    """``alt_run_targets`` over an index ``(state, symbol) -> antichain of
-    target sets``.  With a dict ``reads``, each entry the run may look up is
-    recorded in it as ``key -> value`` (None when absent): the targets are a
-    function of those values alone."""
-    frontier = frozenset({frozenset({start})})
+    """``alt_run_targets`` over masks: ``index`` maps ``(bit of state,
+    symbol)`` to an antichain of target masks, and ``start`` is a bit.  With
+    a dict ``reads``, each entry the run looks up is recorded in it as
+    ``key -> value`` (None when absent): the targets are a function of those
+    values alone."""
+    frontier = (1 << start,)
     for a in word:
-        if reads is not None:
-            reads.update(((s, a), index.get((s, a)))
-                         for sset in frontier for s in sset)
-        runs = [_minimal_unions(index.get((s, a), ()) for s in sset)
-                for sset in frontier]
-        frontier = runs[0] if len(runs) == 1 else antichain(
-            targets for sets in runs for targets in sets)
+        runs = []
+        for mask in frontier:
+            options = []
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                key = (low.bit_length() - 1, a)
+                sets = index.get(key)
+                if reads is not None:
+                    reads[key] = sets
+                options.append(sets or ())
+            runs.append(options[0] if len(options) == 1 else _fold(options))
+        frontier = runs[0] if len(runs) == 1 else _antichain(
+            m for masks in runs for m in masks)
         if not frontier:
             break
-    return frontier
+    return frozenset(frontier)
 
 
 def alt_run_targets(aut: AltAutomaton, start, word) -> frozenset:
     """All subset-minimal state sets S with a run ``start -word-> S``."""
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
-    return _run_targets(aut._alt_index, start, word)
+    names, bit = _numbering(aut.states)
+    return _decoded(_run_targets(_mask_entries(aut.transitions, bit),
+                                 bit[start], word), names)

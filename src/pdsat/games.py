@@ -2,15 +2,37 @@
 
 Reachability games need a single least fixed point.  Parity games nest one
 fixed point per colour, greatest for even colours and least for odd ones,
-dispatched recursively; a Büchi game is the parity game with colour 0 on its
-designated controls and colour 1 elsewhere.  Winning-region automata use one
-state ``(p, i)`` per control ``p`` and fixed-point level ``i``, plus the
-universal state ``S_STAR`` and the bottom-accepting state ``S_BOT``.
+dispatched recursively (Cachat, ICALP 2002; Hague and Ong, CONCUR 2009); a
+Büchi game is the parity game with colour 0 on its designated controls and
+colour 1 elsewhere.  Winning-region automata use one state ``(p, i)`` per
+control ``p`` and fixed-point level ``i``, plus the universal state
+``S_STAR`` and the bottom-accepting state ``S_BOT``.
+
+A configuration with no move is lost for Éloïse, whoever owns it: a
+reachability game has it in the region only if the target accepts it, and
+a Büchi or parity game never has it there.  (``oracle.finite_game_region``
+refuses Büchi and parity games that have one.)
 
 All solvers run on one kernel.  It keeps the region as a mutable dict
 ``(state, symbol) -> antichain of target sets`` for the whole solve and builds
 the ``AltAutomaton`` once at the end.  The public ``pre_step``, ``project``
 and ``subsume`` apply the kernel's operations to a whole automaton.
+
+Inside the kernel a state is a bit and a target set an ``int`` mask:
+
+- Each solve numbers its states once, and the numbering dies with it.  For
+  parity and Büchi, ``S_STAR`` is bit 0, ``S_BOT`` bit 1 and ``(p, level)``
+  bit ``2 + level * n + index of p`` for ``n`` controls, so moving level
+  L + 1 down onto L is ``(m & ~hi) | ((m & hi) >> n)`` with ``hi`` the
+  mask of level L + 1, and an entry none of whose targets is renamed is
+  one whose masks all miss ``hi``.  A reachability game numbers the
+  target's states; ``pre_step`` numbers its own automaton's.  Masks are
+  decoded once, where the ``AltAutomaton`` is built.
+- A subset test is ``r & s == r``.  Antichains and minimal unions are the
+  mask functions of ``automata`` (``_antichain``, ``_fold``), which the
+  public frozenset ``antichain`` and ``alt_run_targets`` wrap.  A fold of
+  Abelard's choices keeps a partial union x alone as soon as some choice
+  y lies within it (absorption): x | y = x lies within every x | y'.
 
 A parity round costs what its own level changed:
 
@@ -37,7 +59,10 @@ so a reused one equals the one it stands for.  Renaming the top level's
 moves would be a no-op, because no target is at the level above the top,
 and the moves are antichains already.  Below the top, every entry is an
 antichain, so an entry none of whose targets was renamed is one as it
-stands, and only the others are cut again.
+stands, and only the others are cut again.  Masks and absorption change
+only how each iterate is computed: a set of target sets has one antichain
+form whatever the order it is built in, so each entry, decoded, is the one
+the round loop computes.
 """
 
 from __future__ import annotations
@@ -46,8 +71,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import (AltAutomaton, S_BOT, S_STAR, _alt_entries,
-                       _minimal_unions, _run_targets, alt_membership,
-                       antichain)
+                       _antichain, _fold, _mask_entries, _members,
+                       _numbering, _run_targets, alt_membership)
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
 
@@ -130,6 +155,25 @@ def _automaton(states, alphabet, finals, entries) -> AltAutomaton:
                                   for targets in sets))
 
 
+def _decoded_automaton(names, states, alphabet, finals, entries) -> AltAutomaton:
+    """The automaton of the kernel's mask ``entries``: each key ``(bit,
+    symbol)`` and each target mask decoded through ``names``.  The entries
+    are antichains, so the decoded ones are its ``_alt_index`` as they
+    stand, and are handed over with it."""
+    members, index = {}, {}
+    for (b, a), sets in entries.items():
+        decoded = []
+        for m in sets:
+            targets = members.get(m)
+            if targets is None:
+                targets = members[m] = _members(m, names)
+            decoded.append(targets)
+        index[(names[b], a)] = frozenset(decoded)
+    aut = _automaton(states, alphabet, finals, index)
+    aut.__dict__["_alt_index"] = index
+    return aut
+
+
 def subsume(aut: AltAutomaton) -> AltAutomaton:
     """Drop every transition whose target set strictly contains another
     target for the same source and symbol; languages are unchanged."""
@@ -146,9 +190,9 @@ def _rules_by_source(system: PushdownSystem):
 
 class _Memo:
     """The runs and moves of one solve, each with what it was computed
-    from: ``runs`` maps ``(state, pushed)`` to the run's targets and the
-    ``(key, value)`` of each entry it read, ``moves`` maps ``(p, A)`` to the
-    runs of the rules and the move made of them."""
+    from: ``runs`` maps ``(state, pushed)`` to the run's targets, the keys
+    of the entries it read and their values, ``moves`` maps ``(p, A)`` to
+    the runs of the rules and the move made of them."""
 
     __slots__ = ("runs", "moves")
 
@@ -162,11 +206,11 @@ def _moves(entries, states, owner, rules, entry_for, memo) -> dict:
     For every control p and top symbol A: an Éloïse control gets one target
     per rule and per minimal run of the rule's pushed word; an Abelard
     control gets the minimal unions of one run target per rule.
-    ``entry_for(p, q)`` names the state standing for the successor control
-    ``q`` when moving from ``p``; runs read ``entries`` and start only from
-    ``states``.  From the ``_Memo``, a run is computed again only when an
-    entry it read no longer compares equal, and a move only when a run of
-    one of its rules does.
+    ``entry_for(p, q)`` is the bit of the state standing for the successor
+    control ``q`` when moving from ``p``; runs read the mask ``entries`` and
+    start only from the bits in ``states``.  From the ``_Memo``, a run is
+    computed again only when an entry it read no longer compares equal, and
+    a move only when a run of one of its rules does.
     """
     runs = {}  # (state, pushed) -> minimal run targets, shared by the rules
     moves = {}
@@ -181,9 +225,9 @@ def _moves(entries, states, owner, rules, entry_for, memo) -> dict:
         last = memo.moves.get((p, a))
         if last is None or last[0] != per_rule:
             if owner[p] == ELOISE:
-                sets = antichain(frozenset().union(*per_rule))
+                sets = _antichain(m for masks in per_rule for m in masks)
             else:
-                sets = _minimal_unions(per_rule)  # empty if Abelard escapes
+                sets = _fold(per_rule)  # empty if Abelard escapes
             memo.moves[(p, a)] = last = (per_rule, sets)
         if last[1]:
             moves[(p, a)] = last[1]
@@ -195,12 +239,12 @@ def _run(entries, key, memo):
     ``entries``, reused from ``memo`` while each entry it read still
     compares equal: a run is a function of the entries it reads."""
     hit = memo.runs.get(key)
-    if hit is not None and all(entries.get(k) is v or entries.get(k) == v
-                               for k, v in hit[1]):
+    # tuples compare item by item, each by identity first
+    if hit is not None and tuple(map(entries.get, hit[1])) == hit[2]:
         return hit[0]
     reads = {}
     targets = _run_targets(entries, *key, reads)
-    memo.runs[key] = (targets, tuple(reads.items()))
+    memo.runs[key] = (targets, tuple(reads), tuple(reads.values()))
     return targets
 
 
@@ -226,23 +270,32 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     if cond.target.alphabet != game.pds.alphabet:
         raise InvalidInputError("target alphabet differs from the game alphabet")
 
+    # The target's states are bits 0.. in some order; an embedded state
+    # that is not one of them gets a bit after them, and no run starts
+    # there.
     target, rules = cond.target, _rules_by_source(game.pds)
-    entries = _alt_entries(target.transitions)
+    names, bit = _numbering(target.states)
+    for s in embedded - target.states:
+        bit[s] = len(names)
+        names.append(s)
+    entries = _mask_entries(target.transitions, bit)
+    entry = {q: bit[s] for q, s in embed.items()}
     memo = _Memo()
     changed = True
     while changed:
         grown = defaultdict(set)
-        for (p, a), sets in _moves(entries, target.states, game.owner, rules,
-                                   lambda p, q: embed[q], memo).items():
-            grown[(embed[p], a)] |= sets
+        for (p, a), sets in _moves(entries, range(len(target.states)),
+                                   game.owner, rules,
+                                   lambda p, q: entry[q], memo).items():
+            grown[(entry[p], a)] |= sets
         changed = False
         for key, sets in grown.items():
-            sets = antichain(sets | entries.get(key, frozenset()))
+            sets = _antichain(sets | entries.get(key, frozenset()))
             if sets != entries.get(key):
                 entries[key] = sets
                 changed = True
-    return RegionAutomaton(
-        _automaton(target.states, target.alphabet, target.finals, entries), embed)
+    return RegionAutomaton(_decoded_automaton(
+        names, target.states, target.alphabet, target.finals, entries), embed)
 
 
 # ---------------------------------------------------------------------------
@@ -297,36 +350,29 @@ def pre_step(aut: AltAutomaton, game: PushdownGame, fresh_idx, colour_of) -> Alt
     colour of the source control, per the fixed-point formula: a
     configuration of colour c must step into the variable of colour c.
     """
-    moves = _moves(_alt_entries(aut.transitions), aut.states, game.owner,
-                   _rules_by_source(game.pds), lambda p, q: (q, colour_of[p]),
-                   _Memo())
+    names, bit = _numbering(aut.states)
+    # a successor state that is not one of aut's gets bit -1, outside
+    # ``states``: no run starts there
+    moves = _moves(_mask_entries(aut.transitions, bit), range(len(names)),
+                   game.owner, _rules_by_source(game.pds),
+                   lambda p, q: bit.get((q, colour_of[p]), -1), _Memo())
     transitions = set(aut.transitions)
-    transitions.update(((p, fresh_idx), a, targets)
-                       for (p, a), sets in moves.items() for targets in sets)
+    transitions.update(((p, fresh_idx), a, _members(m, names))
+                       for (p, a), sets in moves.items() for m in sets)
     states = aut.states | {(p, fresh_idx) for p in game.pds.controls}
     return AltAutomaton(states, aut.alphabet, aut.finals,
                         frozenset(transitions))
 
 
-def _full_value(system: PushdownSystem, level, states) -> dict:
-    """Entries giving a fresh even level the largest value: in subsumed
-    form, one singleton target per non-bottom state, plus the bottom entry
-    into S_BOT."""
-    top = frozenset(frozenset({s}) for s in states if s is not S_BOT)
-    bottom = frozenset({frozenset({S_BOT})})
-    return {((p, level), a): bottom if a == system.bottom else top
-            for p in system.controls for a in system.alphabet}
-
-
-def _renamed(sets, rename):
-    """An entry moved down a level: ``rename`` applied inside its target
-    sets.  Every entry is an antichain, so it is cut again only when a
-    target was renamed."""
-    if sets is None or all(rename.keys().isdisjoint(targets)
-                           for targets in sets):
+def _lowered(sets, hi, n):
+    """An entry moved down a level: the bits of ``hi``, the level above's,
+    shifted ``n`` down onto this level's inside its target masks.  Every
+    entry is an antichain, so it is cut again only when a target was
+    renamed."""
+    if sets is None or all(m & hi == 0 for m in sets):
         return sets
-    return antichain(frozenset(rename.get(t, t) for t in targets)
-                     for targets in sets)
+    lo = ~hi
+    return _antichain((m & lo) | ((m & hi) >> n) for m in sets)
 
 
 def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
@@ -343,12 +389,24 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     by_colour = defaultdict(dict)  # colour -> rules of the controls of it
     for (p, a), applicable in _rules_by_source(system).items():
         by_colour[colour_of[p]][(p, a)] = applicable
-    # each level's entry keys ((p, level), A), in the order of ``pairs``
-    pairs = [(p, a) for p in system.controls for a in system.alphabet]
-    keys = [[((p, level), a) for p, a in pairs]
+    # The bit layout: S_STAR is bit 0, S_BOT bit 1, (p, level) bit
+    # 2 + level * n + index of p.
+    controls, n = list(system.controls), len(system.controls)
+    index = {p: i for i, p in enumerate(controls)}
+    names = [S_STAR, S_BOT] + [(p, level) for level in range(max_colour + 1)
+                               for p in controls]
+    live = range(len(names))
+
+    def bit(p, level):
+        return 2 + level * n + index[p]
+
+    # each level's entry keys (bit of (p, level), A), in the order of ``pairs``
+    pairs = [(p, a) for p in controls for a in system.alphabet]
+    keys = [[(bit(p, level), a) for p, a in pairs]
             for level in range(max_colour + 1)]
     base = _initial_region_automaton(system)
-    states, entries = set(base.states), _alt_entries(base.transitions)
+    entries = _mask_entries(base.transitions, {S_STAR: 0, S_BOT: 1})
+    bottom = frozenset((1 << 1,))  # the bottom entry into S_BOT
     known = {}  # colour c -> moves of its controls, whose runs start at level c
     memo = _Memo()
 
@@ -364,11 +422,15 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
         Each round solves level + 1 and projects it back or, at the top,
         takes one game-predecessor step; only this level's entries change,
         and an entry that compares equal is kept as it is."""
-        states.update((p, level) for p in system.controls)
         if level % 2 == 0:
-            entries.update(_full_value(system, level, states))
+            # in antichain form, one singleton target per state of a level
+            # <= this one but S_BOT, and the bottom entry into S_BOT
+            top = frozenset(1 << b for b in range(2 + (level + 1) * n)
+                            if b != 1)
+            entries.update((key, bottom if key[1] == system.bottom else top)
+                           for key in keys[level])
         forget(level)
-        rename = {(p, level + 1): (p, level) for p in system.controls}
+        hi = ((1 << n) - 1) << (2 + (level + 1) * n)  # level + 1's bits
         while True:
             if level == max_colour:
                 # A run from level c reads levels <= c only, so no target
@@ -377,15 +439,14 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
                 moves = {}
                 for c, rules in by_colour.items():
                     if c not in known:
-                        known[c] = _moves(entries, states, game.owner, rules,
-                                          lambda p, q: (q, c), memo)
+                        known[c] = _moves(entries, live, game.owner, rules,
+                                          lambda p, q: bit(q, c), memo)
                     moves.update(known[c])
                 values = [moves.get(pair) for pair in pairs]
             else:
                 fix(level + 1)
-                values = [_renamed(entries.pop(key, None), rename)
+                values = [_lowered(entries.pop(key, None), hi, n)
                           for key in keys[level + 1]]
-                states.difference_update(rename)
             changed = False
             for key, new in zip(keys[level], values):
                 old = entries.get(key)
@@ -401,8 +462,9 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
 
     fix(0)
     return RegionAutomaton(
-        _automaton(states, system.alphabet, base.finals, entries),
-        {p: (p, 0) for p in system.controls})
+        _decoded_automaton(names, names[:2 + n], system.alphabet,
+                           base.finals, entries),
+        {p: (p, 0) for p in controls})
 
 
 def solve_buchi_game(game: PushdownGame) -> RegionAutomaton:

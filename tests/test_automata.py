@@ -6,9 +6,11 @@ import pytest
 
 from conftest import make_rng
 from pdsat import InvalidInputError
-from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _minimal_unions,
-                            _saturated, alt, alt_membership, alt_run_targets,
-                            antichain, eps_closure, nfa, nfa_accepts,
+from pdsat.automata import (_PLAIN_ANTICHAIN, EPS, AltAutomaton, Language,
+                            Nfa, _antichain, _fold, _mask_entries,
+                            _minimal_unions, _run_targets, _saturated, alt,
+                            alt_membership, alt_run_targets, antichain,
+                            eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
 from reference import product_intersect, relabel, reverse
 
@@ -317,6 +319,92 @@ def test_folded_run_targets_match_product_reference():
                    for _ in range(rng.randint(1, 4))]
         assert _minimal_unions(options) == minimal(
             {frozenset().union(*combo) for combo in itertools.product(*options)})
+
+
+# The mask kernel against the references above, on masks whose bit i
+# stands for state i.
+
+
+def bits_of(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def mask_of(states):
+    return sum(1 << i for i in states)
+
+
+def random_masks(rng, count, width, max_bits):
+    return [mask_of(rng.sample(range(width), rng.randint(1, max_bits)))
+            for _ in range(count)]
+
+
+def test_mask_antichain_matches_minimal():
+    rng = make_rng(710)
+    cut = _PLAIN_ANTICHAIN
+    inputs = [[], [0], [0, 5, 3], [7, 7, 7], [1 << 100, 1 << 100 | 1, 1 << 100]]
+    for width in (6, 20, 90):  # 90 bits: wider than a machine word
+        for count in (2, cut - 1, cut, cut + 1, 3 * cut, 60):
+            for _ in range(10):
+                masks = random_masks(rng, count, width, 4)
+                inputs.append(masks)
+                inputs.append(masks + masks[:count // 2])  # duplicates
+                inputs.append(masks + [0])  # the empty set dominates
+        # all singletons: the shape of an even level's full value
+        inputs.append([1 << b for b in range(width)])
+        inputs.append([1 << b for b in range(width)] + random_masks(
+            rng, 20, width, 3))
+        # nested chains, in both orders, with repeats
+        chain = [mask_of(range(k, width)) for k in range(width)]
+        inputs += [chain, chain[::-1], chain + chain[::3]]
+    for masks in inputs:
+        want = minimal({bits_of(m) for m in masks})
+        got = _antichain(masks)
+        assert {bits_of(m) for m in got} == want, masks
+        assert len(got) == len(want)
+
+
+def test_absorbing_fold_matches_product_reference():
+    rng = make_rng(711)
+    for width in (6, 20, 90):
+        for _ in range(150):
+            options = [_antichain(random_masks(rng, rng.randint(0, 5),
+                                               width, 3))
+                       for _ in range(rng.randint(0, 4))]
+            if options and options[0] and rng.random() < 0.5:
+                # a choice within one of the first option's absorbs it
+                m = rng.choice(sorted(options[0]))
+                options.append(_antichain(
+                    [m & -m, mask_of(rng.sample(range(width), 2))]))
+            want = minimal({frozenset().union(*map(bits_of, combo))
+                            for combo in itertools.product(*options)})
+            assert {bits_of(m) for m in _fold(options)} == want, options
+
+
+def test_mask_run_targets_match_product_reference():
+    rng = make_rng(712)
+    for i in range(120):
+        states = list(range(6))
+        transitions = {(rng.choice(states), rng.choice("ab"),
+                        frozenset(rng.sample(states, rng.randint(1, 3))))
+                       for _ in range(rng.randint(6, 16))}
+        aut = AltAutomaton(frozenset(states), frozenset("ab"),
+                           frozenset({0}), frozenset(transitions))
+        # bits spread past 64, in an order unrelated to the states' own
+        bit = {s: 7 + 13 * ((5 * s) % 6) for s in states}
+        name = {b: s for s, b in bit.items()}
+        index = _mask_entries(aut.transitions, bit)
+        for word in itertools.chain.from_iterable(
+                itertools.product("ab", repeat=k) for k in range(4)):
+            for start in (0, 1):
+                reads = {}
+                got = _run_targets(index, bit[start], word, reads)
+                assert {frozenset(name[b] for b in bits_of(m))
+                        for m in got} == \
+                    product_run_targets(aut, start, word), (aut, start, word)
+                # the targets are a function of the entries read
+                assert _run_targets({k: v for k, v in reads.items()
+                                     if v is not None},
+                                    bit[start], word) == got
 
 
 def test_alt_rejects_empty_target_set():

@@ -362,6 +362,69 @@ def test_deeper_nests_match_round_loop_references():
             (system, owner, finals)
 
 
+def renamed_condition(cond, rename):
+    target = cond.target
+    aut = AltAutomaton(
+        frozenset(rename[s] for s in target.states), target.alphabet,
+        frozenset(rename[s] for s in target.finals),
+        frozenset((rename[s], a, frozenset(rename[t] for t in ts))
+                  for s, a, ts in target.transitions))
+    return ReachabilityCondition(
+        aut, {p: rename[s] for p, s in cond.embed.items()})
+
+
+def test_target_state_names_never_meet_bit_positions():
+    # The kernel numbers the target's states; names that are ints, that are
+    # the parity layout's own sentinels, or that look like its (p, level)
+    # states must give the same region as any other names.
+    rng = make_rng(52)
+    for i in range(25):
+        system, owner = random_total_game(rng, n_controls=3)
+        cond = random_reachability_condition(rng, system, n_extra=3,
+                                             n_trans=6)
+        states = sorted(cond.target.states, key=repr)
+        shuffled = rng.sample(range(len(states)), len(states))
+        schemes = [
+            dict(zip(states, shuffled)),  # ints, in shuffled order
+            dict(zip(states, [S_BOT, S_STAR] + [("s", k) for k in
+                                                range(len(states) - 2)])),
+            {s: (repr(s), 7) if k % 2 else (7, repr(s))
+             for k, s in enumerate(states)},
+        ]
+        expected = solve_reachability_game(PushdownGame(system, owner, cond))
+        for rename in schemes:
+            game = PushdownGame(system, owner, renamed_condition(cond, rename))
+            region = solve_reachability_game(game)
+            assert region.aut == reference_reachability(game), (system, rename)
+            for c in configurations_upto(system, 3):
+                assert region_member(region, c) == region_member(expected, c)
+
+
+def test_stuck_configurations_are_lost_for_eloise():
+    # Abelard's q has no rule on A.  Every play that does not get stuck
+    # stays in colour 0 or the Büchi set, so Éloïse wins it; a configuration
+    # with no move is lost for her, whoever owns it.
+    system = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
+                 rules=[("p", "A", "p", ("A",)), ("p", "_", "q", ("A", "_")),
+                        ("q", "_", "q", ("_",))])
+    for owner in ({"p": ELOISE, "q": ABELARD}, {"p": ELOISE, "q": ELOISE}):
+        for cond in (ParityCondition({"p": 0, "q": 0}, 0),
+                     ParityCondition({"p": 2, "q": 0}, 3),
+                     BuchiCondition(frozenset({"p", "q"}))):
+            game = PushdownGame(system, owner, cond)
+            solve = (solve_buchi_game if isinstance(cond, BuchiCondition)
+                     else solve_parity_game)
+            region = solve(game)
+            assert region_member(region, Configuration("p", ("A", "_")))
+            assert region_member(region, Configuration("q", ("_",)))
+            assert not region_member(region, Configuration("q", ("A", "_")))
+            # p at the bottom moves only into the stuck (q, A _)
+            assert not region_member(region, Configuration("p", ("_",)))
+            # the oracle refuses a game with a stuck configuration
+            with pytest.raises(InvalidInputError, match="stuck"):
+                bracket_region(game, 3)
+
+
 def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
     def parity_game(seed):
         rng = make_rng(seed)
