@@ -310,9 +310,18 @@ class AltAutomaton:
     @cached_property
     def _alt_index(self):
         """dict (state, symbol) -> antichain of target sets, cached as
-        ``Nfa``'s indexes are; a game solver's result gets it when it is
-        built (see ``games._decoded_automaton``)."""
+        ``Nfa``'s indexes are."""
         return _alt_entries(self.transitions)
+
+    @cached_property
+    def _mask_index(self):
+        """``(names, bit, entries)``: the states numbered densely, and
+        ``_alt_index`` over that numbering, ``(bit of state, symbol) ->
+        antichain of target masks``, as ``_run_targets`` reads it."""
+        names, bit = _numbering(self.states)
+        entries = {(bit[s], a): frozenset(_mask(t, bit) for t in sets)
+                   for (s, a), sets in self._alt_index.items()}
+        return names, bit, entries
 
     @cached_property
     def _alt_by_symbol(self):
@@ -375,17 +384,6 @@ def antichain(sets):
     return frozenset(by_mask[m] for m in _antichain(by_mask))
 
 
-def _minimal_unions(options):
-    """The minimal unions of one set from each of ``options``, each an
-    antichain of frozensets; empty if some option is empty.  The mask
-    ``_fold`` over a numbering of their members."""
-    options = [list(sets) for sets in options]
-    names, bit = _numbering(frozenset().union(*(s for sets in options
-                                                for s in sets)))
-    return _decoded(_fold([_mask(s, bit) for s in sets] for sets in options),
-                    names)
-
-
 # The mask kernel.  A caller numbers its states densely and writes each set
 # of states as an ``int`` whose bit ``i`` stands for state ``names[i]``, so a
 # subset test is ``r & s == r`` and a union is ``r | s``.
@@ -426,38 +424,23 @@ def _mask_entries(transitions, bit) -> dict:
     return {key: _antichain(masks) for key, masks in grouped.items()}
 
 
-# Below this many candidates the plain loop beats the buckets' bookkeeping.
-_PLAIN_ANTICHAIN = 8
-
-
 def _antichain(masks) -> frozenset:
     """The subset-minimal masks of an iterable of masks.
 
     Candidates are taken smallest first, so a kept mask is never dominated
-    later.  Past a few candidates, the kept masks are bucketed by their
-    lowest bit: a kept subset of a candidate has its lowest bit among the
-    candidate's bits, so only those buckets are searched.  The empty mask
-    ``0`` has no lowest bit, and dominates everything, so it is settled
-    first.
+    later.  The kept masks are bucketed by their lowest bit: a kept subset
+    of a candidate has its lowest bit among the candidate's bits, so only
+    those buckets are searched.  The empty mask ``0`` has no lowest bit,
+    and dominates everything, so it is settled first.
     """
     masks = set(masks)
     if len(masks) < 2:
         return frozenset(masks)
     if 0 in masks:
         return frozenset((0,))
-    order = sorted(masks, key=int.bit_count)
-    if len(order) <= _PLAIN_ANTICHAIN:
-        kept = []
-        for m in order:
-            for r in kept:
-                if r & m == r:
-                    break
-            else:
-                kept.append(m)
-        return frozenset(kept)
     buckets = {}  # lowest bit -> the kept masks with that lowest bit
     lows = 0  # the bits that have a bucket
-    for m in order:
+    for m in sorted(masks, key=int.bit_count):
         rest = m & lows
         while rest:
             low = rest & -rest
@@ -537,6 +520,5 @@ def alt_run_targets(aut: AltAutomaton, start, word) -> frozenset:
     """All subset-minimal state sets S with a run ``start -word-> S``."""
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
-    names, bit = _numbering(aut.states)
-    return _decoded(_run_targets(_mask_entries(aut.transitions, bit),
-                                 bit[start], word), names)
+    names, bit, entries = aut._mask_index
+    return _decoded(_run_targets(entries, bit[start], word), names)

@@ -157,9 +157,7 @@ def _automaton(states, alphabet, finals, entries) -> AltAutomaton:
 
 def _decoded_automaton(names, states, alphabet, finals, entries) -> AltAutomaton:
     """The automaton of the kernel's mask ``entries``: each key ``(bit,
-    symbol)`` and each target mask decoded through ``names``.  The entries
-    are antichains, so the decoded ones are its ``_alt_index`` as they
-    stand, and are handed over with it."""
+    symbol)`` and each target mask decoded through ``names``."""
     members, index = {}, {}
     for (b, a), sets in entries.items():
         decoded = []
@@ -169,9 +167,7 @@ def _decoded_automaton(names, states, alphabet, finals, entries) -> AltAutomaton
                 targets = members[m] = _members(m, names)
             decoded.append(targets)
         index[(names[b], a)] = frozenset(decoded)
-    aut = _automaton(states, alphabet, finals, index)
-    aut.__dict__["_alt_index"] = index
-    return aut
+    return _automaton(states, alphabet, finals, index)
 
 
 def subsume(aut: AltAutomaton) -> AltAutomaton:

@@ -6,10 +6,10 @@ import pytest
 
 from conftest import make_rng
 from pdsat import InvalidInputError
-from pdsat.automata import (_PLAIN_ANTICHAIN, EPS, AltAutomaton, Language,
-                            Nfa, _antichain, _fold, _mask_entries,
-                            _minimal_unions, _run_targets, _saturated, alt,
-                            alt_membership, alt_run_targets, antichain,
+from pdsat import automata
+from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _antichain,
+                            _fold, _mask_entries, _run_targets, _saturated,
+                            alt, alt_membership, alt_run_targets, antichain,
                             eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
 from reference import product_intersect, relabel, reverse
@@ -313,12 +313,28 @@ def test_folded_run_targets_match_product_reference():
             for start in (0, 1):
                 assert alt_run_targets(aut, start, word) == \
                     product_run_targets(aut, start, word), (aut, start, word)
-        # the same fold gives Abelard's minimal unions over the rules
-        options = [minimal({frozenset(rng.sample(states, rng.randint(1, 3)))
-                            for _ in range(rng.randint(0, 4))})
-                   for _ in range(rng.randint(1, 4))]
-        assert _minimal_unions(options) == minimal(
-            {frozenset().union(*combo) for combo in itertools.product(*options)})
+
+
+def test_run_targets_queries_build_one_index(monkeypatch):
+    def make():
+        return alt(alphabet="ab", finals=[2],
+                   transitions=[(0, "a", {1, 2}), (0, "a", {1}),
+                                (1, "b", {2}), (2, "b", {2})])
+
+    aut = make()
+    first = alt_run_targets(aut, 0, "ab")
+    assert first == frozenset({frozenset({2})})
+
+    def build_index(*args):
+        raise AssertionError("a query built a second index")
+
+    for name in ("_numbering", "_mask", "_alt_entries"):
+        monkeypatch.setattr(automata, name, build_index)
+    with pytest.raises(AssertionError):
+        alt_run_targets(make(), 0, "ab")  # an equal automaton, unindexed
+    for word in ("ab", "a", "", "abb"):
+        assert alt_run_targets(aut, 0, word) == \
+            product_run_targets(aut, 0, word)
 
 
 # The mask kernel against the references above, on masks whose bit i
@@ -340,10 +356,9 @@ def random_masks(rng, count, width, max_bits):
 
 def test_mask_antichain_matches_minimal():
     rng = make_rng(710)
-    cut = _PLAIN_ANTICHAIN
     inputs = [[], [0], [0, 5, 3], [7, 7, 7], [1 << 100, 1 << 100 | 1, 1 << 100]]
     for width in (6, 20, 90):  # 90 bits: wider than a machine word
-        for count in (2, cut - 1, cut, cut + 1, 3 * cut, 60):
+        for count in (2, 5, 9, 24, 60):
             for _ in range(10):
                 masks = random_masks(rng, count, width, 4)
                 inputs.append(masks)
