@@ -308,29 +308,27 @@ class AltAutomaton:
                     f"target set must be a non-empty subset of states: {targets!r}")
 
     @cached_property
-    def _alt_index(self):
-        """dict (state, symbol) -> antichain of target sets, cached as
-        ``Nfa``'s indexes are."""
-        return _alt_entries(self.transitions)
-
-    @cached_property
     def _mask_index(self):
         """``(names, bit, entries)``: the states numbered densely, and
-        ``_alt_index`` over that numbering, ``(bit of state, symbol) ->
-        antichain of target masks``, as ``_run_targets`` reads it."""
+        ``entries`` mapping each ``(bit of state, symbol)`` with a
+        transition to the antichain of its target masks, as ``_run_targets``
+        reads it.  A game solver's result is handed the numbering and
+        entries the solve ran over (see ``games``), so that no query
+        builds them again."""
         names, bit = _numbering(self.states)
-        entries = {(bit[s], a): frozenset(_mask(t, bit) for t in sets)
-                   for (s, a), sets in self._alt_index.items()}
-        return names, bit, entries
+        return names, bit, _mask_entries(self.transitions, bit)
 
     @cached_property
-    def _alt_by_symbol(self):
-        """dict symbol -> [(state, antichain of target sets)], the entries
-        of ``_alt_index`` grouped by symbol."""
+    def _mask_by_symbol(self):
+        """``(finals mask, dict symbol -> [(state, target mask)])``: the
+        entries of ``_mask_index`` grouped by symbol, one pair per target
+        mask, each state given as its mask ``1 << bit``, as
+        ``alt_membership`` reads them."""
+        _, bit, entries = self._mask_index
         index = defaultdict(list)
-        for (s, a), sets in self._alt_index.items():
-            index[a].append((s, sets))
-        return dict(index)
+        for (b, a), masks in entries.items():
+            index[a].extend((1 << b, m) for m in masks)
+        return _mask(self.finals, bit), dict(index)
 
 
 def alt(states=(), alphabet=(), finals=(), transitions=()) -> AltAutomaton:
@@ -356,21 +354,27 @@ def _alt_entries(transitions, minimal=True) -> dict:
 def alt_membership(aut: AltAutomaton, start, word) -> bool:
     """True iff there is an accepting run over ``word`` from ``start``.
 
-    Evaluated backwards: a state accepts a suffix iff some transition on its
-    first symbol leads into a set of states all accepting the remainder; so
-    each step looks only at the states with an entry on its symbol.
+    Evaluated backwards over the masks of ``_mask_index``: the set of
+    states accepting the suffix read so far starts as the finals, and a
+    state accepts one more symbol iff one of its target masks on that
+    symbol lies within the set.  Every target set is non-empty, so once
+    the set is empty no state accepts a longer suffix.
     """
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
     for a in word:
         if a not in aut.alphabet:
             raise InvalidInputError(f"unknown symbol: {a!r}")
-    by_symbol = aut._alt_by_symbol
-    good = set(aut.finals)
+    good, by_symbol = aut._mask_by_symbol
     for a in reversed(word):
-        good = {s for s, sets in by_symbol.get(a, ())
-                if any(targets <= good for targets in sets)}
-    return start in good
+        accepting = 0
+        for state, m in by_symbol.get(a, ()):
+            if m & good == m:
+                accepting |= state
+        if not accepting:
+            return False
+        good = accepting
+    return good >> aut._mask_index[1][start] & 1 == 1
 
 
 def antichain(sets):

@@ -26,8 +26,10 @@ Inside the kernel a state is a bit and a target set an ``int`` mask:
   L + 1 down onto L is ``(m & ~hi) | ((m & hi) >> n)`` with ``hi`` the
   mask of level L + 1, and an entry none of whose targets is renamed is
   one whose masks all miss ``hi``.  A reachability game numbers the
-  target's states; ``pre_step`` numbers its own automaton's.  Masks are
-  decoded once, where the ``AltAutomaton`` is built.
+  target's states; ``pre_step`` numbers its own automaton's.  The
+  ``AltAutomaton`` a solver returns decodes the masks into its transitions
+  once, and keeps the kernel's numbering and masks as the index its
+  queries read (``alt_membership``, ``alt_run_targets``).
 - A subset test is ``r & s == r``.  Antichains and minimal unions are the
   mask functions of ``automata`` (``_antichain``, ``_fold``), which the
   public frozenset ``antichain`` and ``alt_run_targets`` wrap.  A fold of
@@ -155,9 +157,13 @@ def _automaton(states, alphabet, finals, entries) -> AltAutomaton:
                                   for targets in sets))
 
 
-def _decoded_automaton(names, states, alphabet, finals, entries) -> AltAutomaton:
-    """The automaton of the kernel's mask ``entries``: each key ``(bit,
-    symbol)`` and each target mask decoded through ``names``."""
+def _decoded_automaton(names, bit, alphabet, finals, entries) -> AltAutomaton:
+    """The automaton over the states ``names``, numbered by ``bit``, of the
+    kernel's mask ``entries``: each key ``(bit, symbol)`` and each target
+    mask decoded through ``names``.  The result keeps ``(names, bit,
+    entries)`` as its ``_mask_index``, so its queries build no index:
+    each entry must be an antichain, and none of the three may change
+    after."""
     members, index = {}, {}
     for (b, a), sets in entries.items():
         decoded = []
@@ -167,7 +173,9 @@ def _decoded_automaton(names, states, alphabet, finals, entries) -> AltAutomaton
                 targets = members[m] = _members(m, names)
             decoded.append(targets)
         index[(names[b], a)] = frozenset(decoded)
-    return _automaton(states, alphabet, finals, index)
+    aut = _automaton(names, alphabet, finals, index)
+    aut.__dict__["_mask_index"] = (names, bit, entries)
+    return aut
 
 
 def subsume(aut: AltAutomaton) -> AltAutomaton:
@@ -267,8 +275,8 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
         raise InvalidInputError("target alphabet differs from the game alphabet")
 
     # The target's states are bits 0.. in some order; an embedded state
-    # that is not one of them gets a bit after them, and no run starts
-    # there.
+    # that is not one of them gets a bit after them, and is a state of the
+    # region too.
     target, rules = cond.target, _rules_by_source(game.pds)
     names, bit = _numbering(target.states)
     for s in embedded - target.states:
@@ -280,7 +288,7 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     changed = True
     while changed:
         grown = defaultdict(set)
-        for (p, a), sets in _moves(entries, range(len(target.states)),
+        for (p, a), sets in _moves(entries, range(len(names)),
                                    game.owner, rules,
                                    lambda p, q: entry[q], memo).items():
             grown[(entry[p], a)] |= sets
@@ -291,7 +299,7 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
                 entries[key] = sets
                 changed = True
     return RegionAutomaton(_decoded_automaton(
-        names, target.states, target.alphabet, target.finals, entries), embed)
+        names, bit, target.alphabet, target.finals, entries), embed)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +466,9 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
 
     fix(0)
     return RegionAutomaton(
-        _decoded_automaton(names, names[:2 + n], system.alphabet,
+        # only level 0's entries and S_STAR's are left, and they target
+        # nothing above level 0
+        _decoded_automaton(*_numbering(names[:2 + n]), system.alphabet,
                            base.finals, entries),
         {p: (p, 0) for p in controls})
 

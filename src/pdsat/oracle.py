@@ -166,9 +166,11 @@ def _regions(g: BoundedGraph, condition, sink_winners):
     depends on ``condition`` (a reachability game's target set, the
     colours) is computed once for all of them."""
     if isinstance(condition, ReachabilityCondition):
+        aut, embed = condition.target, condition.embed
+        # an embedded state that is not one of the target's accepts nothing
         target = {n for n in g.nodes
-                  if n is not SINK and alt_membership(
-                      condition.target, condition.embed[n.control], n.stack)}
+                  if n is not SINK and embed[n.control] in aut.states
+                  and alt_membership(aut, embed[n.control], n.stack)}
         return [attractor(g.nodes, g.edges, g.owner,
                           target | {SINK} if winner == ELOISE else target,
                           ELOISE)

@@ -2,8 +2,10 @@
 pdsat against: each is the textbook definition, built in full, with no
 pruning."""
 
+from collections import defaultdict
+
 from pdsat import InvalidInputError
-from pdsat.automata import EPS, Nfa, eps_closure
+from pdsat.automata import EPS, AltAutomaton, Nfa, eps_closure
 
 
 def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
@@ -46,6 +48,25 @@ def relabel(aut: Nfa, mapping) -> Nfa:
     transitions = frozenset(
         (s, a if a is EPS else mapping(a), t) for s, a, t in aut.transitions)
     return Nfa(aut.states, alphabet, aut.finals, transitions)
+
+
+def alt_membership_sets(aut: AltAutomaton, start, word) -> bool:
+    """``alt_membership`` by backward evaluation over frozensets: the states
+    accepting the empty suffix are the finals, and a state accepts ``a·w``
+    iff one of its transitions on ``a`` leads into a set of states all
+    accepting ``w``."""
+    if start not in aut.states:
+        raise InvalidInputError(f"unknown state: {start!r}")
+    for a in word:
+        if a not in aut.alphabet:
+            raise InvalidInputError(f"unknown symbol: {a!r}")
+    by_symbol = defaultdict(list)
+    for s, a, targets in aut.transitions:
+        by_symbol[a].append((s, targets))
+    good = set(aut.finals)
+    for a in reversed(word):
+        good = {s for s, targets in by_symbol[a] if targets <= good}
+    return start in good
 
 
 def deriv_member_pairwise(rel, w1, w2) -> bool:

@@ -7,12 +7,13 @@ import pytest
 from conftest import make_rng
 from pdsat import InvalidInputError
 from pdsat import automata
-from pdsat.automata import (EPS, AltAutomaton, Language, Nfa, _antichain,
-                            _fold, _mask_entries, _run_targets, _saturated,
-                            alt, alt_membership, alt_run_targets, antichain,
-                            eps_closure, nfa, nfa_accepts,
+from pdsat.automata import (EPS, S_STAR, AltAutomaton, Language, Nfa,
+                            _antichain, _fold, _mask_entries, _run_targets,
+                            _saturated, alt, alt_membership, alt_run_targets,
+                            antichain, eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
-from reference import product_intersect, relabel, reverse
+from reference import (alt_membership_sets, product_intersect, relabel,
+                       reverse)
 
 
 def random_nfa(rng, n_states=4, alphabet=("a", "b"), n_trans=6, eps_frac=0.2):
@@ -251,6 +252,28 @@ def test_alt_membership_unread_symbol_and_empty_word():
     assert alt_membership(aut, 0, "ab")
 
 
+def test_alt_membership_matches_set_reference():
+    # "c" is read by no state but S_STAR, "d" by none at all; targets go
+    # through S_STAR, which accepts every word over "abc"
+    rng = make_rng(609)
+    words = [w for k in range(5) for w in itertools.product("abcd", repeat=k)]
+    for i in range(40):
+        states = list(range(rng.randint(1, 6))) + [S_STAR]
+        transitions = {(S_STAR, a, frozenset({S_STAR})) for a in "abc"}
+        for _ in range(rng.randint(0, 12)):
+            targets = frozenset(rng.sample(states, rng.randint(1, 3)
+                                           if len(states) > 2 else 1))
+            transitions.add((rng.choice(states[:-1]), rng.choice("ab"),
+                             targets))
+        finals = frozenset(rng.sample(states, rng.randint(0, len(states))))
+        aut = AltAutomaton(frozenset(states), frozenset("abcd"), finals,
+                           frozenset(transitions))
+        for start in states:
+            for word in words:
+                assert alt_membership(aut, start, word) == \
+                    alt_membership_sets(aut, start, word), (aut, start, word)
+
+
 def test_alt_membership_basic():
     aut = alt(alphabet="ab", finals=[1, 2],
               transitions=[(0, "a", {1, 2}), (1, "b", {1}), (2, "b", {2})])
@@ -328,7 +351,7 @@ def test_run_targets_queries_build_one_index(monkeypatch):
     def build_index(*args):
         raise AssertionError("a query built a second index")
 
-    for name in ("_numbering", "_mask", "_alt_entries"):
+    for name in ("_numbering", "_mask", "_mask_entries"):
         monkeypatch.setattr(automata, name, build_index)
     with pytest.raises(AssertionError):
         alt_run_targets(make(), 0, "ab")  # an equal automaton, unindexed
@@ -443,7 +466,8 @@ def test_equal_automata_keep_their_own_indexes():
         return alt(alphabet="ab", finals=[1], transitions=[(0, "a", {1, 2})])
 
     for index, make in (("_step_index", make_nfa), ("_eps_reach", make_nfa),
-                        ("_alt_index", make_alt)):
+                        ("_mask_index", make_alt),
+                        ("_mask_by_symbol", make_alt)):
         first, second = _equal_pair(make)
         assert getattr(first, index) is getattr(first, index)
         assert getattr(second, index) is not getattr(first, index)
@@ -461,6 +485,7 @@ def _query_fresh_automata(count, offset):
         game = alt(alphabet="ab", finals=[("f", i)],
                    transitions=[(0, "a", {("f", i)})])
         assert alt_membership(game, 0, "a")
+        assert "_mask_by_symbol" in game.__dict__
 
 
 def test_indexes_die_with_their_automata():

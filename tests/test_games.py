@@ -6,14 +6,15 @@ from conftest import (BOT, configurations_upto, make_rng,
                       random_reachability_condition, random_total_game)
 from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    ELOISE, InvalidInputError, ParityCondition, PushdownGame,
-                   ReachabilityCondition, alt_membership, dual_game, pds,
-                   prestar, region_member, singleton_view,
+                   ReachabilityCondition, alt, alt_membership, dual_game,
+                   pds, prestar, region_member, singleton_view,
                    solve_buchi_game, solve_parity_game,
                    solve_reachability_game, subsume)
-from pdsat import games
-from pdsat.automata import S_BOT, S_STAR
+from pdsat import automata, games
+from pdsat.automata import S_BOT, S_STAR, _alt_entries, _members
 from pdsat.games import _initial_region_automaton, pre_step, project
 from pdsat.oracle import bounded_nodes, bracket_region
+from reference import alt_membership_sets
 
 
 def loop_or_pop_game():
@@ -85,6 +86,15 @@ def test_reachability_game_hand_example():
     assert not region_member(region, Configuration("p", ("_",)))
 
 
+def agrees_with_set_reference(region, c):
+    """``region_member(region, c)``, asserted equal to the answer of the
+    frozenset evaluation on the same automaton."""
+    member = region_member(region, c)
+    assert member == alt_membership_sets(region.aut, region.entry[c.control],
+                                         c.stack), c
+    return member
+
+
 def test_reachability_game_brackets():
     rng = make_rng(41)
     for i in range(20):
@@ -94,9 +104,74 @@ def test_reachability_game_brackets():
         region = solve_reachability_game(game)
         under, over = bracket_region(game, 4)
         for c in bounded_nodes(system, 4):
-            member = region_member(region, c)
+            member = agrees_with_set_reference(region, c)
             assert not (under(c) and not member), (system, c)
             assert not (member and not over(c)), (system, c)
+
+
+def test_reachability_embedding_outside_the_target():
+    # p is embedded as "ep", which is not a state of the target: the region
+    # has it as a state all the same.  p wins by popping its As and moving
+    # to q at the bottom; a B loops forever.
+    system = pds(controls={"p", "q"}, alphabet={"A", "B", "_"}, bottom="_",
+                 rules=[("p", "_", "q", ("_",)), ("q", "_", "q", ("_",)),
+                        ("p", "A", "p", ()), ("q", "A", "q", ()),
+                        ("p", "B", "p", ("B",)), ("q", "B", "q", ("B",))])
+    target = alt(states={"eq", "f"}, alphabet={"A", "B", "_"}, finals={"f"},
+                 transitions=[("eq", "_", {"f"})])
+    cond = ReachabilityCondition(target, {"p": "ep", "q": "eq"})
+    for owner in (ELOISE, ABELARD):
+        game = PushdownGame(system, {"p": owner, "q": owner}, cond)
+        region = solve_reachability_game(game)
+        assert region.aut.states == {"ep", "eq", "f"}
+        assert region_member(region, Configuration("p", ("_",)))
+        assert region_member(region, Configuration("p", ("A", "A", "_")))
+        assert not region_member(region, Configuration("p", ("B", "_")))
+        under, over = bracket_region(game, 4)
+        for c in bounded_nodes(system, 4):
+            assert under(c) == agrees_with_set_reference(region, c) == over(c)
+
+
+def test_solved_regions_answer_queries_over_the_solvers_masks(monkeypatch):
+    # A solver hands its region the numbering and mask entries it solved
+    # over: the first query only groups its entries by symbol, and the
+    # second builds nothing at all.
+    rng = make_rng(53)
+    system, owner = random_total_game(rng, n_controls=3)
+    controls = sorted(system.controls)
+    colours = {p: rng.randint(0, 3) for p in controls}
+    solves = [(solve_reachability_game, random_reachability_condition(
+                  rng, system)),
+              (solve_buchi_game, BuchiCondition(frozenset(controls[:2]))),
+              (solve_parity_game, ParityCondition(colours, 3))]
+    nodes = bounded_nodes(system, 3)
+    for solve, cond in solves:
+        region = solve(PushdownGame(system, owner, cond))
+        handed = region.aut.__dict__["_mask_index"]  # there before any query
+        names, bit, entries = handed
+        assert set(names) == region.aut.states and len(names) == len(bit)
+        assert all(names[b] == s for s, b in bit.items())
+        assert {(names[b], a): frozenset(_members(m, names) for m in masks)
+                for (b, a), masks in entries.items()} == \
+            _alt_entries(region.aut.transitions)
+
+        def build_index(*args):
+            raise AssertionError("a query built an index")
+
+        with monkeypatch.context() as m:
+            for name in ("_numbering", "_alt_entries", "_mask_entries",
+                         "antichain", "_antichain"):
+                m.setattr(automata, name, build_index)
+            region_member(region, nodes[0])
+            built = dict(region.aut.__dict__)
+            assert built["_mask_index"] is handed
+            assert {k for k in built if k.startswith("_")} == \
+                {"_mask_index", "_mask_by_symbol"}
+            m.setattr(automata, "_mask", build_index)
+            for c in nodes:
+                agrees_with_set_reference(region, c)
+            assert region.aut.__dict__ == built
+            assert all(region.aut.__dict__[k] is v for k, v in built.items())
 
 
 def test_buchi_game_brackets_and_parity_agreement():
@@ -109,7 +184,7 @@ def test_buchi_game_brackets_and_parity_agreement():
         region = solve_buchi_game(game)
         under, over = bracket_region(game, 4)
         for c in bounded_nodes(system, 4):
-            member = region_member(region, c)
+            member = agrees_with_set_reference(region, c)
             assert not (under(c) and not member), (system, finals, c)
             assert not (member and not over(c)), (system, finals, c)
         # the parity solver with colours {0, 1} computes the same region
@@ -129,7 +204,7 @@ def test_parity_game_brackets():
         region = solve_parity_game(game)
         under, over = bracket_region(game, 4)
         for c in bounded_nodes(system, 4):
-            member = region_member(region, c)
+            member = agrees_with_set_reference(region, c)
             assert not (under(c) and not member), (system, colours, c)
             assert not (member and not over(c)), (system, colours, c)
 

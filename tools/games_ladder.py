@@ -1,6 +1,6 @@
 """The games ladder: seeded game solves past the sizes the steady benchmark
-reaches, each reported with its solve time, the region's transition count
-and a SHA-256 of the region.
+reaches, each reported with its solve time, the region's transition count,
+a SHA-256 of the region and a SHA-256 of the region's membership answers.
 
     python3 tools/games_ladder.py [--cap S] [RUNG ...]
     python3 tools/games_ladder.py --check BENCH_games.json RUNG ...
@@ -11,12 +11,15 @@ instance generators from ``bench/`` (read-only).  Rungs are named
 named, every rung of ``RUNGS`` runs.  Each rung is solved in its own process
 and reported as one JSON line; a solve that exceeds ``--cap`` seconds is
 reported as ``"timeout"``.  With ``--check``, each named rung's transition
-count and hash must equal the file's ``"rungs"`` entry, or the command
-exits with code 1.
+count and both hashes must equal the file's ``"rungs"`` entry, or the
+command exits with code 1.
 
-The hash is over the sorted ``repr``s of the region's states, finals and
-transitions, each target set written as its sorted member ``repr``s, so it
-does not depend on ``PYTHONHASHSEED``.
+The region hash (``sha256``) is over the sorted ``repr``s of the region's
+states, finals and transitions, each target set written as its sorted
+member ``repr``s.  The answers hash (``members_sha256``) is over one
+character, ``1`` or ``0``, per ``region_member`` answer on the
+configurations of ``oracle.bounded_nodes(pds, 4)``, in that function's
+order.  Neither depends on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -68,6 +71,13 @@ def digest(aut) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def members_digest(region, pds) -> str:
+    from pdsat import oracle, region_member
+    answers = "".join("1" if region_member(region, c) else "0"
+                      for c in oracle.bounded_nodes(pds, 4))
+    return hashlib.sha256(answers.encode()).hexdigest()
+
+
 def solve(rung):
     """Solve one rung in this process and print its JSON line."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -80,7 +90,8 @@ def solve(rung):
     seconds = perf_counter() - start
     print(json.dumps({"rung": rung, "seconds": round(seconds, 2),
                       "transitions": len(region.aut.transitions),
-                      "sha256": digest(region.aut)}))
+                      "sha256": digest(region.aut),
+                      "members_sha256": members_digest(region, game.pds)}))
 
 
 def run(rung, cap):
@@ -114,11 +125,12 @@ def main():
         print(json.dumps(result), flush=True)
         if args.check:
             want = expected[rung]
-            if (result.get("transitions"), result.get("sha256")) != \
-                    (want["transitions"], want["sha256"]):
+            fields = ("transitions", "sha256", "members_sha256")
+            if [result.get(k) for k in fields] != [want[k] for k in fields]:
                 bad.append(rung)
     if bad:
-        sys.exit(f"region differs from {args.check}: {', '.join(bad)}")
+        sys.exit(f"region or answers differ from {args.check}: "
+                 f"{', '.join(bad)}")
 
 
 if __name__ == "__main__":
