@@ -14,8 +14,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import (EPS, Language, Nfa, _reachable_product,
-                       pattern_forbidden_factors)
+from .automata import (EPS, Language, Nfa, _mask, _numbering,
+                       _reachable_product, pattern_forbidden_factors)
 from .errors import InvalidInputError
 from .pds import PushdownSystem, check_valid
 
@@ -84,7 +84,10 @@ def behaviour_automaton(system: PushdownSystem, q0, qf):
     """
     _check_bottom_free(system)
     if q0 not in system.controls or qf not in system.controls:
-        raise InvalidInputError("behaviour_automaton: unknown control state")
+        unknown = [q for q in dict.fromkeys((q0, qf))
+                   if q not in system.controls]
+        raise InvalidInputError(
+            f"unknown control: {', '.join(map(repr, unknown))}")
     alpha = action_alphabet(system)
     states = set(system.controls)
     transitions = set()
@@ -273,6 +276,10 @@ class PrefixRewriteRelation:
     pushed prefix, top first, from ``V_START``; V_q accepts what it reads into
     q, and the empty word when q is in ``finals``.  Both sides are step
     indexes (state, A) -> [target] over the base alphabet.
+
+    :func:`deriv_member` reads the two sides through ``_mask_index``, which
+    the first query builds and which lives on the relation: no other
+    relation, however equal, shares it.
     """
 
     V_START = ("rev", "start")
@@ -297,6 +304,33 @@ class PrefixRewriteRelation:
              _useful(self.alphabet, v_out, v_into, v_fwd, self.V_START,
                      {q, self.V_START} if q in self.finals else {q}))
             for q in self.boundary)
+
+    @cached_property
+    def _mask_index(self):
+        """``(u start, v start, finals, u moves, v moves)`` over one dense
+        numbering of the states of both sides, each set of states an
+        ``int`` mask.  ``moves`` maps a symbol to a dict from a frontier
+        mask to the mask of its successors on that symbol.  The dict starts
+        with one entry per state with a move on the symbol, keyed by the
+        state's bit, and :func:`_advance` adds the union for each wider
+        frontier a query reads: at most one entry per distinct (frontier,
+        symbol) pair that the relation's queries have read."""
+        states = {self.u_start, self.V_START} | self.finals
+        for step in (self.u_step, self.v_step):
+            for (s, _), ts in step.items():
+                states.add(s)
+                states.update(ts)
+        bit = _numbering(states)[1]
+
+        def moves(step):
+            by_symbol = defaultdict(dict)
+            for (s, a), ts in step.items():
+                by_symbol[a][1 << bit[s]] = _mask(ts, bit)
+            return dict(by_symbol)
+
+        return (1 << bit[self.u_start], 1 << bit[self.V_START],
+                _mask(self.finals, bit), moves(self.u_step),
+                moves(self.v_step))
 
 
 def _step(transitions):
@@ -334,14 +368,33 @@ def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
                                  frozenset(finals), tuple(boundary))
 
 
-def _frontiers(step, start, word):
-    """The set of states reached from ``start`` through the step index
-    ``step`` after each prefix of ``word``, shortest first; stops after the
-    first empty set."""
-    current = {start}
+def _advance(moves, front, a) -> int:
+    """The successors on ``a`` of the frontier mask ``front``, through one
+    side's ``moves`` of :attr:`PrefixRewriteRelation._mask_index`; ``0`` for
+    a symbol with no move.  A frontier read for the first time has its
+    answer, the union over its bits, kept in ``moves``."""
+    table = moves.get(a)
+    if table is None:
+        return 0
+    succ = table.get(front)
+    if succ is None:
+        succ, rest = 0, front
+        while rest:
+            low = rest & -rest
+            succ |= table.get(low, 0)
+            rest ^= low
+        table[front] = succ
+    return succ
+
+
+def _frontiers(moves, start, word):
+    """The frontier masks reached from the mask ``start`` through ``moves``
+    after each prefix of ``word``, shortest first; stops after the first
+    empty one."""
+    current = start
     yield current
     for a in word:
-        current = {t for s in current for t in step.get((s, a), ())}
+        current = _advance(moves, current, a)
         yield current
         if not current:
             return
@@ -358,6 +411,10 @@ def deriv_member(rel: PrefixRewriteRelation, w1, w2) -> bool:
     ``rel.finals``.  A state in both frontiers is a boundary state.  A symbol
     outside the base alphabet can only sit in the suffix ``w``: every split
     that would pop or push one fails, and no symbol raises an error.
+
+    Each frontier is an ``int`` mask over the numbering of the relation's
+    ``_mask_index``, built by the first query: a step ORs the successor
+    masks of the frontier's states, and a meet is a nonzero AND.
     """
     w1, w2 = tuple(w1), tuple(w2)
     shared = 0  # length of the longest common suffix
@@ -366,18 +423,19 @@ def deriv_member(rel: PrefixRewriteRelation, w1, w2) -> bool:
             break
         shared += 1
     offset = len(w2) - len(w1)
+    u_start, v_start, finals, u_moves, v_moves = rel._mask_index
     wanted = {}  # j > 0 -> the pop frontier of split j - offset
-    for k, front in enumerate(_frontiers(rel.u_step, rel.u_start, w1)):
+    for k, front in enumerate(_frontiers(u_moves, u_start, w1)):
         if not front or k < len(w1) - shared:
             continue
         if k + offset == 0:
-            if front & rel.finals:
+            if front & finals:
                 return True
         else:
             wanted[k + offset] = front
     if not wanted:
         return False
-    for j, front in enumerate(_frontiers(rel.v_step, rel.V_START, w2[:max(wanted)])):
+    for j, front in enumerate(_frontiers(v_moves, v_start, w2[:max(wanted)])):
         if j in wanted and front & wanted[j]:
             return True
     return False

@@ -72,7 +72,8 @@ def alt_membership_sets(aut: AltAutomaton, start, word) -> bool:
 def deriv_member_pairwise(rel, w1, w2) -> bool:
     """``deriv_member`` by the definition: for every pair ``(U, V)`` of
     ``rel.pairs`` and every split ``w1 = u·w``, test ``u ∈ U`` and whether
-    ``w2 = v·w`` with ``v ∈ V``."""
+    ``w2 = v·w`` with ``v ∈ V``.  A split that pops or pushes a symbol
+    outside ``rel.alphabet`` fails."""
     w1, w2 = tuple(w1), tuple(w2)
     for u_lang, v_lang in rel.pairs:
         for k in range(len(w1) + 1):
@@ -80,6 +81,8 @@ def deriv_member_pairwise(rel, w1, w2) -> bool:
             if len(suffix) > len(w2) or (len(suffix) and w2[-len(suffix):] != suffix):
                 continue
             v = w2[:len(w2) - len(suffix)]
+            if not set(w1[:k] + v) <= rel.alphabet:
+                continue
             if u_lang.accepts(w1[:k]) and v_lang.accepts(v):
                 return True
     return False

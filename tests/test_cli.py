@@ -309,6 +309,13 @@ def test_deriv_command(tmp_path, capsys):
     assert "pair" in out
 
 
+def test_deriv_unknown_control_named(capsys):
+    data = Path(__file__).parent / "data"
+    assert cli.main(["deriv", "--in", str(data / "deriv.pds"),
+                     "--from", "zz", "--to", "q3"]) == 2
+    assert "unknown control: 'zz'" in capsys.readouterr().err
+
+
 # Each fixture document comes with the bytes the command printed for it,
 # as text (.txt) and as dot (.dot)
 FIXTURES = {"prestar": ("prestar", []), "poststar": ("poststar", []),

@@ -204,6 +204,72 @@ def test_deriv_member_builds_no_pair(monkeypatch):
                 deriv_member(rel, w1, w2)
 
 
+def test_deriv_member_builds_one_index(monkeypatch):
+    sys1 = pds(controls={"p"}, alphabet={"A", "B", "C", "D", "_"}, bottom="_",
+               rules=[("p", "A", "p", ()), ("p", "B", "p", ("D", "C"))])
+    rel = deriv_relation(sys1, "p", "p")
+    assert deriv_member(rel, ("A", "B"), ("D", "C"))
+
+    def build_index(*args):
+        raise AssertionError("a query built a second index")
+
+    for name in ("_numbering", "_mask"):
+        monkeypatch.setattr(derivation, name, build_index)
+    with pytest.raises(AssertionError):
+        # an equal-looking relation keeps its own index, unbuilt
+        deriv_member(deriv_relation(sys1, "p", "p"), ("A",), ())
+    assert deriv_member(rel, ("A", "B", "B"), ("D", "C", "B"))
+    assert not deriv_member(rel, ("B",), ("C", "D"))
+    assert deriv_member(rel, ("X",), ("X",))
+
+
+def numbered_states(rel):
+    states = {rel.u_start, rel.V_START} | rel.finals
+    for step in (rel.u_step, rel.v_step):
+        for (s, _), ts in step.items():
+            states.add(s)
+            states.update(ts)
+    return states
+
+
+def test_deriv_member_matches_pairwise_reference_past_64_states():
+    # frontier masks wider than one machine word
+    rng = make_rng(42)
+    for _ in range(10):
+        system = bottom_free(random_bottom_free_pds(
+            rng, n_controls=12, n_symbols=3, n_rules=60))
+        controls = sorted(system.controls)
+        rel = deriv_relation(system, controls[0], controls[-1])
+        if len(numbered_states(rel)) > 64:
+            break
+    else:
+        pytest.fail("no relation with more than 64 states drawn")
+    base = sorted(system.alphabet - {system.bottom})
+    known = words_upto(base, 2)
+    # "X" is outside the alphabet: in the common suffix, and out of it
+    words = (known + [w + ("X",) for w in known]
+             + [("X",) + w for w in words_upto(base, 1)])
+    answers = {}
+    for w1 in words:
+        for w2 in words:
+            answers[w1, w2] = deriv_member(rel, w1, w2)
+            assert answers[w1, w2] == deriv_member_pairwise(rel, w1, w2), \
+                (w1, w2)
+    assert any(answers[w1, ()] for w1 in known if w1)
+    assert any(answers[w1, w2] for w1, w2 in answers
+               if "X" in w1 and len(w1) > 1)
+
+
+def test_deriv_relation_unknown_control_named():
+    sys1 = pds(controls={"p"}, alphabet={"A", "_"}, bottom="_",
+               rules=[("p", "A", "p", ())])
+    with pytest.raises(InvalidInputError, match="unknown control: 'zz'$"):
+        deriv_relation(sys1, "zz", "p")
+    with pytest.raises(InvalidInputError,
+                       match="unknown control: 'zz', 'yy'$"):
+        behaviour_automaton(sys1, "zz", "yy")
+
+
 def test_deriv_relation_rejects_bottom_rules():
     sys1 = pds(controls={"p"}, alphabet={"A", "_"}, bottom="_",
                rules=[("p", "_", "p", ("A", "_"))])

@@ -1,6 +1,7 @@
 """The games ladder: seeded game solves past the sizes the steady benchmark
 reaches, each reported with its solve time, the region's transition count,
-a SHA-256 of the region and a SHA-256 of the region's membership answers.
+a SHA-256 of the region and a SHA-256 and count of the region's membership
+answers.
 
     python3 tools/games_ladder.py [--cap S] [RUNG ...]
     python3 tools/games_ladder.py --check BENCH_games.json RUNG ...
@@ -11,7 +12,8 @@ instance generators from ``bench/`` (read-only).  Rungs are named
 named, every rung of ``RUNGS`` runs.  Each rung is solved in its own process
 and reported as one JSON line; a solve that exceeds ``--cap`` seconds is
 reported as ``"timeout"``.  With ``--check``, each named rung's transition
-count and both hashes must equal the file's ``"rungs"`` entry, or the
+count, both hashes and ``members`` must equal the file's ``"rungs"`` entry,
+and its answers must not all be one value (see ``ladder.py``), or the
 command exits with code 1.
 
 The region hash (``sha256``) is over the sorted ``repr``s of the region's
@@ -19,16 +21,15 @@ states, finals and transitions, each target set written as its sorted
 member ``repr``s.  The answers hash (``members_sha256``) is over one
 character, ``1`` or ``0``, per ``region_member`` answer on the
 configurations of ``oracle.bounded_nodes(pds, 4)``, in that function's
-order.  Neither depends on ``PYTHONHASHSEED``.
+order; ``answers`` is their number and ``members`` the number of ``1``s.
+None of these depends on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
-import subprocess
 import sys
 from time import perf_counter
 
@@ -71,11 +72,12 @@ def digest(aut) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def members_digest(region, pds) -> str:
+def members_digest(region, pds) -> dict:
     from pdsat import oracle, region_member
     answers = "".join("1" if region_member(region, c) else "0"
                       for c in oracle.bounded_nodes(pds, 4))
-    return hashlib.sha256(answers.encode()).hexdigest()
+    return {"answers": len(answers), "members": answers.count("1"),
+            "members_sha256": hashlib.sha256(answers.encode()).hexdigest()}
 
 
 def solve(rung):
@@ -91,47 +93,11 @@ def solve(rung):
     print(json.dumps({"rung": rung, "seconds": round(seconds, 2),
                       "transitions": len(region.aut.transitions),
                       "sha256": digest(region.aut),
-                      "members_sha256": members_digest(region, game.pds)}))
-
-
-def run(rung, cap):
-    """One rung in a fresh process; ``"timeout"`` past ``cap`` seconds."""
-    try:
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__),
-                               "--solve", rung], stdout=subprocess.PIPE,
-                              text=True, timeout=cap, check=True)
-    except subprocess.TimeoutExpired:
-        return {"rung": rung, "seconds": "timeout", "cap_s": cap}
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("rungs", nargs="*")
-    parser.add_argument("--cap", type=float, default=150.0)
-    parser.add_argument("--check")
-    parser.add_argument("--solve", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.solve:
-        solve(args.solve)
-        return
-    expected = {}
-    if args.check:
-        with open(args.check) as f:
-            expected = json.load(f)["rungs"]
-    bad = []
-    for rung in args.rungs or RUNGS:
-        result = run(rung, args.cap)
-        print(json.dumps(result), flush=True)
-        if args.check:
-            want = expected[rung]
-            fields = ("transitions", "sha256", "members_sha256")
-            if [result.get(k) for k in fields] != [want[k] for k in fields]:
-                bad.append(rung)
-    if bad:
-        sys.exit(f"region or answers differ from {args.check}: "
-                 f"{', '.join(bad)}")
+                      **members_digest(region, game.pds)}))
 
 
 if __name__ == "__main__":
-    main()
+    import ladder
+    ladder.main(os.path.abspath(__file__), RUNGS, solve,
+                ("transitions", "sha256", "members_sha256", "members"),
+                "seconds")
