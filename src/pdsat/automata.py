@@ -115,6 +115,25 @@ def _saturated(states, alphabet, finals, transitions, step_index) -> Nfa:
     return aut
 
 
+def _alt_from_masks(names, bit, alphabet, finals, entries) -> AltAutomaton:
+    """The ``AltAutomaton`` over the states ``names``, numbered by ``bit``,
+    whose transitions are the mask ``entries``: each key ``(bit, symbol)``
+    and each target mask decoded through ``names``, each distinct mask
+    once.  The result keeps ``(names, bit, entries)`` as its
+    ``_mask_index``, so its queries build no index: each entry must be an
+    antichain, and none of the three may change after."""
+    members = {}
+    for masks in entries.values():
+        for m in masks:
+            if m not in members:
+                members[m] = _members(m, names)
+    aut = AltAutomaton(frozenset(names), alphabet, finals, frozenset(
+        (names[b], a, members[m])
+        for (b, a), masks in entries.items() for m in masks))
+    aut.__dict__["_mask_index"] = (names, bit, entries)
+    return aut
+
+
 def nfa(states=(), alphabet=(), finals=(), transitions=()) -> Nfa:
     """Convenience constructor; endpoints of transitions are added to states."""
     transitions = frozenset(transitions)
@@ -312,9 +331,8 @@ class AltAutomaton:
         """``(names, bit, entries)``: the states numbered densely, and
         ``entries`` mapping each ``(bit of state, symbol)`` with a
         transition to the antichain of its target masks, as ``_run_targets``
-        reads it.  A game solver's result is handed the numbering and
-        entries the solve ran over (see ``games``), so that no query
-        builds them again."""
+        reads it.  An automaton built by ``_alt_from_masks`` is handed its
+        numbering and entries, so that no query builds them again."""
         names, bit = _numbering(self.states)
         return names, bit, _mask_entries(self.transitions, bit)
 
@@ -338,17 +356,6 @@ def alt(states=(), alphabet=(), finals=(), transitions=()) -> AltAutomaton:
         | {s for s, _, _ in transitions} \
         | {t for _, _, ts in transitions for t in ts}
     return AltAutomaton(states, frozenset(alphabet), frozenset(finals), transitions)
-
-
-def _alt_entries(transitions, minimal=True) -> dict:
-    """dict ``(state, symbol) -> frozenset of target sets``; with
-    ``minimal``, each entry is cut to its antichain, which changes no run's
-    minimal targets and no membership."""
-    grouped = defaultdict(set)
-    for s, a, targets in transitions:
-        grouped[(s, a)].add(targets)
-    reduce = antichain if minimal else frozenset
-    return {key: reduce(sets) for key, sets in grouped.items()}
 
 
 def alt_membership(aut: AltAutomaton, start, word) -> bool:
@@ -375,17 +382,6 @@ def alt_membership(aut: AltAutomaton, start, word) -> bool:
             return False
         good = accepting
     return good >> aut._mask_index[1][start] & 1 == 1
-
-
-def antichain(sets):
-    """The subset-minimal elements of an iterable of frozensets: the mask
-    ``_antichain`` over a numbering of their members."""
-    sets = set(sets)
-    if len(sets) < 2:
-        return frozenset(sets)
-    bit = _numbering(frozenset().union(*sets))[1]
-    by_mask = {_mask(s, bit): s for s in sets}
-    return frozenset(by_mask[m] for m in _antichain(by_mask))
 
 
 # The mask kernel.  A caller numbers its states densely and writes each set
@@ -415,13 +411,9 @@ def _members(mask, names) -> frozenset:
     return frozenset(out)
 
 
-def _decoded(masks, names) -> frozenset:
-    return frozenset(_members(m, names) for m in masks)
-
-
 def _mask_entries(transitions, bit) -> dict:
-    """``_alt_entries`` over masks: ``(bit of state, symbol) -> antichain of
-    target masks``."""
+    """dict ``(bit of state, symbol) -> antichain of target masks`` of the
+    alternating ``transitions``."""
     grouped = defaultdict(list)
     for s, a, targets in transitions:
         grouped[(bit[s], a)].append(_mask(targets, bit))
@@ -525,4 +517,5 @@ def alt_run_targets(aut: AltAutomaton, start, word) -> frozenset:
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
     names, bit, entries = aut._mask_index
-    return _decoded(_run_targets(entries, bit[start], word), names)
+    return frozenset(_members(m, names)
+                     for m in _run_targets(entries, bit[start], word))

@@ -231,7 +231,8 @@ def _build_game(doc: dict, system: PushdownSystem, kind: str):
         missing = [p for p in system.controls if p not in colours]
         if missing:
             raise ParseError(0, f"controls without colour: {sorted(missing)}")
-        condition = games.ParityCondition(colours, max(colours.values()))
+        condition = games.ParityCondition(colours,
+                                          max(colours.values(), default=0))
     return games.PushdownGame(system, owner, condition)
 
 
@@ -504,7 +505,8 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return _run(args)
-    except (ParseError, InvalidInputError, ResourceLimitError, OSError) as exc:
+    except (ParseError, InvalidInputError, ResourceLimitError, OSError,
+            UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

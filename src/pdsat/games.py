@@ -15,8 +15,9 @@ refuses Büchi and parity games that have one.)
 
 All solvers run on one kernel.  It keeps the region as a mutable dict
 ``(state, symbol) -> antichain of target sets`` for the whole solve and builds
-the ``AltAutomaton`` once at the end.  The public ``pre_step``, ``project``
-and ``subsume`` apply the kernel's operations to a whole automaton.
+the ``AltAutomaton`` once at the end.  The public ``pre_step`` and
+``subsume`` apply the kernel's operations to a whole automaton, and
+``project`` renames one's transitions directly.
 
 Inside the kernel a state is a bit and a target set an ``int`` mask:
 
@@ -26,13 +27,13 @@ Inside the kernel a state is a bit and a target set an ``int`` mask:
   L + 1 down onto L is ``(m & ~hi) | ((m & hi) >> n)`` with ``hi`` the
   mask of level L + 1, and an entry none of whose targets is renamed is
   one whose masks all miss ``hi``.  A reachability game numbers the
-  target's states; ``pre_step`` numbers its own automaton's.  The
-  ``AltAutomaton`` a solver returns decodes the masks into its transitions
-  once, and keeps the kernel's numbering and masks as the index its
-  queries read (``alt_membership``, ``alt_run_targets``).
+  target's states; ``pre_step`` numbers its own automaton's.  A solver's
+  ``AltAutomaton`` is built by ``automata._alt_from_masks``, which decodes
+  the masks into its transitions once and keeps the kernel's numbering and
+  masks as the index its queries read (``alt_membership``,
+  ``alt_run_targets``); ``subsume`` decodes an automaton's own index.
 - A subset test is ``r & s == r``.  Antichains and minimal unions are the
-  mask functions of ``automata`` (``_antichain``, ``_fold``), which the
-  public frozenset ``antichain`` and ``alt_run_targets`` wrap.  A fold of
+  mask functions of ``automata`` (``_antichain``, ``_fold``).  A fold of
   Abelard's choices keeps a partial union x alone as soon as some choice
   y lies within it (absorption): x | y = x lies within every x | y'.
 
@@ -72,11 +73,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .automata import (AltAutomaton, S_BOT, S_STAR, _alt_entries,
+from .automata import (AltAutomaton, S_BOT, S_STAR, _alt_from_masks,
                        _antichain, _fold, _mask_entries, _members,
                        _numbering, _run_targets, alt_membership)
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
+from .reachability import _shared_embeddings
 
 ELOISE = "E"
 ABELARD = "A"
@@ -150,39 +152,12 @@ def region_member(region: RegionAutomaton, c: Configuration) -> bool:
     return alt_membership(region.aut, entry, c.stack)
 
 
-def _automaton(states, alphabet, finals, entries) -> AltAutomaton:
-    return AltAutomaton(frozenset(states), alphabet, finals,
-                        frozenset((s, a, targets)
-                                  for (s, a), sets in entries.items()
-                                  for targets in sets))
-
-
-def _decoded_automaton(names, bit, alphabet, finals, entries) -> AltAutomaton:
-    """The automaton over the states ``names``, numbered by ``bit``, of the
-    kernel's mask ``entries``: each key ``(bit, symbol)`` and each target
-    mask decoded through ``names``.  The result keeps ``(names, bit,
-    entries)`` as its ``_mask_index``, so its queries build no index:
-    each entry must be an antichain, and none of the three may change
-    after."""
-    members, index = {}, {}
-    for (b, a), sets in entries.items():
-        decoded = []
-        for m in sets:
-            targets = members.get(m)
-            if targets is None:
-                targets = members[m] = _members(m, names)
-            decoded.append(targets)
-        index[(names[b], a)] = frozenset(decoded)
-    aut = _automaton(names, alphabet, finals, index)
-    aut.__dict__["_mask_index"] = (names, bit, entries)
-    return aut
-
-
 def subsume(aut: AltAutomaton) -> AltAutomaton:
     """Drop every transition whose target set strictly contains another
     target for the same source and symbol; languages are unchanged."""
-    return _automaton(aut.states, aut.alphabet, aut.finals,
-                      _alt_entries(aut.transitions))
+    names, bit, entries = aut._mask_index  # its entries are antichains
+    return _alt_from_masks(names, bit, aut.alphabet, aut.finals,
+                           dict(entries))
 
 
 def _rules_by_source(system: PushdownSystem):
@@ -264,6 +239,9 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     for q in game.pds.controls:
         if q not in embed:
             raise InvalidInputError(f"control not embedded in target: {q!r}")
+    shared = _shared_embeddings(embed)
+    if shared:
+        raise InvalidInputError("; ".join(shared))
     embedded = set(embed.values())
     for s, a, targets in cond.target.transitions:
         if targets & embedded:
@@ -298,7 +276,7 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
             if sets != entries.get(key):
                 entries[key] = sets
                 changed = True
-    return RegionAutomaton(_decoded_automaton(
+    return RegionAutomaton(_alt_from_masks(
         names, bit, target.alphabet, target.finals, entries), embed)
 
 
@@ -336,15 +314,15 @@ def project(aut: AltAutomaton, from_idx, to_idx) -> AltAutomaton:
     if not rename:
         raise InvalidInputError(f"no states at level {from_idx!r}")
     dropped = level(to_idx)
-    entries = {}
-    for (s, a), sets in _alt_entries(aut.transitions, minimal=False).items():
+    transitions = set()
+    for s, a, targets in aut.transitions:
         if s in rename:
-            entries[(rename[s], a)] = frozenset(
-                frozenset(rename.get(t, t) for t in targets) for targets in sets)
+            transitions.add((rename[s], a,
+                             frozenset(rename.get(t, t) for t in targets)))
         elif s not in dropped:
-            entries[(s, a)] = sets
-    return _automaton(aut.states - rename.keys(), aut.alphabet, aut.finals,
-                      entries)
+            transitions.add((s, a, targets))
+    return AltAutomaton(aut.states - rename.keys(), aut.alphabet, aut.finals,
+                        frozenset(transitions))
 
 
 def pre_step(aut: AltAutomaton, game: PushdownGame, fresh_idx, colour_of) -> AltAutomaton:
@@ -468,8 +446,8 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     return RegionAutomaton(
         # only level 0's entries and S_STAR's are left, and they target
         # nothing above level 0
-        _decoded_automaton(*_numbering(names[:2 + n]), system.alphabet,
-                           base.finals, entries),
+        _alt_from_masks(*_numbering(names[:2 + n]), system.alphabet,
+                        base.finals, entries),
         {p: (p, 0) for p in controls})
 
 

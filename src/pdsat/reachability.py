@@ -34,10 +34,24 @@ class PAutomatonView:
         return nfa_accepts(self.aut, state, c.stack)
 
 
+def _shared_embeddings(embed) -> list:
+    """A message for each control of ``embed`` embedded in the state of an
+    earlier one.  A saturation adds transitions out of a control's state,
+    so every other control in that state would read them too."""
+    first, errors = {}, []
+    for p, s in embed.items():
+        q = first.setdefault(s, p)
+        if q != p:
+            errors.append(f"controls {q!r} and {p!r} share the embedded "
+                          f"state {s!r}")
+    return errors
+
+
 def view_errors(view: PAutomatonView):
-    """Violations of the P-automaton shape: embedded controls must have no
-    incoming transitions and must not be final."""
-    errors = []
+    """Violations of the P-automaton shape: no two controls may share an
+    embedded state, and embedded states must have no incoming transitions
+    and must not be final."""
+    errors = _shared_embeddings(view.control_embed)
     embedded = set(view.control_embed.values())
     for s in embedded:
         if s not in view.aut.states:

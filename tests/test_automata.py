@@ -10,7 +10,7 @@ from pdsat import automata
 from pdsat.automata import (EPS, S_STAR, AltAutomaton, Language, Nfa,
                             _antichain, _fold, _mask_entries, _run_targets,
                             _saturated, alt, alt_membership, alt_run_targets,
-                            antichain, eps_closure, nfa, nfa_accepts,
+                            eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
 from reference import (alt_membership_sets, product_intersect, relabel,
                        reverse)
@@ -280,12 +280,6 @@ def test_alt_membership_basic():
     assert alt_membership(aut, 0, "a")
     assert alt_membership(aut, 0, "ab")
     assert not alt_membership(aut, 0, "b")
-
-
-def test_antichain():
-    sets = [frozenset({1, 2}), frozenset({1}), frozenset({2, 3}), frozenset({1, 2, 3})]
-    assert antichain(sets) == frozenset({frozenset({1}), frozenset({2, 3})})
-    assert antichain([]) == frozenset()
 
 
 def test_alt_run_targets_characterises_membership():

@@ -373,6 +373,34 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert cli.main(["prestar", "--in", str(tmp_path / "missing.pds")]) == 2
 
 
+def test_input_that_is_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.pds"
+    path.write_bytes(b"pds\nstates p\nalphabet A\nbottom _\n# \xff\n")
+    for args in (["member", "--config", "p : _"], ["prestar"]):
+        assert cli.main([args[0], "--in", str(path), *args[1:]]) == 2
+        assert "error: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_controls_sharing_an_embedded_state_rejected(tmp_path, capsys):
+    # p has no rule on A, so p : A _ is in neither pre* nor the region
+    doc = ("pds\nstates p q\nalphabet A\nbottom _\nrule q A -> q\n"
+           "automaton\nstates e f\ntrans e _ f\nfinal f\n"
+           "embed p e\nembed q e\ngame\nowner E p q\n")
+    for analysis in ("prestar", "poststar", "reachgame"):
+        assert run_cli(tmp_path, doc, "member", "--config", "p : A _",
+                       "--analysis", analysis) == 2
+        assert "'p' and 'q' share the embedded state 'e'" in \
+            capsys.readouterr().err
+
+
+def test_paritygame_without_controls(tmp_path, capsys):
+    doc = "pds\nalphabet A\nbottom _\ngame\n"
+    assert run_cli(tmp_path, doc, "buchigame") == 0
+    buchi = capsys.readouterr().out
+    assert run_cli(tmp_path, doc, "paritygame") == 0
+    assert capsys.readouterr().out == buchi
+
+
 def test_game_section_required(tmp_path, capsys):
     assert run_cli(tmp_path, REACH_DOC, "buchigame") == 2
     assert "game section" in capsys.readouterr().err

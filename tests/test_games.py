@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 
 import pytest
 
@@ -11,7 +12,7 @@ from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    solve_buchi_game, solve_parity_game,
                    solve_reachability_game, subsume)
 from pdsat import automata, games
-from pdsat.automata import S_BOT, S_STAR, _alt_entries, _members
+from pdsat.automata import S_BOT, S_STAR, _members
 from pdsat.games import _initial_region_automaton, pre_step, project
 from pdsat.oracle import bounded_nodes, bracket_region
 from reference import alt_membership_sets
@@ -151,16 +152,15 @@ def test_solved_regions_answer_queries_over_the_solvers_masks(monkeypatch):
         names, bit, entries = handed
         assert set(names) == region.aut.states and len(names) == len(bit)
         assert all(names[b] == s for s, b in bit.items())
-        assert {(names[b], a): frozenset(_members(m, names) for m in masks)
-                for (b, a), masks in entries.items()} == \
-            _alt_entries(region.aut.transitions)
+        assert {(names[b], a, _members(m, names))
+                for (b, a), masks in entries.items() for m in masks} == \
+            region.aut.transitions
 
         def build_index(*args):
             raise AssertionError("a query built an index")
 
         with monkeypatch.context() as m:
-            for name in ("_numbering", "_alt_entries", "_mask_entries",
-                         "antichain", "_antichain"):
+            for name in ("_numbering", "_mask_entries", "_antichain"):
                 m.setattr(automata, name, build_index)
             region_member(region, nodes[0])
             built = dict(region.aut.__dict__)
@@ -271,6 +271,34 @@ def test_subsume_preserves_membership():
                     alt_membership(small, s, word)
 
 
+def test_subsume_keeps_exactly_the_minimal_targets():
+    from test_automata import minimal
+    rng = make_rng(49)
+    states = range(6)
+    for i in range(100):
+        transitions = {(rng.choice(states), rng.choice("ab"),
+                        frozenset(rng.sample(states, rng.randint(1, 4))))
+                       for _ in range(rng.randint(4, 16))}
+        # a strict superset of some target set, for the same source and symbol
+        s, a, targets = rng.choice(sorted(transitions, key=repr))
+        extra = rng.choice([t for t in states if t not in targets])
+        transitions.add((s, a, targets | {extra}))
+        aut = AltAutomaton(frozenset(states), frozenset("ab"), frozenset({0}),
+                           frozenset(transitions))
+        grouped = defaultdict(set)
+        for s, a, targets in transitions:
+            grouped[(s, a)].add(targets)
+        want = {(s, a, targets) for (s, a), sets in grouped.items()
+                for targets in minimal(sets)}
+        assert want < transitions
+        small = subsume(aut)
+        assert small.transitions == want, aut
+        assert (small.states, small.alphabet, small.finals) == \
+            (aut.states, aut.alphabet, aut.finals)
+        # the two automata keep their own indexes
+        assert small._mask_index[2] is not aut._mask_index[2]
+
+
 def test_pre_step_adds_one_step_states():
     system, owner = loop_or_pop_game()
     game = PushdownGame(system, owner, BuchiCondition(frozenset({"p"})))
@@ -285,6 +313,19 @@ def test_pre_step_adds_one_step_states():
     # p's only bottom rule loops to p, which has no value yet: no transition
     assert not any(s == ("p", 2) and a == "_"
                    for s, a, _ in stepped.transitions)
+
+
+def test_reachability_game_rejects_a_shared_embedding():
+    # q's rule would add a transition out of e, which p would read too
+    system = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
+                 rules=[("q", "A", "q", ())])
+    target = alt(states={"e", "f"}, alphabet={"A", "_"}, finals={"f"},
+                 transitions=[("e", "_", {"f"})])
+    game = PushdownGame(system, {"p": ELOISE, "q": ELOISE},
+                        ReachabilityCondition(target, {"p": "e", "q": "e"}))
+    with pytest.raises(InvalidInputError,
+                       match="'p' and 'q' share the embedded state 'e'"):
+        solve_reachability_game(game)
 
 
 def test_solver_input_validation():

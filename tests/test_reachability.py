@@ -505,3 +505,19 @@ def test_prestar_requires_embedded_controls():
     partial = PAutomatonView(view.aut, {"p": view.control_embed["p"]})
     with pytest.raises(InvalidInputError):
         prestar(sys1, partial)
+
+
+def test_controls_sharing_an_embedded_state_are_rejected():
+    # q's rule adds a transition out of the shared state e, which p would
+    # read too: (p, A _) would be accepted, though p has no rule on A
+    system = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
+                 rules=[("q", "A", "q", ())])
+    aut = Nfa(frozenset({"e", "f"}), system.alphabet, frozenset({"f"}),
+              frozenset({("e", "_", "f")}))
+    view = PAutomatonView(aut, {"p": "e", "q": "e"})
+    assert view_errors(view) == \
+        ["controls 'p' and 'q' share the embedded state 'e'"]
+    for saturate in (prestar, poststar):
+        with pytest.raises(InvalidInputError,
+                           match="'p' and 'q' share the embedded state 'e'"):
+            saturate(system, view)
