@@ -15,9 +15,8 @@ from .derivation import (ActionAlphabet, PrefixRewriteRelation, apply_actions,
                          push, pop)
 from .games import (ABELARD, BuchiCondition, ELOISE, ParityCondition,
                     PushdownGame, ReachabilityCondition, RegionAutomaton,
-                    dual_game, pre_step, project, region_member,
-                    solve_buchi_game, solve_parity_game,
-                    solve_reachability_game, subsume)
+                    dual_game, project, region_member, solve_buchi_game,
+                    solve_parity_game, solve_reachability_game)
 from .oracle import (BoundedGraph, bfs_prestar_member, bounded_graph,
                      bounded_nodes, bracket_region, finite_game_region)
 

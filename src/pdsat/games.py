@@ -15,9 +15,11 @@ refuses Büchi and parity games that have one.)
 
 All solvers run on one kernel.  It keeps the region as a mutable dict
 ``(state, symbol) -> antichain of target sets`` for the whole solve and builds
-the ``AltAutomaton`` once at the end.  The public ``pre_step`` and
-``subsume`` apply the kernel's operations to a whole automaton, and
-``project`` renames one's transitions directly.
+the ``AltAutomaton`` once at the end.  The round loop it stands for, one
+game-predecessor step, projection and subsumption over whole automata per
+round, is written out in the tests as a frozenset reference that shares no
+code with the kernel; of its steps only ``project``, the renaming of one
+level onto another, is public here.
 
 Inside the kernel a state is a bit and a target set an ``int`` mask:
 
@@ -27,11 +29,10 @@ Inside the kernel a state is a bit and a target set an ``int`` mask:
   L + 1 down onto L is ``(m & ~hi) | ((m & hi) >> n)`` with ``hi`` the
   mask of level L + 1, and an entry none of whose targets is renamed is
   one whose masks all miss ``hi``.  A reachability game numbers the
-  target's states; ``pre_step`` numbers its own automaton's.  A solver's
-  ``AltAutomaton`` is built by ``automata._alt_from_masks``, which decodes
-  the masks into its transitions once and keeps the kernel's numbering and
-  masks as the index its queries read (``alt_membership``,
-  ``alt_run_targets``); ``subsume`` decodes an automaton's own index.
+  target's states.  A solver's ``AltAutomaton`` is built by
+  ``automata._alt_from_masks``, which decodes the masks into its
+  transitions once and keeps the kernel's numbering and masks as the index
+  its queries read (``alt_membership``, ``alt_run_targets``).
 - A subset test is ``r & s == r``.  Antichains and minimal unions are the
   mask functions of ``automata`` (``_antichain``, ``_fold``).  A fold of
   Abelard's choices keeps a partial union x alone as soon as some choice
@@ -74,8 +75,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .automata import (AltAutomaton, S_BOT, S_STAR, _alt_from_masks,
-                       _antichain, _fold, _mask_entries, _members,
-                       _numbering, _run_targets, alt_membership)
+                       _antichain, _fold, _mask_entries, _numbering,
+                       _run_targets, alt_membership)
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
 from .reachability import _shared_embeddings
@@ -138,6 +139,14 @@ def check_game(game: PushdownGame):
                 raise InvalidInputError(
                     f"colour {c!r} of control {q!r} exceeds max_colour "
                     f"{cond.max_colour!r}")
+    elif isinstance(cond, ReachabilityCondition):
+        for q in game.pds.controls:
+            if q not in cond.embed:
+                raise InvalidInputError(f"control not embedded in target: {q!r}")
+    elif isinstance(cond, BuchiCondition):
+        unknown = cond.finals - game.pds.controls
+        if unknown:
+            raise InvalidInputError(f"unknown Büchi controls: {unknown!r}")
 
 
 def _is_colour(c) -> bool:
@@ -150,14 +159,6 @@ def region_member(region: RegionAutomaton, c: Configuration) -> bool:
     if entry is None:
         raise InvalidInputError(f"control has no entry state: {c.control!r}")
     return alt_membership(region.aut, entry, c.stack)
-
-
-def subsume(aut: AltAutomaton) -> AltAutomaton:
-    """Drop every transition whose target set strictly contains another
-    target for the same source and symbol; languages are unchanged."""
-    names, bit, entries = aut._mask_index  # its entries are antichains
-    return _alt_from_masks(names, bit, aut.alphabet, aut.finals,
-                           dict(entries))
 
 
 def _rules_by_source(system: PushdownSystem):
@@ -236,9 +237,6 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     if not isinstance(cond, ReachabilityCondition):
         raise InvalidInputError("solve_reachability_game needs a reachability condition")
     embed = dict(cond.embed)
-    for q in game.pds.controls:
-        if q not in embed:
-            raise InvalidInputError(f"control not embedded in target: {q!r}")
     shared = _shared_embeddings(embed)
     if shared:
         raise InvalidInputError("; ".join(shared))
@@ -322,27 +320,6 @@ def project(aut: AltAutomaton, from_idx, to_idx) -> AltAutomaton:
         elif s not in dropped:
             transitions.add((s, a, targets))
     return AltAutomaton(aut.states - rename.keys(), aut.alphabet, aut.finals,
-                        frozenset(transitions))
-
-
-def pre_step(aut: AltAutomaton, game: PushdownGame, fresh_idx, colour_of) -> AltAutomaton:
-    """Add states ``(p, fresh_idx)`` holding one game-predecessor step.
-
-    A rule from ``p`` is evaluated at the successor state indexed by the
-    colour of the source control, per the fixed-point formula: a
-    configuration of colour c must step into the variable of colour c.
-    """
-    names, bit = _numbering(aut.states)
-    # a successor state that is not one of aut's gets bit -1, outside
-    # ``states``: no run starts there
-    moves = _moves(_mask_entries(aut.transitions, bit), range(len(names)),
-                   game.owner, _rules_by_source(game.pds),
-                   lambda p, q: bit.get((q, colour_of[p]), -1), _Memo())
-    transitions = set(aut.transitions)
-    transitions.update(((p, fresh_idx), a, _members(m, names))
-                       for (p, a), sets in moves.items() for m in sets)
-    states = aut.states | {(p, fresh_idx) for p in game.pds.controls}
-    return AltAutomaton(states, aut.alphabet, aut.finals,
                         frozenset(transitions))
 
 
@@ -460,9 +437,6 @@ def solve_buchi_game(game: PushdownGame) -> RegionAutomaton:
     cond = game.condition
     if not isinstance(cond, BuchiCondition):
         raise InvalidInputError("solve_buchi_game needs a Büchi condition")
-    unknown = cond.finals - game.pds.controls
-    if unknown:
-        raise InvalidInputError(f"unknown Büchi controls: {unknown!r}")
     colours = {p: 0 if p in cond.finals else 1 for p in game.pds.controls}
     return solve_parity_game(
         PushdownGame(game.pds, game.owner, ParityCondition(colours, 1)))

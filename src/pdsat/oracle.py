@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .automata import Sentinel, alt_membership
 from .errors import InvalidInputError, ResourceLimitError
 from .games import (ABELARD, BuchiCondition, ELOISE, ParityCondition,
-                    PushdownGame, ReachabilityCondition)
+                    PushdownGame, ReachabilityCondition, check_game)
 from .pds import Configuration, PushdownSystem, check_valid, successors
 
 SINK = Sentinel("sink")
@@ -61,8 +61,12 @@ def bounded_graph(system_or_game, h: int) -> BoundedGraph:
     if h < 1:
         raise InvalidInputError("height bound must be at least 1")
     game = system_or_game if isinstance(system_or_game, PushdownGame) else None
-    system = system_or_game if game is None else game.pds
-    check_valid(system)
+    if game is None:
+        system = system_or_game
+        check_valid(system)
+    else:
+        system = game.pds
+        check_game(game)
     edges = {SINK: {SINK}}
     # The sink belongs to nobody in particular; its self-loop decides it.
     owner = {SINK: ELOISE}

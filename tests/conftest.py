@@ -55,21 +55,25 @@ def random_view(rng, system, n_extra=2, n_trans=5):
     return P.PAutomatonView(aut, embed)
 
 
-def random_total_game(rng, n_controls=2, n_symbols=2):
-    """A game pds with exactly one rule per (control, symbol) pair, so no
-    configuration is ever stuck, plus a random owner map."""
+def random_total_game(rng, n_controls=2, n_symbols=2, max_rules=1):
+    """A game pds with 1 to ``max_rules`` rules per (control, symbol) pair
+    (duplicates merge), so no configuration is ever stuck, plus a random
+    owner map.  With ``max_rules=1`` every pair has exactly one rule and
+    no player ever chooses between rules."""
     controls = [f"q{i}" for i in range(n_controls)]
     base = ["A", "B", "C"][:n_symbols]
     rules = []
     for p in controls:
         for a in base + [BOT]:
-            q = rng.choice(controls)
-            if a == BOT:
-                pushed = (BOT,) if rng.random() < 0.5 else (rng.choice(base), BOT)
-            else:
-                k = rng.choice([0, 1, 1, 2])
-                pushed = tuple(rng.choice(base) for _ in range(k))
-            rules.append((p, a, q, pushed))
+            for _ in range(1 if max_rules == 1 else rng.randint(1, max_rules)):
+                q = rng.choice(controls)
+                if a == BOT:
+                    pushed = ((BOT,) if rng.random() < 0.5
+                              else (rng.choice(base), BOT))
+                else:
+                    k = rng.choice([0, 1, 1, 2])
+                    pushed = tuple(rng.choice(base) for _ in range(k))
+                rules.append((p, a, q, pushed))
     system = P.pds(controls=controls, alphabet=base + [BOT], bottom=BOT,
                    rules=rules)
     owner = {p: rng.choice([P.ELOISE, P.ABELARD]) for p in controls}

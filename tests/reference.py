@@ -2,9 +2,10 @@
 pdsat against: each is the textbook definition, built in full, with no
 pruning."""
 
+import itertools
 from collections import defaultdict
 
-from pdsat import InvalidInputError
+from pdsat import ELOISE, InvalidInputError
 from pdsat.automata import EPS, AltAutomaton, Nfa, eps_closure
 
 
@@ -67,6 +68,86 @@ def alt_membership_sets(aut: AltAutomaton, start, word) -> bool:
     for a in reversed(word):
         good = {s for s, targets in by_symbol[a] if targets <= good}
     return start in good
+
+
+def minimal(sets):
+    """The subset-minimal sets among ``sets``."""
+    sets = set(sets)
+    return frozenset(t for t in sets if not any(u < t for u in sets))
+
+
+def run_targets_by_product(aut, start, word):
+    """The minimal sets S with a run ``start -word-> S``: the union of every
+    combination of per-state choices, through the full product, cut to the
+    minimal sets at the end."""
+    index = {}
+    for s, a, targets in aut.transitions:
+        index.setdefault((s, a), []).append(targets)
+    frontier = {frozenset({start})}
+    for a in word:
+        frontier = {frozenset().union(*combo) for sset in frontier
+                    for combo in itertools.product(
+                        *(index.get((s, a), []) for s in sset))}
+    return minimal(frontier)
+
+
+def subsume(aut: AltAutomaton) -> AltAutomaton:
+    """``aut`` keeping, for each source and symbol, only the subset-minimal
+    target sets; every language is unchanged."""
+    grouped = defaultdict(set)
+    for s, a, targets in aut.transitions:
+        grouped[(s, a)].add(targets)
+    return AltAutomaton(aut.states, aut.alphabet, aut.finals, frozenset(
+        (s, a, targets) for (s, a), sets in grouped.items()
+        for targets in minimal(sets)))
+
+
+def run_targets(index, start, word):
+    """The minimal sets S with a run ``start -word-> S``, where ``index``
+    maps ``(state, symbol)`` to target sets: each set of the frontier steps
+    to the unions of one target set per member state, cut to the minimal
+    sets after each state."""
+    frontier = {frozenset({start})}
+    for a in word:
+        stepped = set()
+        for sset in frontier:
+            unions = {frozenset()}
+            for s in sset:
+                unions = minimal(u | t for u in unions
+                                 for t in index.get((s, a), ()))
+            stepped |= unions
+        frontier = minimal(stepped)
+    return frozenset(frontier)
+
+
+def pre_step(aut: AltAutomaton, game, fresh_idx, colour_of) -> AltAutomaton:
+    """``aut`` plus states ``(p, fresh_idx)`` holding one game-predecessor
+    step.  A rule ``p A -> q w`` leads to the run targets of ``w`` from
+    ``(q, colour_of[p])``, and to none if that is not a state of ``aut``.
+    Éloïse's ``p`` reads ``A`` into the minimal targets of any of its rules,
+    Abelard's into the minimal unions of one target per rule."""
+    index = defaultdict(list)
+    for s, a, targets in aut.transitions:
+        index[(s, a)].append(targets)
+    rules = defaultdict(list)
+    for r in game.pds.rules:
+        rules[(r.from_control, r.from_symbol)].append(r)
+    transitions = set(aut.transitions)
+    for (p, a), applicable in rules.items():
+        per_rule = []
+        for r in applicable:
+            state = (r.to_control, colour_of[p])
+            per_rule.append(run_targets(index, state, r.pushed)
+                            if state in aut.states else frozenset())
+        if game.owner[p] == ELOISE:
+            sets = minimal(t for targets in per_rule for t in targets)
+        else:
+            sets = minimal(frozenset().union(*combo)
+                           for combo in itertools.product(*per_rule))
+        transitions.update(((p, fresh_idx), a, t) for t in sets)
+    states = aut.states | {(p, fresh_idx) for p in game.pds.controls}
+    return AltAutomaton(states, aut.alphabet, aut.finals,
+                        frozenset(transitions))
 
 
 def deriv_member_pairwise(rel, w1, w2) -> bool:

@@ -12,8 +12,8 @@ from pdsat.automata import (EPS, S_STAR, AltAutomaton, Language, Nfa,
                             _saturated, alt, alt_membership, alt_run_targets,
                             eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
-from reference import (alt_membership_sets, product_intersect, relabel,
-                       reverse)
+from reference import (alt_membership_sets, minimal, product_intersect,
+                       relabel, reverse, run_targets_by_product)
 
 
 def random_nfa(rng, n_states=4, alphabet=("a", "b"), n_trans=6, eps_frac=0.2):
@@ -298,24 +298,6 @@ def test_alt_run_targets_characterises_membership():
                 assert via_targets == alt_membership(aut, 0, word + suffix)
 
 
-def minimal(sets):
-    return frozenset(t for t in sets if not any(u < t for u in sets))
-
-
-def product_run_targets(aut, start, word):
-    """Reference: the union of every combination of per-state choices,
-    through the full product, cut to the minimal sets at the end."""
-    index = {}
-    for s, a, targets in aut.transitions:
-        index.setdefault((s, a), []).append(targets)
-    frontier = {frozenset({start})}
-    for a in word:
-        frontier = {frozenset().union(*combo) for sset in frontier
-                    for combo in itertools.product(
-                        *(index.get((s, a), []) for s in sset))}
-    return minimal(frontier)
-
-
 def test_folded_run_targets_match_product_reference():
     rng = make_rng(708)
     for i in range(200):
@@ -329,7 +311,8 @@ def test_folded_run_targets_match_product_reference():
                 itertools.product("ab", repeat=k) for k in range(4)):
             for start in (0, 1):
                 assert alt_run_targets(aut, start, word) == \
-                    product_run_targets(aut, start, word), (aut, start, word)
+                    run_targets_by_product(aut, start, word), \
+                    (aut, start, word)
 
 
 def test_run_targets_queries_build_one_index(monkeypatch):
@@ -351,11 +334,11 @@ def test_run_targets_queries_build_one_index(monkeypatch):
         alt_run_targets(make(), 0, "ab")  # an equal automaton, unindexed
     for word in ("ab", "a", "", "abb"):
         assert alt_run_targets(aut, 0, word) == \
-            product_run_targets(aut, 0, word)
+            run_targets_by_product(aut, 0, word)
 
 
-# The mask kernel against the references above, on masks whose bit i
-# stands for state i.
+# The mask kernel against the references of reference.py, on masks whose
+# bit i stands for state i.
 
 
 def bits_of(mask):
@@ -432,7 +415,8 @@ def test_mask_run_targets_match_product_reference():
                 got = _run_targets(index, bit[start], word, reads)
                 assert {frozenset(name[b] for b in bits_of(m))
                         for m in got} == \
-                    product_run_targets(aut, start, word), (aut, start, word)
+                    run_targets_by_product(aut, start, word), \
+                    (aut, start, word)
                 # the targets are a function of the entries read
                 assert _run_targets({k: v for k, v in reads.items()
                                      if v is not None},

@@ -1,6 +1,3 @@
-import itertools
-from collections import defaultdict
-
 import pytest
 
 from conftest import (BOT, configurations_upto, make_rng,
@@ -10,12 +7,12 @@ from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    ReachabilityCondition, alt, alt_membership, dual_game,
                    pds, prestar, region_member, singleton_view,
                    solve_buchi_game, solve_parity_game,
-                   solve_reachability_game, subsume)
+                   solve_reachability_game)
 from pdsat import automata, games
 from pdsat.automata import S_BOT, S_STAR, _members
-from pdsat.games import _initial_region_automaton, pre_step, project
+from pdsat.games import _initial_region_automaton, project
 from pdsat.oracle import bounded_nodes, bracket_region
-from reference import alt_membership_sets
+from reference import alt_membership_sets, pre_step, subsume
 
 
 def loop_or_pop_game():
@@ -257,64 +254,6 @@ def test_dual_game_determinacy():
                 (system, colours, c)
 
 
-def test_subsume_preserves_membership():
-    rng = make_rng(47)
-    from test_automata import random_alt
-    for i in range(20):
-        aut = random_alt(rng)
-        small = subsume(aut)
-        assert len(small.transitions) <= len(aut.transitions)
-        for word in itertools.chain.from_iterable(
-                itertools.product("ab", repeat=k) for k in range(4)):
-            for s in aut.states:
-                assert alt_membership(aut, s, word) == \
-                    alt_membership(small, s, word)
-
-
-def test_subsume_keeps_exactly_the_minimal_targets():
-    from test_automata import minimal
-    rng = make_rng(49)
-    states = range(6)
-    for i in range(100):
-        transitions = {(rng.choice(states), rng.choice("ab"),
-                        frozenset(rng.sample(states, rng.randint(1, 4))))
-                       for _ in range(rng.randint(4, 16))}
-        # a strict superset of some target set, for the same source and symbol
-        s, a, targets = rng.choice(sorted(transitions, key=repr))
-        extra = rng.choice([t for t in states if t not in targets])
-        transitions.add((s, a, targets | {extra}))
-        aut = AltAutomaton(frozenset(states), frozenset("ab"), frozenset({0}),
-                           frozenset(transitions))
-        grouped = defaultdict(set)
-        for s, a, targets in transitions:
-            grouped[(s, a)].add(targets)
-        want = {(s, a, targets) for (s, a), sets in grouped.items()
-                for targets in minimal(sets)}
-        assert want < transitions
-        small = subsume(aut)
-        assert small.transitions == want, aut
-        assert (small.states, small.alphabet, small.finals) == \
-            (aut.states, aut.alphabet, aut.finals)
-        # the two automata keep their own indexes
-        assert small._mask_index[2] is not aut._mask_index[2]
-
-
-def test_pre_step_adds_one_step_states():
-    system, owner = loop_or_pop_game()
-    game = PushdownGame(system, owner, BuchiCondition(frozenset({"p"})))
-    base = _initial_region_automaton(system)
-    colour_of = {"p": 0, "q": 1}
-    # give the colour levels somewhere to land: create entry states first
-    states = base.states | {(p, i) for p in system.controls for i in (0, 1)}
-    seeded = AltAutomaton(frozenset(states), base.alphabet, base.finals,
-                          base.transitions)
-    stepped = pre_step(seeded, game, 2, colour_of)
-    assert {("p", 2), ("q", 2)} <= stepped.states
-    # p's only bottom rule loops to p, which has no value yet: no transition
-    assert not any(s == ("p", 2) and a == "_"
-                   for s, a, _ in stepped.transitions)
-
-
 def test_reachability_game_rejects_a_shared_embedding():
     # q's rule would add a transition out of e, which p would read too
     system = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
@@ -359,8 +298,9 @@ def test_solver_input_validation():
                                        ParityCondition({"p": 0, "q": 3}, 2)))
 
 
-# Reference solvers: the round loops written over whole automata and the
-# public pre_step / project / subsume, one new automaton per round.
+# Reference solvers: the round loops written over whole automata, one new
+# automaton per round, with the public project and the frozenset pre_step
+# and subsume of reference.py, which share no code with the solvers' kernel.
 
 
 def extend(aut, states, transitions):
@@ -476,6 +416,29 @@ def test_deeper_nests_match_round_loop_references():
         game = PushdownGame(system, owner, BuchiCondition(finals))
         assert solve_buchi_game(game).aut == reference_buchi(game), \
             (system, owner, finals)
+
+
+def test_choice_games_match_round_loop_references():
+    # up to three rules per (control, symbol): Éloïse chooses between
+    # rules, Abelard's moves are unions across rules, and target sets grow
+    # past singletons
+    rng = make_rng(54)
+    for i in range(40):
+        system, owner = random_total_game(rng, n_controls=rng.randint(2, 3),
+                                          max_rules=3)
+        controls = sorted(system.controls)
+        game = PushdownGame(system, owner,
+                            random_reachability_condition(rng, system))
+        assert solve_reachability_game(game).aut == \
+            reference_reachability(game), (system, owner)
+        finals = frozenset(p for p in controls if rng.random() < 0.5)
+        game = PushdownGame(system, owner, BuchiCondition(finals))
+        assert solve_buchi_game(game).aut == reference_buchi(game), \
+            (system, owner, finals)
+        colours = {p: rng.randint(0, 3) for p in controls}
+        game = PushdownGame(system, owner, ParityCondition(colours, 3))
+        assert solve_parity_game(game).aut == reference_parity(game), \
+            (system, owner, colours)
 
 
 def renamed_condition(cond, rename):

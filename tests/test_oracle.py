@@ -4,7 +4,8 @@ from conftest import make_rng, random_pds, random_total_game
 from pdsat import (ABELARD, BuchiCondition, Configuration, ELOISE,
                    InvalidInputError, ParityCondition, PushdownGame,
                    ReachabilityCondition, ResourceLimitError, alt, pds,
-                   region_member, solve_reachability_game)
+                   region_member, solve_buchi_game, solve_parity_game,
+                   solve_reachability_game)
 from pdsat import oracle
 from pdsat.oracle import (SINK, attractor, bfs_prestar_member, bounded_graph,
                           bounded_nodes, bracket_region, finite_game_region)
@@ -133,3 +134,33 @@ def test_totality_enforcement():
                         BuchiCondition(frozenset({"p"})))
     with pytest.raises(InvalidInputError):
         bracket_region(game, 3)
+
+
+def test_oracle_rejects_invalid_games_as_the_solvers_do():
+    sys1 = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
+               rules=[("p", "A", "q", ()), ("p", "_", "p", ("_",)),
+                      ("q", "A", "p", ("A", "A")),
+                      ("q", "_", "q", ("A", "_"))])
+    owner = {"p": ELOISE, "q": ABELARD}
+    target = alt(states={"ep", "eq", "f"}, alphabet={"A", "_"}, finals={"f"},
+                 transitions=[("eq", "_", {"f"})])
+    reach = ReachabilityCondition(target, {"p": "ep", "q": "eq"})
+    cases = [
+        (solve_reachability_game, {"p": ELOISE}, reach,
+         "control has no owner: 'q'"),
+        (solve_reachability_game, dict(owner, q="X"), reach,
+         "control has no owner: 'q'"),
+        (solve_parity_game, owner, ParityCondition({"p": 0}, 1),
+         "control has no colour: 'q'"),
+        (solve_reachability_game, owner,
+         ReachabilityCondition(target, {"p": "ep"}),
+         "control not embedded in target: 'q'"),
+        (solve_buchi_game, owner, BuchiCondition(frozenset({"p", "zzz"})),
+         "unknown Büchi controls"),
+    ]
+    for solve, owners, cond, message in cases:
+        game = PushdownGame(sys1, owners, cond)
+        with pytest.raises(InvalidInputError, match=message):
+            solve(game)
+        with pytest.raises(InvalidInputError, match=message):
+            bracket_region(game, 3)

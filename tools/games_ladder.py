@@ -36,7 +36,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ([f"reach-16-s{s}" for s in range(3)]
          + [f"reach-32-s{s}" for s in range(3)]
-         + [f"parity-8-s{s}" for s in range(3)])
+         + [f"parity-8-s{s}" for s in (0, 1, 2, 8)])
 
 
 def build(rung):
