@@ -8,6 +8,18 @@ colour 1 elsewhere.  Winning-region automata use one state ``(p, i)`` per
 control ``p`` and fixed-point level ``i``, plus the universal state
 ``S_STAR`` and the bottom-accepting state ``S_BOT``.
 
+Before it nests anything, a parity solve compresses the colours its
+controls use to ranks (priority compression, Friedmann and Lange, ATVA
+2009): sorted, the least gets 0 or 1 by its parity, and each next one the
+rank before it if the two have one parity and the next rank if not; the
+top rank is padded to odd.  The nest then has one level per rank, however
+large ``max_colour`` or the colours are.  The region is the same set: the
+level of a colour no control uses is a fixed point whose variable nothing
+reads, which is its body, and two nested fixed points of one kind are one,
+μX.μY.f(X, Y) = μX.f(X, X) and the same for ν (Arnold and Niwiński,
+"Rudiments of μ-calculus", 2001).  The region keeps only level 0, so its
+automaton names no level that compression removed.
+
 A configuration with no move is lost for Éloïse, whoever owns it: a
 reachability game has it in the region only if the target accepts it, and
 a Büchi or parity game never has it there.  (``oracle.finite_game_region``
@@ -334,17 +346,42 @@ def _lowered(sets, hi, n):
     return _antichain((m & lo) | ((m & hi) >> n) for m in sets)
 
 
+def _ranks(colours):
+    """The rank of each colour in ``colours``, and the top level.
+
+    The least colour gets rank 0 if it is even and 1 if it is odd; each
+    larger one gets the rank before it if the two have one parity, and the
+    next rank if not.  So a rank has its colours' parity, no rank is
+    skipped, and ranks differ only where the parity does.  The top level is
+    the largest rank padded to odd (1 without colours).
+    """
+    rank, r = {}, 0
+    for c in sorted(set(colours)):
+        if (c - r) % 2:
+            r += 1
+        rank[c] = r
+    return rank, r | 1
+
+
 def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     """Winning region of a parity game (Éloïse wins when the least colour
-    seen infinitely often is even), via one nested fixed point per colour."""
+    seen infinitely often is even), via one nested fixed point per rank.
+
+    The colours the controls use are compressed to ranks first
+    (``_ranks``), so ``max_colour`` only bounds the colours: an unused
+    colour costs no level, and neighbouring colours of one parity share
+    one.  This is exact: a fixed point whose variable nothing reads is its
+    body, and two nested fixed points of one kind are one, μX.μY.f(X, Y) =
+    μX.f(X, X) and the same for ν, so level 0, the region, keeps its value.
+    """
     check_game(game)
     cond = game.condition
     if not isinstance(cond, ParityCondition):
         raise InvalidInputError("solve_parity_game needs a parity condition")
-    max_colour = cond.max_colour
-    if max_colour % 2 == 0:
-        max_colour += 1  # pad with an unused odd colour
-    system, colour_of = game.pds, dict(cond.colours)
+    system = game.pds
+    rank, top = _ranks(cond.colours[p] for p in system.controls)
+    # from here on a control's colour is its rank
+    colour_of = {p: rank[cond.colours[p]] for p in system.controls}
     by_colour = defaultdict(dict)  # colour -> rules of the controls of it
     for (p, a), applicable in _rules_by_source(system).items():
         by_colour[colour_of[p]][(p, a)] = applicable
@@ -352,7 +389,7 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     # 2 + level * n + index of p.
     controls, n = list(system.controls), len(system.controls)
     index = {p: i for i, p in enumerate(controls)}
-    names = [S_STAR, S_BOT] + [(p, level) for level in range(max_colour + 1)
+    names = [S_STAR, S_BOT] + [(p, level) for level in range(top + 1)
                                for p in controls]
     live = range(len(names))
 
@@ -362,7 +399,7 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     # each level's entry keys (bit of (p, level), A), in the order of ``pairs``
     pairs = [(p, a) for p in controls for a in system.alphabet]
     keys = [[(bit(p, level), a) for p, a in pairs]
-            for level in range(max_colour + 1)]
+            for level in range(top + 1)]
     base = _initial_region_automaton(system)
     entries = _mask_entries(base.transitions, {S_STAR: 0, S_BOT: 1})
     bottom = frozenset((1 << 1,))  # the bottom entry into S_BOT
@@ -384,14 +421,14 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
         if level % 2 == 0:
             # in antichain form, one singleton target per state of a level
             # <= this one but S_BOT, and the bottom entry into S_BOT
-            top = frozenset(1 << b for b in range(2 + (level + 1) * n)
-                            if b != 1)
-            entries.update((key, bottom if key[1] == system.bottom else top)
+            full = frozenset(1 << b for b in range(2 + (level + 1) * n)
+                             if b != 1)
+            entries.update((key, bottom if key[1] == system.bottom else full)
                            for key in keys[level])
         forget(level)
         hi = ((1 << n) - 1) << (2 + (level + 1) * n)  # level + 1's bits
         while True:
-            if level == max_colour:
+            if level == top:
                 # A run from level c reads levels <= c only, so no target
                 # is at level + 1: the moves, antichains already, are this
                 # level's next value as they stand.
@@ -444,7 +481,12 @@ def solve_buchi_game(game: PushdownGame) -> RegionAutomaton:
 
 def dual_game(game: PushdownGame) -> PushdownGame:
     """Owners swapped and every colour shifted up by one, so that Éloïse's
-    winning region of the dual is Abelard's region of the original."""
+    winning region of the dual is Abelard's region of the original.
+
+    The shift, and with an odd ``max_colour`` the padding of the new even
+    top, add levels that no control's colour names; the solver's colour
+    compression removes them, so the dual's nest is at most one rank
+    deeper than the game's."""
     cond = game.condition
     if not isinstance(cond, ParityCondition):
         raise InvalidInputError("dual_game is defined for parity conditions")

@@ -335,6 +335,20 @@ def test_output_matches_fixture(command, capsys):
             (data / f"{name}{suffix}").read_bytes()
 
 
+def test_paritygame_with_a_large_colour(tmp_path, capsys):
+    # Colours {0, 0, 3001} compress to the ranks of {0, 0, 3}, so the region
+    # is the fixture's; the nest used to recurse once per colour up to 3001
+    # and fail with a RecursionError.
+    data = Path(__file__).parent / "data"
+    doc = (data / "parity_game.pds").read_text()
+    assert "colour q2 3\n" in doc
+    path = tmp_path / "large_colour.pds"
+    path.write_text(doc.replace("colour q2 3\n", "colour q2 3001\n"))
+    assert cli.main(["paritygame", "--in", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (data / "parity_game.txt").read_bytes()
+
+
 def test_reachgame_oracle_check_computes_the_target_set_once(capsys,
                                                             monkeypatch):
     # one alt_membership per bounded node for both solves of the bracket

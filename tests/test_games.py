@@ -418,6 +418,61 @@ def test_deeper_nests_match_round_loop_references():
             (system, owner, finals)
 
 
+def test_gapped_colours_match_the_reference_that_keeps_every_colour():
+    # Colours drawn from 0-9 leave gaps and neighbours of one parity, which
+    # the solver compresses to ranks; the reference nests one level per
+    # colour up to max_colour, so its cost grows with the colours (four
+    # games keep it under 2 s).
+    rng = make_rng(61)
+    for i in range(4):
+        system, owner = random_total_game(rng, n_controls=rng.randint(2, 3))
+        controls = sorted(system.controls)
+        colours = {p: rng.randint(0, 9) for p in controls}
+        game = PushdownGame(system, owner,
+                            ParityCondition(colours, max(colours.values())))
+        assert solve_parity_game(game).aut == reference_parity(game), \
+            (system, owner, colours)
+
+
+@pytest.mark.parametrize("colours, ranks, top", [
+    ((0, 2, 3, 7, 8), (0, 0, 1, 1, 2), 3),
+    ((1, 3), (1, 1), 1),
+    ((2,), (0,), 1),
+    ((1, 2), (1, 2), 3),
+    ((8, 3, 0, 7, 2, 3), (2, 1, 0, 1, 0, 1), 3),
+    ((), (), 1),
+])
+def test_colour_ranks(colours, ranks, top):
+    rank, padded = games._ranks(colours)
+    assert tuple(rank[c] for c in colours) == ranks
+    assert set(rank) == set(colours)
+    assert padded == top
+
+
+def test_unused_colours_cost_no_level(monkeypatch):
+    # Colours {0, 10} under max_colour 11 compress to the one rank of
+    # {0, 0} under max_colour 1: the same nest, so the same number of
+    # game-predecessor steps and the same region.
+    calls = [0]
+    moves = games._moves
+
+    def counting_moves(*args):
+        calls[0] += 1
+        return moves(*args)
+
+    monkeypatch.setattr(games, "_moves", counting_moves)
+    system, owner = loop_or_pop_game()
+    regions, counts = [], []
+    for colours, max_colour in (({"p": 0, "q": 10}, 11),
+                                ({"p": 0, "q": 0}, 1)):
+        calls[0] = 0
+        regions.append(solve_parity_game(PushdownGame(
+            system, owner, ParityCondition(colours, max_colour))).aut)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+    assert regions[0] == regions[1]
+
+
 def test_choice_games_match_round_loop_references():
     # up to three rules per (control, symbol): Éloïse chooses between
     # rules, Abelard's moves are unions across rules, and target sets grow

@@ -8,8 +8,9 @@ answers.
 
 Run it from the root of a checkout: it imports pdsat from ``src/`` and the
 instance generators from ``bench/`` (read-only).  Rungs are named
-``reach-<controls>-s<seed>`` and ``parity-<controls>-s<seed>``; with no rung
-named, every rung of ``RUNGS`` runs.  Each rung is solved in its own process
+``reach-<controls>-s<seed>``, ``parity-<controls>-s<seed>`` (colours 0-7) and
+``parity-<controls>-c<top>-s<seed>`` (colours 0-<top>); with no rung named,
+every rung of ``RUNGS`` runs.  Each rung is solved in its own process
 and reported as one JSON line; a solve that exceeds ``--cap`` seconds is
 reported as ``"timeout"``.  With ``--check``, each named rung's transition
 count, both hashes and ``members`` must equal the file's ``"rungs"`` entry,
@@ -36,7 +37,9 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ([f"reach-16-s{s}" for s in range(3)]
          + [f"reach-32-s{s}" for s in range(3)]
-         + [f"parity-8-s{s}" for s in (0, 1, 2, 8)])
+         + [f"parity-8-s{s}" for s in (0, 1, 2, 8)]
+         + [f"parity-8-c11-s{s}" for s in range(3)]
+         + [f"parity-12-s{s}" for s in range(2)])
 
 
 def build(rung):
@@ -45,12 +48,14 @@ def build(rung):
 
     Reachability: ``game_system(rng_for("found-reach", seed), n, n_base=5)``
     with ``alt_target``.  Parity: ``game_system(rng_for("ladder-parity",
-    seed), n)`` with every colour uniform in 0..7.
+    seed), n)`` with every colour uniform in 0..top, where top is 7 unless
+    the rung names it, and ``max_colour`` top.
     """
     import gen
     import workloads
-    kind, n, seed = rung.split("-")
+    kind, n, *top, seed = rung.split("-")
     n, seed = int(n), int(seed.lstrip("s"))
+    top = int(top[0].lstrip("c")) if top else 7
     if kind == "reach":
         rng = gen.rng_for("found-reach", seed)
         s, owner = gen.game_system(rng, n, n_base=5)
@@ -58,7 +63,7 @@ def build(rung):
     elif kind == "parity":
         rng = gen.rng_for("ladder-parity", seed)
         s, owner = gen.game_system(rng, n)
-        cond = (tuple((p, rng.randint(0, 7)) for p in s.controls), 7)
+        cond = (tuple((p, rng.randint(0, top)) for p in s.controls), top)
     else:
         raise SystemExit(f"unknown rung: {rung}")
     return kind, workloads._game(workloads._pds(s), (kind, s, owner, cond))
