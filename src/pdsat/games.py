@@ -41,10 +41,10 @@ Inside the kernel a state is a bit and a target set an ``int`` mask:
   L + 1 down onto L is ``(m & ~hi) | ((m & hi) >> n)`` with ``hi`` the
   mask of level L + 1, and an entry none of whose targets is renamed is
   one whose masks all miss ``hi``.  A reachability game numbers the
-  target's states.  A solver's ``AltAutomaton`` is built by
-  ``automata._alt_from_masks``, which decodes the masks into its
-  transitions once and keeps the kernel's numbering and masks as the index
-  its queries read (``alt_membership``, ``alt_run_targets``).
+  target's states and the embedded states.  A solver's ``AltAutomaton``
+  is built by ``automata._alt_from_masks``, which decodes the masks into
+  its transitions once and keeps the kernel's numbering and masks as the
+  index its queries read (``alt_membership``, ``alt_run_targets``).
 - A subset test is ``r & s == r``.  Antichains and minimal unions are the
   mask functions of ``automata`` (``_antichain``, ``_fold``).  A fold of
   Abelard's choices keeps a partial union x alone as soon as some choice
@@ -91,7 +91,7 @@ from .automata import (AltAutomaton, S_BOT, S_STAR, _alt_from_masks,
                        _run_targets, alt_membership)
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
-from .reachability import _shared_embeddings
+from .reachability import _embedding_errors
 
 ELOISE = "E"
 ABELARD = "A"
@@ -155,6 +155,13 @@ def check_game(game: PushdownGame):
         for q in game.pds.controls:
             if q not in cond.embed:
                 raise InvalidInputError(f"control not embedded in target: {q!r}")
+        target = cond.target
+        errors = _embedding_errors(cond.embed, target.finals,
+                                   target.transitions)
+        if target.alphabet != game.pds.alphabet:
+            errors.append("target alphabet differs from the game alphabet")
+        if errors:
+            raise InvalidInputError("; ".join(errors))
     elif isinstance(cond, BuchiCondition):
         unknown = cond.finals - game.pds.controls
         if unknown:
@@ -192,17 +199,17 @@ class _Memo:
         self.runs, self.moves = {}, {}
 
 
-def _moves(entries, states, owner, rules, entry_for, memo) -> dict:
+def _moves(entries, owner, rules, entry_for, memo) -> dict:
     """Entries of one game-predecessor step, keyed ``(p, A)``.
 
     For every control p and top symbol A: an Éloïse control gets one target
     per rule and per minimal run of the rule's pushed word; an Abelard
     control gets the minimal unions of one run target per rule.
     ``entry_for(p, q)`` is the bit of the state standing for the successor
-    control ``q`` when moving from ``p``; runs read the mask ``entries`` and
-    start only from the bits in ``states``.  From the ``_Memo``, a run is
-    computed again only when an entry it read no longer compares equal, and
-    a move only when a run of one of its rules does.
+    control ``q`` when moving from ``p``; runs read the mask ``entries``.
+    From the ``_Memo``, a run is computed again only when an entry it read
+    no longer compares equal, and a move only when a run of one of its
+    rules does.
     """
     runs = {}  # (state, pushed) -> minimal run targets, shared by the rules
     moves = {}
@@ -211,8 +218,7 @@ def _moves(entries, states, owner, rules, entry_for, memo) -> dict:
         for r in applicable:
             key = (entry_for(p, r.to_control), r.pushed)
             if key not in runs:
-                runs[key] = (_run(entries, key, memo) if key[0] in states
-                             else frozenset())
+                runs[key] = _run(entries, key, memo)
             per_rule.append(runs[key])
         last = memo.moves.get((p, a))
         if last is None or last[0] != per_rule:
@@ -248,40 +254,21 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     cond = game.condition
     if not isinstance(cond, ReachabilityCondition):
         raise InvalidInputError("solve_reachability_game needs a reachability condition")
-    embed = dict(cond.embed)
-    shared = _shared_embeddings(embed)
-    if shared:
-        raise InvalidInputError("; ".join(shared))
-    embedded = set(embed.values())
-    for s, a, targets in cond.target.transitions:
-        if targets & embedded:
-            raise InvalidInputError(
-                "target automaton has transitions into embedded controls")
-    if embedded & cond.target.finals:
-        raise InvalidInputError("embedded control state is final")
-    if cond.target.alphabet != game.pds.alphabet:
-        raise InvalidInputError("target alphabet differs from the game alphabet")
-
-    # The target's states are bits 0.. in some order; an embedded state
-    # that is not one of them gets a bit after them, and is a state of the
-    # region too.
-    target, rules = cond.target, _rules_by_source(game.pds)
-    names, bit = _numbering(target.states)
-    for s in embedded - target.states:
-        bit[s] = len(names)
-        names.append(s)
+    # The target's states and the embedded states that are not among them,
+    # which are states of the region too, are bits 0.. in some order.
+    embed, target = dict(cond.embed), cond.target
+    rules = _rules_by_source(game.pds)
+    names, bit = _numbering(target.states | set(embed.values()))
     entries = _mask_entries(target.transitions, bit)
     entry = {q: bit[s] for q, s in embed.items()}
     memo = _Memo()
     changed = True
     while changed:
-        grown = defaultdict(set)
-        for (p, a), sets in _moves(entries, range(len(names)),
-                                   game.owner, rules,
-                                   lambda p, q: entry[q], memo).items():
-            grown[(entry[p], a)] |= sets
         changed = False
-        for key, sets in grown.items():
+        # check_game holds the embedding injective: one entry per move
+        for (p, a), sets in _moves(entries, game.owner, rules,
+                                   lambda p, q: entry[q], memo).items():
+            key = (entry[p], a)
             sets = _antichain(sets | entries.get(key, frozenset()))
             if sets != entries.get(key):
                 entries[key] = sets
@@ -391,7 +378,6 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     index = {p: i for i, p in enumerate(controls)}
     names = [S_STAR, S_BOT] + [(p, level) for level in range(top + 1)
                                for p in controls]
-    live = range(len(names))
 
     def bit(p, level):
         return 2 + level * n + index[p]
@@ -435,7 +421,7 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
                 moves = {}
                 for c, rules in by_colour.items():
                     if c not in known:
-                        known[c] = _moves(entries, live, game.owner, rules,
+                        known[c] = _moves(entries, game.owner, rules,
                                           lambda p, q: bit(q, c), memo)
                     moves.update(known[c])
                 values = [moves.get(pair) for pair in pairs]
@@ -483,16 +469,13 @@ def dual_game(game: PushdownGame) -> PushdownGame:
     """Owners swapped and every colour shifted up by one, so that Éloïse's
     winning region of the dual is Abelard's region of the original.
 
-    The shift, and with an odd ``max_colour`` the padding of the new even
-    top, add levels that no control's colour names; the solver's colour
-    compression removes them, so the dual's nest is at most one rank
+    The shift adds a level that no control's colour names; the solver's
+    colour compression removes it, so the dual's nest is at most one rank
     deeper than the game's."""
     cond = game.condition
     if not isinstance(cond, ParityCondition):
         raise InvalidInputError("dual_game is defined for parity conditions")
     owner = {q: ELOISE if o == ABELARD else ABELARD for q, o in game.owner.items()}
     colours = {q: c + 1 for q, c in cond.colours.items()}
-    max_colour = cond.max_colour + 1
-    if max_colour % 2 == 0:
-        max_colour += 1
-    return PushdownGame(game.pds, owner, ParityCondition(colours, max_colour))
+    return PushdownGame(game.pds, owner,
+                        ParityCondition(colours, cond.max_colour + 1))

@@ -34,33 +34,39 @@ class PAutomatonView:
         return nfa_accepts(self.aut, state, c.stack)
 
 
-def _shared_embeddings(embed) -> list:
-    """A message for each control of ``embed`` embedded in the state of an
-    earlier one.  A saturation adds transitions out of a control's state,
-    so every other control in that state would read them too."""
-    first, errors = {}, []
+def _embedding_errors(embed, finals, transitions) -> list:
+    """Violations of the P-automaton shape by the embedding ``embed`` of
+    controls into an automaton with these ``finals`` and ``transitions``,
+    each ``(source, label, target set)``.  No two controls may share an
+    embedded state: a saturation adds transitions out of a control's state,
+    so every other control in that state would read them too.  Embedded
+    states must have no incoming transitions and must not be final.  The
+    last two kinds are listed sorted by ``repr``, whatever the hash seed."""
+    first, errors = {}, []  # embedded state -> its first control
     for p, s in embed.items():
         q = first.setdefault(s, p)
         if q != p:
             errors.append(f"controls {q!r} and {p!r} share the embedded "
                           f"state {s!r}")
+    embedded, into = first.keys(), []
+    for s, a, targets in transitions:
+        if not embedded.isdisjoint(targets):
+            into.extend((s, a, t) for t in targets if t in embedded)
+    for t in sorted(into, key=repr):
+        errors.append(f"transition into embedded control state: {t!r}")
+    for s in sorted(embedded & finals, key=repr):
+        errors.append(f"embedded control state is final: {s!r}")
     return errors
 
 
 def view_errors(view: PAutomatonView):
-    """Violations of the P-automaton shape: no two controls may share an
-    embedded state, and embedded states must have no incoming transitions
-    and must not be final."""
-    errors = _shared_embeddings(view.control_embed)
-    embedded = set(view.control_embed.values())
-    for s in embedded:
-        if s not in view.aut.states:
-            errors.append(f"embedded state missing from automaton: {s!r}")
-    for s, a, t in view.aut.transitions:
-        if t in embedded:
-            errors.append(f"transition into embedded control state: {(s, a, t)!r}")
-    for s in embedded & view.aut.finals:
-        errors.append(f"embedded control state is final: {s!r}")
+    """Violations of the P-automaton shape (``_embedding_errors``), and
+    embedded states missing from the automaton, sorted by ``repr``."""
+    aut, embed = view.aut, view.control_embed
+    errors = _embedding_errors(embed, aut.finals,
+                               ((s, a, (t,)) for s, a, t in aut.transitions))
+    for s in sorted(set(embed.values()) - aut.states, key=repr):
+        errors.append(f"embedded state missing from automaton: {s!r}")
     return errors
 
 

@@ -387,6 +387,85 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert cli.main(["prestar", "--in", str(tmp_path / "missing.pds")]) == 2
 
 
+# Lines 1-4 of every document below
+HEAD = "pds\nstates p q\nalphabet A\nbottom _\n"
+AUT = HEAD + "automaton\nstates f\nfinal f\n"  # lines 5-7
+GAME = HEAD + "game\nowner E p q\n"  # lines 5-6
+
+# (document, arguments, line, message): one row per parse error message of
+# the pds, automaton and game sections and of --config; line 0 stands for
+# the whole document
+PARSE_ERRORS = [
+    (HEAD + "bottom _ _\n", ["prestar"], 5,
+     "bottom takes exactly one symbol"),
+    (HEAD + "bottom _\n", ["prestar"], 5, "duplicate bottom declaration"),
+    (HEAD + "rule p A q\n", ["prestar"], 5,
+     "rule syntax: rule p A -> q [B [C]]"),
+    (HEAD + "rule p A -> q A A A\n", ["prestar"], 5,
+     "a rule may push at most two symbols"),
+    (HEAD + "rule p A -> r\n", ["prestar"], 5,
+     "undeclared control state 'r'"),
+    (HEAD + "rule p B -> q\n", ["prestar"], 5, "undeclared stack symbol 'B'"),
+    (HEAD + "stack A\n", ["prestar"], 5,
+     "unknown keyword 'stack' in pds section"),
+    ("pds\nstates p\nalphabet A\n", ["prestar"], 0,
+     "pds section declares no bottom symbol"),
+    (HEAD + "rule p _ -> q\n", ["prestar"], 0, "rule (p,_)->(q,ε): pops bottom"),
+    (HEAD, ["prestar"], 0, "this command needs an automaton section"),
+    (AUT + "final g\n", ["prestar"], 8, "undeclared automaton state 'g'"),
+    (AUT + "trans p A\n", ["prestar"], 8, "trans syntax: trans s A t"),
+    (AUT + "trans p B f\n", ["prestar"], 8, "undeclared stack symbol 'B'"),
+    (AUT + "alttrans p A f\ngame\nowner E p q\n", ["reachgame"], 8,
+     "alttrans syntax: alttrans s A { t... }"),
+    (AUT + "alttrans p B { f }\ngame\nowner E p q\n", ["reachgame"], 8,
+     "undeclared stack symbol 'B'"),
+    (AUT + "embed p\n", ["prestar"], 8, "embed syntax: embed p s"),
+    (AUT + "embed r f\n", ["prestar"], 8, "undeclared control state 'r'"),
+    (AUT + "embed p p\nembed p p\n", ["prestar"], 9,
+     "duplicate embed for 'p'"),
+    (AUT + "transition p A f\n", ["prestar"], 8,
+     "unknown keyword 'transition' in automaton section"),
+    (AUT + "alttrans p A { f }\n", ["prestar"], 0,
+     "this command needs a nondeterministic automaton (trans lines only)"),
+    (HEAD, ["buchigame"], 0, "this command needs a game section"),
+    (GAME + "owner X p\n", ["buchigame"], 7, "owner syntax: owner E|A p..."),
+    (GAME + "owner A r\n", ["buchigame"], 7, "undeclared control state 'r'"),
+    (GAME + "owner A p\n", ["buchigame"], 7, "duplicate owner for 'p'"),
+    (GAME + "colour p\n", ["paritygame"], 7, "colour syntax: colour p n"),
+    (GAME + "colour r 0\n", ["paritygame"], 7, "undeclared control state 'r'"),
+    (GAME + "colour p 0\ncolour p 0\n", ["paritygame"], 8,
+     "duplicate colour for 'p'"),
+    (GAME + "colour p x\n", ["paritygame"], 7,
+     "colour must be a non-negative integer: 'x'"),
+    (GAME + "final r\n", ["buchigame"], 7, "undeclared control state 'r'"),
+    (GAME + "color p 0\n", ["paritygame"], 7,
+     "unknown keyword 'color' in game section"),
+    (HEAD + "game\nowner E p\n", ["buchigame"], 0,
+     "controls without owner: ['q']"),
+    (GAME + "colour p 0\n", ["paritygame"], 0,
+     "controls without colour: ['q']"),
+    (HEAD, ["member", "--config", "p _"], 0,
+     'config syntax: "p : A B _" (top first, bottom last)'),
+    (HEAD, ["member", "--config", "r : _"], 0, "unknown control state 'r'"),
+    (HEAD, ["member", "--config", "p : A"], 0,
+     "the stack must end with the bottom symbol"),
+    (HEAD, ["member", "--config", "p : B _"], 0, "unknown stack symbol 'B'"),
+    (HEAD, ["member", "--config", "p : _ _"], 0,
+     "the bottom symbol may only appear last"),
+]
+
+
+def test_parse_errors_exit_2_naming_their_line(tmp_path, capsys):
+    for doc, args, lineno, message in PARSE_ERRORS:
+        assert run_cli(tmp_path, doc, *args) == 2, (doc, args)
+        assert capsys.readouterr().err == \
+            f"error: line {lineno}: {message}\n", (doc, args)
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(tmp_path, HEAD, "prestar", "--oracle-check", "x")
+    assert exit_.value.code == 2
+    assert "not an integer: 'x'" in capsys.readouterr().err
+
+
 def test_input_that_is_not_utf8_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.pds"
     path.write_bytes(b"pds\nstates p\nalphabet A\nbottom _\n# \xff\n")

@@ -574,12 +574,12 @@ def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
     asked, computed = [0], [0]
     moves, run_targets = games._moves, games._run_targets
 
-    def counting_moves(entries, states, owner, rules, entry_for, memo):
+    def counting_moves(entries, owner, rules, entry_for, memo):
         # the distinct runs one call needs, each of which it used to compute
-        runs = {(entry_for(p, r.to_control), r.pushed)
-                for (p, a), applicable in rules.items() for r in applicable}
-        asked[0] += sum(state in states for state, pushed in runs)
-        return moves(entries, states, owner, rules, entry_for, memo)
+        asked[0] += len({(entry_for(p, r.to_control), r.pushed)
+                         for (p, a), applicable in rules.items()
+                         for r in applicable})
+        return moves(entries, owner, rules, entry_for, memo)
 
     def counting_run_targets(*args):
         computed[0] += 1

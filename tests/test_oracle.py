@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import make_rng, random_pds, random_total_game
@@ -136,6 +138,26 @@ def test_totality_enforcement():
         bracket_region(game, 3)
 
 
+def test_target_shape_errors_do_not_depend_on_the_hash_seed():
+    # every fault of the target is named, each kind sorted by repr
+    sys1 = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
+               rules=[])
+    target = alt(states={"f"}, alphabet={"A", "_"}, finals={"f", "q", "p"},
+                 transitions=[("f", "A", {"p"}), ("f", "_", {"q", "f"}),
+                              ("q", "A", {"p"})])
+    game = PushdownGame(sys1, {"p": ELOISE, "q": ELOISE},
+                        ReachabilityCondition(target, {"p": "p", "q": "q"}))
+    message = "; ".join(
+        [f"transition into embedded control state: {t!r}"
+         for t in (("f", "A", "p"), ("f", "_", "q"), ("q", "A", "p"))]
+        + ["embedded control state is final: 'p'",
+           "embedded control state is final: 'q'"])
+    for check in (solve_reachability_game, lambda g: bracket_region(g, 3)):
+        with pytest.raises(InvalidInputError) as err:
+            check(game)
+        assert str(err.value) == message
+
+
 def test_oracle_rejects_invalid_games_as_the_solvers_do():
     sys1 = pds(controls={"p", "q"}, alphabet={"A", "_"}, bottom="_",
                rules=[("p", "A", "q", ()), ("p", "_", "p", ("_",)),
@@ -157,10 +179,30 @@ def test_oracle_rejects_invalid_games_as_the_solvers_do():
          "control not embedded in target: 'q'"),
         (solve_buchi_game, owner, BuchiCondition(frozenset({"p", "zzz"})),
          "unknown Büchi controls"),
+        # targets out of P-automaton shape
+        (solve_reachability_game, owner,
+         ReachabilityCondition(target, {"p": "eq", "q": "eq"}),
+         "controls 'p' and 'q' share the embedded state 'eq'"),
+        (solve_reachability_game, owner, ReachabilityCondition(
+            alt(states={"ep", "eq", "f"}, alphabet={"A", "_"}, finals={"f"},
+                transitions=[("eq", "_", {"f"}), ("f", "A", {"ep", "f"})]),
+            reach.embed),
+         "transition into embedded control state: ('f', 'A', 'ep')"),
+        (solve_reachability_game, owner, ReachabilityCondition(
+            alt(states={"ep", "eq", "f"}, alphabet={"A", "_"},
+                finals={"f", "ep"}, transitions=[("eq", "_", {"f"})]),
+            reach.embed),
+         "embedded control state is final: 'ep'"),
+        (solve_reachability_game, owner, ReachabilityCondition(
+            alt(states={"ep", "eq", "f"}, alphabet={"A", "B", "_"},
+                finals={"f"}, transitions=[("eq", "_", {"f"})]),
+            reach.embed),
+         "target alphabet differs from the game alphabet"),
     ]
     for solve, owners, cond, message in cases:
         game = PushdownGame(sys1, owners, cond)
-        with pytest.raises(InvalidInputError, match=message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)) as err:
             solve(game)
-        with pytest.raises(InvalidInputError, match=message):
+        with pytest.raises(InvalidInputError) as oracle_err:
             bracket_region(game, 3)
+        assert str(oracle_err.value) == str(err.value)
