@@ -193,39 +193,77 @@ def eps_closure(aut: Nfa) -> Nfa:
     return Nfa(aut.states, aut.alphabet, frozenset(finals), frozenset(transitions))
 
 
-def _reachable_product(aut: Nfa, start, pattern: Nfa, pattern_start) -> Nfa:
-    """Product of ``aut`` and the epsilon-free ``pattern``, built forwards
-    from ``(start, pattern_start)`` so that only reachable pairs exist; the
-    language from that pair is the intersection of the two languages.
-    Epsilon moves of ``aut`` are closed in as the product steps.
+def _reachable_product(aut: Nfa, start, patterns) -> Language:
+    """Product of ``aut`` with every pattern of ``patterns``, a sequence of
+    ``(pattern, pattern start)`` pairs, built forwards from ``start`` and
+    the pattern starts so that only reachable states exist.  Returned as a
+    :class:`Language` from that start, it is the intersection of the
+    languages of ``aut`` from ``start`` and of each pattern from its start.
+    Each pattern must be deterministic and epsilon-free, as
+    :func:`pattern_forbidden_factors` builds them.  Epsilon moves of ``aut``
+    are closed in as the product steps.
+
+    The patterns' own product is built first, as rows: each tuple of
+    pattern states maps to ``{symbol: next tuple}``.  Product states are
+    named nested left, ``((s, t1), t2)`` for two patterns, so the result
+    has the very states, finals, transitions and start that two nested
+    one-pattern products have.
     """
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
+    moves = []
+    for pattern, _ in patterns:
+        out = defaultdict(dict)
+        for t, a, t2 in pattern.transitions:
+            out[t][a] = t2
+        moves.append(out)
+    first = tuple(t for _, t in patterns)
+    rows = {}
+    accepting = set()
+    todo = [first]
+    while todo:
+        key = todo.pop()
+        if key in rows:
+            continue
+        row = {a: (t2,) for a, t2 in moves[0][key[0]].items()}
+        for out, t in zip(moves[1:], key[1:]):
+            out = out[t]
+            row = {a: nxt + (out[a],) for a, nxt in row.items() if a in out}
+        rows[key] = row
+        if all(t in p.finals for (p, _), t in zip(patterns, key)):
+            accepting.add(key)
+        todo.extend(row.values())
     steps = defaultdict(list)
     for s, a, t in aut.transitions:
         if a is not EPS:
             steps[s].append((a, t))
     closure = aut._eps_reach
-    ridx = pattern._step_index
-    first = (start, pattern_start)
-    states = {first}
-    todo = [first]
+    origin = start
+    for t in first:
+        origin = (origin, t)
+    states = {origin}
+    todo = [(origin, start, first)]
     transitions = set()
     finals = set()
     while todo:
-        pair = todo.pop()
-        s, t = pair
-        if t in pattern.finals and not closure[s].isdisjoint(aut.finals):
-            finals.add(pair)
+        name, s, key = todo.pop()
+        row = rows[key]
+        if key in accepting and not closure[s].isdisjoint(aut.finals):
+            finals.add(name)
         for u in closure[s]:
             for a, u2 in steps.get(u, ()):
-                for t2 in ridx.get((t, a), ()):
-                    nxt = (u2, t2)
-                    transitions.add((pair, a, nxt))
-                    if nxt not in states:
-                        states.add(nxt)
-                        todo.append(nxt)
-    return Nfa(frozenset(states), aut.alphabet, frozenset(finals), frozenset(transitions))
+                nxt = row.get(a)
+                if nxt is None:
+                    continue
+                target = u2
+                for t in nxt:
+                    target = (target, t)
+                transitions.add((name, a, target))
+                if target not in states:
+                    states.add(target)
+                    todo.append((target, u2, nxt))
+    return Language(Nfa(frozenset(states), aut.alphabet, frozenset(finals),
+                        frozenset(transitions)), origin)
 
 
 def pattern_forbidden_factors(alphabet, factors):

@@ -5,7 +5,9 @@ Each stack symbol A gets a push action A+ and a pop action A-.  The system is
 turned into a finite automaton over action symbols, epsilon-saturated so that
 push-then-pop factors can be skipped, restricted to reduced and productive
 sequences, and finally decomposed into a finite union of (pop-prefix language,
-push-prefix language) pairs.
+push-prefix language) pairs.  :func:`deriv_relation` makes both restrictions
+in one product of the saturated automaton with the two pattern automata;
+:func:`benois_reduce` and :func:`productive_filter` each make one of them.
 """
 
 from __future__ import annotations
@@ -115,15 +117,14 @@ def _check_action_alphabet(aut: Nfa) -> ActionAlphabet:
     return ActionAlphabet(frozenset(base))
 
 
-def benois_reduce(lang: Language) -> Language:
-    """Language of the reduced forms of the words of ``lang``.
+def _benois_saturate(lang: Language):
+    """The automaton of ``lang`` with epsilon edges saturated in, and its
+    action alphabet.
 
-    Epsilon edges are saturated in: one is added from p to t whenever
-    p -A+-> m -eps*-> u -A--> t, by an indexed worklist over the pairs (m, u)
-    with m a push target and u epsilon-reachable from m; each new edge p -> t
-    extends every pair ending in p.  The result is intersected with the words
-    containing no A+A- factor, building only the product states reachable
-    from ``(lang.start, pattern start)``.
+    An edge is added from p to t whenever p -A+-> m -eps*-> u -A--> t, by an
+    indexed worklist over the pairs (m, u) with m a push target and u
+    epsilon-reachable from m; each new edge p -> t extends every pair ending
+    in p.
     """
     alpha = _check_action_alphabet(lang.aut)
     aut = lang.aut
@@ -159,10 +160,33 @@ def benois_reduce(lang: Language) -> Language:
             add_reach(m, v)
     saturated = Nfa(aut.states, aut.alphabet, aut.finals, aut.transitions
                     | {(p, EPS, t) for p, ts in eps.items() for t in ts})
-    factors = {(push(a), pop(a)) for a in alpha.base}
-    pattern, pstart = pattern_forbidden_factors(alpha.symbols, factors)
-    product = _reachable_product(saturated, lang.start, pattern, pstart)
-    return Language(product, (lang.start, pstart))
+    return saturated, alpha
+
+
+def _reduced_pattern(alpha: ActionAlphabet):
+    """The pattern of the reduced words: no A+A- factor."""
+    return pattern_forbidden_factors(
+        alpha.symbols, {(push(a), pop(a)) for a in alpha.base})
+
+
+def _productive_pattern(alpha: ActionAlphabet):
+    """The pattern of the productive words: no A+B- factor with A != B."""
+    return pattern_forbidden_factors(
+        alpha.symbols,
+        {(push(a), pop(b)) for a in alpha.base for b in alpha.base if a != b})
+
+
+def benois_reduce(lang: Language) -> Language:
+    """Language of the reduced forms of the words of ``lang``.
+
+    Epsilon edges are saturated in (see ``_benois_saturate``), and the
+    result is intersected with the words containing no A+A- factor, building
+    only the product states reachable from ``(lang.start, pattern start)``.
+    :func:`deriv_relation` does not call it: it builds one product with this
+    pattern and :func:`productive_filter`'s.
+    """
+    saturated, alpha = _benois_saturate(lang)
+    return _reachable_product(saturated, lang.start, [_reduced_pattern(alpha)])
 
 
 def reduce_word(actions):
@@ -183,12 +207,13 @@ def reduce_word(actions):
 
 def productive_filter(lang: Language) -> Language:
     """Drop the non-productive sequences from a language of reduced
-    sequences: exactly those containing a factor A+B- with A != B."""
+    sequences: exactly those containing a factor A+B- with A != B.  The
+    product holds only the states reachable from ``(lang.start, pattern
+    start)``; :func:`deriv_relation` builds it in one product with
+    :func:`benois_reduce`'s pattern instead.
+    """
     alpha = _check_action_alphabet(lang.aut)
-    factors = {(push(a), pop(b)) for a in alpha.base for b in alpha.base if a != b}
-    pattern, pstart = pattern_forbidden_factors(alpha.symbols, factors)
-    product = _reachable_product(lang.aut, lang.start, pattern, pstart)
-    return Language(product, (lang.start, pstart))
+    return _reachable_product(lang.aut, lang.start, [_productive_pattern(alpha)])
 
 
 def _index(transitions):
@@ -349,11 +374,17 @@ def _transitions(step):
 def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks.
 
-    The productive language is split as by :func:`decompose`; its pop side is
-    relabelled, and its push side relabelled and reversed, once for all
-    pairs.  No pair is built here: see :class:`PrefixRewriteRelation`.
+    The behaviour automaton is epsilon-saturated and cut, in one product
+    with both patterns, to its reduced productive words: the language of
+    ``productive_filter(benois_reduce(...))``, with the same states.  That
+    language is split as by :func:`decompose`; its pop side is relabelled,
+    and its push side relabelled and reversed, once for all pairs.  No pair
+    is built here: see :class:`PrefixRewriteRelation`.
     """
-    lang = productive_filter(benois_reduce(behaviour_automaton(system, q0, qf)))
+    behaviour = behaviour_automaton(system, q0, qf)
+    saturated, alpha = _benois_saturate(behaviour)
+    lang = _reachable_product(saturated, behaviour.start,
+                              [_reduced_pattern(alpha), _productive_pattern(alpha)])
     _, finals, pop_trans, push_trans, boundary = _split(lang)
     # The pop side reads A1- ... An- for the popped prefix A1 ... An.
     u_step = _step((s, a[1], t) for s, a, t in pop_trans)

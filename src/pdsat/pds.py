@@ -8,7 +8,9 @@ the oracles are built on.
 A system is checked once, on first use: the violations ``validate`` reports
 are computed the first time an analysis (or ``validate`` itself) asks for
 them and kept on the frozen system, so every later entry point reads them
-instead of walking the rules again.  ``pds()`` does not check.
+instead of walking the rules again.  ``pds()`` does not check.  The rule
+indexes ``successors`` and ``predecessors`` look rules up in are built on
+first use and kept the same way.
 """
 
 from __future__ import annotations
@@ -38,11 +40,29 @@ class PushdownSystem:
     bottom: object
     rules: frozenset
 
-    # Cached in the instance ``__dict__`` like ``Nfa``'s indexes: it lives as
-    # long as its system, and equality and hashing only look at the fields.
+    # Cached in the instance ``__dict__`` like ``Nfa``'s indexes: each lives
+    # as long as its system, and equality and hashing only look at the fields.
     @cached_property
     def _violations(self) -> tuple:
         return tuple(_find_violations(self))
+
+    @cached_property
+    def _rules_from(self) -> dict:
+        """dict (from_control, from_symbol) -> the rules rewriting it."""
+        index = {}
+        for r in self.rules:
+            index.setdefault((r.from_control, r.from_symbol), []).append(r)
+        return index
+
+    @cached_property
+    def _rules_into(self) -> dict:
+        """dict to_control -> length of the pushed word -> pushed word ->
+        the rules into that control pushing that word."""
+        index = {}
+        for r in self.rules:
+            index.setdefault(r.to_control, {}).setdefault(len(r.pushed), {}) \
+                .setdefault(r.pushed, []).append(r)
+        return index
 
 
 @dataclass(frozen=True)
@@ -114,7 +134,8 @@ def is_valid_configuration(pds: PushdownSystem, c: Configuration) -> bool:
         return False
     if c.stack[-1] != pds.bottom:
         return False
-    return all(a in pds.alphabet and a != pds.bottom for a in c.stack[:-1])
+    body = c.stack[:-1]
+    return pds.bottom not in body and pds.alphabet.issuperset(body)
 
 
 def check_configuration(pds: PushdownSystem, c: Configuration):
@@ -123,26 +144,24 @@ def check_configuration(pds: PushdownSystem, c: Configuration):
 
 
 def successors(pds: PushdownSystem, c: Configuration):
-    """Exact one-step successors of ``c``."""
+    """Exact one-step successors of ``c``: the rules on its control and top
+    symbol, looked up in the system's ``_rules_from`` index."""
     check_configuration(pds, c)
-    top = c.stack[0]
     rest = c.stack[1:]
     return {Configuration(r.to_control, r.pushed + rest)
-            for r in pds.rules
-            if r.from_control == c.control and r.from_symbol == top}
+            for r in pds._rules_from.get((c.control, c.stack[0]), ())}
 
 
 def predecessors(pds: PushdownSystem, c: Configuration):
-    """Valid configurations with ``c`` among their one-step successors."""
+    """Valid configurations with ``c`` among their one-step successors: the
+    rules into its control whose pushed word of length k is the top k
+    symbols of its stack, looked up in the system's ``_rules_into`` index."""
     check_configuration(pds, c)
+    stack = c.stack
     result = set()
-    for r in pds.rules:
-        if r.to_control != c.control:
-            continue
-        k = len(r.pushed)
-        if c.stack[:k] != r.pushed:
-            continue
-        pre = Configuration(r.from_control, (r.from_symbol,) + c.stack[k:])
-        if is_valid_configuration(pds, pre):
-            result.add(pre)
+    for k, by_word in pds._rules_into.get(c.control, {}).items():
+        for r in by_word.get(stack[:k], ()):
+            pre = Configuration(r.from_control, (r.from_symbol,) + stack[k:])
+            if is_valid_configuration(pds, pre):
+                result.add(pre)
     return result

@@ -5,7 +5,7 @@ pruning."""
 import itertools
 from collections import defaultdict
 
-from pdsat import ELOISE, InvalidInputError
+from pdsat import ELOISE, Configuration, InvalidInputError
 from pdsat.automata import EPS, AltAutomaton, Nfa, eps_closure
 
 
@@ -167,3 +167,34 @@ def deriv_member_pairwise(rel, w1, w2) -> bool:
             if u_lang.accepts(w1[:k]) and v_lang.accepts(v):
                 return True
     return False
+
+
+def is_valid_configuration_by_scan(system, c) -> bool:
+    """A known control and a stack of known non-bottom symbols over the
+    bottom symbol, each symbol tested in turn."""
+    return (c.control in system.controls and bool(c.stack)
+            and c.stack[-1] == system.bottom
+            and all(a in system.alphabet and a != system.bottom
+                    for a in c.stack[:-1]))
+
+
+def successors_by_scan(system, c):
+    """One-step successors of ``c``, scanning every rule for its control and
+    top symbol."""
+    top, rest = c.stack[0], c.stack[1:]
+    return {Configuration(r.to_control, r.pushed + rest)
+            for r in system.rules
+            if r.from_control == c.control and r.from_symbol == top}
+
+
+def predecessors_by_scan(system, c):
+    """Valid one-step predecessors of ``c``, scanning every rule for one
+    into its control whose pushed word tops its stack."""
+    result = set()
+    for r in system.rules:
+        k = len(r.pushed)
+        if r.to_control == c.control and c.stack[:k] == r.pushed:
+            pre = Configuration(r.from_control, (r.from_symbol,) + c.stack[k:])
+            if is_valid_configuration_by_scan(system, pre):
+                result.add(pre)
+    return result

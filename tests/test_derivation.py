@@ -9,10 +9,12 @@ from pdsat import (Configuration, InvalidInputError, apply_actions,
                    behaviour_automaton, benois_reduce, decompose, deriv_member,
                    deriv_relation, derivation, pds, poststar,
                    productive_filter, singleton_view)
-from pdsat.automata import (EPS, Language, Nfa, eps_closure,
-                            pattern_forbidden_factors)
-from pdsat.derivation import (POP, PUSH, action_alphabet, pop, push,
-                              reduce_word)
+from pdsat.automata import (EPS, Language, Nfa, _reachable_product,
+                            eps_closure, pattern_forbidden_factors)
+from pdsat.derivation import (POP, PUSH, _benois_saturate,
+                              _check_action_alphabet, _productive_pattern,
+                              _reduced_pattern, _split, action_alphabet, pop,
+                              push, reduce_word)
 from reference import (deriv_member_pairwise, product_intersect, relabel,
                        reverse)
 
@@ -401,3 +403,80 @@ def test_deriv_relation_matches_per_pair_reference():
             v_ref = Language(eps_closure(v_aut), v_start)
             assert u.words(4) == u_ref.words(4), (system, q0, qf)
             assert v.words(4) == v_ref.words(4), (system, q0, qf)
+
+
+# ---------------------------------------------------------------------------
+# One product with both patterns
+
+
+def as_fields(lang):
+    return lang.aut.states, lang.aut.finals, lang.aut.transitions, lang.start
+
+
+def assert_two_patterns_nest(aut, start, alpha, what):
+    first, second = _reduced_pattern(alpha), _productive_pattern(alpha)
+    inner = _reachable_product(aut, start, [first])
+    nested = _reachable_product(inner.aut, inner.start, [second])
+    got = _reachable_product(aut, start, [first, second])
+    assert as_fields(got) == as_fields(nested), what
+
+
+def test_two_pattern_product_equals_nested_products():
+    rng = make_rng(40)
+    with_eps = 0
+    for i in range(100):
+        lang = random_action_automaton(rng)
+        with_eps += lang.aut.has_eps()
+        assert_two_patterns_nest(lang.aut, lang.start,
+                                 _check_action_alphabet(lang.aut), (i, lang.aut))
+    assert with_eps > 10
+    one_symbol = 0
+    for system, q0, qf in deriv_instances(41, 40):
+        saturated, alpha = _benois_saturate(behaviour_automaton(system, q0, qf))
+        # with one base symbol the productive pattern has a single state
+        one_symbol += len(_productive_pattern(alpha)[0].states) == 1
+        assert_two_patterns_nest(saturated, q0, alpha, (system, q0, qf))
+    assert one_symbol > 0
+
+
+def relation_fields(rel):
+    def targets(step):
+        return {key: set(ts) for key, ts in step.items()}
+    return (rel.alphabet, rel.u_start, rel.finals, rel.boundary,
+            targets(rel.u_step), targets(rel.v_step))
+
+
+def relation_of_public_steps(system, q0, qf):
+    """The relation as the public steps build it: the split of
+    ``productive_filter(benois_reduce(...))``, relabelled and reversed."""
+    lang = productive_filter(benois_reduce(behaviour_automaton(system, q0, qf)))
+    _, finals, pop_trans, push_trans, boundary = _split(lang)
+    u_step, v_step = {}, {}
+    for s, a, t in pop_trans:
+        u_step.setdefault((s, a[1]), set()).add(t)
+    v_start = derivation.PrefixRewriteRelation.V_START
+    for s, a, t in push_trans:
+        v_step.setdefault((t, a[1]), set()).add(s)
+        if t in finals:
+            v_step.setdefault((v_start, a[1]), set()).add(s)
+    alphabet = frozenset(a[1] for a in lang.aut.alphabet)
+    return (alphabet, lang.start, finals, tuple(boundary), u_step, v_step)
+
+
+def test_deriv_relation_equals_the_split_of_the_public_steps():
+    for system, q0, qf in deriv_instances(42, 40):
+        assert relation_fields(deriv_relation(system, q0, qf)) == \
+            relation_of_public_steps(system, q0, qf), (system, q0, qf)
+
+
+def test_deriv_relation_builds_one_product(monkeypatch):
+    calls = []
+
+    def counted(aut, start, patterns):
+        calls.append(len(patterns))
+        return _reachable_product(aut, start, patterns)
+
+    monkeypatch.setattr(derivation, "_reachable_product", counted)
+    system, q0, qf = next(deriv_instances(43, 1))
+    deriv_relation(system, q0, qf)
+    assert calls == [2]

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import itertools
 import tracemalloc
 
 import pytest
@@ -9,6 +10,8 @@ from conftest import configurations_upto, make_rng, random_pds
 from pdsat import (Configuration, InvalidInputError, Rule, pds, predecessors,
                    successors, validate)
 from pdsat.pds import check_valid, is_valid_configuration
+from reference import (is_valid_configuration_by_scan, predecessors_by_scan,
+                       successors_by_scan)
 
 # the module; the package's ``pdsat.pds`` is the constructor
 pds_module = importlib.import_module("pdsat.pds")
@@ -68,6 +71,30 @@ def test_predecessors_inverts_successors():
         for c in configurations_upto(sys_i, 2):
             for c0 in predecessors(sys_i, c):
                 assert c in successors(sys_i, c0), (sys_i, c0, c)
+
+
+def test_one_step_semantics_match_rule_scans():
+    rng = make_rng(12)
+    systems = [random_pds(rng, n_rules=rng.randint(1, 12)) for _ in range(20)]
+    # one rule pushes three symbols: one more length of pushed word to index
+    systems.append(pds(controls={"p", "q"}, alphabet={"A", "B", "_"},
+                       bottom="_",
+                       rules=[Rule("p", "A", "q", ("A", "B", "A")),
+                              ("q", "A", "q", ("B",)), ("q", "B", "p", ()),
+                              ("p", "_", "q", ("B", "_"))]))
+    for system in systems:
+        for c in configurations_upto(system, 3):
+            assert successors(system, c) == successors_by_scan(system, c), c
+            assert predecessors(system, c) == predecessors_by_scan(system, c), c
+        # every stack up to height 3 over the alphabet, an unknown symbol
+        # and the bottom symbol anywhere
+        symbols = sorted(system.alphabet) + ["Z"]
+        for k in range(4):
+            for stack in itertools.product(symbols, repeat=k):
+                for q in ("p", "q0", "z"):
+                    c = Configuration(q, stack)
+                    assert is_valid_configuration(system, c) == \
+                        is_valid_configuration_by_scan(system, c), c
 
 
 def test_successors_rejects_invalid_configuration():

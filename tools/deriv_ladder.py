@@ -1,7 +1,8 @@
 """The derivation ladder: ``deriv_relation`` on bottom-free systems past the
 sizes the steady benchmark reaches, then seeded ``deriv_member`` queries,
-each rung reported with the ``deriv_relation`` time, the queries per second
-and a SHA-256 and count of the answers.
+each rung reported with the ``deriv_relation`` time, the queries per second,
+a SHA-256 and count of the answers, and the time of the ``deriv`` command
+on the rung's document.
 
     python3 tools/deriv_ladder.py [--cap S] [RUNG ...]
     python3 tools/deriv_ladder.py --check BENCH_derivation.json RUNG ...
@@ -24,6 +25,12 @@ first query, which builds the relation's index.  The answers hash
 (``members_sha256``) is over one character, ``1`` or ``0``, per answer in
 query order; ``answers`` is their number and ``members`` the number of
 ``1``s.  None of these depends on ``PYTHONHASHSEED``.
+
+``cli_s`` is the end-to-end time of ``pdsat.cli.main(["deriv", ...])``
+in the same process: it parses the rung's system, rendered as a document
+by ``workloads._pds_text``, builds the relation again and writes it with
+``--out`` to a temporary file.  A command that does not exit 0 fails the
+rung.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -64,6 +72,7 @@ def measure(rung):
     """Run one rung in this process and print its JSON line."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import pdsat
+    import pdsat.cli
     import workloads
     s, q0, qf, queries = build(rung)
     system = workloads._pds(s)
@@ -74,7 +83,19 @@ def measure(rung):
     answers = "".join("1" if pdsat.deriv_member(rel, w1, w2) else "0"
                       for w1, w2 in queries)
     query_s = perf_counter() - start
+    del rel  # the command builds its own: hold one relation at a time
+    with tempfile.TemporaryDirectory() as folder:
+        doc, out = os.path.join(folder, "rung.pds"), os.path.join(folder, "out")
+        with open(doc, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(workloads._pds_text(s)) + "\n")
+        start = perf_counter()
+        code = pdsat.cli.main(["deriv", "--in", doc, "--from", q0, "--to", qf,
+                               "--out", out])
+        cli_s = perf_counter() - start
+    if code != 0:
+        sys.exit(f"{rung}: pdsat deriv exited with code {code}")
     print(json.dumps({"rung": rung, "deriv_relation_s": round(relation_s, 2),
+                      "cli_s": round(cli_s, 2),
                       "queries_per_s": round(len(answers) / query_s),
                       "answers": len(answers), "members": answers.count("1"),
                       "members_sha256":
