@@ -322,7 +322,9 @@ def _emit_relation(rel) -> str:
 
 
 def _dot_escape(name) -> str:
-    return '"' + str(name).replace('"', r'\"') + '"'
+    """``name`` as a quoted dot id: each backslash doubled first, then each
+    quote escaped, so no backslash of the name escapes a quote."""
+    return '"' + str(name).replace("\\", "\\\\").replace('"', r'\"') + '"'
 
 
 def _emit_view_dot(view) -> str:

@@ -252,7 +252,16 @@ def _useful(alphabet, out, into, fwd, start, finals) -> Language:
 
 def _split(lang: Language):
     """Trim and index ``lang`` once.  Returns its trimmed states, finals, pop
-    and push transitions, and boundary states in the order of ``repr``."""
+    and push transitions, and boundary states in the order of ``repr``.
+
+    A boundary state is reachable from the start by pops only and reaches a
+    final state by pushes only.  Once the check that no trimmed pop follows
+    a trimmed push has passed, every trimmed path from the start to a pop
+    transition is all pops, and every one from a push transition to a
+    final state all pushes.  So the boundary is the start and the pop
+    targets, met with the finals and the push sources, with no search.
+    The forward search stays: ``decompose`` accepts any language, not only
+    a reachable product."""
     _check_action_alphabet(lang.aut)
     if lang.aut.has_eps():
         raise InvalidInputError("decompose requires an epsilon-free automaton")
@@ -267,10 +276,9 @@ def _split(lang: Language):
     if any(s in after_push for s, _, _ in pop_trans):
         raise InvalidInputError("language is not included in pops* pushes*")
     finals = lang.aut.finals & keep
-    # Boundary states: reachable from the start via pops only, and reaching a
-    # final state via pushes only (none when nothing is kept).
-    boundary = (_reach(_index(pop_trans)[0], 2, {lang.start})
-                & _reach(_index(push_trans)[1], 0, finals))
+    # none when nothing is kept: then there are no finals and no pushes
+    boundary = (({lang.start} | {t for _, _, t in pop_trans})
+                & (finals | {s for s, _, _ in push_trans}))
     return keep, finals, pop_trans, push_trans, sorted(boundary, key=repr)
 
 

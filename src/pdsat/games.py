@@ -27,11 +27,13 @@ refuses Büchi and parity games that have one.)
 
 All solvers run on one kernel.  It keeps the region as a mutable dict
 ``(state, symbol) -> antichain of target sets`` for the whole solve and builds
-the ``AltAutomaton`` once at the end.  The round loop it stands for, one
+the ``AltAutomaton`` once at the end; it only reads the system's own rule
+index, ``PushdownSystem._rules_from``.  The round loop it stands for, one
 game-predecessor step, projection and subsumption over whole automata per
-round, is written out in the tests as a frozenset reference that shares no
-code with the kernel; of its steps only ``project``, the renaming of one
-level onto another, is public here.
+round, is written out in the tests as a frozenset reference, its start
+value (``S_STAR`` reading the bottom symbol into ``S_BOT`` and any other
+into itself) included, that shares no code with the kernel; of its steps
+only ``project``, the renaming of one level onto another, is public here.
 
 Inside the kernel a state is a bit and a target set an ``int`` mask:
 
@@ -180,13 +182,6 @@ def region_member(region: RegionAutomaton, c: Configuration) -> bool:
     return alt_membership(region.aut, entry, c.stack)
 
 
-def _rules_by_source(system: PushdownSystem):
-    index = defaultdict(list)
-    for r in system.rules:
-        index[(r.from_control, r.from_symbol)].append(r)
-    return index
-
-
 class _Memo:
     """The runs and moves of one solve, each with what it was computed
     from: ``runs`` maps ``(state, pushed)`` to the run's targets, the keys
@@ -199,24 +194,23 @@ class _Memo:
         self.runs, self.moves = {}, {}
 
 
-def _moves(entries, owner, rules, entry_for, memo) -> dict:
+def _moves(entries, owner, rules, entry, memo) -> dict:
     """Entries of one game-predecessor step, keyed ``(p, A)``.
 
     For every control p and top symbol A: an Éloïse control gets one target
     per rule and per minimal run of the rule's pushed word; an Abelard
     control gets the minimal unions of one run target per rule.
-    ``entry_for(p, q)`` is the bit of the state standing for the successor
-    control ``q`` when moving from ``p``; runs read the mask ``entries``.
-    From the ``_Memo``, a run is computed again only when an entry it read
-    no longer compares equal, and a move only when a run of one of its
-    rules does.
+    ``entry[q]`` is the bit of the state standing for the successor control
+    ``q``; runs read the mask ``entries``.  From the ``_Memo``, a run is
+    computed again only when an entry it read no longer compares equal,
+    and a move only when a run of one of its rules does.
     """
     runs = {}  # (state, pushed) -> minimal run targets, shared by the rules
     moves = {}
     for (p, a), applicable in rules.items():
         per_rule = []
         for r in applicable:
-            key = (entry_for(p, r.to_control), r.pushed)
+            key = (entry[r.to_control], r.pushed)
             if key not in runs:
                 runs[key] = _run(entries, key, memo)
             per_rule.append(runs[key])
@@ -257,7 +251,6 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     # The target's states and the embedded states that are not among them,
     # which are states of the region too, are bits 0.. in some order.
     embed, target = dict(cond.embed), cond.target
-    rules = _rules_by_source(game.pds)
     names, bit = _numbering(target.states | set(embed.values()))
     entries = _mask_entries(target.transitions, bit)
     entry = {q: bit[s] for q, s in embed.items()}
@@ -266,8 +259,8 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     while changed:
         changed = False
         # check_game holds the embedding injective: one entry per move
-        for (p, a), sets in _moves(entries, game.owner, rules,
-                                   lambda p, q: entry[q], memo).items():
+        for (p, a), sets in _moves(entries, game.owner, game.pds._rules_from,
+                                   entry, memo).items():
             key = (entry[p], a)
             sets = _antichain(sets | entries.get(key, frozenset()))
             if sets != entries.get(key):
@@ -279,15 +272,6 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
 
 # ---------------------------------------------------------------------------
 # Büchi and parity games
-
-
-def _initial_region_automaton(system: PushdownSystem) -> AltAutomaton:
-    bot = system.bottom
-    transitions = {(S_STAR, a, frozenset({S_STAR}))
-                   for a in system.alphabet if a != bot}
-    transitions.add((S_STAR, bot, frozenset({S_BOT})))
-    return AltAutomaton(frozenset({S_STAR, S_BOT}), system.alphabet,
-                        frozenset({S_BOT}), frozenset(transitions))
 
 
 def project(aut: AltAutomaton, from_idx, to_idx) -> AltAutomaton:
@@ -368,10 +352,9 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     system = game.pds
     rank, top = _ranks(cond.colours[p] for p in system.controls)
     # from here on a control's colour is its rank
-    colour_of = {p: rank[cond.colours[p]] for p in system.controls}
     by_colour = defaultdict(dict)  # colour -> rules of the controls of it
-    for (p, a), applicable in _rules_by_source(system).items():
-        by_colour[colour_of[p]][(p, a)] = applicable
+    for (p, a), applicable in system._rules_from.items():
+        by_colour[rank[cond.colours[p]]][(p, a)] = applicable
     # The bit layout: S_STAR is bit 0, S_BOT bit 1, (p, level) bit
     # 2 + level * n + index of p.
     controls, n = list(system.controls), len(system.controls)
@@ -386,9 +369,10 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     pairs = [(p, a) for p in controls for a in system.alphabet]
     keys = [[(bit(p, level), a) for p, a in pairs]
             for level in range(top + 1)]
-    base = _initial_region_automaton(system)
-    entries = _mask_entries(base.transitions, {S_STAR: 0, S_BOT: 1})
     bottom = frozenset((1 << 1,))  # the bottom entry into S_BOT
+    # the start value: S_STAR's entries, a loop on bit 0 but at the bottom
+    entries = {(0, a): bottom if a == system.bottom else frozenset((1,))
+               for a in system.alphabet}
     known = {}  # colour c -> moves of its controls, whose runs start at level c
     memo = _Memo()
 
@@ -422,7 +406,8 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
                 for c, rules in by_colour.items():
                     if c not in known:
                         known[c] = _moves(entries, game.owner, rules,
-                                          lambda p, q: bit(q, c), memo)
+                                          {q: bit(q, c) for q in controls},
+                                          memo)
                     moves.update(known[c])
                 values = [moves.get(pair) for pair in pairs]
             else:
@@ -447,7 +432,7 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
         # only level 0's entries and S_STAR's are left, and they target
         # nothing above level 0
         _alt_from_masks(*_numbering(names[:2 + n]), system.alphabet,
-                        base.finals, entries),
+                        frozenset({S_BOT}), entries),
         {p: (p, 0) for p in controls})
 
 

@@ -6,7 +6,8 @@ import itertools
 from collections import defaultdict
 
 from pdsat import ELOISE, Configuration, InvalidInputError
-from pdsat.automata import EPS, AltAutomaton, Nfa, eps_closure
+from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Nfa,
+                            eps_closure)
 
 
 def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
@@ -118,6 +119,17 @@ def run_targets(index, start, word):
             stepped |= unions
         frontier = minimal(stepped)
     return frozenset(frontier)
+
+
+def initial_region_automaton(system) -> AltAutomaton:
+    """The round loops' start value: ``S_STAR`` reads every symbol but the
+    bottom one into itself and the bottom symbol into ``S_BOT``, the one
+    final state, so it accepts every valid stack."""
+    transitions = {(S_STAR, a, frozenset({S_STAR}))
+                   for a in system.alphabet if a != system.bottom}
+    transitions.add((S_STAR, system.bottom, frozenset({S_BOT})))
+    return AltAutomaton(frozenset({S_STAR, S_BOT}), system.alphabet,
+                        frozenset({S_BOT}), frozenset(transitions))
 
 
 def pre_step(aut: AltAutomaton, game, fresh_idx, colour_of) -> AltAutomaton:

@@ -17,7 +17,7 @@ from conftest import (BOT, make_rng, random_pds, random_bottom_free_pds,
 import pdsat as P
 from pdsat.automata import S_BOT, S_STAR, words_upto
 from pdsat.derivation import pop, push, reduce_word
-from pdsat.games import _initial_region_automaton, project
+from pdsat.games import project
 from pdsat.oracle import bounded_nodes, bracket_region
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -8,8 +9,9 @@ from conftest import make_rng
 from pdsat import InvalidInputError
 from pdsat import automata
 from pdsat.automata import (EPS, S_STAR, AltAutomaton, Language, Nfa,
-                            _antichain, _fold, _mask_entries, _run_targets,
-                            _saturated, alt, alt_membership, alt_run_targets,
+                            _antichain, _fold, _mask_entries,
+                            _reachable_product, _run_targets, _saturated,
+                            alt, alt_membership, alt_run_targets,
                             eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors, words_upto)
 from reference import (alt_membership_sets, minimal, product_intersect,
@@ -66,6 +68,21 @@ def test_accepts_unknown_state_and_symbol():
         nfa_accepts(aut, 99, "")
     with pytest.raises(InvalidInputError):
         nfa_accepts(aut, 0, "z")
+    # the other queries of a language from a state, and alternating ones
+    pattern = pattern_forbidden_factors("ab", {("a", "b")})
+    alternating = alt(alphabet="ab", finals=[1], transitions=[(0, "a", {1})])
+    for query, message in (
+            (lambda: _reachable_product(aut, 99, [pattern]),
+             "unknown state: 99"),
+            (lambda: words_upto(aut, 99, 2), "unknown state: 99"),
+            (lambda: alt_membership(alternating, 99, "a"),
+             "unknown state: 99"),
+            (lambda: alt_membership(alternating, 0, "az"),
+             "unknown symbol: 'z'"),
+            (lambda: alt_run_targets(alternating, 99, "a"),
+             "unknown state: 99")):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            query()
 
 
 def test_accepts_matches_path_search():
@@ -161,6 +178,11 @@ def test_pattern_forbidden_factors():
     assert not nfa_accepts(aut, start, "ab")
     assert not nfa_accepts(aut, start, "aab")
     assert nfa_accepts(aut, start, "bba")
+    for factor, message in (
+            (("a",), "forbidden factor must have length 2: ('a',)"),
+            (("a", "c"), "factor symbol not in alphabet: ('a', 'c')")):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            pattern_forbidden_factors("ab", {factor})
 
 
 def test_reverse_language():
@@ -427,6 +449,19 @@ def test_alt_rejects_empty_target_set():
     with pytest.raises(InvalidInputError):
         AltAutomaton(frozenset({0}), frozenset("a"), frozenset(),
                      frozenset({(0, "a", frozenset())}))
+
+
+def test_alt_constructor_checks_every_input():
+    states, alphabet = frozenset({0, 1}), frozenset("ab")
+    for finals, transition, message in (
+            ({2}, (0, "a", {1}), "finals must be a subset of states"),
+            ({1}, (2, "a", {1}), "transition source not a state: 2"),
+            ({1}, (0, "c", {1}), "transition label not in alphabet: 'c'"),
+            ({1}, (0, "a", {1, 2}),
+             "target set must be a non-empty subset of states")):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            AltAutomaton(states, alphabet, frozenset(finals), frozenset(
+                {(transition[0], transition[1], frozenset(transition[2]))}))
 
 
 def _equal_pair(make):

@@ -230,6 +230,34 @@ def test_dot_output(tmp_path, capsys):
     assert "shape=point" in out  # hyperedges drawn through point nodes
 
 
+# REACH_DOC with the controls renamed p\ and q", so that a name ends in a
+# backslash and another holds a quote
+ESCAPE_DOC = REACH_DOC.replace(" p", " p\\").replace(" q", ' q"')
+# a dot id: a quoted string whose backslashes each escape one character
+DOT_ID = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_names_with_backslashes_and_quotes(tmp_path, capsys):
+    # text: the names are printed as they are and parse back
+    assert run_cli(tmp_path, ESCAPE_DOC, "prestar") == 0
+    text = capsys.readouterr().out
+    assert "embed p\\ " in text and 'embed q" ' in text
+    doc = cli.parse(ESCAPE_DOC.split("automaton")[0] + text)
+    system = cli._build_pds(doc)
+    view = cli._as_view(cli._build_automaton(doc, system), system)
+    from pdsat import Configuration
+    assert view.accepts(Configuration('q"', ("B", "A", "_")))
+    assert not view.accepts(Configuration('q"', ("A", "_")))
+    # dot: every quoted id is terminated, and the ids spell the names
+    assert run_cli(tmp_path, ESCAPE_DOC, "prestar", "--format", "dot") == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line in lines:
+        rest = DOT_ID.sub("", line)
+        assert '"' not in rest and "\\" not in rest, line
+    ids = {m for line in lines for m in DOT_ID.findall(line)}
+    assert {'"p\\\\"', '"q\\""'} <= ids
+
+
 # Controls named like the printed names of unembedded states
 COLLIDING_DOC = """\
 pds

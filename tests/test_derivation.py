@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import deque
 
 import pytest
@@ -134,6 +135,27 @@ def test_decompose_reassembles():
         assert rebuilt == whole, (sys_i,)
 
 
+def test_decompose_refuses_what_is_not_pops_then_pushes():
+    def lang(transitions, finals=(2,), alphabet=(pop("A"), push("A"))):
+        return Language(Nfa(frozenset({0, 1, 2, 3}), frozenset(alphabet),
+                            frozenset(finals), frozenset(transitions)), 0)
+
+    for language, message in (
+            (lang([(0, "A", 2)], alphabet=("A",)),
+             "not an action symbol: 'A'"),
+            (lang([(0, EPS, 2)]),
+             "decompose requires an epsilon-free automaton"),
+            # a push followed by a pop on an accepting path
+            (lang([(0, push("A"), 1), (1, pop("A"), 2)]),
+             "language is not included in pops* pushes*")):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            decompose(language)
+    # a push and a pop after it on a path that accepts nothing are trimmed
+    # away first: the one boundary state is 1, between the pop and the push
+    pairs = decompose(lang([(0, pop("A"), 1), (1, push("A"), 2),
+                            (2, push("A"), 3), (3, pop("A"), 3)]))
+    assert [(x.words(3), y.start, y.words(3)) for x, y in pairs] == \
+        [({(pop("A"),)}, 1, {(push("A"),)})]
 def test_deriv_relation_hand_example():
     sys1 = pds(controls={"p"}, alphabet={"A", "B", "C", "D", "_"}, bottom="_",
                rules=[("p", "A", "p", ()), ("p", "B", "p", ("D", "C"))])

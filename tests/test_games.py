@@ -10,9 +10,10 @@ from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    solve_reachability_game)
 from pdsat import automata, games
 from pdsat.automata import S_BOT, S_STAR, _members
-from pdsat.games import _initial_region_automaton, project
+from pdsat.games import project
 from pdsat.oracle import bounded_nodes, bracket_region
-from reference import alt_membership_sets, pre_step, subsume
+from reference import (alt_membership_sets, initial_region_automaton,
+                       pre_step, subsume)
 
 
 def loop_or_pop_game():
@@ -57,6 +58,11 @@ def test_projection_example():
         (("p", 0), "A", frozenset({("p", 0)})),
         (("p", 0), "_", frozenset({S_BOT})),
     })
+    with pytest.raises(InvalidInputError,
+                       match="projection indices must differ"):
+        project(aut, 1, 1)
+    with pytest.raises(InvalidInputError, match="no states at level 2"):
+        project(aut, 2, 0)
 
 
 def test_buchi_pop_loop_example():
@@ -277,6 +283,17 @@ def test_solver_input_validation():
     nobody = PushdownGame(system, {"p": ELOISE}, BuchiCondition(frozenset()))
     with pytest.raises(InvalidInputError):
         solve_buchi_game(nobody)
+    with pytest.raises(InvalidInputError,
+                       match="solve_buchi_game needs a Büchi condition"):
+        solve_buchi_game(PushdownGame(system, owner,
+                                      ParityCondition({"p": 0, "q": 1}, 1)))
+    with pytest.raises(InvalidInputError,
+                       match="dual_game is defined for parity conditions"):
+        dual_game(game)
+    region = solve_buchi_game(game)
+    with pytest.raises(InvalidInputError,
+                       match="control has no entry state: 'zzz'"):
+        region_member(region, Configuration("zzz", ("_",)))
     with pytest.raises(InvalidInputError):
         solve_buchi_game(PushdownGame(system, owner,
                                       BuchiCondition(frozenset({"zzz"}))))
@@ -330,7 +347,7 @@ def reference_parity(game):
                 return current
             current = nxt
 
-    return fix(_initial_region_automaton(game.pds), 0)
+    return fix(initial_region_automaton(game.pds), 0)
 
 
 def reference_buchi(game):
@@ -338,7 +355,7 @@ def reference_buchi(game):
     colour_of = {p: 0 if p in game.condition.finals else 1 for p in controls}
     level0 = frozenset((p, 0) for p in controls)
     level1 = frozenset((p, 1) for p in controls)
-    base = _initial_region_automaton(game.pds)
+    base = initial_region_automaton(game.pds)
     current = extend(base, level0,
                      full_value(game.pds, 0, base.states | level0))
     while True:
@@ -574,12 +591,12 @@ def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
     asked, computed = [0], [0]
     moves, run_targets = games._moves, games._run_targets
 
-    def counting_moves(entries, owner, rules, entry_for, memo):
+    def counting_moves(entries, owner, rules, entry, memo):
         # the distinct runs one call needs, each of which it used to compute
-        asked[0] += len({(entry_for(p, r.to_control), r.pushed)
-                         for (p, a), applicable in rules.items()
+        asked[0] += len({(entry[r.to_control], r.pushed)
+                         for applicable in rules.values()
                          for r in applicable})
-        return moves(entries, owner, rules, entry_for, memo)
+        return moves(entries, owner, rules, entry, memo)
 
     def counting_run_targets(*args):
         computed[0] += 1
@@ -589,9 +606,13 @@ def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
     monkeypatch.setattr(games, "_run_targets", counting_run_targets)
     a, b = parity_game(50), parity_game(51)
     before = containers()
+    rules = {key: list(applicable)
+             for key, applicable in a.pds._rules_from.items()}
     first = solve_parity_game(a).aut
     assert 0 < computed[0] < asked[0]
     assert containers() == before
     assert solve_parity_game(b).aut != first
     assert solve_parity_game(a).aut == first == reference_parity(a)
     assert containers() == before
+    # the solves read the system's own rule index and leave it as it was
+    assert a.pds._rules_from == rules

@@ -42,6 +42,16 @@ def test_bounded_graph_caps(monkeypatch):
         bounded_graph(sys1, 10)
     with pytest.raises(InvalidInputError):
         bounded_graph(sys1, 0)
+    # the bounded search stops once it has found more than the cap: from
+    # (p, A _) it finds 1 + 2 + 4 + 8 = 15 stacks up to height 5
+    growing = pds(controls={"p"}, alphabet={"A", "B", "_"}, bottom="_",
+                  rules=[("p", x, "p", (y, x)) for x in "AB" for y in "AB"])
+    start = Configuration("p", ("A", "_"))
+    assert not bfs_prestar_member(growing, lambda c: False, start, 5)
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_CAP", 14)
+    with pytest.raises(ResourceLimitError,
+                       match="bounded search exceeded the node cap"):
+        bfs_prestar_member(growing, lambda c: False, start, 5)
 
 
 def test_bfs_prestar_member():
@@ -51,6 +61,9 @@ def test_bfs_prestar_member():
     assert bfs_prestar_member(sys1, target, Configuration("p", ("A", "_")), 3)
     assert bfs_prestar_member(sys1, target, Configuration("q", ("A", "A", "_")), 3)
     assert not bfs_prestar_member(sys1, target, Configuration("p", ("_",)), 3)
+    with pytest.raises(InvalidInputError,
+                       match="start configuration exceeds the height bound"):
+        bfs_prestar_member(sys1, target, Configuration("q", ("A", "A", "_")), 2)
 
 
 def test_attractor_hand_example():
@@ -206,3 +219,13 @@ def test_oracle_rejects_invalid_games_as_the_solvers_do():
         with pytest.raises(InvalidInputError) as oracle_err:
             bracket_region(game, 3)
         assert str(oracle_err.value) == str(err.value)
+    # a condition of no kind: every solver refuses it by its own name, and
+    # the oracle names the condition
+    game = PushdownGame(sys1, owner, "reach")
+    for solve in (solve_reachability_game, solve_buchi_game, solve_parity_game):
+        with pytest.raises(InvalidInputError,
+                           match=f"{solve.__name__} needs a .* condition"):
+            solve(game)
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("unsupported condition: 'reach'")):
+        bracket_region(game, 3)

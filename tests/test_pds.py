@@ -7,8 +7,8 @@ import pytest
 
 import pdsat as P
 from conftest import configurations_upto, make_rng, random_pds
-from pdsat import (Configuration, InvalidInputError, Rule, pds, predecessors,
-                   successors, validate)
+from pdsat import (Configuration, InvalidInputError, PushdownSystem, Rule, pds,
+                   predecessors, successors, validate)
 from pdsat.pds import check_valid, is_valid_configuration
 from reference import (is_valid_configuration_by_scan, predecessors_by_scan,
                        successors_by_scan)
@@ -41,6 +41,24 @@ def test_validate_rejects_bottom_violations():
 def test_validate_rejects_wide_push():
     bad = pds(bottom="_", rules=[Rule("p", "A", "p", ("A", "A", "A"))])
     assert any("more than two" in e for e in validate(bad))
+
+
+def test_validate_rejects_names_the_system_does_not_declare():
+    # pds() declares every name its rules use, so build the systems directly
+    controls, alphabet = frozenset({"p"}), frozenset({"A", "_"})
+    for system, errors in (
+            (PushdownSystem(controls, frozenset({"A"}), "_", frozenset()),
+             ["bottom symbol is not in the alphabet"]),
+            (PushdownSystem(controls, alphabet, "_",
+                            frozenset({Rule("p", "A", "q", ())})),
+             ["rule (p,A)->(q,ε): unknown control state"]),
+            (PushdownSystem(controls, alphabet, "_",
+                            frozenset({Rule("p", "A", "p", ("B",))})),
+             ["rule (p,A)->(p,B): unknown stack symbol"])):
+        assert validate(system) == errors
+        with pytest.raises(InvalidInputError) as err:
+            check_valid(system)
+        assert str(err.value) == errors[0]
 
 
 def test_configuration_validity():

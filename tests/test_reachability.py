@@ -505,6 +505,14 @@ def test_prestar_requires_embedded_controls():
     partial = PAutomatonView(view.aut, {"p": view.control_embed["p"]})
     with pytest.raises(InvalidInputError):
         prestar(sys1, partial)
+    with pytest.raises(InvalidInputError, match="control not embedded: 'q'"):
+        partial.accepts(Configuration("q", ("_",)))
+    # an embedded state the automaton does not have
+    missing = PAutomatonView(view.aut, dict(view.control_embed, q="gone"))
+    assert view_errors(missing) == \
+        ["embedded state missing from automaton: 'gone'"]
+    with pytest.raises(InvalidInputError, match="unknown control: 'zzz'"):
+        buchi_target_automaton(sys1, "zzz")
 
 
 def test_controls_sharing_an_embedded_state_are_rejected():

@@ -13,10 +13,10 @@ of ``BENCH_derivation.json``'s ``"ladder"``, named by their rule count:
 ``rules-240``, ``rules-320`` and ``rules-480``; with no rung named, every
 rung of ``RUNGS`` runs.  Each rung runs in its own process and is reported
 as one JSON line; a rung that exceeds ``--cap`` seconds is reported as
-``"timeout"``.  With ``--check``, each named rung's ``members`` and
-``members_sha256`` must equal the file's ``"rungs"`` entry, and its answers
-must not all be one value (see ``ladder.py``), or the command exits with
-code 1.
+``"timeout"``.  With ``--check``, each named rung's ``members``,
+``members_sha256`` and ``cli_sha256`` must equal the file's ``"rungs"``
+entry, and its answers must not all be one value (see ``ladder.py``), or
+the command exits with code 1.
 
 The relation runs from the system's first control to its last.  The
 queries are ``QUERIES`` pairs of ``gen.deriv_queries`` drawn from
@@ -30,7 +30,9 @@ query order; ``answers`` is their number and ``members`` the number of
 in the same process: it parses the rung's system, rendered as a document
 by ``workloads._pds_text``, builds the relation again and writes it with
 ``--out`` to a temporary file.  A command that does not exit 0 fails the
-rung.
+rung.  ``cli_sha256`` is the SHA-256 of that file, and ``--check``
+compares it too: the printed relation must not depend on
+``PYTHONHASHSEED`` either.
 """
 
 from __future__ import annotations
@@ -92,10 +94,12 @@ def measure(rung):
         code = pdsat.cli.main(["deriv", "--in", doc, "--from", q0, "--to", qf,
                                "--out", out])
         cli_s = perf_counter() - start
-    if code != 0:
-        sys.exit(f"{rung}: pdsat deriv exited with code {code}")
+        if code != 0:
+            sys.exit(f"{rung}: pdsat deriv exited with code {code}")
+        with open(out, "rb") as handle:
+            cli_sha256 = hashlib.sha256(handle.read()).hexdigest()
     print(json.dumps({"rung": rung, "deriv_relation_s": round(relation_s, 2),
-                      "cli_s": round(cli_s, 2),
+                      "cli_s": round(cli_s, 2), "cli_sha256": cli_sha256,
                       "queries_per_s": round(len(answers) / query_s),
                       "answers": len(answers), "members": answers.count("1"),
                       "members_sha256":
@@ -105,4 +109,5 @@ def measure(rung):
 if __name__ == "__main__":
     import ladder
     ladder.main(os.path.abspath(__file__), RUNGS, measure,
-                ("members", "members_sha256"), "deriv_relation_s")
+                ("members", "members_sha256", "cli_sha256"),
+                "deriv_relation_s")
