@@ -3,7 +3,7 @@ sets, pre*/post*, the derivation relation, and pushdown game solving."""
 
 from .automata import (AltAutomaton, EPS, Language, Nfa, S_BOT, S_STAR, alt,
                        alt_membership, alt_run_targets, eps_closure, nfa,
-                       nfa_accepts, pattern_forbidden_factors, words_upto)
+                       nfa_accepts, pattern_forbidden_factors)
 from .errors import InvalidInputError, ResourceLimitError
 from .pds import (Configuration, PushdownSystem, Rule, pds, predecessors,
                   successors, validate)
@@ -20,4 +20,29 @@ from .games import (ABELARD, BuchiCondition, ELOISE, ParityCondition,
 from .oracle import (BoundedGraph, bfs_prestar_member, bounded_graph,
                      bounded_nodes, bracket_region, finite_game_region)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # automata
+    "AltAutomaton", "EPS", "Language", "Nfa", "S_BOT", "S_STAR", "alt",
+    "alt_membership", "alt_run_targets", "eps_closure", "nfa", "nfa_accepts",
+    "pattern_forbidden_factors",
+    # errors
+    "InvalidInputError", "ResourceLimitError",
+    # pds
+    "Configuration", "PushdownSystem", "Rule", "pds", "predecessors",
+    "successors", "validate",
+    # reachability
+    "PAutomatonView", "buchi_target_automaton", "pop_relation", "poststar",
+    "prestar", "singleton_view",
+    # derivation
+    "ActionAlphabet", "PrefixRewriteRelation", "apply_actions",
+    "behaviour_automaton", "benois_reduce", "decompose", "deriv_member",
+    "deriv_relation", "productive_filter", "push", "pop",
+    # games
+    "ABELARD", "BuchiCondition", "ELOISE", "ParityCondition", "PushdownGame",
+    "ReachabilityCondition", "RegionAutomaton", "dual_game", "project",
+    "region_member", "solve_buchi_game", "solve_parity_game",
+    "solve_reachability_game",
+    # oracle
+    "BoundedGraph", "bfs_prestar_member", "bounded_graph", "bounded_nodes",
+    "bracket_region", "finite_game_region",
+]

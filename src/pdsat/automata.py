@@ -293,36 +293,6 @@ def pattern_forbidden_factors(alphabet, factors):
     return aut, start
 
 
-def words_upto(aut: Nfa, start, maxlen: int):
-    """The set of accepted words of length at most ``maxlen`` (as tuples)."""
-    if start not in aut.states:
-        raise InvalidInputError(f"unknown state: {start!r}")
-    closure = aut._eps_reach
-    index = aut._step_index
-    found = set()
-    words = {frozenset(closure[start]): {()}}
-    for k in range(maxlen + 1):
-        next_words = defaultdict(set)
-        for sset, ws in words.items():
-            if sset & aut.finals:
-                found |= ws
-            if k == maxlen:
-                continue
-            for a in aut.alphabet:
-                nxt = set()
-                for s in sset:
-                    for t in index.get((s, a), ()):
-                        nxt |= closure[t]
-                if nxt:
-                    fs = frozenset(nxt)
-                    for w in ws:
-                        next_words[fs].add(w + (a,))
-        words = next_words
-        if not words:
-            break
-    return found
-
-
 @dataclass(frozen=True, eq=False)
 class Language:
     """A regular language as an automaton plus its designated start state."""
@@ -332,9 +302,6 @@ class Language:
 
     def accepts(self, word) -> bool:
         return nfa_accepts(self.aut, self.start, tuple(word))
-
-    def words(self, maxlen: int):
-        return words_upto(self.aut, self.start, maxlen)
 
 
 # ---------------------------------------------------------------------------

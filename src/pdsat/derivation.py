@@ -93,7 +93,11 @@ def behaviour_automaton(system: PushdownSystem, q0, qf):
     alpha = action_alphabet(system)
     states = set(system.controls)
     transitions = set()
-    for i, r in enumerate(sorted(system.rules, key=repr)):
+    # Rules pushing "B C" and "BC" have equal reprs; the reprs of the pushed
+    # symbols order them, so the states are numbered alike in every process.
+    ordered = sorted(system.rules,
+                     key=lambda r: (repr(r), tuple(map(repr, r.pushed))))
+    for i, r in enumerate(ordered):
         word = [pop(r.from_symbol)]
         word += [push(a) for a in reversed(r.pushed)]
         prev = r.from_control
@@ -187,22 +191,6 @@ def benois_reduce(lang: Language) -> Language:
     """
     saturated, alpha = _benois_saturate(lang)
     return _reachable_product(saturated, lang.start, [_reduced_pattern(alpha)])
-
-
-def reduce_word(actions):
-    """Brute-force reduction: erase A+A- factors until none remain.  The
-    rewriting is confluent, so the order does not matter."""
-    word = list(actions)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            (k1, a1), (k2, a2) = word[i], word[i + 1]
-            if k1 == PUSH and k2 == POP and a1 == a2:
-                del word[i:i + 2]
-                changed = True
-                break
-    return tuple(word)
 
 
 def productive_filter(lang: Language) -> Language:

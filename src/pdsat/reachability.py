@@ -70,22 +70,17 @@ def view_errors(view: PAutomatonView):
     return errors
 
 
-def repair_view(view: PAutomatonView) -> PAutomatonView:
-    """Clone embedded control states that have incoming transitions or are
-    final, redirecting the offending role to the copy."""
-    return _repaired(view, stacklevel=3)
-
-
-def _repaired(view: PAutomatonView, stacklevel) -> PAutomatonView:
-    """``repair_view``, warning ``stacklevel`` frames up from here, so that
-    the warning names the user's call, not pdsat's."""
+def _repaired(view: PAutomatonView) -> PAutomatonView:
+    """``view`` with each embedded control state that has incoming transitions
+    or is final cloned, the offending role moved to the copy.  The warning
+    names the line that called prestar or poststar, four frames up."""
     embedded = set(view.control_embed.values())
     offending = {t for _, _, t in view.aut.transitions if t in embedded}
     offending |= embedded & view.aut.finals
     if not offending:
         return view
     warnings.warn("P-automaton has transitions into control states; "
-                  "cloning the offending states", stacklevel=stacklevel)
+                  "cloning the offending states", stacklevel=4)
     clone = {s: ("clone", s) for s in offending}
     transitions = set()
     for s, a, t in view.aut.transitions:
@@ -107,7 +102,7 @@ def _saturation_input(system: PushdownSystem, view: PAutomatonView):
     missing = [q for q in system.controls if q not in view.control_embed]
     if missing:
         raise InvalidInputError(f"controls not embedded: {missing!r}")
-    view = _repaired(view, stacklevel=4)  # the caller of prestar/poststar
+    view = _repaired(view)
     errors = view_errors(view)
     if errors:
         raise InvalidInputError("; ".join(errors))

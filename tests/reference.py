@@ -8,6 +8,7 @@ from collections import defaultdict
 from pdsat import ELOISE, Configuration, InvalidInputError
 from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Nfa,
                             eps_closure)
+from pdsat.derivation import POP, PUSH
 
 
 def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
@@ -50,6 +51,43 @@ def relabel(aut: Nfa, mapping) -> Nfa:
     transitions = frozenset(
         (s, a if a is EPS else mapping(a), t) for s, a, t in aut.transitions)
     return Nfa(aut.states, alphabet, aut.finals, transitions)
+
+
+def words_upto(aut: Nfa, start, maxlen: int):
+    """The set of words of length at most ``maxlen`` (as tuples) that ``aut``
+    accepts from ``start``, by a subset construction read off
+    ``aut.transitions`` and ``aut.finals``, with its own ε-closure.  Words
+    reaching the same set of states are extended together."""
+    step = defaultdict(set)
+    for s, a, t in aut.transitions:
+        step[s, a].add(t)
+
+    def closure(states):
+        seen, todo = set(states), list(states)
+        while todo:
+            for t in step.get((todo.pop(), EPS), ()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return frozenset(seen)
+
+    found = set()
+    words = {closure({start}): {()}}  # reached set of states -> its words
+    for k in range(maxlen + 1):
+        for states, ws in words.items():
+            if states & aut.finals:
+                found |= ws
+        if k == maxlen:
+            break
+        longer = defaultdict(set)
+        for states, ws in words.items():
+            for a in aut.alphabet:
+                reached = closure({t for s in states
+                                   for t in step.get((s, a), ())})
+                if reached:
+                    longer[reached] |= {w + (a,) for w in ws}
+        words = longer
+    return found
 
 
 def alt_membership_sets(aut: AltAutomaton, start, word) -> bool:
@@ -179,6 +217,22 @@ def deriv_member_pairwise(rel, w1, w2) -> bool:
             if u_lang.accepts(w1[:k]) and v_lang.accepts(v):
                 return True
     return False
+
+
+def reduce_word(actions):
+    """Brute-force reduction: erase A+A- factors until none remain.  The
+    rewriting is confluent, so the order does not matter."""
+    word = list(actions)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(word) - 1):
+            (k1, a1), (k2, a2) = word[i], word[i + 1]
+            if k1 == PUSH and k2 == POP and a1 == a2:
+                del word[i:i + 2]
+                changed = True
+                break
+    return tuple(word)
 
 
 def is_valid_configuration_by_scan(system, c) -> bool:

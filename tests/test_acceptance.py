@@ -15,10 +15,11 @@ import pytest
 from conftest import (BOT, make_rng, random_pds, random_bottom_free_pds,
                       random_reachability_condition, random_total_game)
 import pdsat as P
-from pdsat.automata import S_BOT, S_STAR, words_upto
-from pdsat.derivation import pop, push, reduce_word
+from pdsat.automata import S_BOT, S_STAR
+from pdsat.derivation import pop, push
 from pdsat.games import project
 from pdsat.oracle import bounded_nodes, bracket_region
+from reference import reduce_word, words_upto
 
 
 def announce(capsys, number, label, failures):
@@ -80,8 +81,9 @@ def test_criterion_01_benois_regression(capsys):
     aut = P.Nfa(frozenset(states), symbols, frozenset({len(word)}), transitions)
     reduced = P.benois_reduce(P.Language(aut, 0))
     failures = []
-    if reduced.words(6) != {(pop("B"), push("C"))}:
-        failures.append(reduced.words(6))
+    words = words_upto(reduced.aut, reduced.start, 6)
+    if words != {(pop("B"), push("C"))}:
+        failures.append(words)
     announce(capsys, 1, "benois reduction regression", failures)
 
 
@@ -212,8 +214,10 @@ def test_criterion_06_benois_oracle_equivalence(capsys):
         finals = frozenset(rng.sample(states, rng.randint(1, 4)))
         aut = P.Nfa(frozenset(states), frozenset(symbols), finals, transitions)
         lang = P.Language(aut, 0)
-        got = P.benois_reduce(lang).words(4)
-        truncated = {reduce_word(w) for w in lang.words(6)}
+        reduced = P.benois_reduce(lang)
+        got = words_upto(reduced.aut, reduced.start, 4)
+        truncated = {reduce_word(w)
+                     for w in words_upto(lang.aut, lang.start, 6)}
         truncated = {w for w in truncated if len(w) <= 4}
         if not truncated <= got:
             failures.append((aut, truncated - got))

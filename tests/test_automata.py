@@ -13,9 +13,9 @@ from pdsat.automata import (EPS, S_STAR, AltAutomaton, Language, Nfa,
                             _reachable_product, _run_targets, _saturated,
                             alt, alt_membership, alt_run_targets,
                             eps_closure, nfa, nfa_accepts,
-                            pattern_forbidden_factors, words_upto)
+                            pattern_forbidden_factors)
 from reference import (alt_membership_sets, minimal, product_intersect,
-                       relabel, reverse, run_targets_by_product)
+                       relabel, reverse, run_targets_by_product, words_upto)
 
 
 def random_nfa(rng, n_states=4, alphabet=("a", "b"), n_trans=6, eps_frac=0.2):
@@ -74,7 +74,6 @@ def test_accepts_unknown_state_and_symbol():
     for query, message in (
             (lambda: _reachable_product(aut, 99, [pattern]),
              "unknown state: 99"),
-            (lambda: words_upto(aut, 99, 2), "unknown state: 99"),
             (lambda: alt_membership(alternating, 99, "a"),
              "unknown state: 99"),
             (lambda: alt_membership(alternating, 0, "az"),
@@ -207,7 +206,7 @@ def test_language_wrapper():
     lang = Language(aut, 0)
     assert lang.accepts("a")
     assert not lang.accepts("")
-    assert lang.words(2) == {("a",)}
+    assert words_upto(lang.aut, lang.start, 2) == {("a",)}
 
 
 # ---------------------------------------------------------------------------

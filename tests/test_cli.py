@@ -309,22 +309,44 @@ def test_printed_states_never_take_a_control_name(command, tmp_path, capsys):
     assert len(set(nodes)) == len(nodes) == len(result.aut.states)
 
 
+def outputs_under_hash_seeds(args, seeds):
+    """The distinct outputs of ``pdsat args``, run in a fresh process under
+    each hash seed."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = set()
+    for seed in seeds:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", "pdsat.cli", *args],
+                             env=env, capture_output=True, check=True,
+                             timeout=60)
+        outputs.add(run.stdout)
+    return outputs
+
+
 def test_game_output_independent_of_hash_seed():
     # The fixture's region has several alternating transitions with one
     # source and symbol; the CLI must print them in the same order, and wire
     # the same dot hyperedges, whatever the hash seed.
     fixture = Path(__file__).parent / "data" / "parity_game.pds"
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     for fmt in ("text", "dot"):
-        outputs = set()
-        for seed in ("1", "2", "3"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            run = subprocess.run(
-                [sys.executable, "-m", "pdsat.cli", "paritygame",
-                 "--in", str(fixture), "--format", fmt],
-                env=env, capture_output=True, check=True, timeout=60)
-            outputs.add(run.stdout)
+        outputs = outputs_under_hash_seeds(
+            ["paritygame", "--in", str(fixture), "--format", fmt],
+            ("1", "2", "3"))
         assert len(outputs) == 1, fmt
+
+
+def test_deriv_output_independent_of_hash_seed(tmp_path):
+    # The two rules on (p, A) push "B C" and "BC", so their reprs are equal:
+    # the behaviour automaton must number their states alike, and the CLI
+    # print the same relation, whatever the hash seed.
+    doc = tmp_path / "tie.pds"
+    doc.write_text("pds\nstates p q r\nalphabet A B C BC\nbottom _\n"
+                   "rule p A -> q B C\nrule p A -> q BC\nrule q C -> r\n"
+                   "rule q B -> r\nrule q BC -> r\nrule r B -> r\n")
+    outputs = outputs_under_hash_seeds(
+        ["deriv", "--in", str(doc), "--from", "p", "--to", "r"],
+        ("0", "5", "9"))
+    assert len(outputs) == 1
 
 
 def test_deriv_command(tmp_path, capsys):

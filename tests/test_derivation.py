@@ -15,9 +15,9 @@ from pdsat.automata import (EPS, Language, Nfa, _reachable_product,
 from pdsat.derivation import (POP, PUSH, _benois_saturate,
                               _check_action_alphabet, _productive_pattern,
                               _reduced_pattern, _split, action_alphabet, pop,
-                              push, reduce_word)
-from reference import (deriv_member_pairwise, product_intersect, relabel,
-                       reverse)
+                              push)
+from reference import (deriv_member_pairwise, product_intersect, reduce_word,
+                       relabel, reverse, words_upto)
 
 
 def test_apply_actions_basic():
@@ -76,7 +76,7 @@ def test_behaviour_automaton_words_are_rule_sequences():
     sys1 = pds(controls={"p", "q"}, alphabet={"A", "B", "_"}, bottom="_",
                rules=[("p", "A", "q", ("B", "A")), ("q", "B", "p", ())])
     lang = behaviour_automaton(sys1, "p", "p")
-    words = lang.words(6)
+    words = words_upto(lang.aut, lang.start, 6)
     assert () in words
     assert (pop("A"), push("A"), push("B"), pop("B")) in words
     assert (pop("A"),) not in words
@@ -90,8 +90,9 @@ def test_benois_reduce_matches_per_word_reduction():
         controls = sorted(sys_i.controls)
         lang = behaviour_automaton(sys_i, controls[0], controls[-1])
         red = benois_reduce(lang)
-        expected = {reduce_word(w) for w in lang.words(6)}
-        got = red.words(4)
+        expected = {reduce_word(w)
+                    for w in words_upto(lang.aut, lang.start, 6)}
+        got = words_upto(red.aut, red.start, 4)
         want = {w for w in expected if len(w) <= 4}
         # every reduced form of a short word appears; nothing unreduced does
         assert want <= got, (sys_i, want - got)
@@ -106,12 +107,12 @@ def test_productive_filter():
         controls = sorted(sys_i.controls)
         red = benois_reduce(behaviour_automaton(sys_i, controls[0], controls[-1]))
         prod = productive_filter(red)
-        for w in prod.words(4):
+        for w in words_upto(prod.aut, prod.start, 4):
             # a productive reduced word applies to some concrete stack:
             # its pops must spell a prefix the stack can provide
             pops = [a for k, a in w if k == POP]
             assert apply_actions(tuple(pops), w) is not None
-        for w in red.words(4):
+        for w in words_upto(red.aut, red.start, 4):
             bad = any(w[j][0] == PUSH and w[j + 1][0] == POP
                       for j in range(len(w) - 1))
             assert prod.accepts(w) == (not bad), (sys_i, w)
@@ -125,11 +126,11 @@ def test_decompose_reassembles():
         red = benois_reduce(behaviour_automaton(sys_i, controls[0], controls[-1]))
         prod = productive_filter(red)
         pairs = decompose(prod)
-        whole = prod.words(4)
+        whole = words_upto(prod.aut, prod.start, 4)
         rebuilt = set()
         for x, y in pairs:
-            for u in x.words(4):
-                for v in y.words(4):
+            for u in words_upto(x.aut, x.start, 4):
+                for v in words_upto(y.aut, y.start, 4):
                     if len(u) + len(v) <= 4:
                         rebuilt.add(u + v)
         assert rebuilt == whole, (sys_i,)
@@ -154,8 +155,11 @@ def test_decompose_refuses_what_is_not_pops_then_pushes():
     # away first: the one boundary state is 1, between the pop and the push
     pairs = decompose(lang([(0, pop("A"), 1), (1, push("A"), 2),
                             (2, push("A"), 3), (3, pop("A"), 3)]))
-    assert [(x.words(3), y.start, y.words(3)) for x, y in pairs] == \
+    assert [(words_upto(x.aut, x.start, 3), y.start,
+             words_upto(y.aut, y.start, 3)) for x, y in pairs] == \
         [({(pop("A"),)}, 1, {(push("A"),)})]
+
+
 def test_deriv_relation_hand_example():
     sys1 = pds(controls={"p"}, alphabet={"A", "B", "C", "D", "_"}, bottom="_",
                rules=[("p", "A", "p", ()), ("p", "B", "p", ("D", "C"))])
@@ -200,7 +204,7 @@ def test_deriv_member_matches_poststar():
                 assert deriv_member(rel, w1, w2) == want, (sys_i, w1, w2)
 
 
-def words_upto(base, maxlen):
+def all_words(base, maxlen):
     return list(itertools.chain.from_iterable(
         itertools.product(base, repeat=k) for k in range(maxlen + 1)))
 
@@ -208,7 +212,7 @@ def words_upto(base, maxlen):
 def test_deriv_member_matches_pairwise_reference():
     for system, q0, qf in deriv_instances(40, 100):
         rel = deriv_relation(system, q0, qf)
-        words = words_upto(sorted(system.alphabet - {system.bottom}), 3)
+        words = all_words(sorted(system.alphabet - {system.bottom}), 3)
         for w1 in words:
             for w2 in words:
                 assert deriv_member(rel, w1, w2) == deriv_member_pairwise(
@@ -222,7 +226,7 @@ def test_deriv_member_builds_no_pair(monkeypatch):
     monkeypatch.setattr(derivation, "_useful", fail)
     for system, q0, qf in deriv_instances(41, 20):
         rel = deriv_relation(system, q0, qf)
-        words = words_upto(sorted(system.alphabet - {system.bottom}), 2)
+        words = all_words(sorted(system.alphabet - {system.bottom}), 2)
         for w1 in words:
             for w2 in words:
                 deriv_member(rel, w1, w2)
@@ -269,10 +273,10 @@ def test_deriv_member_matches_pairwise_reference_past_64_states():
     else:
         pytest.fail("no relation with more than 64 states drawn")
     base = sorted(system.alphabet - {system.bottom})
-    known = words_upto(base, 2)
+    known = all_words(base, 2)
     # "X" is outside the alphabet: in the common suffix, and out of it
     words = (known + [w + ("X",) for w in known]
-             + [("X",) + w for w in words_upto(base, 1)])
+             + [("X",) + w for w in all_words(base, 1)])
     answers = {}
     for w1 in words:
         for w2 in words:
@@ -423,8 +427,10 @@ def test_deriv_relation_matches_per_pair_reference():
             u_ref = Language(relabel(x.aut, lambda a: a[1]), x.start)
             v_aut, v_start = reverse(relabel(y.aut, lambda a: a[1]), y.start)
             v_ref = Language(eps_closure(v_aut), v_start)
-            assert u.words(4) == u_ref.words(4), (system, q0, qf)
-            assert v.words(4) == v_ref.words(4), (system, q0, qf)
+            assert words_upto(u.aut, u.start, 4) \
+                == words_upto(u_ref.aut, u_ref.start, 4), (system, q0, qf)
+            assert words_upto(v.aut, v.start, 4) \
+                == words_upto(v_ref.aut, v_ref.start, 4), (system, q0, qf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import copy
+import inspect
 import pickle
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import pytest
@@ -11,7 +12,7 @@ from pdsat import (EPS, Configuration, InvalidInputError, Nfa, PAutomatonView,
                    buchi_target_automaton, pds, pop_relation, poststar,
                    predecessors, prestar, singleton_view, successors)
 from pdsat.oracle import bfs_prestar_member
-from pdsat.reachability import repair_view, view_errors
+from pdsat.reachability import view_errors
 
 
 def simple_system():
@@ -475,12 +476,15 @@ def test_view_errors_and_repair():
     errors = view_errors(view)
     assert any("into embedded" in e for e in errors)
     assert any("is final" in e for e in errors)
-    with pytest.warns(UserWarning):
-        fixed = repair_view(view)
-    assert view_errors(fixed) == []
-    # the repaired view accepts the same configurations
-    for c in configurations_upto(sys1, 2):
-        assert view.accepts(c) == fixed.accepts(c)
+    # pre* and post* under no rules are the repaired view's own language,
+    # which is the view's
+    no_rules = replace(sys1, rules=frozenset())
+    for saturate in (prestar, poststar):
+        with pytest.warns(UserWarning):
+            fixed = saturate(no_rules, view)
+        assert view_errors(fixed) == []
+        for c in configurations_upto(sys1, 2):
+            assert view.accepts(c) == fixed.accepts(c), (saturate, c)
 
 
 def test_repair_warning_names_the_callers_line():
@@ -491,12 +495,13 @@ def test_repair_warning_names_the_callers_line():
               frozenset({(("ctrl", "p"), "A", ("ctrl", "q")),
                          (("ctrl", "q"), "_", "f")}))
     view = PAutomatonView(aut, embed)
-    for call in (repair_view, lambda v: prestar(sys1, v),
-                 lambda v: poststar(sys1, v)):
-        with pytest.warns(UserWarning) as record:
-            call(view)
-        assert len(record) == 1
-        assert record[0].filename == __file__
+    for system in (sys1, replace(sys1, rules=frozenset())):
+        for saturate in (prestar, poststar):
+            with pytest.warns(UserWarning) as record:
+                line = inspect.currentframe().f_lineno + 1
+                saturate(system, view)
+            assert len(record) == 1
+            assert (record[0].filename, record[0].lineno) == (__file__, line)
 
 
 def test_prestar_requires_embedded_controls():
