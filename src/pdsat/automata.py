@@ -46,6 +46,9 @@ class Nfa:
     transitions: frozenset  # of (state, label, state), label a symbol or EPS
 
     def __post_init__(self):
+        if EPS in self.alphabet:
+            raise InvalidInputError(
+                f"{EPS!r} is EPS, the epsilon label, not an alphabet symbol")
         if not self.finals <= self.states:
             raise InvalidInputError("finals must be a subset of states")
         for s, a, t in self.transitions:

@@ -379,37 +379,6 @@ def _emit_relation_dot(rel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Oracle checks
-
-
-def _oracle_check_saturation(system, view, result, h, step):
-    """The first bounded node, in ``bounded_nodes`` order, that a search
-    through ``step`` (``predecessors`` for pre*, ``successors`` for post*)
-    from the input language finds and ``result`` rejects, or None; and the
-    agreement line."""
-    nodes = oracle.bounded_nodes(system, h)
-    found = set(oracle._bounded_search(
-        system, [c for c in nodes if view.accepts(c)], step, h))
-    bad = next((c for c in nodes if c in found and not result.accepts(c)),
-               None)
-    return bad, "oracle agreement"
-
-
-def _oracle_check_game(game, region, h):
-    """The first bounded node outside the bracket of ``bracket_region``, or
-    None; and the agreement line."""
-    g = oracle.bounded_graph(game, h)
-    under, over = oracle._regions(g, game.condition,
-                                  (games.ABELARD, games.ELOISE))
-    nodes = [c for c in g.edges if c is not oracle.SINK]
-    bad = next((c for c in nodes
-                if not (c in under) <= games.region_member(region, c)
-                <= (c in over)),
-               None)
-    return bad, f"bracket agreement on {len(nodes)} nodes"
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 
 
@@ -458,7 +427,7 @@ def _run(args) -> int:
         command = args.analysis
     h = getattr(args, "oracle_check", None)
 
-    # deriv sets no membership test or oracle check: neither runs for it.
+    # deriv sets no membership test or oracle bracket: neither runs for it.
     if command in ("prestar", "poststar"):
         view = _as_view(_build_automaton(doc, system), system)
         saturate, step = ((reachability.prestar, predecessors)
@@ -466,7 +435,16 @@ def _run(args) -> int:
                           else (reachability.poststar, successors))
         result = saturate(system, view)
         member = result.accepts
-        check = lambda: _oracle_check_saturation(system, view, result, h, step)
+
+        def bracket():
+            # a bounded search cannot refute an accepted node: its path may
+            # climb above the bound, so every node is in the upper side
+            nodes = oracle.bounded_nodes(system, h)
+            found = set(oracle._bounded_search(
+                system, [c for c in nodes if view.accepts(c)], step, h))
+            return nodes, found.__contains__, lambda c: True, \
+                "oracle agreement"
+
         emit = {"text": _emit_view, "dot": _emit_view_dot}
     elif command == "deriv":
         if h is not None:
@@ -481,7 +459,13 @@ def _run(args) -> int:
                  "paritygame": games.solve_parity_game}[command]
         result = solve(game)
         member = lambda c: games.region_member(result, c)
-        check = lambda: _oracle_check_game(game, result, h)
+
+        def bracket():
+            under, over = oracle.bracket_region(game, h)
+            nodes = oracle.bounded_nodes(system, h)
+            return nodes, under, over, \
+                f"bracket agreement on {len(nodes)} nodes"
+
         emit = {"text": _emit_region, "dot": _emit_region_dot}
 
     if args.command == "member":
@@ -489,7 +473,11 @@ def _run(args) -> int:
         sys.stdout.write("yes\n" if answer else "no\n")
         return 0 if answer else 1
     if h is not None:
-        bad, agreement = check()
+        # the first bounded node outside the oracle's bracket, in
+        # ``bounded_nodes`` order
+        nodes, under, over, agreement = bracket()
+        bad = next((c for c in nodes if not under(c) <= member(c) <= over(c)),
+                   None)
         if bad is not None:
             sys.stdout.write(f"oracle disagreement at {bad!r}\n")
             return 3

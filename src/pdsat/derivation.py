@@ -16,13 +16,18 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automata import (EPS, Language, Nfa, _mask, _numbering,
+from .automata import (EPS, Language, Nfa, Sentinel, _mask, _numbering,
                        _reachable_product, pattern_forbidden_factors)
 from .errors import InvalidInputError
 from .pds import PushdownSystem, check_valid
 
 PUSH = "+"
 POP = "-"
+
+# Head of the behaviour automaton's intermediate states ``(_BEH, i, k)``,
+# which no control can equal.  It prints as the string ``'beh'`` it replaced,
+# so the states keep their reprs, which the CLI sorts by.
+_BEH = Sentinel("'beh'")
 
 
 def push(symbol):
@@ -102,7 +107,7 @@ def behaviour_automaton(system: PushdownSystem, q0, qf):
         word += [push(a) for a in reversed(r.pushed)]
         prev = r.from_control
         for k, action in enumerate(word[:-1]):
-            mid = ("beh", i, k)
+            mid = (_BEH, i, k)
             states.add(mid)
             transitions.add((prev, action, mid))
             prev = mid

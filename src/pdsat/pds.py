@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .automata import EPS
 from .errors import InvalidInputError
 
 
@@ -75,7 +76,8 @@ class Configuration:
 
 
 def pds(controls=(), alphabet=(), bottom=None, rules=()) -> PushdownSystem:
-    """Convenience constructor from rule tuples ``(q, A, p, w)``."""
+    """Convenience constructor from rule tuples ``(q, A, p, w)``.  Give
+    ``bottom``: its default ``None`` is ``EPS``, which ``validate`` refuses."""
     rs = frozenset(
         r if isinstance(r, Rule) else Rule(r[0], r[1], r[2], tuple(r[3]))
         for r in rules)
@@ -89,6 +91,7 @@ def pds(controls=(), alphabet=(), bottom=None, rules=()) -> PushdownSystem:
 def validate(pds: PushdownSystem):
     """List of invariant violations; empty means the system is well formed.
 
+    No stack symbol may be ``EPS`` (``None``), the automata's empty word.
     Rules on the bottom symbol must preserve it at the bottom: allowed shapes
     are ``(q,⊥)->(p,⊥)`` and ``(q,⊥)->(p,A⊥)`` with ``A != ⊥``.  Rules on
     other symbols may not mention the bottom symbol at all.  The check runs
@@ -102,6 +105,9 @@ def _find_violations(pds: PushdownSystem):
     controls, alphabet, bot = pds.controls, pds.alphabet, pds.bottom
     if bot not in alphabet:
         errors.append("bottom symbol is not in the alphabet")
+    if EPS in alphabet:
+        errors.append(f"stack symbol {EPS!r} is EPS, the empty word; "
+                      "give every symbol, the bottom too, another value")
     for r in pds.rules:
         if r.from_control not in controls or r.to_control not in controls:
             errors.append(f"rule {r!r}: unknown control state")

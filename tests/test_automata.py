@@ -117,6 +117,14 @@ def test_nfa_constructor_checks_every_input():
             Nfa(states, alphabet, finals, transitions)
 
 
+def test_nfa_refuses_eps_as_an_alphabet_symbol():
+    # EPS labels the empty word, so a symbol equal to it would be read as ε
+    with pytest.raises(InvalidInputError, match="EPS"):
+        Nfa(frozenset({0}), frozenset({"a", EPS}), frozenset(), frozenset())
+    with pytest.raises(InvalidInputError, match="EPS"):
+        nfa(states={0}, alphabet={EPS}, finals={0})
+
+
 def test_saturated_automaton_answers_as_the_checked_one():
     rng = make_rng(105)
     words = list(itertools.chain.from_iterable(

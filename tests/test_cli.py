@@ -367,6 +367,31 @@ def test_deriv_unknown_control_named(capsys):
 
 
 # Each fixture document comes with the bytes the command printed for it,
+def test_oracle_check_refutes_a_region_above_the_bracket(capsys, monkeypatch):
+    # Each game solver is replaced by one returning every configuration; the
+    # check must exit 3 and name the first bounded node outside the upper
+    # side of the bracket.
+    def everywhere(game):
+        alphabet = game.pds.alphabet
+        every = alt(states={"x"}, alphabet=alphabet, finals={"x"},
+                    transitions=[("x", a, {"x"}) for a in alphabet])
+        return games.RegionAutomaton(every, dict.fromkeys(game.pds.controls, "x"))
+
+    monkeypatch.setattr(games, "solve_reachability_game", everywhere)
+    monkeypatch.setattr(games, "solve_buchi_game", everywhere)
+    data = Path(__file__).parent / "data"
+    for command, won, listed in (("reachgame", 9, 65), ("buchigame", 6, 78)):
+        path = data / f"{command}.pds"
+        doc = cli.parse(path.read_text())
+        game = cli._build_game(doc, cli._build_pds(doc), command)
+        _, over = bracket_region(game, 3)
+        nodes = bounded_nodes(game.pds, 3)
+        assert (sum(map(over, nodes)), len(nodes)) == (won, listed)
+        assert cli.main([command, "--in", str(path), "--oracle-check", "3"]) == 3
+        assert _disagreement(capsys) == next(repr(c) for c in nodes
+                                             if not over(c))
+
+
 # as text (.txt) and as dot (.dot)
 FIXTURES = {"prestar": ("prestar", []), "poststar": ("poststar", []),
             "deriv": ("deriv", ["--from", "q0", "--to", "q3"]),

@@ -298,6 +298,24 @@ def test_deriv_relation_unknown_control_named():
         behaviour_automaton(sys1, "zz", "yy")
 
 
+def test_behaviour_states_never_equal_a_control():
+    # p A -> r B B passes through ('beh', 1, 0) in the behaviour automaton;
+    # a control of that name used to merge with it, so that the relation
+    # took the rule ('beh', 1, 0) B -> r halfway through the push
+    # (i: the place of p's rule among the rules in repr order)
+    for control, i in (("q", 0), (("beh", 1, 0), 1)):
+        system = pds(controls=["p", control, "r"], alphabet=["A", "B", "_"],
+                     bottom="_", rules=[("p", "A", "r", ("B", "B")),
+                                        (control, "B", "r", ())])
+        relation = deriv_relation(system, "p", "r")
+        assert not deriv_member(relation, ("A", "B"), ())
+        assert deriv_member(relation, ("A",), ("B", "B"))
+        states = behaviour_automaton(system, "p", "r").aut.states
+        # the fresh states keep their printed names, which the CLI sorts by
+        assert sorted(map(repr, states - system.controls)) == \
+            [f"('beh', {i}, 0)", f"('beh', {i}, 1)"]
+
+
 def test_deriv_relation_rejects_bottom_rules():
     sys1 = pds(controls={"p"}, alphabet={"A", "_"}, bottom="_",
                rules=[("p", "_", "p", ("A", "_"))])

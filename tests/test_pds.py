@@ -61,6 +61,44 @@ def test_validate_rejects_names_the_system_does_not_declare():
         assert str(err.value) == errors[0]
 
 
+def test_a_none_stack_symbol_is_refused_as_eps():
+    # pds()'s default bottom is None, which is EPS, the automata's empty
+    # word: poststar from (q, None) used to reject (q, None) itself and
+    # (q, A None), both of which it accepts with the bottom named "_"
+    rules = [("p", "A", "q", ()), ("q", "_", "q", ("A", "_"))]
+    named = pds(controls=["p", "q"], alphabet=["A"], bottom="_", rules=rules)
+    start = Configuration("q", ("_",))
+    view = P.singleton_view(named, start)
+    forward = P.poststar(named, view)
+    assert forward.accepts(start)
+    assert forward.accepts(Configuration("q", ("A", "_")))
+
+    system = pds(controls=["p", "q"], alphabet=["A"],
+                 rules=[("p", "A", "q", ()), ("q", None, "q", ("A", None))])
+    assert system.bottom is None and None in system.alphabet
+    assert validate(system) == [
+        "stack symbol None is EPS, the empty word; give every symbol, "
+        "the bottom too, another value"]
+    owner = dict.fromkeys(system.controls, P.ELOISE)
+    buchi = P.PushdownGame(system, owner, P.BuchiCondition(frozenset({"q"})))
+    parity = P.PushdownGame(system, owner, P.ParityCondition(
+        dict.fromkeys(system.controls, 0), 0))
+    for analysis in (
+            lambda: P.singleton_view(system, Configuration("q", (None,))),
+            lambda: P.prestar(system, view),
+            lambda: P.poststar(system, view),
+            lambda: P.pop_relation(system),
+            lambda: P.buchi_target_automaton(system, "q"),
+            lambda: P.deriv_relation(system, "p", "q"),
+            lambda: P.solve_buchi_game(buchi),
+            lambda: P.solve_parity_game(parity),
+            lambda: P.bounded_graph(system, 2),
+            lambda: P.bfs_prestar_member(system, bool,
+                                         Configuration("q", (None,)), 2)):
+        with pytest.raises(InvalidInputError, match="EPS"):
+            analysis()
+
+
 def test_configuration_validity():
     sys1 = simple_system()
     assert is_valid_configuration(sys1, Configuration("p", ("A", "_")))
