@@ -306,18 +306,51 @@ def _emit_region(region) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cut_orders(tag, langs):
+    """Each of ``langs``, the languages of one side of a relation, as
+    ``(tag, start, states, transitions)``: its states as ``(name, final)``
+    and its transitions as ``(name, symbol, name)``, both in the order of
+    ``repr``, with the states named ``s0``, ``s1``, ... in that order, and
+    ``start`` the name of its start state.
+
+    Every language of a side is cut from one automaton, with all of that
+    automaton's transitions between its states.  So the union of their
+    states, and of their transitions, is sorted once, and each language
+    takes its own by filtering that order: a transition is its own when it
+    names both ends."""
+    states = sorted(set().union(*(lang.aut.states for lang in langs)), key=repr)
+    rank = {s: i for i, s in enumerate(states)}
+    transitions = [(rank[s], a, rank[t]) for s, a, t in sorted(
+        set().union(*(lang.aut.transitions for lang in langs)), key=repr)]
+    for lang in langs:
+        names = [None] * len(states)  # by rank; None off this language
+        own = sorted(map(rank.__getitem__, lang.aut.states))
+        for i, r in enumerate(own):
+            names[r] = f"s{i}"
+        yield (tag, names[rank[lang.start]],
+               [(names[r], states[r] in lang.aut.finals) for r in own],
+               [(names[s], a, names[t]) for s, a, t in transitions
+                if names[s] is not None and names[t] is not None])
+
+
+def _relation_sides(rel):
+    """Each pair of ``rel`` as its index and its pop and push sides, each
+    side as ``_cut_orders`` gives it."""
+    return enumerate(zip(_cut_orders("pop", [u for u, _ in rel.pairs]),
+                         _cut_orders("push", [v for _, v in rel.pairs])))
+
+
 def _emit_relation(rel) -> str:
     lines = ["relation"]
-    for i, (u, v) in enumerate(rel.pairs):
+    for i, sides in _relation_sides(rel):
         lines.append(f"pair {i}")
-        for tag, lang in (("pop", u), ("push", v)):
-            names = _state_names(lang.aut.states, {})
-            lines.append(f"{tag} start {names[lang.start]}")
-            if lang.aut.finals:
-                lines.append(f"{tag} final " +
-                             " ".join(sorted(names[s] for s in lang.aut.finals)))
-            for s, a, t in sorted(lang.aut.transitions, key=repr):
-                lines.append(f"{tag} trans {names[s]} {a} {names[t]}")
+        for tag, start, states, transitions in sides:
+            lines.append(f"{tag} start {start}")
+            finals = sorted(name for name, final in states if final)
+            if finals:
+                lines.append(f"{tag} final " + " ".join(finals))
+            for s, a, t in transitions:
+                lines.append(f"{tag} trans {s} {a} {t}")
     return "\n".join(lines) + "\n"
 
 
@@ -360,18 +393,17 @@ def _emit_region_dot(region) -> str:
 
 def _emit_relation_dot(rel) -> str:
     lines = ["digraph relation {", "  rankdir=LR;"]
-    for i, (u, v) in enumerate(rel.pairs):
-        for tag, lang in (("pop", u), ("push", v)):
-            names = _state_names(lang.aut.states, {})
+    for i, sides in _relation_sides(rel):
+        for tag, _, states, transitions in sides:
             prefix = f"p{i}_{tag}_"
             lines.append(f"  subgraph cluster_{i}_{tag} {{")
             lines.append(f'    label="pair {i} {tag}";')
-            for s in sorted(lang.aut.states, key=repr):
-                shape = "doublecircle" if s in lang.aut.finals else "circle"
-                lines.append(f"    {_dot_escape(prefix + names[s])} [shape={shape}];")
-            for s, a, t in sorted(lang.aut.transitions, key=repr):
-                lines.append(f"    {_dot_escape(prefix + names[s])} -> "
-                             f"{_dot_escape(prefix + names[t])} "
+            for name, final in states:
+                shape = "doublecircle" if final else "circle"
+                lines.append(f"    {_dot_escape(prefix + name)} [shape={shape}];")
+            for s, a, t in transitions:
+                lines.append(f"    {_dot_escape(prefix + s)} -> "
+                             f"{_dot_escape(prefix + t)} "
                              f"[label={_dot_escape(a)}];")
             lines.append("  }")
     lines.append("}")

@@ -102,16 +102,16 @@ def behaviour_automaton(system: PushdownSystem, q0, qf):
     # symbols order them, so the states are numbered alike in every process.
     ordered = sorted(system.rules,
                      key=lambda r: (repr(r), tuple(map(repr, r.pushed))))
-    for i, r in enumerate(ordered):
-        word = [pop(r.from_symbol)]
-        word += [push(a) for a in reversed(r.pushed)]
-        prev = r.from_control
+    for i, (p, a, q, pushed) in enumerate(ordered):
+        word = [pop(a)]
+        word += [push(b) for b in reversed(pushed)]
+        prev = p
         for k, action in enumerate(word[:-1]):
             mid = (_BEH, i, k)
             states.add(mid)
             transitions.add((prev, action, mid))
             prev = mid
-        transitions.add((prev, word[-1], r.to_control))
+        transitions.add((prev, word[-1], q))
     aut = Nfa(frozenset(states), alpha.symbols, frozenset({qf}),
               frozenset(transitions))
     return Language(aut, q0)

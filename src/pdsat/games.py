@@ -209,8 +209,8 @@ def _moves(entries, owner, rules, entry, memo) -> dict:
     moves = {}
     for (p, a), applicable in rules.items():
         per_rule = []
-        for r in applicable:
-            key = (entry[r.to_control], r.pushed)
+        for q, pushed in applicable:
+            key = (entry[q], pushed)
             if key not in runs:
                 runs[key] = _run(entries, key, memo)
             per_rule.append(runs[key])

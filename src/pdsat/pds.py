@@ -16,22 +16,28 @@ first use and kept the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
+from typing import NamedTuple
 
 from .automata import EPS
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
+    """The rule ``(from_control, from_symbol) -> (to_control, pushed)``: the
+    tuple of its four fields, hashed and compared in C, so it equals the
+    plain tuple ``(p, A, q, w)`` and unpacks like one."""
+
     from_control: object
     from_symbol: object
     to_control: object
     pushed: tuple  # length <= 2
 
     def __repr__(self):
-        w = "".join(str(a) for a in self.pushed) or "ε"
-        return f"({self.from_control},{self.from_symbol})->({self.to_control},{w})"
+        p, a, q, pushed = self
+        w = "".join(str(b) for b in pushed) or "ε"
+        return f"({p},{a})->({q},{w})"
 
 
 @dataclass(frozen=True)
@@ -47,45 +53,62 @@ class PushdownSystem:
     def _violations(self) -> tuple:
         return tuple(_find_violations(self))
 
+    # The indexes hold the fields of a rule that their readers need as plain
+    # tuples: a plain tuple unpacks several times faster than a ``Rule``.
     @cached_property
     def _rules_from(self) -> dict:
-        """dict (from_control, from_symbol) -> the rules rewriting it."""
+        """dict (from_control, from_symbol) -> ``(to_control, pushed)`` for
+        each rule rewriting it."""
         index = {}
         for r in self.rules:
-            index.setdefault((r.from_control, r.from_symbol), []).append(r)
+            index.setdefault(r[:2], []).append(r[2:])
         return index
 
     @cached_property
     def _rules_into(self) -> dict:
         """dict to_control -> length of the pushed word -> pushed word ->
-        the rules into that control pushing that word."""
+        ``(from_control, from_symbol)`` for each rule into that control
+        pushing that word."""
         index = {}
         for r in self.rules:
-            index.setdefault(r.to_control, {}).setdefault(len(r.pushed), {}) \
-                .setdefault(r.pushed, []).append(r)
+            _, _, q, pushed = r
+            index.setdefault(q, {}).setdefault(len(pushed), {}) \
+                .setdefault(pushed, []).append(r[:2])
         return index
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
+    """The configuration ``(control, stack)``: a tuple of its two fields, so
+    it equals the plain tuple ``(p, w)`` and unpacks like one."""
+
     control: object
     stack: tuple  # top at index 0, bottom symbol last
 
     def __repr__(self):
-        return f"({self.control}, {''.join(str(a) for a in self.stack)})"
+        return f"({self[0]}, {''.join(str(a) for a in self[1])})"
 
 
-def pds(controls=(), alphabet=(), bottom=None, rules=()) -> PushdownSystem:
-    """Convenience constructor from rule tuples ``(q, A, p, w)``.  Give
-    ``bottom``: its default ``None`` is ``EPS``, which ``validate`` refuses."""
-    rs = frozenset(
-        r if isinstance(r, Rule) else Rule(r[0], r[1], r[2], tuple(r[3]))
-        for r in rules)
-    controls = frozenset(controls) | {r.from_control for r in rs} \
-        | {r.to_control for r in rs}
-    alphabet = frozenset(alphabet) | {bottom} | {r.from_symbol for r in rs} \
-        | {a for r in rs for a in r.pushed}
-    return PushdownSystem(controls, alphabet, bottom, rs)
+# A rule from the tuple of its four fields, built by ``tuple.__new__`` in C:
+# ``Rule(...)`` runs the ``__new__`` that ``NamedTuple`` writes in Python.
+_rule_of = partial(tuple.__new__, Rule)
+
+
+def pds(controls=(), alphabet=(), *, bottom, rules=()) -> PushdownSystem:
+    """Convenience constructor from rules: ``Rule``s or 4-tuples
+    ``(q, A, p, w)`` with ``w`` any sequence.  The controls take every
+    control the rules name, and the alphabet ``bottom`` and every symbol
+    the rules read or push.  The rules are read in one pass, as the four
+    columns of their fields."""
+    froms, symbols, tos, words = tuple(zip(*rules)) or ((), (), (), ())
+    words = tuple(map(tuple, words))
+    # Joined set by set: a set iterates in an order that depends on how it
+    # was built, the solvers number controls and symbols in that order, and
+    # the cost of a solve depends on the numbering.
+    return PushdownSystem(
+        frozenset(controls) | set(froms) | set(tos),
+        frozenset(alphabet) | {bottom} | set(symbols)
+        | set(chain.from_iterable(words)),
+        bottom, frozenset(map(_rule_of, zip(froms, symbols, tos, words))))
 
 
 def validate(pds: PushdownSystem):
@@ -109,16 +132,16 @@ def _find_violations(pds: PushdownSystem):
         errors.append(f"stack symbol {EPS!r} is EPS, the empty word; "
                       "give every symbol, the bottom too, another value")
     for r in pds.rules:
-        if r.from_control not in controls or r.to_control not in controls:
+        p, a, q, pushed = r
+        if p not in controls or q not in controls:
             errors.append(f"rule {r!r}: unknown control state")
-        pushed = r.pushed
-        if r.from_symbol not in alphabet or not alphabet.issuperset(pushed):
+        if a not in alphabet or not alphabet.issuperset(pushed):
             errors.append(f"rule {r!r}: unknown stack symbol")
             continue
         if len(pushed) > 2:
             errors.append(f"rule {r!r}: pushes more than two symbols")
             continue
-        if r.from_symbol == bot:
+        if a == bot:
             ok = pushed == (bot,) or (
                 len(pushed) == 2 and pushed[1] == bot and pushed[0] != bot)
             if not ok:
@@ -136,11 +159,10 @@ def check_valid(pds: PushdownSystem):
 
 
 def is_valid_configuration(pds: PushdownSystem, c: Configuration) -> bool:
-    if c.control not in pds.controls or not c.stack:
+    stack = c.stack
+    if c.control not in pds.controls or not stack or stack[-1] != pds.bottom:
         return False
-    if c.stack[-1] != pds.bottom:
-        return False
-    body = c.stack[:-1]
+    body = stack[:-1]
     return pds.bottom not in body and pds.alphabet.issuperset(body)
 
 
@@ -153,9 +175,10 @@ def successors(pds: PushdownSystem, c: Configuration):
     """Exact one-step successors of ``c``: the rules on its control and top
     symbol, looked up in the system's ``_rules_from`` index."""
     check_configuration(pds, c)
-    rest = c.stack[1:]
-    return {Configuration(r.to_control, r.pushed + rest)
-            for r in pds._rules_from.get((c.control, c.stack[0]), ())}
+    stack = c.stack
+    rest = stack[1:]
+    return {Configuration(q, pushed + rest)
+            for q, pushed in pds._rules_from.get((c.control, stack[0]), ())}
 
 
 def predecessors(pds: PushdownSystem, c: Configuration):
@@ -166,8 +189,8 @@ def predecessors(pds: PushdownSystem, c: Configuration):
     stack = c.stack
     result = set()
     for k, by_word in pds._rules_into.get(c.control, {}).items():
-        for r in by_word.get(stack[:k], ()):
-            pre = Configuration(r.from_control, (r.from_symbol,) + stack[k:])
+        for p, a in by_word.get(stack[:k], ()):
+            pre = Configuration(p, (a,) + stack[k:])
             if is_valid_configuration(pds, pre):
                 result.add(pre)
     return result

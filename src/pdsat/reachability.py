@@ -144,14 +144,14 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
     rel = set()
     by_source = defaultdict(list)  # (state, symbol) -> targets, the step index
     worklist = deque(initial)
-    for r in system.rules:
-        ps, qs = embed[r.from_control], embed[r.to_control]
-        if len(r.pushed) == 0:
-            worklist.append((ps, r.from_symbol, qs))
-        elif len(r.pushed) == 1:
-            swap_idx[(qs, r.pushed[0])].append((ps, r.from_symbol))
+    for p, a, q, pushed in system.rules:
+        ps, qs = embed[p], embed[q]
+        if not pushed:
+            worklist.append((ps, a, qs))
+        elif len(pushed) == 1:
+            swap_idx[(qs, pushed[0])].append((ps, a))
         else:
-            push_idx[(qs, r.pushed[0])].append((ps, r.from_symbol, r.pushed[1]))
+            push_idx[(qs, pushed[0])].append((ps, a, pushed[1]))
 
     state_control = {s: p for p, s in embed.items()}
     pending = defaultdict(set)  # (state, symbol) -> {(source state, A)} waiting
@@ -227,16 +227,17 @@ def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
     swap_idx = defaultdict(list)  # (state(p), A) -> [(state(q), B)]
     push_idx = defaultdict(list)  # (state(p), A) -> [(state(q), B, m, C)]
     fresh = set()
-    for r in system.rules:
-        key, qs = (embed[r.from_control], r.from_symbol), embed[r.to_control]
-        if len(r.pushed) == 0:
+    for p, a, q, pushed in system.rules:
+        key, qs = (embed[p], a), embed[q]
+        if not pushed:
             pop_idx[key].append(qs)
-        elif len(r.pushed) == 1:
-            swap_idx[key].append((qs, r.pushed[0]))
+        elif len(pushed) == 1:
+            swap_idx[key].append((qs, pushed[0]))
         else:
-            m = _PushState(r.to_control, r.pushed[0])
+            b, c = pushed
+            m = _PushState(q, b)
             fresh.add(m)
-            push_idx[key].append((qs, r.pushed[0], m, r.pushed[1]))
+            push_idx[key].append((qs, b, m, c))
 
     embedded = set(embed.values())
     rel = set()
@@ -305,15 +306,13 @@ def _pops(system: PushdownSystem):
     by_pa = defaultdict(list)      # (p, A) -> [q]
     rel = set()
     worklist = deque()
-    for r in system.rules:
-        if len(r.pushed) == 0:
-            worklist.append((r.from_control, r.from_symbol, r.to_control))
-        elif len(r.pushed) == 1:
-            swap_idx[(r.to_control, r.pushed[0])].append(
-                (r.from_control, r.from_symbol))
+    for p, a, q, pushed in system.rules:
+        if not pushed:
+            worklist.append((p, a, q))
+        elif len(pushed) == 1:
+            swap_idx[(q, pushed[0])].append((p, a))
         else:
-            first_idx[(r.to_control, r.pushed[0])].append(
-                (r.from_control, r.from_symbol, r.pushed[1]))
+            first_idx[(q, pushed[0])].append((p, a, pushed[1]))
     while worklist:
         t = worklist.popleft()
         if t in rel:
@@ -348,14 +347,14 @@ def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
 
     # Control-to-control moves at the bottom stratum, reversed.
     preds = defaultdict(set)
-    for r in system.rules:
-        if r.from_symbol != bot:
+    for p, a, q, pushed in system.rules:
+        if a != bot:
             continue
-        if r.pushed == (bot,):
-            preds[r.to_control].add(r.from_control)
-        else:  # (q,⊥)->(p,A⊥): must return to the bottom via a full pop
-            for q2 in pops_from.get((r.to_control, r.pushed[0]), ()):
-                preds[q2].add(r.from_control)
+        if pushed == (bot,):
+            preds[q].add(p)
+        else:  # (p,⊥)->(q,A⊥): must return to the bottom via a full pop
+            for q2 in pops_from.get((q, pushed[0]), ()):
+                preds[q2].add(p)
     reaches_qf = {q_f}
     todo = deque(reaches_qf)
     while todo:
@@ -380,8 +379,9 @@ def singleton_view(system: PushdownSystem, c: Configuration) -> PAutomatonView:
     embed = {p: ("ctrl", p) for p in system.controls}
     states = set(embed.values())
     transitions = set()
-    prev = embed[c.control]
-    for i, a in enumerate(c.stack):
+    control, stack = c
+    prev = embed[control]
+    for i, a in enumerate(stack):
         nxt = ("chain", i + 1)
         states.add(nxt)
         transitions.add((prev, a, nxt))

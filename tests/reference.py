@@ -8,6 +8,7 @@ from collections import defaultdict
 from pdsat import ELOISE, Configuration, InvalidInputError
 from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Nfa,
                             eps_closure)
+from pdsat.cli import _dot_escape
 from pdsat.derivation import POP, PUSH
 
 
@@ -217,6 +218,52 @@ def deriv_member_pairwise(rel, w1, w2) -> bool:
             if u_lang.accepts(w1[:k]) and v_lang.accepts(v):
                 return True
     return False
+
+
+def _pair_names(lang):
+    """The names ``s0``, ``s1``, ... of ``lang``'s states, given in the order
+    of ``repr``."""
+    return dict(zip(sorted(lang.aut.states, key=repr),
+                    map("s{}".format, itertools.count())))
+
+
+def emit_relation_pairwise(rel) -> str:
+    """``pdsat deriv``'s text output, each pair's two sides sorted by
+    ``repr`` on their own."""
+    lines = ["relation"]
+    for i, (u, v) in enumerate(rel.pairs):
+        lines.append(f"pair {i}")
+        for tag, lang in (("pop", u), ("push", v)):
+            names = _pair_names(lang)
+            lines.append(f"{tag} start {names[lang.start]}")
+            if lang.aut.finals:
+                lines.append(f"{tag} final " +
+                             " ".join(sorted(names[s] for s in lang.aut.finals)))
+            for s, a, t in sorted(lang.aut.transitions, key=repr):
+                lines.append(f"{tag} trans {names[s]} {a} {names[t]}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_relation_dot_pairwise(rel) -> str:
+    """``pdsat deriv --format dot``'s output, each pair's two sides sorted
+    by ``repr`` on their own."""
+    lines = ["digraph relation {", "  rankdir=LR;"]
+    for i, (u, v) in enumerate(rel.pairs):
+        for tag, lang in (("pop", u), ("push", v)):
+            names = _pair_names(lang)
+            prefix = f"p{i}_{tag}_"
+            lines.append(f"  subgraph cluster_{i}_{tag} {{")
+            lines.append(f'    label="pair {i} {tag}";')
+            for s in sorted(lang.aut.states, key=repr):
+                shape = "doublecircle" if s in lang.aut.finals else "circle"
+                lines.append(f"    {_dot_escape(prefix + names[s])} [shape={shape}];")
+            for s, a, t in sorted(lang.aut.transitions, key=repr):
+                lines.append(f"    {_dot_escape(prefix + names[s])} -> "
+                             f"{_dot_escape(prefix + names[t])} "
+                             f"[label={_dot_escape(a)}];")
+            lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def reduce_word(actions):

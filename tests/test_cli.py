@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from pdsat import alt, alt_membership, cli, games
+from conftest import make_rng, random_bottom_free_pds
+from pdsat import alt, alt_membership, cli, deriv_relation, games
 from pdsat.oracle import bfs_prestar_member, bounded_nodes, bracket_region
+from reference import emit_relation_dot_pairwise, emit_relation_pairwise
 
 REACH_DOC = """\
 pds
@@ -335,18 +337,42 @@ def test_game_output_independent_of_hash_seed():
         assert len(outputs) == 1, fmt
 
 
+TIE_DOC = ("pds\nstates p q r\nalphabet A B C BC\nbottom _\n"
+           "rule p A -> q B C\nrule p A -> q BC\nrule q C -> r\n"
+           "rule q B -> r\nrule q BC -> r\nrule r B -> r\n")
+
+
 def test_deriv_output_independent_of_hash_seed(tmp_path):
     # The two rules on (p, A) push "B C" and "BC", so their reprs are equal:
     # the behaviour automaton must number their states alike, and the CLI
     # print the same relation, whatever the hash seed.
     doc = tmp_path / "tie.pds"
-    doc.write_text("pds\nstates p q r\nalphabet A B C BC\nbottom _\n"
-                   "rule p A -> q B C\nrule p A -> q BC\nrule q C -> r\n"
-                   "rule q B -> r\nrule q BC -> r\nrule r B -> r\n")
+    doc.write_text(TIE_DOC)
     outputs = outputs_under_hash_seeds(
         ["deriv", "--in", str(doc), "--from", "p", "--to", "r"],
         ("0", "5", "9"))
     assert len(outputs) == 1
+
+
+def test_deriv_emitters_match_pairwise_reference():
+    # the emitters sort each side of the relation once and cut every pair
+    # from that order; the reference sorts each pair on its own
+    relations = [deriv_relation(cli._build_pds(cli.parse(TIE_DOC)), "p", "r")]
+    rng = make_rng(83)
+    for _ in range(100):
+        system = random_bottom_free_pds(
+            rng, n_controls=rng.randint(2, 4), n_symbols=rng.randint(1, 3),
+            n_rules=rng.randint(3, 10))
+        controls = sorted(system.controls)
+        relations.append(deriv_relation(system, rng.choice(controls),
+                                        rng.choice(controls)))
+    for rel in relations:
+        assert cli._emit_relation(rel) == emit_relation_pairwise(rel)
+        assert cli._emit_relation_dot(rel) == emit_relation_dot_pairwise(rel)
+    # not vacuous: at least 50 systems print pairs, many several
+    assert len(relations[0].pairs) > 1
+    assert sum(len(rel.pairs) > 0 for rel in relations[1:]) >= 50
+    assert sum(len(rel.pairs) > 1 for rel in relations[1:]) >= 30
 
 
 def test_deriv_command(tmp_path, capsys):

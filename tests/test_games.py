@@ -593,9 +593,9 @@ def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
 
     def counting_moves(entries, owner, rules, entry, memo):
         # the distinct runs one call needs, each of which it used to compute
-        asked[0] += len({(entry[r.to_control], r.pushed)
+        asked[0] += len({(entry[q], pushed)
                          for applicable in rules.values()
-                         for r in applicable})
+                         for q, pushed in applicable})
         return moves(entries, owner, rules, entry, memo)
 
     def counting_run_targets(*args):

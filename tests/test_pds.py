@@ -1,6 +1,8 @@
+import copy
 import gc
 import importlib
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
@@ -62,9 +64,9 @@ def test_validate_rejects_names_the_system_does_not_declare():
 
 
 def test_a_none_stack_symbol_is_refused_as_eps():
-    # pds()'s default bottom is None, which is EPS, the automata's empty
-    # word: poststar from (q, None) used to reject (q, None) itself and
-    # (q, A None), both of which it accepts with the bottom named "_"
+    # None is EPS, the automata's empty word: as a bottom, poststar from
+    # (q, None) used to reject (q, None) itself and (q, A None), both of
+    # which it accepts with the bottom named "_"
     rules = [("p", "A", "q", ()), ("q", "_", "q", ("A", "_"))]
     named = pds(controls=["p", "q"], alphabet=["A"], bottom="_", rules=rules)
     start = Configuration("q", ("_",))
@@ -73,7 +75,7 @@ def test_a_none_stack_symbol_is_refused_as_eps():
     assert forward.accepts(start)
     assert forward.accepts(Configuration("q", ("A", "_")))
 
-    system = pds(controls=["p", "q"], alphabet=["A"],
+    system = pds(controls=["p", "q"], alphabet=["A"], bottom=None,
                  rules=[("p", "A", "q", ()), ("q", None, "q", ("A", None))])
     assert system.bottom is None and None in system.alphabet
     assert validate(system) == [
@@ -97,6 +99,51 @@ def test_a_none_stack_symbol_is_refused_as_eps():
                                          Configuration("q", (None,)), 2)):
         with pytest.raises(InvalidInputError, match="EPS"):
             analysis()
+
+
+def test_rules_and_configurations_are_their_fields_as_tuples():
+    rule = Rule("p", "A", "q", ("B", "C"))
+    config = Configuration("p", ("A", "_"))
+    assert repr(rule) == "(p,A)->(q,BC)"
+    assert repr(Rule("p", "_", "q", ())) == "(p,_)->(q,ε)"
+    assert repr(config) == "(p, A_)"
+    for value, fields in ((rule, ("p", "A", "q", ("B", "C"))),
+                          (config, ("p", ("A", "_")))):
+        assert value == fields and fields == value
+        assert hash(value) == hash(fields)
+        assert {value: 1}[fields] == 1
+        assert tuple(value) == fields
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+            assert repr(twin) == repr(value)
+    p, a, q, pushed = rule
+    assert (p, a, q, pushed) == (rule.from_control, rule.from_symbol,
+                                 rule.to_control, rule.pushed)
+    control, stack = config
+    assert (control, stack) == (config.control, config.stack)
+    assert sorted([Rule("q", "A", "p", ()), rule]) == \
+        [rule, Rule("q", "A", "p", ())]
+
+
+def test_pds_builds_one_system_from_rules_and_tuples():
+    as_rules = pds(controls=["p"], bottom="_",
+                   rules=[Rule("p", "A", "q", ("B", "A")),
+                          Rule("q", "_", "p", ("A", "_"))])
+    as_tuples = pds(controls=("p",), bottom="_",
+                    rules=[("p", "A", "q", ["B", "A"]),
+                           ("q", "_", "p", ["A", "_"])])
+    assert as_rules == as_tuples
+    assert hash(as_rules) == hash(as_tuples)
+    assert as_tuples.controls == {"p", "q"}
+    assert as_tuples.alphabet == {"A", "B", "_"}
+    assert all(type(r) is Rule and type(r.pushed) is tuple
+               for r in as_tuples.rules)
+    assert validate(as_tuples) == []
+    empty = pds(controls=["p"], alphabet=["A"], bottom="_")
+    assert empty.rules == frozenset() and empty.alphabet == {"A", "_"}
+    with pytest.raises(TypeError):
+        pds(controls=["p"], rules=[("p", "A", "p", ())])  # no bottom
 
 
 def test_configuration_validity():
