@@ -306,38 +306,53 @@ def _emit_region(region) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cut_orders(tag, langs):
-    """Each of ``langs``, the languages of one side of a relation, as
-    ``(tag, start, states, transitions)``: its states as ``(name, final)``
-    and its transitions as ``(name, symbol, name)``, both in the order of
-    ``repr``, with the states named ``s0``, ``s1``, ... in that order, and
-    ``start`` the name of its start state.
+def _cut_orders(tag, step, start, ends):
+    """One side of a relation, given by its step index ``step`` and its
+    ``start``, cut once for each set of final states in ``ends``.  Each cut
+    is ``(tag, start, states, transitions)``: its states as ``(name,
+    final)`` and its transitions as ``(name, symbol, name)``, both in the
+    order of ``repr``, with the states named ``s0``, ``s1``, ... in that
+    order, and ``start`` the name of the start state.
 
-    Every language of a side is cut from one automaton, with all of that
-    automaton's transitions between its states.  So the union of their
-    states, and of their transitions, is sorted once, and each language
-    takes its own by filtering that order: a transition is its own when it
-    names both ends."""
-    states = sorted(set().union(*(lang.aut.states for lang in langs)), key=repr)
+    A cut keeps the start and the states on a path from the start to its
+    finals, and every transition of the side between them.  So one forward
+    search serves every cut, the union of their states and of their
+    transitions is sorted once, and each cut takes its own by filtering
+    that order: a transition is its own when it names both ends."""
+    # a set: a step index may list one target twice (the push start's)
+    out, into = derivation._index(
+        {(s, a, t) for (s, a), ts in step.items() for t in ts})
+    fwd = derivation._reach(out, 2, {start})
+    keeps = [derivation._reach(into, 0, finals & fwd, within=fwd) | {start}
+             for finals in ends]
+    states = sorted(set().union(*keeps), key=repr)
     rank = {s: i for i, s in enumerate(states)}
     transitions = [(rank[s], a, rank[t]) for s, a, t in sorted(
-        set().union(*(lang.aut.transitions for lang in langs)), key=repr)]
-    for lang in langs:
-        names = [None] * len(states)  # by rank; None off this language
-        own = sorted(map(rank.__getitem__, lang.aut.states))
+        (tr for s in states for tr in out.get(s, ()) if tr[2] in rank),
+        key=repr)]
+    for keep, finals in zip(keeps, ends):
+        names = [None] * len(states)  # by rank; None off this cut
+        own = sorted(map(rank.__getitem__, keep))
         for i, r in enumerate(own):
             names[r] = f"s{i}"
-        yield (tag, names[rank[lang.start]],
-               [(names[r], states[r] in lang.aut.finals) for r in own],
+        yield (tag, names[rank[start]],
+               [(names[r], states[r] in finals) for r in own],
                [(names[s], a, names[t]) for s, a, t in transitions
                 if names[s] is not None and names[t] is not None])
 
 
 def _relation_sides(rel):
     """Each pair of ``rel`` as its index and its pop and push sides, each
-    side as ``_cut_orders`` gives it."""
-    return enumerate(zip(_cut_orders("pop", [u for u, _ in rel.pairs]),
-                         _cut_orders("push", [v for _, v in rel.pairs])))
+    side as ``_cut_orders`` gives it: the pair of boundary state q ends in
+    q on the pop side, and on the push side in q, and also in the push
+    start when q is final."""
+    v_start = rel.V_START
+    return enumerate(zip(
+        _cut_orders("pop", rel.u_step, rel.u_start,
+                    [{q} for q in rel.boundary]),
+        _cut_orders("push", rel.v_step, v_start,
+                    [{q, v_start} if q in rel.finals else {q}
+                     for q in rel.boundary])))
 
 
 def _emit_relation(rel) -> str:

@@ -234,15 +234,6 @@ def _reach(index, end, sources, within=None):
     return seen
 
 
-def _useful(alphabet, out, into, fwd, start, finals) -> Language:
-    """Cut an automaton, given by its index, to the states on a path from
-    ``start`` to ``finals``; ``fwd`` is the set reachable from ``start``."""
-    keep = _reach(into, 0, finals & fwd, within=fwd) | {start}
-    transitions = frozenset(tr for s in keep for tr in out.get(s, ()) if tr[2] in keep)
-    return Language(Nfa(frozenset(keep), alphabet, frozenset(finals & keep),
-                        transitions), start)
-
-
 def _split(lang: Language):
     """Trim and index ``lang`` once.  Returns its trimmed states, finals, pop
     and push transitions, and boundary states in the order of ``repr``.
@@ -301,7 +292,9 @@ class PrefixRewriteRelation:
     U_q accepts what it reads into q.  The push side is reversed: it reads a
     pushed prefix, top first, from ``V_START``; V_q accepts what it reads into
     q, and the empty word when q is in ``finals``.  Both sides are step
-    indexes (state, A) -> [target] over the base alphabet.
+    indexes (state, A) -> [target] over the base alphabet.  No pair is kept
+    apart from them: ``pdsat deriv`` cuts each pair it prints from the two
+    sides.
 
     :func:`deriv_member` reads the two sides through ``_mask_index``, which
     the first query builds and which lives on the relation: no other
@@ -316,20 +309,6 @@ class PrefixRewriteRelation:
     v_step: dict  # reversed push side, from V_START
     finals: frozenset
     boundary: tuple  # in the order of ``repr``
-
-    @cached_property
-    def pairs(self) -> tuple:
-        """The pairs ``(U_q, V_q)`` as trimmed languages over the base
-        alphabet, in the order of ``boundary``; built on first use."""
-        u_out, u_into = _index(_transitions(self.u_step))
-        v_out, v_into = _index(_transitions(self.v_step))
-        u_fwd = _reach(u_out, 2, {self.u_start})
-        v_fwd = _reach(v_out, 2, {self.V_START})
-        return tuple(
-            (_useful(self.alphabet, u_out, u_into, u_fwd, self.u_start, {q}),
-             _useful(self.alphabet, v_out, v_into, v_fwd, self.V_START,
-                     {q, self.V_START} if q in self.finals else {q}))
-            for q in self.boundary)
 
     @cached_property
     def _mask_index(self):
@@ -367,11 +346,6 @@ def _step(transitions):
     return dict(step)
 
 
-def _transitions(step):
-    """The transitions (s, A, t) of a step index."""
-    return ((s, a, t) for (s, a), ts in step.items() for t in ts)
-
-
 def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks.
 
@@ -380,7 +354,7 @@ def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     ``productive_filter(benois_reduce(...))``, with the same states.  That
     language is split as by :func:`decompose`; its pop side is relabelled,
     and its push side relabelled and reversed, once for all pairs.  No pair
-    is built here: see :class:`PrefixRewriteRelation`.
+    is built: see :class:`PrefixRewriteRelation`.
     """
     behaviour = behaviour_automaton(system, q0, qf)
     saturated, alpha = _benois_saturate(behaviour)

@@ -2,11 +2,12 @@
 pdsat against: each is the textbook definition, built in full, with no
 pruning."""
 
+import functools
 import itertools
 from collections import defaultdict
 
 from pdsat import ELOISE, Configuration, InvalidInputError
-from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Nfa,
+from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
                             eps_closure)
 from pdsat.cli import _dot_escape
 from pdsat.derivation import POP, PUSH
@@ -201,13 +202,52 @@ def pre_step(aut: AltAutomaton, game, fresh_idx, colour_of) -> AltAutomaton:
                         frozenset(transitions))
 
 
+def _closure(edges, sources) -> frozenset:
+    """The states reachable from ``sources`` along ``edges``, a set of pairs
+    ``(from, to)``: the least fixed point, one layer per round."""
+    seen = frozenset(sources)
+    while True:
+        more = seen | {t for s, t in edges if s in seen}
+        if more == seen:
+            return seen
+        seen = more
+
+
+@functools.lru_cache(maxsize=4)  # a relation hashes by identity
+def relation_pairs(rel) -> tuple:
+    """The pairs ``(U_q, V_q)`` of ``rel`` as trimmed languages over
+    ``rel.alphabet``, in the order of ``rel.boundary``, by the definition.
+    U_q is the pop side from ``rel.u_start`` with final state q.  V_q is
+    the push side from ``rel.V_START`` with final state q, and also
+    ``V_START`` when q is in ``rel.finals``.  Each keeps its start and the
+    states on a path from the start to one of its finals, and every
+    transition of its side between them."""
+    def cut(transitions, start, finals):
+        fwd = _closure({(s, t) for s, _, t in transitions}, {start})
+        keep = (fwd & _closure({(t, s) for s, _, t in transitions},
+                               finals & fwd)) | {start}
+        return Language(Nfa(keep, rel.alphabet, finals & keep,
+                            frozenset(tr for tr in transitions
+                                      if tr[0] in keep and tr[2] in keep)),
+                        start)
+
+    u_trans, v_trans = (
+        frozenset((s, a, t) for (s, a), ts in step.items() for t in ts)
+        for step in (rel.u_step, rel.v_step))
+    return tuple(
+        (cut(u_trans, rel.u_start, frozenset({q})),
+         cut(v_trans, rel.V_START,
+             frozenset({q, rel.V_START} if q in rel.finals else {q})))
+        for q in rel.boundary)
+
+
 def deriv_member_pairwise(rel, w1, w2) -> bool:
     """``deriv_member`` by the definition: for every pair ``(U, V)`` of
-    ``rel.pairs`` and every split ``w1 = u·w``, test ``u ∈ U`` and whether
-    ``w2 = v·w`` with ``v ∈ V``.  A split that pops or pushes a symbol
-    outside ``rel.alphabet`` fails."""
+    ``relation_pairs(rel)`` and every split ``w1 = u·w``, test ``u ∈ U``
+    and whether ``w2 = v·w`` with ``v ∈ V``.  A split that pops or pushes a
+    symbol outside ``rel.alphabet`` fails."""
     w1, w2 = tuple(w1), tuple(w2)
-    for u_lang, v_lang in rel.pairs:
+    for u_lang, v_lang in relation_pairs(rel):
         for k in range(len(w1) + 1):
             suffix = w1[k:]
             if len(suffix) > len(w2) or (len(suffix) and w2[-len(suffix):] != suffix):
@@ -231,7 +271,7 @@ def emit_relation_pairwise(rel) -> str:
     """``pdsat deriv``'s text output, each pair's two sides sorted by
     ``repr`` on their own."""
     lines = ["relation"]
-    for i, (u, v) in enumerate(rel.pairs):
+    for i, (u, v) in enumerate(relation_pairs(rel)):
         lines.append(f"pair {i}")
         for tag, lang in (("pop", u), ("push", v)):
             names = _pair_names(lang)
@@ -248,7 +288,7 @@ def emit_relation_dot_pairwise(rel) -> str:
     """``pdsat deriv --format dot``'s output, each pair's two sides sorted
     by ``repr`` on their own."""
     lines = ["digraph relation {", "  rankdir=LR;"]
-    for i, (u, v) in enumerate(rel.pairs):
+    for i, (u, v) in enumerate(relation_pairs(rel)):
         for tag, lang in (("pop", u), ("push", v)):
             names = _pair_names(lang)
             prefix = f"p{i}_{tag}_"

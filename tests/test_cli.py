@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_rng, random_bottom_free_pds
 from pdsat import alt, alt_membership, cli, deriv_relation, games
+from pdsat.automata import Nfa
 from pdsat.oracle import bfs_prestar_member, bounded_nodes, bracket_region
 from reference import emit_relation_dot_pairwise, emit_relation_pairwise
 
@@ -370,9 +371,33 @@ def test_deriv_emitters_match_pairwise_reference():
         assert cli._emit_relation(rel) == emit_relation_pairwise(rel)
         assert cli._emit_relation_dot(rel) == emit_relation_dot_pairwise(rel)
     # not vacuous: at least 50 systems print pairs, many several
-    assert len(relations[0].pairs) > 1
-    assert sum(len(rel.pairs) > 0 for rel in relations[1:]) >= 50
-    assert sum(len(rel.pairs) > 1 for rel in relations[1:]) >= 30
+    assert len(relations[0].boundary) > 1
+    assert sum(len(rel.boundary) > 0 for rel in relations[1:]) >= 50
+    assert sum(len(rel.boundary) > 1 for rel in relations[1:]) >= 30
+    # both shapes of a push side: a final boundary state, whose push side
+    # also accepts at its start, and a boundary state that is not final
+    assert sum(q in rel.finals
+               for rel in relations[1:] for q in rel.boundary) >= 30
+    assert sum(q not in rel.finals
+               for rel in relations[1:] for q in rel.boundary) >= 30
+
+
+def test_deriv_emitters_build_no_automaton(monkeypatch):
+    # each printed pair is cut from the relation's two sides: no pair is
+    # built as an automaton of its own
+    fixture = Path(__file__).parent / "data" / "deriv.pds"
+    system = cli._build_pds(cli.parse(fixture.read_text()))
+    rel = deriv_relation(system, "q0", "q3")
+    assert len(rel.boundary) > 1
+
+    def fail(self):
+        raise AssertionError("an automaton was built")
+
+    monkeypatch.setattr(Nfa, "__post_init__", fail)
+    assert cli._emit_relation(rel) == \
+        (fixture.parent / "deriv.txt").read_text()
+    assert cli._emit_relation_dot(rel) == \
+        (fixture.parent / "deriv.dot").read_text()
 
 
 def test_deriv_command(tmp_path, capsys):

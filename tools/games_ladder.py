@@ -8,9 +8,10 @@ answers.
 
 Run it from the root of a checkout: it imports pdsat from ``src/`` and the
 instance generators from ``bench/`` (read-only).  Rungs are named
-``reach-<controls>-s<seed>``, ``parity-<controls>-s<seed>`` (colours 0-7) and
-``parity-<controls>-c<top>-s<seed>`` (colours 0-<top>); with no rung named,
-every rung of ``RUNGS`` runs.  Each rung is solved in its own process
+``reach-<controls>-s<seed>``, ``parity-<controls>-s<seed>`` (colours 0-7),
+``parity-<controls>-c<top>-s<seed>`` (colours 0-<top>) and
+``parity-empty-<k>`` (k colours and no rules); with no rung named, every
+rung of ``RUNGS`` runs.  Each rung is solved in its own process
 and reported as one JSON line; a solve that exceeds ``--cap`` seconds is
 reported as ``"timeout"``.  With ``--check``, each named rung's transition
 count, both hashes and ``members`` must equal the file's ``"rungs"`` entry,
@@ -39,7 +40,8 @@ RUNGS = ([f"reach-16-s{s}" for s in range(3)]
          + [f"reach-32-s{s}" for s in range(3)]
          + [f"parity-8-s{s}" for s in (0, 1, 2, 8)]
          + [f"parity-8-c11-s{s}" for s in range(3)]
-         + [f"parity-12-s{s}" for s in range(2)])
+         + [f"parity-12-s{s}" for s in range(2)]
+         + [f"parity-empty-{k}" for k in (16, 24, 32, 64)])
 
 
 def build(rung):
@@ -49,10 +51,20 @@ def build(rung):
     Reachability: ``game_system(rng_for("found-reach", seed), n, n_base=5)``
     with ``alt_target``.  Parity: ``game_system(rng_for("ladder-parity",
     seed), n)`` with every colour uniform in 0..top, where top is 7 unless
-    the rung names it, and ``max_colour`` top.
+    the rung names it, and ``max_colour`` top.  Empty parity: k controls
+    with the colours 0..k-1, one each, all Éloïse's, over one stack symbol
+    and no rules.  Every play is stuck at once, so the region is empty, but
+    the solver still nests one level per colour.
     """
     import gen
     import workloads
+    if rung.startswith("parity-empty-"):
+        k = int(rung.rsplit("-", 1)[1])
+        s = gen.System(gen._names("p", k), ("A",), ())
+        cond = (tuple((p, i) for i, p in enumerate(s.controls)), k - 1)
+        owner = tuple((p, gen.ELOISE) for p in s.controls)
+        return "parity", workloads._game(workloads._pds(s),
+                                         ("parity", s, owner, cond))
     kind, n, *top, seed = rung.split("-")
     n, seed = int(n), int(seed.lstrip("s"))
     top = int(top[0].lstrip("c")) if top else 7
