@@ -4,6 +4,10 @@ States and symbols are arbitrary hashable values (strings, tuples, ...).
 Automata do not store initial states; every query names its start state
 explicitly.  All values are immutable after construction and all operations
 are pure; the lookup indexes a query builds are kept on the automaton itself.
+So are the subset steps of the membership queries: ``nfa_accepts`` and
+``alt_membership`` compute each step from a set of states at most once per
+automaton, keeping at most one entry per distinct (set, symbol) pair their
+queries have read, freed with the automaton.
 """
 
 from __future__ import annotations
@@ -80,6 +84,13 @@ class Nfa:
         return {k: tuple(v) for k, v in index.items()}
 
     @cached_property
+    def _subset_steps(self):
+        """dict ``(states, symbol) -> states``, both tuples: the steps
+        ``nfa_accepts`` has computed from a set of states, each closed under
+        ε moves; it grows with the queries."""
+        return {}
+
+    @cached_property
     def _eps_reach(self):
         """dict state -> frozenset of states reachable by epsilon moves (incl. itself)."""
         step = defaultdict(set)
@@ -146,38 +157,53 @@ def nfa(states=(), alphabet=(), finals=(), transitions=()) -> Nfa:
 
 
 def nfa_accepts(aut: Nfa, start, word) -> bool:
-    """True iff some run over ``word`` from ``start`` ends in a final state."""
+    """True iff some run over ``word`` from ``start`` ends in a final state.
+
+    A step from one state of an ε-free automaton reads the step index; any
+    other step, from two or more states or closed under ε moves, is looked
+    up in ``_subset_steps`` and computed only when it is not there yet.
+    """
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
-    for a in word:
-        if a not in aut.alphabet:
-            raise InvalidInputError(f"unknown symbol: {a!r}")
-    index = aut._step_index
-    if not aut._has_eps:  # every closure is a singleton: skip building them
+    if not aut.alphabet.issuperset(word):
+        raise _unknown_symbol(aut.alphabet, word)
+    index, memo = aut._step_index, aut._subset_steps
+    if aut._has_eps:
+        closure = aut._eps_reach
+        current = tuple(closure[start])
+    else:
+        closure = None
         current = (start,)
-        for a in word:
-            if len(current) == 1:
-                [s] = current
-                current = index.get((s, a), ())
-            else:
-                nxt = set()
-                for s in current:
-                    nxt.update(index.get((s, a), ()))
-                current = tuple(nxt)
-            if not current:
-                return False
-        return not aut.finals.isdisjoint(current)
-    closure = aut._eps_reach
-    current = set(closure[start])
     for a in word:
-        nxt = set()
-        for s in current:
-            for t in index.get((s, a), ()):
-                nxt |= closure[t]
-        if not nxt:
+        if closure is None and len(current) == 1:
+            [s] = current
+            current = index.get((s, a), ())
+        else:
+            key = (tuple(current), a)  # the index may hold lists
+            nxt = memo.get(key)
+            if nxt is None:
+                nxt = memo[key] = _subset_step(index, closure, current, a)
+            current = nxt
+        if not current:
             return False
-        current = nxt
-    return bool(current & aut.finals)
+    return not aut.finals.isdisjoint(current)
+
+
+def _subset_step(index, closure, states, a) -> tuple:
+    """The states that reading ``a`` leads to from ``states`` through the
+    step ``index``, closed under ``closure`` unless it is None."""
+    nxt = set()
+    for s in states:
+        nxt.update(index.get((s, a), ()))
+    if closure is not None and nxt:
+        nxt = set().union(*map(closure.__getitem__, nxt))
+    return tuple(nxt)
+
+
+def _unknown_symbol(alphabet, word) -> InvalidInputError:
+    """The error for the first symbol of ``word`` outside ``alphabet``."""
+    a = next(a for a in word if a not in alphabet)
+    return InvalidInputError(f"unknown symbol: {a!r}")
 
 
 def eps_closure(aut: Nfa) -> Nfa:
@@ -346,15 +372,17 @@ class AltAutomaton:
 
     @cached_property
     def _mask_by_symbol(self):
-        """``(finals mask, dict symbol -> [(state, target mask)])``: the
-        entries of ``_mask_index`` grouped by symbol, one pair per target
-        mask, each state given as its mask ``1 << bit``, as
-        ``alt_membership`` reads them."""
+        """``(finals mask, dict symbol -> [(state, target mask)], steps)``:
+        the entries of ``_mask_index`` grouped by symbol, one pair per
+        target mask, each state given as its mask ``1 << bit``, as
+        ``alt_membership`` reads them; and the dict ``steps`` of the steps
+        it has computed, ``(good, symbol) -> accepting``, which grows with
+        the queries."""
         _, bit, entries = self._mask_index
         index = defaultdict(list)
         for (b, a), masks in entries.items():
             index[a].extend((1 << b, m) for m in masks)
-        return _mask(self.finals, bit), dict(index)
+        return _mask(self.finals, bit), dict(index), {}
 
 
 def alt(states=(), alphabet=(), finals=(), transitions=()) -> AltAutomaton:
@@ -373,23 +401,29 @@ def alt_membership(aut: AltAutomaton, start, word) -> bool:
     states accepting the suffix read so far starts as the finals, and a
     state accepts one more symbol iff one of its target masks on that
     symbol lies within the set.  Every target set is non-empty, so once
-    the set is empty no state accepts a longer suffix.
+    the set is empty no state accepts a longer suffix.  Each step, from a
+    set and a symbol to the next set, is computed once per automaton and
+    kept with the index.
     """
-    if start not in aut.states:
+    bit = aut._mask_index[1].get(start)
+    if bit is None:
         raise InvalidInputError(f"unknown state: {start!r}")
-    for a in word:
-        if a not in aut.alphabet:
-            raise InvalidInputError(f"unknown symbol: {a!r}")
-    good, by_symbol = aut._mask_by_symbol
+    if not aut.alphabet.issuperset(word):
+        raise _unknown_symbol(aut.alphabet, word)
+    good, by_symbol, memo = aut._mask_by_symbol
     for a in reversed(word):
-        accepting = 0
-        for state, m in by_symbol.get(a, ()):
-            if m & good == m:
-                accepting |= state
+        key = (good, a)
+        accepting = memo.get(key)
+        if accepting is None:
+            accepting = 0
+            for state, m in by_symbol.get(a, ()):
+                if m & good == m:
+                    accepting |= state
+            memo[key] = accepting
         if not accepting:
             return False
         good = accepting
-    return good >> aut._mask_index[1][start] & 1 == 1
+    return good >> bit & 1 == 1
 
 
 # The mask kernel.  A caller numbers its states densely and writes each set

@@ -272,19 +272,6 @@ def _state_names(states, embed):
     return names
 
 
-def _emit_view(view) -> str:
-    names = _state_names(view.aut.states, view.control_embed)
-    lines = ["automaton"]
-    lines.append("states " + " ".join(sorted(set(names.values()))))
-    if view.aut.finals:
-        lines.append("final " + " ".join(sorted(names[s] for s in view.aut.finals)))
-    for s, a, t in sorted(view.aut.transitions, key=repr):
-        lines.append(f"trans {names[s]} {a} {names[t]}")
-    for p, s in sorted(view.control_embed.items(), key=lambda kv: str(kv[0])):
-        lines.append(f"embed {p} {names[s]}")
-    return "\n".join(lines) + "\n"
-
-
 def _alt_key(transition):
     """Sort key of an alternating transition.  The ``repr`` of its frozenset
     of targets lists them in hash order, which varies with the hash seed."""
@@ -292,18 +279,23 @@ def _alt_key(transition):
     return repr(s), repr(a), sorted(map(repr, targets))
 
 
-def _emit_region(region) -> str:
-    names = _state_names(region.aut.states, region.entry)
-    lines = ["automaton"]
-    lines.append("states " + " ".join(sorted(set(names.values()))))
-    if region.aut.finals:
-        lines.append("final " + " ".join(sorted(names[s] for s in region.aut.finals)))
-    for s, a, targets in sorted(region.aut.transitions, key=_alt_key):
-        ts = " ".join(sorted(names[t] for t in targets))
-        lines.append(f"alttrans {names[s]} {a} {{ {ts} }}")
-    for p, s in sorted(region.entry.items(), key=lambda kv: str(kv[0])):
-        lines.append(f"embed {p} {names[s]}")
-    return "\n".join(lines) + "\n"
+def _emit_automaton(aut, embed):
+    """The lines of a P-automaton (``trans``) or a region (``alttrans``)
+    with its ``embed`` of controls, in the input format."""
+    names = _state_names(aut.states, embed)
+    yield "automaton\n"
+    yield "states " + " ".join(sorted(set(names.values()))) + "\n"
+    if aut.finals:
+        yield "final " + " ".join(sorted(names[s] for s in aut.finals)) + "\n"
+    if isinstance(aut, Nfa):
+        for s, a, t in sorted(aut.transitions, key=repr):
+            yield f"trans {names[s]} {a} {names[t]}\n"
+    else:
+        for s, a, targets in sorted(aut.transitions, key=_alt_key):
+            ts = " ".join(sorted(names[t] for t in targets))
+            yield f"alttrans {names[s]} {a} {{ {ts} }}\n"
+    for p, s in sorted(embed.items(), key=lambda kv: str(kv[0])):
+        yield f"embed {p} {names[s]}\n"
 
 
 def _cut_orders(tag, step, start, ends):
@@ -355,18 +347,17 @@ def _relation_sides(rel):
                      for q in rel.boundary])))
 
 
-def _emit_relation(rel) -> str:
-    lines = ["relation"]
+def _emit_relation(rel):
+    yield "relation\n"
     for i, sides in _relation_sides(rel):
-        lines.append(f"pair {i}")
+        yield f"pair {i}\n"
         for tag, start, states, transitions in sides:
-            lines.append(f"{tag} start {start}")
+            yield f"{tag} start {start}\n"
             finals = sorted(name for name, final in states if final)
             if finals:
-                lines.append(f"{tag} final " + " ".join(finals))
+                yield f"{tag} final " + " ".join(finals) + "\n"
             for s, a, t in transitions:
-                lines.append(f"{tag} trans {s} {a} {t}")
-    return "\n".join(lines) + "\n"
+                yield f"{tag} trans {s} {a} {t}\n"
 
 
 def _dot_escape(name) -> str:
@@ -375,54 +366,45 @@ def _dot_escape(name) -> str:
     return '"' + str(name).replace("\\", "\\\\").replace('"', r'\"') + '"'
 
 
-def _emit_view_dot(view) -> str:
-    names = _state_names(view.aut.states, view.control_embed)
-    lines = ["digraph pautomaton {", "  rankdir=LR;"]
-    for s in sorted(view.aut.states, key=repr):
-        shape = "doublecircle" if s in view.aut.finals else "circle"
-        lines.append(f"  {_dot_escape(names[s])} [shape={shape}];")
-    for s, a, t in sorted(view.aut.transitions, key=repr):
-        lines.append(f"  {_dot_escape(names[s])} -> {_dot_escape(names[t])} "
-                     f"[label={_dot_escape(a)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _emit_automaton_dot(aut, embed):
+    """``_emit_automaton``'s input as a dot graph; an alternating
+    transition is a hyperedge through a point node."""
+    names = {s: _dot_escape(name)
+             for s, name in _state_names(aut.states, embed).items()}
+    alternating = not isinstance(aut, Nfa)
+    yield "digraph region {\n" if alternating else "digraph pautomaton {\n"
+    yield "  rankdir=LR;\n"
+    for s in sorted(aut.states, key=repr):
+        shape = "doublecircle" if s in aut.finals else "circle"
+        yield f"  {names[s]} [shape={shape}];\n"
+    if not alternating:
+        for s, a, t in sorted(aut.transitions, key=repr):
+            yield f"  {names[s]} -> {names[t]} [label={_dot_escape(a)}];\n"
+    else:
+        for i, (s, a, targets) in enumerate(sorted(aut.transitions,
+                                                   key=_alt_key)):
+            yield f"  h{i} [shape=point];\n"
+            yield f"  {names[s]} -> h{i} [label={_dot_escape(a)}];\n"
+            for t in sorted(targets, key=repr):
+                yield f"  h{i} -> {names[t]};\n"
+    yield "}\n"
 
 
-def _emit_region_dot(region) -> str:
-    names = _state_names(region.aut.states, region.entry)
-    lines = ["digraph region {", "  rankdir=LR;"]
-    for s in sorted(region.aut.states, key=repr):
-        shape = "doublecircle" if s in region.aut.finals else "circle"
-        lines.append(f"  {_dot_escape(names[s])} [shape={shape}];")
-    # Alternating transitions become hyperedges through point nodes.
-    for i, (s, a, targets) in enumerate(sorted(region.aut.transitions,
-                                               key=_alt_key)):
-        point = f"h{i}"
-        lines.append(f"  {point} [shape=point];")
-        lines.append(f"  {_dot_escape(names[s])} -> {point} [label={_dot_escape(a)}];")
-        for t in sorted(targets, key=repr):
-            lines.append(f"  {point} -> {_dot_escape(names[t])};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_relation_dot(rel) -> str:
-    lines = ["digraph relation {", "  rankdir=LR;"]
+def _emit_relation_dot(rel):
+    yield "digraph relation {\n  rankdir=LR;\n"
     for i, sides in _relation_sides(rel):
         for tag, _, states, transitions in sides:
             prefix = f"p{i}_{tag}_"
-            lines.append(f"  subgraph cluster_{i}_{tag} {{")
-            lines.append(f'    label="pair {i} {tag}";')
+            yield f"  subgraph cluster_{i}_{tag} {{\n"
+            yield f'    label="pair {i} {tag}";\n'
             for name, final in states:
                 shape = "doublecircle" if final else "circle"
-                lines.append(f"    {_dot_escape(prefix + name)} [shape={shape}];")
+                yield f"    {_dot_escape(prefix + name)} [shape={shape}];\n"
             for s, a, t in transitions:
-                lines.append(f"    {_dot_escape(prefix + s)} -> "
-                             f"{_dot_escape(prefix + t)} "
-                             f"[label={_dot_escape(a)}];")
-            lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                yield (f"    {_dot_escape(prefix + s)} -> "
+                       f"{_dot_escape(prefix + t)} [label={_dot_escape(a)}];\n")
+            yield "  }\n"
+    yield "}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +446,13 @@ def _make_parser():
     return parser
 
 
+def _write(handle, lines):
+    """Write ``lines`` as they are made, joined a few thousand at a time, so
+    that the output is never held whole and each write carries many lines."""
+    while chunk := "".join(itertools.islice(lines, 4096)):
+        handle.write(chunk)
+
+
 def _run(args) -> int:
     with open(args.infile, encoding="utf-8") as handle:
         doc = parse(handle.read())
@@ -474,6 +463,7 @@ def _run(args) -> int:
         command = args.analysis
     h = getattr(args, "oracle_check", None)
 
+    emit = {"text": _emit_automaton, "dot": _emit_automaton_dot}
     # deriv sets no membership test or oracle bracket: neither runs for it.
     if command in ("prestar", "poststar"):
         view = _as_view(_build_automaton(doc, system), system)
@@ -492,13 +482,14 @@ def _run(args) -> int:
             return nodes, found.__contains__, lambda c: True, \
                 "oracle agreement"
 
-        emit = {"text": _emit_view, "dot": _emit_view_dot}
+        printed = result.aut, result.control_embed
     elif command == "deriv":
         if h is not None:
             raise InvalidInputError("--oracle-check is not supported for deriv")
         result = derivation.deriv_relation(system, args.from_control,
                                            args.to_control)
         emit = {"text": _emit_relation, "dot": _emit_relation_dot}
+        printed = result,
     else:
         game = _build_game(doc, system, command)
         solve = {"reachgame": games.solve_reachability_game,
@@ -513,7 +504,7 @@ def _run(args) -> int:
             return nodes, under, over, \
                 f"bracket agreement on {len(nodes)} nodes"
 
-        emit = {"text": _emit_region, "dot": _emit_region_dot}
+        printed = result.aut, result.entry
 
     if args.command == "member":
         answer = member(config)
@@ -529,12 +520,12 @@ def _run(args) -> int:
             sys.stdout.write(f"oracle disagreement at {bad!r}\n")
             return 3
         sys.stdout.write(agreement + "\n")
-    output = emit[args.format](result)
+    lines = emit[args.format](*printed)
     if args.outfile:
         with open(args.outfile, "w", newline="\n") as handle:
-            handle.write(output)
+            _write(handle, lines)
     else:
-        sys.stdout.write(output)
+        _write(sys.stdout, lines)
     return 0
 
 

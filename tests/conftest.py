@@ -12,6 +12,16 @@ def make_rng(seed):
     return random.Random(seed)
 
 
+class NoSteps(dict):
+    """A mapping whose every lookup fails the test: put in place of the
+    data a membership step reads, it shows that a query took no step."""
+
+    def get(self, *args):
+        raise AssertionError("a query computed a step")
+
+    __getitem__ = get
+
+
 def random_pds(rng, n_controls=3, n_symbols=3, n_rules=6, bottom_rules=True):
     """A small valid pushdown system with exactly ``n_rules`` distinct rules."""
     controls = [f"q{i}" for i in range(n_controls)]

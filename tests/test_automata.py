@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import make_rng
+from conftest import NoSteps, make_rng
 from pdsat import InvalidInputError
 from pdsat import automata
 from pdsat.automata import (EPS, S_STAR, AltAutomaton, Language, Nfa,
@@ -105,6 +105,60 @@ def test_accepts_with_and_without_eps_matches_path_search(eps_frac):
                     == accepts_by_path_search(aut, start, word), (aut, word)
         # queries on an ε-free automaton build no closure
         assert ("_eps_reach" in aut.__dict__) == aut.has_eps()
+
+
+def _queried_twice(rng, words):
+    """Every word twice, in shuffled order."""
+    words = list(words) * 2
+    rng.shuffle(words)
+    return words
+
+
+def test_membership_steps_are_computed_once_per_automaton(monkeypatch):
+    # each step from a set of states is kept on its automaton: answers
+    # match the references whatever the order and repetition of the
+    # queries, and a second pass over the same words computes no step
+    rng = make_rng(111)
+    words = [w for k in range(6) for w in itertools.product("ab", repeat=k)]
+    queried = []
+    for eps_frac in (0.0, 0.3):
+        for _ in range(30):
+            aut = random_nfa(rng, n_states=6, n_trans=16, eps_frac=eps_frac)
+            for start, word in _queried_twice(
+                    rng, [(s, w) for s in aut.states for w in words]):
+                assert nfa_accepts(aut, start, word) \
+                    == accepts_by_path_search(aut, start, word), (aut, word)
+            queried.append((aut, nfa_accepts, lambda a: a._subset_steps))
+    for _ in range(30):
+        aut = random_alt(rng, n_states=5, n_trans=12)
+        for start, word in _queried_twice(
+                rng, [(s, w) for s in aut.states for w in words]):
+            assert alt_membership(aut, start, word) \
+                == alt_membership_sets(aut, start, word), (aut, word)
+        queried.append((aut, alt_membership, lambda a: a._mask_by_symbol[2]))
+    answers = [[query(aut, s, w) for s in aut.states for w in words]
+               for aut, query, _ in queried]
+    sizes = [len(memo(aut)) for aut, _, memo in queried]
+    # not vacuous: both kinds keep many steps from sets of states
+    assert sum(sizes[:60]) > 1000 and sum(sizes[60:]) > 200
+    with monkeypatch.context() as m:
+        m.setattr(automata, "_subset_step", NoSteps().get)
+        for aut, query, memo in queried:
+            if query is alt_membership:
+                finals, _, steps = aut._mask_by_symbol
+                m.setitem(aut.__dict__, "_mask_by_symbol",
+                          (finals, NoSteps(), steps))
+            elif aut.has_eps():  # its every step is a kept one
+                m.setitem(aut.__dict__, "_step_index", NoSteps())
+        assert answers == [[query(aut, s, w) for s in aut.states
+                            for w in words] for aut, query, _ in queried]
+        assert sizes == [len(memo(aut)) for aut, _, memo in queried]
+    # a word with an unknown symbol is refused before any step is taken
+    for aut, query, memo in queried:
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("unknown symbol: 'z'")):
+            query(aut, 0, "abzy")
+    assert sizes == [len(memo(aut)) for aut, _, memo in queried]
 
 
 def test_nfa_constructor_checks_every_input():
@@ -486,9 +540,13 @@ def test_equal_automata_keep_their_own_indexes():
         return alt(alphabet="ab", finals=[1], transitions=[(0, "a", {1, 2})])
 
     for index, make in (("_step_index", make_nfa), ("_eps_reach", make_nfa),
+                        ("_subset_steps", make_nfa),
                         ("_mask_index", make_alt),
                         ("_mask_by_symbol", make_alt)):
         first, second = _equal_pair(make)
+        # queried alike, each keeps steps of its own
+        query = nfa_accepts if make is make_nfa else alt_membership
+        assert query(first, 0, "ab") == query(second, 0, "ab")
         assert getattr(first, index) is getattr(first, index)
         assert getattr(second, index) is not getattr(first, index)
         assert getattr(second, index) == getattr(first, index)
@@ -502,10 +560,11 @@ def _query_fresh_automata(count, offset):
         aut = nfa(alphabet="ab", finals=[("f", i)],
                   transitions=[(0, "a", ("f", i)), (0, EPS, ("f", i))])
         assert nfa_accepts(aut, 0, "a")
+        assert aut.__dict__["_subset_steps"]
         game = alt(alphabet="ab", finals=[("f", i)],
                    transitions=[(0, "a", {("f", i)})])
         assert alt_membership(game, 0, "a")
-        assert "_mask_by_symbol" in game.__dict__
+        assert game.__dict__["_mask_by_symbol"][2]
 
 
 def test_indexes_die_with_their_automata():

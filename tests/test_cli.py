@@ -326,6 +326,37 @@ def outputs_under_hash_seeds(args, seeds):
     return outputs
 
 
+def test_a_pipe_closed_early_exits_2(tmp_path):
+    # the output, far larger than a pipe holds, is written as it is made:
+    # a reader that closes the pipe after the first line leaves pdsat
+    # writing into a closed pipe, which is an error (exit code 2), with
+    # standard output buffered or not
+    n = 20_000
+    path = tmp_path / "chain.pds"
+    path.write_text(
+        "pds\nstates p\nalphabet A\nbottom _\nrule p A -> p\n"
+        "automaton\nstates " + " ".join(f"s{i}" for i in range(n + 1))
+        + f"\nfinal s{n}\n"
+        + "".join(f"trans s{i} A s{i + 1}\n" for i in range(n)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        cli.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pdsat.cli", "prestar", "--in", str(path)],
+            env=dict(env, **unbuffered), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"automaton\n"
+            proc.stdout.close()
+            error = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2, unbuffered
+        finally:
+            proc.kill()
+            proc.wait()
+        assert error.startswith(b"error: ") and b"Broken pipe" in error
+
+
 def test_game_output_independent_of_hash_seed():
     # The fixture's region has several alternating transitions with one
     # source and symbol; the CLI must print them in the same order, and wire
@@ -368,8 +399,10 @@ def test_deriv_emitters_match_pairwise_reference():
         relations.append(deriv_relation(system, rng.choice(controls),
                                         rng.choice(controls)))
     for rel in relations:
-        assert cli._emit_relation(rel) == emit_relation_pairwise(rel)
-        assert cli._emit_relation_dot(rel) == emit_relation_dot_pairwise(rel)
+        assert "".join(cli._emit_relation(rel)) == \
+            emit_relation_pairwise(rel)
+        assert "".join(cli._emit_relation_dot(rel)) == \
+            emit_relation_dot_pairwise(rel)
     # not vacuous: at least 50 systems print pairs, many several
     assert len(relations[0].boundary) > 1
     assert sum(len(rel.boundary) > 0 for rel in relations[1:]) >= 50
@@ -394,9 +427,9 @@ def test_deriv_emitters_build_no_automaton(monkeypatch):
         raise AssertionError("an automaton was built")
 
     monkeypatch.setattr(Nfa, "__post_init__", fail)
-    assert cli._emit_relation(rel) == \
+    assert "".join(cli._emit_relation(rel)) == \
         (fixture.parent / "deriv.txt").read_text()
-    assert cli._emit_relation_dot(rel) == \
+    assert "".join(cli._emit_relation_dot(rel)) == \
         (fixture.parent / "deriv.dot").read_text()
 
 

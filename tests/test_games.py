@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import (BOT, configurations_upto, make_rng,
+from conftest import (BOT, NoSteps, configurations_upto, make_rng,
                       random_reachability_condition, random_total_game)
 from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    ELOISE, InvalidInputError, ParityCondition, PushdownGame,
@@ -175,6 +175,45 @@ def test_solved_regions_answer_queries_over_the_solvers_masks(monkeypatch):
                 agrees_with_set_reference(region, c)
             assert region.aut.__dict__ == built
             assert all(region.aut.__dict__[k] is v for k, v in built.items())
+
+
+def test_region_queries_compute_each_step_once(monkeypatch):
+    # a region keeps every step its queries computed: the answers match the
+    # set reference however often and in whatever order the configurations
+    # come, and a second pass computes no step and keeps no new one
+    rng = make_rng(59)
+    regions, answers = [], []
+    for _ in range(4):
+        system, owner = random_total_game(rng, n_controls=3, max_rules=2)
+        controls = sorted(system.controls)
+        colours = {p: rng.randint(0, 3) for p in controls}
+        nodes = bounded_nodes(system, 3)
+        for solve, cond in (
+                (solve_reachability_game,
+                 random_reachability_condition(rng, system)),
+                (solve_buchi_game, BuchiCondition(frozenset(controls[:2]))),
+                (solve_parity_game, ParityCondition(colours, 3))):
+            region = solve(PushdownGame(system, owner, cond))
+            queries = nodes * 2
+            rng.shuffle(queries)
+            for c in queries:
+                agrees_with_set_reference(region, c)
+            regions.append((region, nodes))
+            answers.append([region_member(region, c) for c in nodes])
+    steps = [region.aut._mask_by_symbol[2] for region, _ in regions]
+    sizes = [len(kept) for kept in steps]
+    # not vacuous: steps are kept, and the regions answer both ways
+    assert sum(sizes) >= 30
+    assert {True, False} <= {a for row in answers for a in row}
+
+    with monkeypatch.context() as m:
+        for region, _ in regions:
+            finals, _, kept = region.aut._mask_by_symbol
+            m.setitem(region.aut.__dict__, "_mask_by_symbol",
+                      (finals, NoSteps(), kept))
+        assert answers == [[region_member(region, c) for c in nodes]
+                           for region, nodes in regions]
+    assert sizes == list(map(len, steps))
 
 
 def test_buchi_game_brackets_and_parity_agreement():

@@ -1,0 +1,134 @@
+"""The saturation ladder: ``prestar``, ``poststar`` and ``pop_relation`` on
+systems past the sizes the steady benchmark reaches, then seeded ``accepts``
+queries on both saturated automata, each rung reported with the time of
+every step, each result's transition count and SHA-256, and a SHA-256 and
+count of the answers.
+
+    python3 tools/saturation_ladder.py [--cap S] [RUNG ...]
+    python3 tools/saturation_ladder.py --check BENCH_saturation.json RUNG ...
+
+Run it from the root of a checkout: it imports pdsat from ``src/`` and the
+instance generators from ``bench/`` (read-only).  Rungs are named
+``sat-<controls>``: ``sat-800``, ``sat-3200`` and ``sat-12800``; with no
+rung named, every rung of ``RUNGS`` runs.  Each rung runs in its own
+process and is reported as one JSON line; a rung that exceeds ``--cap``
+seconds is reported as ``"timeout"``.  With ``--check``, each named rung's
+transition counts, result hashes, pop count and hash, and answer counts and
+hash must equal the file's ``"rungs"`` entry, and its answers must not all
+be one value (see ``ladder.py``), or the command exits with code 1.
+
+A rung's system is ``saturation_system(rng, controls)`` with the target
+``target(rng, system)``, built as the ``saturation`` workload builds its
+inputs, with ``rng = rng_for("sat-ladder", controls)``.  ``build_s`` times
+the system and its view; ``prestar_s``, ``poststar_s`` and
+``pop_relation_s`` time one call each, and ``prestar_queries_per_s`` and
+``poststar_queries_per_s`` the queries on each result, each timed after a
+full collection: the first young-generation collection after a saturation
+traverses the large containers it has just built, and would land in
+whichever query first allocates.
+
+A result hash (``prestar_sha256``, ``poststar_sha256``) is over the sorted
+``repr``s of the result's states, finals, transitions and embedding; the
+pop hash (``pops_sha256``) over the sorted ``repr``s of the triples.  The
+queries are ``QUERIES`` configurations drawn from the same generator:
+a quarter visited by walks backwards from the target, a quarter by walks
+forwards from it, and half uniform.  Each is asked of pre* and then of
+post*, and the answers hash (``members_sha256``) is over one character,
+``1`` or ``0``, per answer: all of pre*'s in query order, then all of
+post*'s.  ``answers`` is their number, ``members`` the number of ``1``s and
+``prestar_members`` and ``poststar_members`` each result's share of them.
+None of these depends on ``PYTHONHASHSEED``.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import json
+import os
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+QUERIES = 2000
+RUNGS = ("sat-800", "sat-3200", "sat-12800")
+
+
+def sha256(lines) -> str:
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+def digest(view) -> str:
+    aut = view.aut
+    return sha256([repr(("state", repr(s))) for s in aut.states]
+                  + [repr(("final", repr(s))) for s in aut.finals]
+                  + [repr(tuple(map(repr, t))) for t in aut.transitions]
+                  + [repr(("embed", repr(p), repr(s)))
+                     for p, s in view.control_embed.items()])
+
+
+def queries(rng, s, t):
+    """``QUERIES`` configurations of the system ``s`` around its target
+    ``t``, as ``(control, stack)`` pairs."""
+    import explicit
+    import gen
+    step = explicit.Stepper(s)
+    quarter = QUERIES // 4
+    return (gen.walk_queries(rng, step.predecessors, lambda: t.sample(rng),
+                             quarter)
+            + gen.walk_queries(rng, step.successors, lambda: t.sample(rng),
+                               quarter)
+            + [gen.uniform_config(rng, s) for _ in range(QUERIES - 2 * quarter)])
+
+
+def measure(rung):
+    """Run one rung in this process and print its JSON line."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    import gen
+    import pdsat
+    import workloads
+    if rung not in RUNGS:
+        raise SystemExit(f"unknown rung: {rung}")
+    n = int(rung.split("-")[1])
+    rng = gen.rng_for("sat-ladder", n)
+    s = gen.saturation_system(rng, n)
+    t = gen.target(rng, s)
+    configs = [workloads._config(c) for c in queries(rng, s, t)]
+    out = {"rung": rung}
+    start = perf_counter()
+    system = workloads._pds(s)
+    view = workloads._view(system, s, t)
+    out["build_s"] = round(perf_counter() - start, 2)
+    results = {}
+    for name, call in (("prestar", lambda: pdsat.prestar(system, view)),
+                       ("poststar", lambda: pdsat.poststar(system, view)),
+                       ("pop_relation", lambda: pdsat.pop_relation(system))):
+        start = perf_counter()
+        results[name] = call()
+        out[f"{name}_s"] = round(perf_counter() - start, 2)
+    answers = ""
+    for name in ("prestar", "poststar"):
+        result = results[name]
+        gc.collect()  # bill no collection of the saturations to the queries
+        start = perf_counter()
+        mine = "".join("1" if result.accepts(c) else "0" for c in configs)
+        out[f"{name}_queries_per_s"] = round(len(mine) / (perf_counter() - start))
+        out[f"{name}_transitions"] = len(result.aut.transitions)
+        out[f"{name}_sha256"] = digest(result)
+        out[f"{name}_members"] = mine.count("1")
+        answers += mine
+    pops = results["pop_relation"]
+    out.update(pops=len(pops), pops_sha256=sha256(map(repr, pops)),
+               answers=len(answers), members=answers.count("1"),
+               members_sha256=hashlib.sha256(answers.encode()).hexdigest())
+    print(json.dumps(out))
+
+
+FIELDS = ("prestar_transitions", "prestar_sha256", "poststar_transitions",
+          "poststar_sha256", "pops", "pops_sha256", "prestar_members",
+          "poststar_members", "members", "members_sha256")
+
+if __name__ == "__main__":
+    import ladder
+    ladder.main(os.path.abspath(__file__), RUNGS, measure, FIELDS,
+                "prestar_s")
