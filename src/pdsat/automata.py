@@ -223,21 +223,29 @@ def eps_closure(aut: Nfa) -> Nfa:
 
 
 def _reachable_product(aut: Nfa, start, patterns) -> Language:
+    """The product :func:`_product_out` builds, as a :class:`Language`: the
+    intersection of the languages of ``aut`` from ``start`` and of each
+    pattern from its start."""
+    origin, finals, out = _product_out(aut, start, patterns)
+    return Language(Nfa(frozenset(out), aut.alphabet, frozenset(finals),
+                        frozenset((s, a, t) for s, edges in out.items()
+                                  for a, t in edges)), origin)
+
+
+def _product_out(aut: Nfa, start, patterns):
     """Product of ``aut`` with every pattern of ``patterns``, a sequence of
     ``(pattern, pattern start)`` pairs, built forwards from ``start`` and
-    the pattern starts so that only reachable states exist.  Returned as a
-    :class:`Language` from that start, it is the intersection of the
-    languages of ``aut`` from ``start`` and of each pattern from its start.
+    the pattern starts so that only reachable states exist.  Returns its
+    start, its finals and its out-index ``state -> {(symbol, target)}``,
+    whose keys are its states.
+
     Each pattern must be deterministic and epsilon-free, as
     :func:`pattern_forbidden_factors` builds them.  Epsilon moves of ``aut``
-    are closed in as the product steps.
-
-    The patterns' own product is built first, as rows: each tuple of
-    pattern states maps to ``{symbol: next tuple}``.  Product states are
-    named nested left, ``((s, t1), t2)`` for two patterns, so the result
-    has the very states, finals, transitions and start that two nested
-    one-pattern products have.
-    """
+    are closed in as the product steps.  The patterns' own product is built
+    first, as rows: each tuple of pattern states maps to ``{symbol: next
+    tuple}``.  Product states are named nested left, ``((s, t1), t2)`` for
+    two patterns, so two patterns give the very states, finals, transitions
+    and start that two nested one-pattern products have."""
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
     moves = []
@@ -270,13 +278,13 @@ def _reachable_product(aut: Nfa, start, patterns) -> Language:
     origin = start
     for t in first:
         origin = (origin, t)
-    states = {origin}
+    out = {origin: set()}
     todo = [(origin, start, first)]
-    transitions = set()
     finals = set()
     while todo:
         name, s, key = todo.pop()
         row = rows[key]
+        edges = out[name]
         if key in accepting and not closure[s].isdisjoint(aut.finals):
             finals.add(name)
         for u in closure[s]:
@@ -287,12 +295,11 @@ def _reachable_product(aut: Nfa, start, patterns) -> Language:
                 target = u2
                 for t in nxt:
                     target = (target, t)
-                transitions.add((name, a, target))
-                if target not in states:
-                    states.add(target)
+                edges.add((a, target))
+                if target not in out:
+                    out[target] = set()
                     todo.append((target, u2, nxt))
-    return Language(Nfa(frozenset(states), aut.alphabet, frozenset(finals),
-                        frozenset(transitions)), origin)
+    return origin, finals, out
 
 
 def pattern_forbidden_factors(alphabet, factors):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import derivation, games, oracle, reachability
 from .automata import AltAutomaton, Nfa
 from .errors import InvalidInputError, ResourceLimitError
-from .pds import (Configuration, PushdownSystem, Rule, predecessors,
+from .pds import (Configuration, PushdownSystem, _rule_of, predecessors,
                   successors, validate)
 
 SECTION_NAMES = ("pds", "automaton", "game")
@@ -83,7 +83,7 @@ def _build_pds(doc: dict):
             for name in (a,) + pushed:
                 if name not in alphabet:
                     raise ParseError(lineno, f"undeclared stack symbol {name!r}")
-            rules.add(Rule(p, a, q, pushed))
+            rules.add(_rule_of((p, a, q, pushed)))
         else:
             raise ParseError(lineno, f"unknown keyword {key!r} in pds section")
     if bottom is None:
@@ -312,16 +312,18 @@ def _cut_orders(tag, step, start, ends):
     transitions is sorted once, and each cut takes its own by filtering
     that order: a transition is its own when it names both ends."""
     # a set: a step index may list one target twice (the push start's)
-    out, into = derivation._index(
-        {(s, a, t) for (s, a), ts in step.items() for t in ts})
-    fwd = derivation._reach(out, 2, {start})
-    keeps = [derivation._reach(into, 0, finals & fwd, within=fwd) | {start}
+    edges = {(s, a, t) for (s, a), ts in step.items() for t in ts}
+    out, into = {}, {}
+    for s, a, t in edges:
+        out.setdefault(s, []).append((a, t))
+        into.setdefault(t, []).append((a, s))
+    fwd = derivation._reach(out, {start})
+    keeps = [derivation._reach(into, finals & fwd, within=fwd) | {start}
              for finals in ends]
     states = sorted(set().union(*keeps), key=repr)
     rank = {s: i for i, s in enumerate(states)}
     transitions = [(rank[s], a, rank[t]) for s, a, t in sorted(
-        (tr for s in states for tr in out.get(s, ()) if tr[2] in rank),
-        key=repr)]
+        (tr for tr in edges if tr[0] in rank and tr[2] in rank), key=repr)]
     for keep, finals in zip(keeps, ends):
         names = [None] * len(states)  # by rank; None off this cut
         own = sorted(map(rank.__getitem__, keep))

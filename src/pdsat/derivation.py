@@ -6,8 +6,10 @@ turned into a finite automaton over action symbols, epsilon-saturated so that
 push-then-pop factors can be skipped, restricted to reduced and productive
 sequences, and finally decomposed into a finite union of (pop-prefix language,
 push-prefix language) pairs.  :func:`deriv_relation` makes both restrictions
-in one product of the saturated automaton with the two pattern automata;
-:func:`benois_reduce` and :func:`productive_filter` each make one of them.
+in one product of the saturated automaton with the two pattern automata, and
+splits that product from the out-index it is built in, with no ``Nfa`` of it;
+:func:`benois_reduce` and :func:`productive_filter` each make one of them as
+an ``Nfa``, which :func:`decompose` splits.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import (EPS, Language, Nfa, Sentinel, _mask, _numbering,
-                       _reachable_product, pattern_forbidden_factors)
+                       _product_out, _reachable_product,
+                       pattern_forbidden_factors)
 from .errors import InvalidInputError
 from .pds import PushdownSystem, check_valid
 
@@ -191,8 +194,9 @@ def benois_reduce(lang: Language) -> Language:
     Epsilon edges are saturated in (see ``_benois_saturate``), and the
     result is intersected with the words containing no A+A- factor, building
     only the product states reachable from ``(lang.start, pattern start)``.
-    :func:`deriv_relation` does not call it: it builds one product with this
-    pattern and :func:`productive_filter`'s.
+    :func:`deriv_relation` does not call it: it runs the same product loop
+    once with this pattern and :func:`productive_filter`'s, and builds no
+    ``Nfa`` of the product.
     """
     saturated, alpha = _benois_saturate(lang)
     return _reachable_product(saturated, lang.start, [_reduced_pattern(alpha)])
@@ -202,68 +206,83 @@ def productive_filter(lang: Language) -> Language:
     """Drop the non-productive sequences from a language of reduced
     sequences: exactly those containing a factor A+B- with A != B.  The
     product holds only the states reachable from ``(lang.start, pattern
-    start)``; :func:`deriv_relation` builds it in one product with
-    :func:`benois_reduce`'s pattern instead.
+    start)``; :func:`deriv_relation` runs the same product loop once with
+    this pattern and :func:`benois_reduce`'s instead, and splits it with no
+    ``Nfa`` of it.
     """
     alpha = _check_action_alphabet(lang.aut)
     return _reachable_product(lang.aut, lang.start, [_productive_pattern(alpha)])
 
 
-def _index(transitions):
-    """Two dicts state -> [(s, a, t)]: the transitions leaving, entering it."""
-    out = defaultdict(list)
-    into = defaultdict(list)
-    for tr in transitions:
-        out[tr[0]].append(tr)
-        into[tr[2]].append(tr)
-    return out, into
-
-
-def _reach(index, end, sources, within=None):
-    """States reachable from ``sources`` through an :func:`_index` dict, going
-    to position ``end`` of each transition (2 forwards, 0 backwards), and
-    never leaving ``within`` when it is given."""
+def _reach(index, sources, within=None):
+    """States reachable from ``sources`` through ``index``, a dict from a
+    state to ``(label, state)`` pairs, never leaving ``within`` when it is
+    given."""
     seen = set(sources)
     todo = list(seen)
     while todo:
-        for tr in index.get(todo.pop(), ()):
-            v = tr[end]
+        for _, v in index.get(todo.pop(), ()):
             if v not in seen and (within is None or v in within):
                 seen.add(v)
                 todo.append(v)
     return seen
 
 
-def _split(lang: Language):
-    """Trim and index ``lang`` once.  Returns its trimmed states, finals, pop
-    and push transitions, and boundary states in the order of ``repr``.
+def _split_out(out, start, finals):
+    """Trim and split the automaton whose out-index ``out`` maps each state
+    to its ``(action, target)`` pairs.  Every state must be reachable from
+    ``start``, and ``finals`` must be states.  Returns the trimmed states,
+    the pop step ``(s, A) -> [t]``, the reversed push step ``(t, A) -> [s]``
+    and the boundary states in the order of ``repr``.
 
     A boundary state is reachable from the start by pops only and reaches a
     final state by pushes only.  Once the check that no trimmed pop follows
     a trimmed push has passed, every trimmed path from the start to a pop
     transition is all pops, and every one from a push transition to a
     final state all pushes.  So the boundary is the start and the pop
-    targets, met with the finals and the push sources, with no search.
-    The forward search stays: ``decompose`` accepts any language, not only
-    a reachable product."""
+    targets, met with the finals and the push sources, with no search."""
+    into = defaultdict(list)
+    for s, edges in out.items():
+        for a, t in edges:
+            into[t].append((a, s))
+    keep = _reach(into, finals)
+    pops, pushes = defaultdict(list), defaultdict(list)
+    for s in keep:
+        for (kind, symbol), t in out[s]:
+            if t in keep:
+                if kind == POP:
+                    pops[(s, symbol)].append(t)
+                else:
+                    pushes[(t, symbol)].append(s)
+    # Validation: in the trimmed automaton no pop may follow a push.
+    after_push = _reach(out, {t for t, _ in pushes}, within=keep)
+    if not after_push.isdisjoint(s for s, _ in pops):
+        raise InvalidInputError("language is not included in pops* pushes*")
+    # none when nothing is kept: then there are no finals and no pushes
+    boundary = (({start} | {t for ts in pops.values() for t in ts})
+                & (finals | {s for ss in pushes.values() for s in ss}))
+    return keep, dict(pops), dict(pushes), sorted(boundary, key=repr)
+
+
+def _split(lang: Language):
+    """Trim and split ``lang`` by :func:`_split_out`, after a forward search
+    (``decompose`` accepts any language, not only a reachable product).
+    Returns its trimmed states, finals, pop and push transitions, and
+    boundary states in the order of ``repr``."""
     _check_action_alphabet(lang.aut)
     if lang.aut.has_eps():
         raise InvalidInputError("decompose requires an epsilon-free automaton")
-    out, into = _index(lang.aut.transitions)
-    fwd = _reach(out, 2, {lang.start})
-    keep = frozenset(_reach(into, 0, lang.aut.finals & fwd, within=fwd))
-    trimmed = [tr for s in keep for tr in out[s] if tr[2] in keep]
-    pop_trans = frozenset(tr for tr in trimmed if tr[1][0] == POP)
-    push_trans = frozenset(tr for tr in trimmed if tr[1][0] == PUSH)
-    # Validation: in the trimmed automaton no pop may follow a push.
-    after_push = _reach(out, 2, {t for _, _, t in push_trans}, within=keep)
-    if any(s in after_push for s, _, _ in pop_trans):
-        raise InvalidInputError("language is not included in pops* pushes*")
-    finals = lang.aut.finals & keep
-    # none when nothing is kept: then there are no finals and no pushes
-    boundary = (({lang.start} | {t for _, _, t in pop_trans})
-                & (finals | {s for s, _, _ in push_trans}))
-    return keep, finals, pop_trans, push_trans, sorted(boundary, key=repr)
+    out = defaultdict(list)
+    for s, a, t in lang.aut.transitions:
+        out[s].append((a, t))
+    fwd = _reach(out, {lang.start})
+    finals = lang.aut.finals & fwd
+    keep, pops, pushes, boundary = _split_out(
+        {s: out[s] for s in fwd}, lang.start, finals)
+    return (frozenset(keep), finals,
+            frozenset((s, pop(a), t) for (s, a), ts in pops.items() for t in ts),
+            frozenset((s, push(a), t) for (t, a), ss in pushes.items() for s in ss),
+            boundary)
 
 
 def decompose(lang: Language):
@@ -338,39 +357,31 @@ class PrefixRewriteRelation:
                 moves(self.v_step))
 
 
-def _step(transitions):
-    """The step index (s, A) -> [t] of ``transitions``."""
-    step = defaultdict(list)
-    for s, a, t in transitions:
-        step[(s, a)].append(t)
-    return dict(step)
-
-
 def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks.
 
     The behaviour automaton is epsilon-saturated and cut, in one product
     with both patterns, to its reduced productive words: the language of
-    ``productive_filter(benois_reduce(...))``, with the same states.  That
-    language is split as by :func:`decompose`; its pop side is relabelled,
-    and its push side relabelled and reversed, once for all pairs.  No pair
-    is built: see :class:`PrefixRewriteRelation`.
+    ``productive_filter(benois_reduce(...))``, with the same states.
+    :func:`_split_out` splits that product from the out-index it is built
+    in, with no ``Nfa`` of it, as :func:`decompose` splits the language:
+    into its pop side and its reversed push side, once for all pairs.  No
+    pair is built: see :class:`PrefixRewriteRelation`.
     """
     behaviour = behaviour_automaton(system, q0, qf)
     saturated, alpha = _benois_saturate(behaviour)
-    lang = _reachable_product(saturated, behaviour.start,
-                              [_reduced_pattern(alpha), _productive_pattern(alpha)])
-    _, finals, pop_trans, push_trans, boundary = _split(lang)
-    # The pop side reads A1- ... An- for the popped prefix A1 ... An.
-    u_step = _step((s, a[1], t) for s, a, t in pop_trans)
-    # The push side reads An+ ... A1+ for the pushed prefix A1 ... An: strip
-    # and reverse.  The fresh start takes, without epsilon, the reversed last
-    # step into a final state.
+    start, finals, out = _product_out(
+        saturated, behaviour.start,
+        [_reduced_pattern(alpha), _productive_pattern(alpha)])
+    # The pop side reads A1- ... An- for the popped prefix A1 ... An, and
+    # the push side An+ ... A1+ reversed; its fresh start takes, without
+    # epsilon, the reversed last step into a final state.
+    _, u_step, v_step, boundary = _split_out(out, start, finals)
     v_start = PrefixRewriteRelation.V_START
-    v_trans = [(t, a[1], s) for s, a, t in push_trans]
-    v_trans += [(v_start, a[1], s) for s, a, t in push_trans if t in finals]
-    return PrefixRewriteRelation(frozenset(a[1] for a in lang.aut.alphabet),
-                                 u_step, lang.start, _step(v_trans),
+    for (t, a), sources in list(v_step.items()):
+        if t in finals:
+            v_step.setdefault((v_start, a), []).extend(sources)
+    return PrefixRewriteRelation(alpha.base, u_step, start, v_step,
                                  frozenset(finals), tuple(boundary))
 
 

@@ -48,6 +48,25 @@ def random_bottom_free_pds(rng, n_controls=3, n_symbols=3, n_rules=6):
     return random_pds(rng, n_controls, n_symbols, n_rules, bottom_rules=False)
 
 
+def shaped_bottom_free_pds(rng, n_controls, n_symbols=3,
+                           shapes=(0, 0, 0, 1, 1, 2)):
+    """A bottom-free system with, for every control, one distinct rule per
+    entry of ``shapes``, pushing a word of that length."""
+    controls = [f"q{i}" for i in range(n_controls)]
+    base = ["A", "B", "C", "D"][:n_symbols]
+    rules = set()
+    for p in controls:
+        for k in shapes:
+            while True:
+                rule = (p, rng.choice(base), rng.choice(controls),
+                        tuple(rng.choice(base) for _ in range(k)))
+                if rule not in rules:
+                    rules.add(rule)
+                    break
+    return P.pds(controls=controls, alphabet=base + [BOT], bottom=BOT,
+                 rules=sorted(rules))
+
+
 def random_view(rng, system, n_extra=2, n_trans=5):
     """A random P-automaton over ``system`` with identity-style embedding."""
     embed = {p: ("ctrl", p) for p in system.controls}

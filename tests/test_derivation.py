@@ -5,8 +5,8 @@ from collections import deque
 import pytest
 
 from conftest import (configurations_upto, make_rng, random_bottom_free_pds,
-                      stacks_upto)
-from pdsat import (Configuration, InvalidInputError, apply_actions,
+                      shaped_bottom_free_pds, stacks_upto)
+from pdsat import (Configuration, InvalidInputError, apply_actions, automata,
                    behaviour_automaton, benois_reduce, decompose, deriv_member,
                    deriv_relation, derivation, pds, poststar,
                    productive_filter, singleton_view)
@@ -496,20 +496,40 @@ def relation_of_public_steps(system, q0, qf):
     return (alphabet, lang.start, finals, tuple(boundary), u_step, v_step)
 
 
+def bench_sized_instances(seed, count):
+    """Systems at the sizes of the derivation benchmark: 5-8 controls, each
+    with one rule pushing a word of each length of 0, 0, 0, 1, 1, 2, as
+    ``bench/gen.py``'s ``bottom_free_system`` draws them.  The first has a
+    single base symbol, the others three."""
+    rng = make_rng(seed)
+    for i in range(count):
+        system = shaped_bottom_free_pds(rng, n_controls=rng.randint(5, 8),
+                                        n_symbols=1 if i == 0 else 3)
+        controls = sorted(system.controls)
+        yield system, rng.choice(controls), rng.choice(controls)
+
+
 def test_deriv_relation_equals_the_split_of_the_public_steps():
-    for system, q0, qf in deriv_instances(42, 40):
+    for system, q0, qf in itertools.chain(deriv_instances(42, 40),
+                                          bench_sized_instances(44, 20)):
         assert relation_fields(deriv_relation(system, q0, qf)) == \
             relation_of_public_steps(system, q0, qf), (system, q0, qf)
 
 
 def test_deriv_relation_builds_one_product(monkeypatch):
+    # one call to the product loop, with both patterns, and no product Nfa
     calls = []
 
     def counted(aut, start, patterns):
-        calls.append(len(patterns))
-        return _reachable_product(aut, start, patterns)
+        calls.append(list(patterns))
+        return automata._product_out(aut, start, patterns)
 
-    monkeypatch.setattr(derivation, "_reachable_product", counted)
+    def refused(*args):
+        raise AssertionError("deriv_relation built a product Nfa")
+
+    monkeypatch.setattr(derivation, "_product_out", counted)
+    monkeypatch.setattr(derivation, "_reachable_product", refused)
     system, q0, qf = next(deriv_instances(43, 1))
     deriv_relation(system, q0, qf)
-    assert calls == [2]
+    alpha = action_alphabet(system)
+    assert calls == [[_reduced_pattern(alpha), _productive_pattern(alpha)]]
