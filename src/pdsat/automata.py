@@ -222,83 +222,59 @@ def eps_closure(aut: Nfa) -> Nfa:
     return Nfa(aut.states, aut.alphabet, frozenset(finals), frozenset(transitions))
 
 
-def _reachable_product(aut: Nfa, start, patterns) -> Language:
+def _reachable_product(aut: Nfa, start, pattern, pattern_start) -> Language:
     """The product :func:`_product_out` builds, as a :class:`Language`: the
-    intersection of the languages of ``aut`` from ``start`` and of each
-    pattern from its start."""
-    origin, finals, out = _product_out(aut, start, patterns)
+    intersection of the languages of ``aut`` from ``start`` and of
+    ``pattern`` from ``pattern_start``."""
+    origin, finals, out = _product_out(aut, start, pattern, pattern_start)
     return Language(Nfa(frozenset(out), aut.alphabet, frozenset(finals),
                         frozenset((s, a, t) for s, edges in out.items()
                                   for a, t in edges)), origin)
 
 
-def _product_out(aut: Nfa, start, patterns):
-    """Product of ``aut`` with every pattern of ``patterns``, a sequence of
-    ``(pattern, pattern start)`` pairs, built forwards from ``start`` and
-    the pattern starts so that only reachable states exist.  Returns its
+def _product_out(aut: Nfa, start, pattern, pattern_start):
+    """Product of ``aut`` with ``pattern``, built forwards from ``(start,
+    pattern_start)`` so that only reachable states exist.  Returns its
     start, its finals and its out-index ``state -> {(symbol, target)}``,
-    whose keys are its states.
+    whose keys are its states, each a pair ``(state of aut, state of
+    pattern)``.
 
-    Each pattern must be deterministic and epsilon-free, as
-    :func:`pattern_forbidden_factors` builds them.  Epsilon moves of ``aut``
-    are closed in as the product steps.  The patterns' own product is built
-    first, as rows: each tuple of pattern states maps to ``{symbol: next
-    tuple}``.  Product states are named nested left, ``((s, t1), t2)`` for
-    two patterns, so two patterns give the very states, finals, transitions
-    and start that two nested one-pattern products have."""
+    The pattern must be deterministic and epsilon-free, and every one of
+    its states accepting, as :func:`pattern_forbidden_factors` and
+    ``derivation._phase_pattern`` build them: so a product state is final
+    when its state of ``aut`` reaches a final state by epsilon moves.
+    Epsilon moves of ``aut`` are closed in as the product steps."""
     if start not in aut.states:
         raise InvalidInputError(f"unknown state: {start!r}")
-    moves = []
-    for pattern, _ in patterns:
-        out = defaultdict(dict)
-        for t, a, t2 in pattern.transitions:
-            out[t][a] = t2
-        moves.append(out)
-    first = tuple(t for _, t in patterns)
-    rows = {}
-    accepting = set()
-    todo = [first]
-    while todo:
-        key = todo.pop()
-        if key in rows:
-            continue
-        row = {a: (t2,) for a, t2 in moves[0][key[0]].items()}
-        for out, t in zip(moves[1:], key[1:]):
-            out = out[t]
-            row = {a: nxt + (out[a],) for a, nxt in row.items() if a in out}
-        rows[key] = row
-        if all(t in p.finals for (p, _), t in zip(patterns, key)):
-            accepting.add(key)
-        todo.extend(row.values())
+    rows = defaultdict(dict)  # pattern state -> {symbol: next state}
+    for t, a, t2 in pattern.transitions:
+        rows[t][a] = t2
     steps = defaultdict(list)
     for s, a, t in aut.transitions:
         if a is not EPS:
             steps[s].append((a, t))
     closure = aut._eps_reach
-    origin = start
-    for t in first:
-        origin = (origin, t)
+    origin = (start, pattern_start)
     out = {origin: set()}
-    todo = [(origin, start, first)]
+    todo = [origin]
     finals = set()
     while todo:
-        name, s, key = todo.pop()
-        row = rows[key]
+        name = todo.pop()
+        s, t = name
+        row = rows[t]
         edges = out[name]
-        if key in accepting and not closure[s].isdisjoint(aut.finals):
+        if not closure[s].isdisjoint(aut.finals):
             finals.add(name)
         for u in closure[s]:
             for a, u2 in steps.get(u, ()):
-                nxt = row.get(a)
-                if nxt is None:
+                t2 = row.get(a)
+                if t2 is None:
                     continue
-                target = u2
-                for t in nxt:
-                    target = (target, t)
+                target = (u2, t2)
                 edges.add((a, target))
                 if target not in out:
                     out[target] = set()
-                    todo.append((target, u2, nxt))
+                    todo.append(target)
     return origin, finals, out
 
 

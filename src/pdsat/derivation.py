@@ -5,11 +5,13 @@ Each stack symbol A gets a push action A+ and a pop action A-.  The system is
 turned into a finite automaton over action symbols, epsilon-saturated so that
 push-then-pop factors can be skipped, restricted to reduced and productive
 sequences, and finally decomposed into a finite union of (pop-prefix language,
-push-prefix language) pairs.  :func:`deriv_relation` makes both restrictions
-in one product of the saturated automaton with the two pattern automata, and
-splits that product from the out-index it is built in, with no ``Nfa`` of it;
-:func:`benois_reduce` and :func:`productive_filter` each make one of them as
-an ``Nfa``, which :func:`decompose` splits.
+push-prefix language) pairs.  Together the two restrictions forbid exactly a
+push followed at once by a pop, so they leave the words in pops* pushes*:
+:func:`deriv_relation` makes them in one product of the saturated automaton
+with the two-state :func:`_phase_pattern`, and splits that product from the
+out-index it is built in, with no ``Nfa`` of it; :func:`benois_reduce` and
+:func:`productive_filter` each make one of them as an ``Nfa``, which
+:func:`decompose` splits.
 """
 
 from __future__ import annotations
@@ -188,30 +190,40 @@ def _productive_pattern(alpha: ActionAlphabet):
         {(push(a), pop(b)) for a in alpha.base for b in alpha.base if a != b})
 
 
+def _phase_pattern(alpha: ActionAlphabet):
+    """The pattern of the reduced productive words, those in pops* pushes*:
+    its states are the phase, ``POP`` then ``PUSH``, and both accept.
+    ``POP`` reads the pops and any push leads to ``PUSH``, which reads only
+    the pushes.  Returns ``(nfa, start)``, as the other patterns do."""
+    transitions = {(POP, pop(a), POP) for a in alpha.base}
+    transitions |= {(phase, push(a), PUSH)
+                    for a in alpha.base for phase in (POP, PUSH)}
+    phases = frozenset({POP, PUSH})
+    return Nfa(phases, alpha.symbols, phases, frozenset(transitions)), POP
+
+
 def benois_reduce(lang: Language) -> Language:
     """Language of the reduced forms of the words of ``lang``.
 
     Epsilon edges are saturated in (see ``_benois_saturate``), and the
     result is intersected with the words containing no A+A- factor, building
     only the product states reachable from ``(lang.start, pattern start)``.
-    :func:`deriv_relation` does not call it: it runs the same product loop
-    once with this pattern and :func:`productive_filter`'s, and builds no
-    ``Nfa`` of the product.
+    :func:`deriv_relation` does not call it: its one product, with
+    :func:`_phase_pattern`, makes this cut and :func:`productive_filter`'s.
     """
     saturated, alpha = _benois_saturate(lang)
-    return _reachable_product(saturated, lang.start, [_reduced_pattern(alpha)])
+    return _reachable_product(saturated, lang.start, *_reduced_pattern(alpha))
 
 
 def productive_filter(lang: Language) -> Language:
     """Drop the non-productive sequences from a language of reduced
     sequences: exactly those containing a factor A+B- with A != B.  The
     product holds only the states reachable from ``(lang.start, pattern
-    start)``; :func:`deriv_relation` runs the same product loop once with
-    this pattern and :func:`benois_reduce`'s instead, and splits it with no
-    ``Nfa`` of it.
+    start)``; :func:`deriv_relation`'s one product, with
+    :func:`_phase_pattern`, makes this cut and :func:`benois_reduce`'s.
     """
     alpha = _check_action_alphabet(lang.aut)
-    return _reachable_product(lang.aut, lang.start, [_productive_pattern(alpha)])
+    return _reachable_product(lang.aut, lang.start, *_productive_pattern(alpha))
 
 
 def _reach(index, sources, within=None):
@@ -361,18 +373,20 @@ def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks.
 
     The behaviour automaton is epsilon-saturated and cut, in one product
-    with both patterns, to its reduced productive words: the language of
-    ``productive_filter(benois_reduce(...))``, with the same states.
-    :func:`_split_out` splits that product from the out-index it is built
+    with :func:`_phase_pattern`, to its words in pops* pushes*: the language
+    of ``productive_filter(benois_reduce(...))``.  Its states are ``(s,
+    phase)``; a state ``((s, r), p)`` of the two-step product stands for
+    ``(s, POP)`` when r is its pattern's start and for ``(s, PUSH)``
+    otherwise, and under that map the two split field for field alike.
+    :func:`_split_out` splits the product from the out-index it is built
     in, with no ``Nfa`` of it, as :func:`decompose` splits the language:
     into its pop side and its reversed push side, once for all pairs.  No
     pair is built: see :class:`PrefixRewriteRelation`.
     """
     behaviour = behaviour_automaton(system, q0, qf)
     saturated, alpha = _benois_saturate(behaviour)
-    start, finals, out = _product_out(
-        saturated, behaviour.start,
-        [_reduced_pattern(alpha), _productive_pattern(alpha)])
+    start, finals, out = _product_out(saturated, behaviour.start,
+                                      *_phase_pattern(alpha))
     # The pop side reads A1- ... An- for the popped prefix A1 ... An, and
     # the push side An+ ... A1+ reversed; its fresh start takes, without
     # epsilon, the reversed last step into a final state.

@@ -72,7 +72,7 @@ def test_accepts_unknown_state_and_symbol():
     pattern = pattern_forbidden_factors("ab", {("a", "b")})
     alternating = alt(alphabet="ab", finals=[1], transitions=[(0, "a", {1})])
     for query, message in (
-            (lambda: _reachable_product(aut, 99, [pattern]),
+            (lambda: _reachable_product(aut, 99, *pattern),
              "unknown state: 99"),
             (lambda: alt_membership(alternating, 99, "a"),
              "unknown state: 99"),

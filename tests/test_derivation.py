@@ -10,12 +10,11 @@ from pdsat import (Configuration, InvalidInputError, apply_actions, automata,
                    behaviour_automaton, benois_reduce, decompose, deriv_member,
                    deriv_relation, derivation, pds, poststar,
                    productive_filter, singleton_view)
-from pdsat.automata import (EPS, Language, Nfa, _reachable_product,
-                            eps_closure, pattern_forbidden_factors)
-from pdsat.derivation import (POP, PUSH, _benois_saturate,
-                              _check_action_alphabet, _productive_pattern,
-                              _reduced_pattern, _split, action_alphabet, pop,
-                              push)
+from pdsat.automata import (EPS, Language, Nfa, eps_closure, nfa_accepts,
+                            pattern_forbidden_factors)
+from pdsat.derivation import (POP, PUSH, ActionAlphabet, _phase_pattern,
+                              _productive_pattern, _reduced_pattern, _split,
+                              action_alphabet, pop, push)
 from reference import (deriv_member_pairwise, product_intersect, reduce_word,
                        relabel, relation_pairs, reverse, words_upto)
 
@@ -428,7 +427,8 @@ def test_deriv_relation_matches_per_pair_reference():
         rel_pairs = relation_pairs(deriv_relation(system, q0, qf))
         assert len(rel_pairs) == len(pairs)
         for (x, y), (u, v) in zip(pairs, rel_pairs):
-            assert u.aut.finals == x.aut.finals and u.start == x.start
+            assert u.aut.finals == set(map(phase_state, x.aut.finals))
+            assert u.start == phase_state(x.start)
             u_ref = Language(relabel(x.aut, lambda a: a[1]), x.start)
             v_aut, v_start = reverse(relabel(y.aut, lambda a: a[1]), y.start)
             v_ref = Language(eps_closure(v_aut), v_start)
@@ -439,37 +439,37 @@ def test_deriv_relation_matches_per_pair_reference():
 
 
 # ---------------------------------------------------------------------------
-# One product with both patterns
+# One product with the phase pattern
 
 
-def as_fields(lang):
-    return lang.aut.states, lang.aut.finals, lang.aut.transitions, lang.start
+def action_words(alpha, n):
+    symbols = sorted(alpha.symbols)
+    return itertools.chain.from_iterable(
+        itertools.product(symbols, repeat=k) for k in range(n + 1))
 
 
-def assert_two_patterns_nest(aut, start, alpha, what):
-    first, second = _reduced_pattern(alpha), _productive_pattern(alpha)
-    inner = _reachable_product(aut, start, [first])
-    nested = _reachable_product(inner.aut, inner.start, [second])
-    got = _reachable_product(aut, start, [first, second])
-    assert as_fields(got) == as_fields(nested), what
+def test_phase_pattern_is_the_meet_of_the_two_patterns():
+    # the words in pops* pushes* are those with no A+A- and no A+B- factor
+    for base in ("A", "AB", "ABC"):
+        alpha = ActionAlphabet(frozenset(base))
+        patterns = [_phase_pattern(alpha), _reduced_pattern(alpha),
+                    _productive_pattern(alpha)]
+        answers = set()
+        for word in action_words(alpha, 5):
+            phase, reduced, productive = (nfa_accepts(aut, start, word)
+                                          for aut, start in patterns)
+            assert phase == (reduced and productive), (base, word)
+            answers.add(phase)
+        assert answers == {True, False}
 
 
-def test_two_pattern_product_equals_nested_products():
-    rng = make_rng(40)
-    with_eps = 0
-    for i in range(100):
-        lang = random_action_automaton(rng)
-        with_eps += lang.aut.has_eps()
-        assert_two_patterns_nest(lang.aut, lang.start,
-                                 _check_action_alphabet(lang.aut), (i, lang.aut))
-    assert with_eps > 10
-    one_symbol = 0
-    for system, q0, qf in deriv_instances(41, 40):
-        saturated, alpha = _benois_saturate(behaviour_automaton(system, q0, qf))
-        # with one base symbol the productive pattern has a single state
-        one_symbol += len(_productive_pattern(alpha)[0].states) == 1
-        assert_two_patterns_nest(saturated, q0, alpha, (system, q0, qf))
-    assert one_symbol > 0
+def phase_state(state):
+    """The state of ``deriv_relation``'s product that stands for ``state``
+    of ``productive_filter(benois_reduce(...))``: ``((s, r), p)`` is ``(s,
+    POP)`` when r is the reduced pattern's start, and ``(s, PUSH)`` after a
+    push."""
+    (s, r), _ = state
+    return (s, POP if r == ("pat", None) else PUSH)
 
 
 def relation_fields(rel):
@@ -481,19 +481,23 @@ def relation_fields(rel):
 
 def relation_of_public_steps(system, q0, qf):
     """The relation as the public steps build it: the split of
-    ``productive_filter(benois_reduce(...))``, relabelled and reversed."""
+    ``productive_filter(benois_reduce(...))``, relabelled and reversed, its
+    states renamed by ``phase_state``."""
     lang = productive_filter(benois_reduce(behaviour_automaton(system, q0, qf)))
     _, finals, pop_trans, push_trans, boundary = _split(lang)
+    finals = frozenset(map(phase_state, finals))
     u_step, v_step = {}, {}
     for s, a, t in pop_trans:
-        u_step.setdefault((s, a[1]), set()).add(t)
+        u_step.setdefault((phase_state(s), a[1]), set()).add(phase_state(t))
     v_start = derivation.PrefixRewriteRelation.V_START
     for s, a, t in push_trans:
+        s, t = phase_state(s), phase_state(t)
         v_step.setdefault((t, a[1]), set()).add(s)
         if t in finals:
             v_step.setdefault((v_start, a[1]), set()).add(s)
     alphabet = frozenset(a[1] for a in lang.aut.alphabet)
-    return (alphabet, lang.start, finals, tuple(boundary), u_step, v_step)
+    return (alphabet, phase_state(lang.start), finals,
+            tuple(map(phase_state, boundary)), u_step, v_step)
 
 
 def bench_sized_instances(seed, count):
@@ -517,12 +521,12 @@ def test_deriv_relation_equals_the_split_of_the_public_steps():
 
 
 def test_deriv_relation_builds_one_product(monkeypatch):
-    # one call to the product loop, with both patterns, and no product Nfa
+    # one call to the product loop, with the phase pattern, and no product Nfa
     calls = []
 
-    def counted(aut, start, patterns):
-        calls.append(list(patterns))
-        return automata._product_out(aut, start, patterns)
+    def counted(aut, start, pattern, pattern_start):
+        calls.append((pattern, pattern_start))
+        return automata._product_out(aut, start, pattern, pattern_start)
 
     def refused(*args):
         raise AssertionError("deriv_relation built a product Nfa")
@@ -532,4 +536,4 @@ def test_deriv_relation_builds_one_product(monkeypatch):
     system, q0, qf = next(deriv_instances(43, 1))
     deriv_relation(system, q0, qf)
     alpha = action_alphabet(system)
-    assert calls == [[_reduced_pattern(alpha), _productive_pattern(alpha)]]
+    assert calls == [_phase_pattern(alpha)]
