@@ -12,7 +12,7 @@ queries have read, freed with the automaton.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,15 +23,30 @@ EPS = None
 
 
 class Sentinel:
-    """A named unique value, used for special automaton states."""
+    """A named unique value, used for special automaton states.  A name has
+    one instance, in ``_SENTINELS``: a second is refused, and copies and
+    unpickled ones are that instance, so their states still compare equal."""
 
     __slots__ = ("name",)
 
     def __init__(self, name):
+        if name in _SENTINELS:
+            raise ValueError(f"a Sentinel named {name!r} exists already")
         self.name = name
+        _SENTINELS[name] = self
 
     def __repr__(self):
         return self.name
+
+    def __reduce__(self):
+        return _sentinel, (self.name,)
+
+
+_SENTINELS = {}  # S_BOT, S_STAR, oracle.SINK and derivation._BEH by name
+
+
+def _sentinel(name) -> Sentinel:
+    return _SENTINELS[name]
 
 
 #: Sole accepting state of region automata; reached by reading the bottom symbol.
@@ -92,23 +107,27 @@ class Nfa:
 
     @cached_property
     def _eps_reach(self):
-        """dict state -> frozenset of states reachable by epsilon moves (incl. itself)."""
-        step = defaultdict(set)
+        """dict state -> frozenset of states reachable by epsilon moves (incl.
+        itself): one :func:`_reach` each, over ``(EPS, target)`` pairs."""
+        step = defaultdict(list)
         for s, a, t in self.transitions:
             if a is EPS:
-                step[s].add(t)
-        closure = {}
-        for s in self.states:
-            seen = {s}
-            todo = deque([s])
-            while todo:
-                u = todo.popleft()
-                for v in step[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        todo.append(v)
-            closure[s] = frozenset(seen)
-        return closure
+                step[s].append((EPS, t))
+        return {s: frozenset(_reach(step, (s,))) for s in self.states}
+
+
+def _reach(index, sources, within=None):
+    """States reachable from ``sources`` through ``index``, a dict from a
+    state to ``(label, state)`` pairs, never leaving ``within`` when it is
+    given: the library's one plain search, each caller with its own index."""
+    seen = set(sources)
+    todo = list(seen)
+    while todo:
+        for _, v in index.get(todo.pop(), ()):
+            if v not in seen and (within is None or v in within):
+                seen.add(v)
+                todo.append(v)
+    return seen
 
 
 def _saturated(states, alphabet, finals, transitions, step_index) -> Nfa:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import derivation, games, oracle, reachability
-from .automata import AltAutomaton, Nfa
+from .automata import AltAutomaton, Nfa, _reach
 from .errors import InvalidInputError, ResourceLimitError
 from .pds import (Configuration, PushdownSystem, _rule_of, predecessors,
                   successors, validate)
@@ -317,8 +317,8 @@ def _cut_orders(tag, step, start, ends):
     for s, a, t in edges:
         out.setdefault(s, []).append((a, t))
         into.setdefault(t, []).append((a, s))
-    fwd = derivation._reach(out, {start})
-    keeps = [derivation._reach(into, finals & fwd, within=fwd) | {start}
+    fwd = _reach(out, {start})
+    keeps = [_reach(into, finals & fwd, within=fwd) | {start}
              for finals in ends]
     states = sorted(set().union(*keeps), key=repr)
     rank = {s: i for i, s in enumerate(states)}

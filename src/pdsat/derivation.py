@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import (EPS, Language, Nfa, Sentinel, _mask, _numbering,
-                       _product_out, _reachable_product,
+                       _product_out, _reach, _reachable_product,
                        pattern_forbidden_factors)
 from .errors import InvalidInputError
 from .pds import PushdownSystem, check_valid
@@ -226,20 +226,6 @@ def productive_filter(lang: Language) -> Language:
     return _reachable_product(lang.aut, lang.start, *_productive_pattern(alpha))
 
 
-def _reach(index, sources, within=None):
-    """States reachable from ``sources`` through ``index``, a dict from a
-    state to ``(label, state)`` pairs, never leaving ``within`` when it is
-    given."""
-    seen = set(sources)
-    todo = list(seen)
-    while todo:
-        for _, v in index.get(todo.pop(), ()):
-            if v not in seen and (within is None or v in within):
-                seen.add(v)
-                todo.append(v)
-    return seen
-
-
 def _split_out(out, start, finals):
     """Trim and split the automaton whose out-index ``out`` maps each state
     to its ``(action, target)`` pairs.  Every state must be reachable from
@@ -248,10 +234,12 @@ def _split_out(out, start, finals):
     and the boundary states in the order of ``repr``.
 
     A boundary state is reachable from the start by pops only and reaches a
-    final state by pushes only.  Once the check that no trimmed pop follows
-    a trimmed push has passed, every trimmed path from the start to a pop
-    transition is all pops, and every one from a push transition to a
-    final state all pushes.  So the boundary is the start and the pop
+    final state by pushes only.  The precondition is that no trimmed pop
+    follows a trimmed push: :func:`_split` checks it for :func:`decompose`,
+    and :func:`deriv_relation`'s product holds it by construction, since
+    its ``PUSH`` phase reads no pop.  Then every trimmed path from the start
+    to a pop transition is all pops, and every one from a push transition
+    to a final state all pushes.  So the boundary is the start and the pop
     targets, met with the finals and the push sources, with no search."""
     into = defaultdict(list)
     for s, edges in out.items():
@@ -266,10 +254,6 @@ def _split_out(out, start, finals):
                     pops[(s, symbol)].append(t)
                 else:
                     pushes[(t, symbol)].append(s)
-    # Validation: in the trimmed automaton no pop may follow a push.
-    after_push = _reach(out, {t for t, _ in pushes}, within=keep)
-    if not after_push.isdisjoint(s for s, _ in pops):
-        raise InvalidInputError("language is not included in pops* pushes*")
     # none when nothing is kept: then there are no finals and no pushes
     boundary = (({start} | {t for ts in pops.values() for t in ts})
                 & (finals | {s for ss in pushes.values() for s in ss}))
@@ -278,7 +262,8 @@ def _split_out(out, start, finals):
 
 def _split(lang: Language):
     """Trim and split ``lang`` by :func:`_split_out`, after a forward search
-    (``decompose`` accepts any language, not only a reachable product).
+    (``decompose`` accepts any language, not only a reachable product), then
+    check ``_split_out``'s precondition by a search from the push targets.
     Returns its trimmed states, finals, pop and push transitions, and
     boundary states in the order of ``repr``."""
     _check_action_alphabet(lang.aut)
@@ -291,6 +276,9 @@ def _split(lang: Language):
     finals = lang.aut.finals & fwd
     keep, pops, pushes, boundary = _split_out(
         {s: out[s] for s in fwd}, lang.start, finals)
+    after_push = _reach(out, {t for t, _ in pushes}, within=keep)
+    if not after_push.isdisjoint(s for s, _ in pops):
+        raise InvalidInputError("language is not included in pops* pushes*")
     return (frozenset(keep), finals,
             frozenset((s, pop(a), t) for (s, a), ts in pops.items() for t in ts),
             frozenset((s, push(a), t) for (t, a), ss in pushes.items() for s in ss),
@@ -303,7 +291,8 @@ def decompose(lang: Language):
     the input language: one pair per boundary state q between the pop prefix
     and the push suffix of some accepting path, in the order of ``repr(q)``.
     Every X and Y holds the trimmed states: X the pop transitions and final
-    state q, Y the push transitions and start q."""
+    state q, Y the push transitions and start q.  Raises
+    ``InvalidInputError`` when a trimmed pop follows a trimmed push."""
     keep, finals, pop_trans, push_trans, boundary = _split(lang)
     alphabet = lang.aut.alphabet
     return [(Language(Nfa(keep, alphabet, frozenset({q}), pop_trans), lang.start),

@@ -13,7 +13,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .automata import EPS, Nfa, S_BOT, _saturated, eps_closure, nfa_accepts
+from .automata import (EPS, Nfa, S_BOT, _reach, _saturated, eps_closure,
+                       nfa_accepts)
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
 
@@ -346,22 +347,16 @@ def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
     bot = system.bottom
 
     # Control-to-control moves at the bottom stratum, reversed.
-    preds = defaultdict(set)
+    preds = defaultdict(set)  # q -> {(⊥, p)}, as _reach reads them
     for p, a, q, pushed in system.rules:
         if a != bot:
             continue
         if pushed == (bot,):
-            preds[q].add(p)
+            preds[q].add((bot, p))
         else:  # (p,⊥)->(q,A⊥): must return to the bottom via a full pop
             for q2 in pops_from.get((q, pushed[0]), ()):
-                preds[q2].add(p)
-    reaches_qf = {q_f}
-    todo = deque(reaches_qf)
-    while todo:
-        for p in preds.get(todo.popleft(), ()):
-            if p not in reaches_qf:
-                reaches_qf.add(p)
-                todo.append(p)
+                preds[q2].add((bot, p))
+    reaches_qf = _reach(preds, (q_f,))
 
     # A checked system never pops its bottom symbol, so no triple reads ⊥.
     index = dict(pops_from)

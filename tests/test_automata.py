@@ -1,19 +1,23 @@
+import copy
 import gc
 import itertools
+import pickle
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from conftest import NoSteps, make_rng
 from pdsat import InvalidInputError
-from pdsat import automata
-from pdsat.automata import (EPS, S_STAR, AltAutomaton, Language, Nfa,
-                            _antichain, _fold, _mask_entries,
+from pdsat import automata, cli, games, oracle
+from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
+                            Sentinel, _antichain, _fold, _mask_entries,
                             _reachable_product, _run_targets, _saturated,
                             alt, alt_membership, alt_run_targets,
                             eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors)
+from pdsat.derivation import deriv_relation
 from reference import (alt_membership_sets, minimal, product_intersect,
                        relabel, reverse, run_targets_by_product, words_upto)
 
@@ -580,3 +584,26 @@ def test_indexes_die_with_their_automata():
         tracemalloc.stop()
     # 10k automata with indexes kept alive would hold megabytes
     assert grown < 100_000, grown
+
+
+def test_sentinels_survive_copy_and_pickle():
+    data = Path(__file__).parent / "data"
+    doc = cli.parse((data / "parity_game.pds").read_text())
+    region = games.solve_parity_game(
+        cli._build_game(doc, cli._build_pds(doc), "paritygame"))
+    assert {S_BOT, S_STAR} <= region.aut.states
+    system = cli._build_pds(cli.parse((data / "deriv.pds").read_text()))
+    rel = deriv_relation(system, "q0", "q3")
+    # the behaviour automaton's intermediate states are headed by a Sentinel
+    assert any("beh" in repr(s) for s, _ in rel.u_step)
+    assert any("beh" in repr(t) for t, _ in rel.v_step)
+    for clone in [copy.copy, copy.deepcopy] + [
+            lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        for sentinel in (S_BOT, S_STAR, oracle.SINK):
+            assert clone(sentinel) is sentinel
+        assert clone(region.aut) == region.aut
+        assert clone(rel.u_step) == rel.u_step
+        assert clone(rel.v_step) == rel.v_step
+    with pytest.raises(ValueError, match="named 'sink' exists already"):
+        Sentinel("sink")

@@ -1,8 +1,9 @@
 """The saturation ladder: ``prestar``, ``poststar`` and ``pop_relation`` on
 systems past the sizes the steady benchmark reaches, then seeded ``accepts``
-queries on both saturated automata, each rung reported with the time of
-every step, each result's transition count and SHA-256, and a SHA-256 and
-count of the answers.
+queries on both saturated automata, and last ``buchi_target_automaton`` and
+the same queries on it, each rung reported with the time of every step,
+each result's transition count and SHA-256, and a SHA-256 and count of the
+answers.
 
     python3 tools/saturation_ladder.py [--cap S] [RUNG ...]
     python3 tools/saturation_ladder.py --check BENCH_saturation.json RUNG ...
@@ -14,14 +15,15 @@ rung named, every rung of ``RUNGS`` runs.  Each rung runs in its own
 process and is reported as one JSON line; a rung that exceeds ``--cap``
 seconds is reported as ``"timeout"``.  With ``--check``, each named rung's
 transition counts, result hashes, pop count and hash, and answer counts and
-hash must equal the file's ``"rungs"`` entry, and its answers must not all
-be one value (see ``ladder.py``), or the command exits with code 1.
+hash (``FIELDS``) must equal the file's ``"rungs"`` entry, and its pre* and
+post* answers must not all be one value (see ``ladder.py``), or the command
+exits with code 1.
 
 A rung's system is ``saturation_system(rng, controls)`` with the target
 ``target(rng, system)``, built as the ``saturation`` workload builds its
 inputs, with ``rng = rng_for("sat-ladder", controls)``.  ``build_s`` times
-the system and its view; ``prestar_s``, ``poststar_s`` and
-``pop_relation_s`` time one call each, and ``prestar_queries_per_s`` and
+the system and its view; ``prestar_s``, ``poststar_s``, ``pop_relation_s``
+and ``buchi_s`` time one call each, and ``prestar_queries_per_s`` and
 ``poststar_queries_per_s`` the queries on each result, each timed after a
 full collection: the first young-generation collection after a saturation
 traverses the large containers it has just built, and would land in
@@ -37,6 +39,10 @@ post*, and the answers hash (``members_sha256``) is over one character,
 ``1`` or ``0``, per answer: all of pre*'s in query order, then all of
 post*'s.  ``answers`` is their number, ``members`` the number of ``1``s and
 ``prestar_members`` and ``poststar_members`` each result's share of them.
+``buchi_target_automaton`` targets ``(q_f, ⊥)`` for the rung's first control
+q_f, drawing no random number, and is reported apart from those answers:
+``buchi_transitions`` and ``buchi_sha256`` as for the other results, and
+``buchi_members`` the number of the same configurations it accepts.
 None of these depends on ``PYTHONHASHSEED``.
 """
 
@@ -121,12 +127,19 @@ def measure(rung):
     out.update(pops=len(pops), pops_sha256=sha256(map(repr, pops)),
                answers=len(answers), members=answers.count("1"),
                members_sha256=hashlib.sha256(answers.encode()).hexdigest())
+    start = perf_counter()
+    buchi = pdsat.buchi_target_automaton(system, s.controls[0])
+    out["buchi_s"] = round(perf_counter() - start, 2)
+    out.update(buchi_transitions=len(buchi.aut.transitions),
+               buchi_sha256=digest(buchi),
+               buchi_members=sum(map(buchi.accepts, configs)))
     print(json.dumps(out))
 
 
 FIELDS = ("prestar_transitions", "prestar_sha256", "poststar_transitions",
           "poststar_sha256", "pops", "pops_sha256", "prestar_members",
-          "poststar_members", "members", "members_sha256")
+          "poststar_members", "members", "members_sha256",
+          "buchi_transitions", "buchi_sha256", "buchi_members")
 
 if __name__ == "__main__":
     import ladder
