@@ -108,12 +108,74 @@ class Nfa:
     @cached_property
     def _eps_reach(self):
         """dict state -> frozenset of states reachable by epsilon moves (incl.
-        itself): one :func:`_reach` each, over ``(EPS, target)`` pairs."""
-        step = defaultdict(list)
+        itself): the ``closure`` of ``_eps_components``, one frozenset shared
+        by the members of each ε-component."""
+        return self._eps_components[1]
+
+    @cached_property
+    def _eps_components(self):
+        """``(rep, closure)`` from one iterative Tarjan pass over the ε
+        moves.  ``rep`` maps each state of an ε-component with two or more
+        members to the member of least ``repr``, which names it; the states
+        of one component reach each other by ε moves, so they accept one
+        language.  ``closure`` maps each state to its ε-closure.
+
+        Components are completed sinks first, so the closure of one is its
+        members united with the closures its ε moves enter, all complete by
+        then; its members share that frozenset."""
+        succ = defaultdict(list)
         for s, a, t in self.transitions:
             if a is EPS:
-                step[s].append((EPS, t))
-        return {s: frozenset(_reach(step, (s,))) for s in self.states}
+                succ[s].append(t)
+        index, low = {}, {}  # discovery number, least number reached
+        stack, on_stack = [], set()  # states of unfinished components
+        work = []  # the search path: (state, its unread ε moves)
+        rep, closure = {}, {}
+
+        def visit(v):
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            on_stack.add(v)
+            work.append((v, iter(succ.get(v, ()))))
+
+        for root in self.states:
+            if root in index:
+                continue
+            visit(root)
+            while work:
+                v, edges = work[-1]
+                for w in edges:
+                    if w not in index:
+                        visit(w)
+                        break
+                    if w in on_stack and index[w] < low[v]:
+                        low[v] = index[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] < index[v]:
+                        continue  # v's component has a member found earlier
+                    members = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        members.append(w)
+                        if w == v:
+                            break
+                    entered = {}  # the closures its ε moves enter, by id
+                    for u in members:
+                        for t in succ.get(u, ()):
+                            if t in closure:  # not a member, so complete
+                                entered[id(closure[t])] = closure[t]
+                    shared = frozenset(members).union(*entered.values())
+                    for u in members:
+                        closure[u] = shared
+                    if len(members) > 1:
+                        name = min(members, key=repr)
+                        for u in members:
+                            rep[u] = name
+        return rep, closure
 
 
 def _reach(index, sources, within=None):
@@ -256,7 +318,9 @@ def _product_out(aut: Nfa, start, pattern, pattern_start):
     pattern_start)`` so that only reachable states exist.  Returns its
     start, its finals and its out-index ``state -> {(symbol, target)}``,
     whose keys are its states, each a pair ``(state of aut, state of
-    pattern)``.
+    pattern)``.  The state of ``aut`` names its ε-component (see
+    ``Nfa._eps_components``): the members of one accept one language, so
+    they make one product state, named by the member of least ``repr``.
 
     The pattern must be deterministic and epsilon-free, and every one of
     its states accepting, as :func:`pattern_forbidden_factors` and
@@ -268,12 +332,12 @@ def _product_out(aut: Nfa, start, pattern, pattern_start):
     rows = defaultdict(dict)  # pattern state -> {symbol: next state}
     for t, a, t2 in pattern.transitions:
         rows[t][a] = t2
+    rep, closure = aut._eps_components
     steps = defaultdict(list)
     for s, a, t in aut.transitions:
         if a is not EPS:
-            steps[s].append((a, t))
-    closure = aut._eps_reach
-    origin = (start, pattern_start)
+            steps[s].append((a, rep.get(t, t)))
+    origin = (rep.get(start, start), pattern_start)
     out = {origin: set()}
     todo = [origin]
     finals = set()

@@ -208,6 +208,9 @@ def benois_reduce(lang: Language) -> Language:
     Epsilon edges are saturated in (see ``_benois_saturate``), and the
     result is intersected with the words containing no A+A- factor, building
     only the product states reachable from ``(lang.start, pattern start)``.
+    Its states ``(s, r)`` name s by its ε-component in the saturated
+    automaton: one product state per component and pattern state (see
+    ``automata._product_out``).
     :func:`deriv_relation` does not call it: its one product, with
     :func:`_phase_pattern`, makes this cut and :func:`productive_filter`'s.
     """
@@ -306,7 +309,11 @@ class PrefixRewriteRelation:
     prefix-rewrite languages, one per boundary state q, kept as one pop
     automaton and one push automaton that every pair cuts with its own final
     state.  A pair pops a stack prefix in U_q and pushes a replacement in
-    V_q, keeping the untouched suffix.
+    V_q, keeping the untouched suffix.  Its states but ``V_START`` are
+    those of :func:`deriv_relation`'s product, ``(s, phase)``, with s the
+    member of least ``repr`` of its ε-component in the saturated behaviour
+    automaton: the members of one component accept one language, so they
+    make one state, and one pair when it is a boundary state.
 
     The pop side reads a popped prefix A1 ... An, top first, from ``u_start``;
     U_q accepts what it reads into q.  The push side is reversed: it reads a
@@ -370,7 +377,10 @@ def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     :func:`_split_out` splits the product from the out-index it is built
     in, with no ``Nfa`` of it, as :func:`decompose` splits the language:
     into its pop side and its reversed push side, once for all pairs.  No
-    pair is built: see :class:`PrefixRewriteRelation`.
+    pair is built: see :class:`PrefixRewriteRelation`.  The s of a state
+    names its ε-component in the saturated automaton, as in
+    :func:`benois_reduce`, so the relation has one boundary state per
+    component and phase, not one per member.
     """
     behaviour = behaviour_automaton(system, q0, qf)
     saturated, alpha = _benois_saturate(behaviour)

@@ -8,7 +8,7 @@ from collections import defaultdict
 
 from pdsat import ELOISE, Configuration, InvalidInputError
 from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
-                            eps_closure)
+                            _reach, eps_closure)
 from pdsat.cli import _dot_escape
 from pdsat.derivation import POP, PUSH
 
@@ -35,6 +35,16 @@ def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
                 transitions.add(((s, t), a, (s2, t2)))
     finals = {(s, t) for s in left.finals for t in pattern.finals}
     return Nfa(frozenset(states), aut.alphabet, frozenset(finals), frozenset(transitions))
+
+
+def eps_reach_per_state(aut: Nfa) -> dict:
+    """``Nfa._eps_reach`` by one search per state: dict state -> frozenset
+    of the states its epsilon moves reach, itself included."""
+    step = defaultdict(list)
+    for s, a, t in aut.transitions:
+        if a is EPS:
+            step[s].append((EPS, t))
+    return {s: frozenset(_reach(step, (s,))) for s in aut.states}
 
 
 def reverse(aut: Nfa, start):

@@ -18,8 +18,9 @@ from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
                             eps_closure, nfa, nfa_accepts,
                             pattern_forbidden_factors)
 from pdsat.derivation import deriv_relation
-from reference import (alt_membership_sets, minimal, product_intersect,
-                       relabel, reverse, run_targets_by_product, words_upto)
+from reference import (alt_membership_sets, eps_reach_per_state, minimal,
+                       product_intersect, relabel, reverse,
+                       run_targets_by_product, words_upto)
 
 
 def random_nfa(rng, n_states=4, alphabet=("a", "b"), n_trans=6, eps_frac=0.2):
@@ -211,6 +212,63 @@ def test_eps_closure_preserves_language():
         assert not closed.has_eps()
         for s in aut.states:
             assert words_upto(aut, s, 3) == words_upto(closed, s, 3)
+
+
+def test_eps_components_match_per_state_search():
+    # 200 automata with an ε-cycle; their states 0..11 sort by repr as
+    # 0, 1, 10, 11, 2, ..., so the least repr is not always the least state
+    rng = make_rng(120)
+    drawn = 0
+    while drawn < 200:
+        aut = random_nfa(rng, n_states=12, n_trans=24, eps_frac=0.6)
+        reach = eps_reach_per_state(aut)
+        components = {s: frozenset(t for t in reach[s] if s in reach[t])
+                      for s in aut.states}
+        if all(len(c) == 1 for c in components.values()):
+            continue
+        drawn += 1
+        rep, closure = aut._eps_components
+        assert closure == reach and aut._eps_reach is closure, aut
+        assert rep == {s: min(c, key=repr) for s, c in components.items()
+                       if len(c) > 1}, aut
+        # the members of a component share one closure
+        for s, c in components.items():
+            assert all(closure[t] is closure[s] for t in c), aut
+
+
+def test_eps_components_are_named_by_least_repr():
+    # one cycle b -> c -> a2 -> b with a tail to x, and a self-loop on y
+    aut = nfa(alphabet="a", finals=["x"],
+              transitions=[("c", EPS, "a2"), ("a2", EPS, "b"), ("b", EPS, "c"),
+                           ("b", EPS, "x"), ("x", "a", "c"), ("y", EPS, "y")])
+    rep, closure = aut._eps_components
+    assert rep == {"a2": "a2", "b": "a2", "c": "a2"}
+    assert closure["c"] == {"a2", "b", "c", "x"}
+    assert closure["c"] is closure["b"] is closure["a2"]
+    assert closure["x"] == {"x"} and closure["y"] == {"y"}
+    assert nfa_accepts(aut, "c", "") and nfa_accepts(aut, "x", "a")
+
+
+def test_eps_components_do_not_recurse():
+    # one ε-cycle of 5,000 states, and an ε-chain of 2,000 (a chain of n
+    # states has closures of n(n+1)/2 states in all): each searched depth
+    # first from state 0 is deeper than Python's default recursion limit
+    n = 5000
+    cycle = nfa(alphabet="a", finals=[n - 1],
+                transitions=[(i, EPS, (i + 1) % n) for i in range(n)])
+    rep, closure = cycle._eps_components
+    assert set(rep.values()) == {0} and len(rep) == n
+    assert len({id(c) for c in closure.values()}) == 1
+    assert closure[0] == cycle.states and nfa_accepts(cycle, 0, "")
+    n = 2000
+    chain = nfa(alphabet="a", finals=[n - 1],
+                transitions=[(i, EPS, i + 1) for i in range(n - 1)])
+    rep, closure = chain._eps_components
+    assert rep == {}
+    assert all(closure[i] == frozenset(range(i, n))
+               for i in (0, 1, n // 2, n - 1))
+    assert sum(map(len, closure.values())) == n * (n + 1) // 2
+    assert nfa_accepts(chain, 0, "") and not nfa_accepts(chain, 0, "a")
 
 
 def test_words_upto_agrees_with_accepts():

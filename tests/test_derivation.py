@@ -1,20 +1,22 @@
 import itertools
 import re
 from collections import deque
+from pathlib import Path
 
 import pytest
 
 from conftest import (configurations_upto, make_rng, random_bottom_free_pds,
                       shaped_bottom_free_pds, stacks_upto)
 from pdsat import (Configuration, InvalidInputError, apply_actions, automata,
-                   behaviour_automaton, benois_reduce, decompose, deriv_member,
-                   deriv_relation, derivation, pds, poststar,
+                   behaviour_automaton, benois_reduce, cli, decompose,
+                   deriv_member, deriv_relation, derivation, pds, poststar,
                    productive_filter, singleton_view)
 from pdsat.automata import (EPS, Language, Nfa, eps_closure, nfa_accepts,
                             pattern_forbidden_factors)
-from pdsat.derivation import (POP, PUSH, ActionAlphabet, _phase_pattern,
-                              _productive_pattern, _reduced_pattern, _split,
-                              action_alphabet, pop, push)
+from pdsat.derivation import (POP, PUSH, ActionAlphabet, _benois_saturate,
+                              _phase_pattern, _productive_pattern,
+                              _reduced_pattern, _split, action_alphabet, pop,
+                              push)
 from reference import (deriv_member_pairwise, product_intersect, reduce_word,
                        relabel, relation_pairs, reverse, words_upto)
 
@@ -247,11 +249,12 @@ def numbered_states(rel):
 
 
 def test_deriv_member_matches_pairwise_reference_past_64_states():
-    # frontier masks wider than one machine word
+    # frontier masks wider than one machine word; the relation has one
+    # state per ε-component, so the systems are drawn larger than that
     rng = make_rng(42)
     for _ in range(10):
         system = bottom_free(random_bottom_free_pds(
-            rng, n_controls=12, n_symbols=3, n_rules=60))
+            rng, n_controls=20, n_symbols=3, n_rules=100))
         controls = sorted(system.controls)
         rel = deriv_relation(system, controls[0], controls[-1])
         if len(numbered_states(rel)) > 64:
@@ -358,30 +361,67 @@ def reachable_part(aut, start):
             {tr for tr in aut.transitions if tr[0] in keep})
 
 
-def random_action_automaton(rng, base=("A", "B")):
+def random_action_automaton(rng, base=("A", "B"), eps_rate=0.2):
     symbols = sorted(f(a) for a in base for f in (push, pop))
     states = list(range(rng.randint(2, 6)))
     transitions = set()
     for _ in range(rng.randint(2, 10)):
-        label = EPS if rng.random() < 0.2 else rng.choice(symbols)
+        label = EPS if rng.random() < eps_rate else rng.choice(symbols)
         transitions.add((rng.choice(states), label, rng.choice(states)))
     finals = frozenset(rng.sample(states, rng.randint(1, len(states))))
     return Language(Nfa(frozenset(states), frozenset(symbols), finals,
                         frozenset(transitions)), 0)
 
 
+def eps_component_names(aut):
+    """Each state of ``aut`` named by the member of least ``repr`` of its
+    ε-component: the states that ``reach_from`` finds from it by ε moves
+    and that find it back."""
+    step = {}
+    for s, a, t in aut.transitions:
+        if a is EPS:
+            step.setdefault(s, set()).add(t)
+    reach = {s: reach_from(step, s) for s in aut.states}
+    return {s: min((t for t in reach[s] if s in reach[t]), key=repr)
+            for s in aut.states}
+
+
+def quotient(aut, names):
+    """``aut`` with each state ``(s, p)`` renamed ``(names[s], p)``."""
+    def rename(state):
+        s, p = state
+        return names[s], p
+    return Nfa(frozenset(map(rename, aut.states)), aut.alphabet,
+               frozenset(map(rename, aut.finals)),
+               frozenset((rename(s), a, rename(t))
+                         for s, a, t in aut.transitions))
+
+
 def test_benois_saturation_matches_naive_rounds():
+    # the product has one state per ε-component of the saturated automaton,
+    # so the reference is quotiented by its own components, then compared
+    # state for state; the second hundred draws have more ε moves, so that
+    # more of them merge states
     rng = make_rng(36)
-    for i in range(100):
-        lang = random_action_automaton(rng)
+    merged = 0
+    for i in range(200):
+        lang = random_action_automaton(rng, eps_rate=0.2 if i < 100 else 0.6)
         pattern, pstart = pattern_forbidden_factors(
             lang.aut.alphabet, {(push(a), pop(a)) for a in ("A", "B")})
-        reference = product_intersect(eps_closure(naive_saturation(lang.aut)),
-                                      pattern, pstart)
-        got = benois_reduce(lang)
-        assert got.start == (0, pstart)
-        assert reachable_part(reference, got.start) == (
-            got.aut.states, got.aut.finals, got.aut.transitions), (i, lang.aut)
+        saturated = naive_saturation(lang.aut)
+        names = eps_component_names(saturated)
+        merged += any(s != name for s, name in names.items())
+        reference = quotient(product_intersect(eps_closure(saturated),
+                                               pattern, pstart), names)
+        # from the state of least repr, and from the one of greatest, which
+        # is not its component's name when the component has two states
+        for start in (0, max(lang.aut.states)):
+            got = benois_reduce(Language(lang.aut, start))
+            assert got.start == (names[start], pstart)
+            assert reachable_part(reference, got.start) == (
+                got.aut.states, got.aut.finals, got.aut.transitions), \
+                (i, start, lang.aut)
+    assert merged >= 30, merged
 
 
 def deriv_instances(seed, count):
@@ -518,6 +558,21 @@ def test_deriv_relation_equals_the_split_of_the_public_steps():
                                           bench_sized_instances(44, 20)):
         assert relation_fields(deriv_relation(system, q0, qf)) == \
             relation_of_public_steps(system, q0, qf), (system, q0, qf)
+
+
+def test_deriv_boundary_has_one_state_per_eps_component():
+    # on the deriv fixture, the ten boundary states of the product over the
+    # unmerged states lie in five ε-components of the saturated automaton
+    data = Path(__file__).parent / "data"
+    system = cli._build_pds(cli.parse((data / "deriv.pds").read_text()))
+    rel = deriv_relation(system, "q0", "q3")
+    saturated, alpha = _benois_saturate(behaviour_automaton(system, "q0", "q3"))
+    rep = saturated._eps_components[0]
+    pattern, start = _phase_pattern(alpha)
+    full = product_intersect(saturated, pattern, start)
+    unmerged = _split(Language(full, ("q0", start)))[4]
+    assert len(unmerged) == 10 and len(rel.boundary) == 5
+    assert {(rep.get(s, s), p) for s, p in unmerged} == set(rel.boundary)
 
 
 def test_deriv_relation_builds_one_product(monkeypatch):

@@ -10,8 +10,8 @@ on the rung's document.
 Run it from the root of a checkout: it imports pdsat from ``src/`` and the
 instance generators from ``bench/`` (read-only).  The rungs are the systems
 of ``BENCH_derivation.json``'s ``"ladder"``, named by their rule count:
-``rules-240``, ``rules-320`` and ``rules-480``; with no rung named, every
-rung of ``RUNGS`` runs.  Each rung runs in its own process and is reported
+``rules-240``, ``rules-320``, ``rules-480``, ``rules-640`` and
+``rules-1920``; with no rung named, every rung of ``RUNGS`` runs.  Each rung runs in its own process and is reported
 as one JSON line; a rung that exceeds ``--cap`` seconds is reported as
 ``"timeout"``.  With ``--check``, each named rung's ``members``,
 ``members_sha256`` and ``cli_sha256`` must equal the file's ``"rungs"``
@@ -49,7 +49,9 @@ QUERIES = 2000
 # rules -> (controls, rule shapes; None for the generator's default)
 RUNGS = {"rules-240": (40, None),
          "rules-320": (40, (0, 0, 0, 0, 1, 1, 2, 2)),
-         "rules-480": (80, None)}
+         "rules-480": (80, None),
+         "rules-640": (80, (0, 0, 0, 0, 1, 1, 2, 2)),
+         "rules-1920": (320, None)}
 
 
 def build(rung):
