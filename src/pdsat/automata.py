@@ -42,7 +42,7 @@ class Sentinel:
         return _sentinel, (self.name,)
 
 
-_SENTINELS = {}  # S_BOT, S_STAR, oracle.SINK and derivation._BEH by name
+_SENTINELS = {}  # every Sentinel (S_BOT, S_STAR, oracle.SINK, ...) by name
 
 
 def _sentinel(name) -> Sentinel:
@@ -104,13 +104,6 @@ class Nfa:
         ``nfa_accepts`` has computed from a set of states, each closed under
         ε moves; it grows with the queries."""
         return {}
-
-    @cached_property
-    def _eps_reach(self):
-        """dict state -> frozenset of states reachable by epsilon moves (incl.
-        itself): the ``closure`` of ``_eps_components``, one frozenset shared
-        by the members of each ε-component."""
-        return self._eps_components[1]
 
     @cached_property
     def _eps_components(self):
@@ -250,7 +243,7 @@ def nfa_accepts(aut: Nfa, start, word) -> bool:
         raise _unknown_symbol(aut.alphabet, word)
     index, memo = aut._step_index, aut._subset_steps
     if aut._has_eps:
-        closure = aut._eps_reach
+        closure = aut._eps_components[1]
         current = tuple(closure[start])
     else:
         closure = None
@@ -289,7 +282,7 @@ def _unknown_symbol(alphabet, word) -> InvalidInputError:
 
 def eps_closure(aut: Nfa) -> Nfa:
     """Equivalent epsilon-free automaton (same language from every state)."""
-    closure = aut._eps_reach
+    closure = aut._eps_components[1]
     index = aut._step_index
     transitions = set()
     finals = set()

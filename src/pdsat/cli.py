@@ -306,33 +306,28 @@ def _cut_orders(tag, step, start, ends):
     order of ``repr``, with the states named ``s0``, ``s1``, ... in that
     order, and ``start`` the name of the start state.
 
-    A cut keeps the start and the states on a path from the start to its
-    finals, and every transition of the side between them.  So one forward
-    search serves every cut, the union of their states and of their
-    transitions is sorted once, and each cut takes its own by filtering
-    that order: a transition is its own when it names both ends."""
-    # a set: a step index may list one target twice (the push start's)
-    edges = {(s, a, t) for (s, a), ts in step.items() for t in ts}
+    A cut keeps the states on a path from the start to its finals (the
+    start too: each side reads every boundary state from its start), and
+    every transition of the side between them.  So one forward search
+    serves every cut, the side's states and transitions are each sorted
+    once, and each cut filters those orders: a transition is its own when
+    it names both ends."""
+    transitions = sorted(((s, a, t) for (s, a), ts in step.items()
+                          for t in ts), key=repr)
     out, into = {}, {}
-    for s, a, t in edges:
+    for s, a, t in transitions:
         out.setdefault(s, []).append((a, t))
         into.setdefault(t, []).append((a, s))
     fwd = _reach(out, {start})
-    keeps = [_reach(into, finals & fwd, within=fwd) | {start}
-             for finals in ends]
-    states = sorted(set().union(*keeps), key=repr)
-    rank = {s: i for i, s in enumerate(states)}
-    transitions = [(rank[s], a, rank[t]) for s, a, t in sorted(
-        (tr for tr in edges if tr[0] in rank and tr[2] in rank), key=repr)]
-    for keep, finals in zip(keeps, ends):
-        names = [None] * len(states)  # by rank; None off this cut
-        own = sorted(map(rank.__getitem__, keep))
-        for i, r in enumerate(own):
-            names[r] = f"s{i}"
-        yield (tag, names[rank[start]],
-               [(names[r], states[r] in finals) for r in own],
+    states = sorted(fwd, key=repr)
+    for finals in ends:
+        keep = _reach(into, finals & fwd, within=fwd)
+        names = {s: f"s{i}" for i, s in enumerate(
+            s for s in states if s in keep)}
+        yield (tag, names[start],
+               [(name, s in finals) for s, name in names.items()],
                [(names[s], a, names[t]) for s, a, t in transitions
-                if names[s] is not None and names[t] is not None])
+                if s in names and t in names])
 
 
 def _relation_sides(rel):

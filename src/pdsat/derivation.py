@@ -319,9 +319,9 @@ class PrefixRewriteRelation:
     U_q accepts what it reads into q.  The push side is reversed: it reads a
     pushed prefix, top first, from ``V_START``; V_q accepts what it reads into
     q, and the empty word when q is in ``finals``.  Both sides are step
-    indexes (state, A) -> [target] over the base alphabet.  No pair is kept
-    apart from them: ``pdsat deriv`` cuts each pair it prints from the two
-    sides.
+    indexes (state, A) -> [distinct targets] over the base alphabet.  No
+    pair is kept apart from them: ``pdsat deriv`` cuts each pair it prints
+    from the two sides.
 
     :func:`deriv_member` reads the two sides through ``_mask_index``, which
     the first query builds and which lives on the relation: no other
@@ -388,12 +388,14 @@ def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
                                       *_phase_pattern(alpha))
     # The pop side reads A1- ... An- for the popped prefix A1 ... An, and
     # the push side An+ ... A1+ reversed; its fresh start takes, without
-    # epsilon, the reversed last step into a final state.
+    # epsilon, the reversed last step into a final state, each source once.
     _, u_step, v_step, boundary = _split_out(out, start, finals)
-    v_start = PrefixRewriteRelation.V_START
-    for (t, a), sources in list(v_step.items()):
+    starts = defaultdict(dict)  # symbol -> its sources, as dict keys
+    for (t, a), sources in v_step.items():
         if t in finals:
-            v_step.setdefault((v_start, a), []).extend(sources)
+            starts[a].update(dict.fromkeys(sources))
+    v_start = PrefixRewriteRelation.V_START
+    v_step.update(((v_start, a), list(ss)) for a, ss in starts.items())
     return PrefixRewriteRelation(alpha.base, u_step, start, v_step,
                                  frozenset(finals), tuple(boundary))
 

@@ -13,8 +13,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .automata import (EPS, Nfa, S_BOT, _reach, _saturated, eps_closure,
-                       nfa_accepts)
+from .automata import (EPS, Nfa, S_BOT, Sentinel, _reach, _saturated,
+                       eps_closure, nfa_accepts)
 from .errors import InvalidInputError
 from .pds import Configuration, PushdownSystem, check_valid
 
@@ -71,6 +71,12 @@ def view_errors(view: PAutomatonView):
     return errors
 
 
+# Head of the clones ``(_CLONE, s)`` that ``_repaired`` adds, which no
+# caller's state can equal.  It prints as the string ``'clone'`` it
+# replaced, so the clones keep their reprs, which the CLI sorts by.
+_CLONE = Sentinel("'clone'")
+
+
 def _repaired(view: PAutomatonView) -> PAutomatonView:
     """``view`` with each embedded control state that has incoming transitions
     or is final cloned, the offending role moved to the copy.  The warning
@@ -82,7 +88,7 @@ def _repaired(view: PAutomatonView) -> PAutomatonView:
         return view
     warnings.warn("P-automaton has transitions into control states; "
                   "cloning the offending states", stacklevel=4)
-    clone = {s: ("clone", s) for s in offending}
+    clone = {s: (_CLONE, s) for s in offending}
     transitions = set()
     for s, a, t in view.aut.transitions:
         src = clone.get(s, s)  # clones inherit outgoing transitions
@@ -375,6 +381,8 @@ def singleton_view(system: PushdownSystem, c: Configuration) -> PAutomatonView:
     states = set(embed.values())
     transitions = set()
     control, stack = c
+    if control not in embed:
+        raise InvalidInputError(f"unknown control: {control!r}")
     prev = embed[control]
     for i, a in enumerate(stack):
         nxt = ("chain", i + 1)

@@ -38,8 +38,9 @@ def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
 
 
 def eps_reach_per_state(aut: Nfa) -> dict:
-    """``Nfa._eps_reach`` by one search per state: dict state -> frozenset
-    of the states its epsilon moves reach, itself included."""
+    """The ``closure`` of ``Nfa._eps_components`` by one search per state:
+    dict state -> frozenset of the states its epsilon moves reach, itself
+    included."""
     step = defaultdict(list)
     for s, a, t in aut.transitions:
         if a is EPS:

@@ -109,7 +109,7 @@ def test_accepts_with_and_without_eps_matches_path_search(eps_frac):
                 assert nfa_accepts(aut, start, word) \
                     == accepts_by_path_search(aut, start, word), (aut, word)
         # queries on an ε-free automaton build no closure
-        assert ("_eps_reach" in aut.__dict__) == aut.has_eps()
+        assert ("_eps_components" in aut.__dict__) == aut.has_eps()
 
 
 def _queried_twice(rng, words):
@@ -228,7 +228,7 @@ def test_eps_components_match_per_state_search():
             continue
         drawn += 1
         rep, closure = aut._eps_components
-        assert closure == reach and aut._eps_reach is closure, aut
+        assert closure == reach and aut._eps_components[1] is closure, aut
         assert rep == {s: min(c, key=repr) for s, c in components.items()
                        if len(c) > 1}, aut
         # the members of a component share one closure
@@ -601,7 +601,7 @@ def test_equal_automata_keep_their_own_indexes():
     def make_alt():
         return alt(alphabet="ab", finals=[1], transitions=[(0, "a", {1, 2})])
 
-    for index, make in (("_step_index", make_nfa), ("_eps_reach", make_nfa),
+    for index, make in (("_step_index", make_nfa), ("_eps_components", make_nfa),
                         ("_subset_steps", make_nfa),
                         ("_mask_index", make_alt),
                         ("_mask_by_symbol", make_alt)):

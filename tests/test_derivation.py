@@ -592,3 +592,14 @@ def test_deriv_relation_builds_one_product(monkeypatch):
     deriv_relation(system, q0, qf)
     alpha = action_alphabet(system)
     assert calls == [_phase_pattern(alpha)]
+
+
+def test_deriv_relation_step_lists_hold_distinct_targets():
+    # the push start takes the sources of the last push into every final:
+    # a source that pushes into several finals is listed once
+    for system, q0, qf in itertools.chain(deriv_instances(45, 40),
+                                          bench_sized_instances(46, 20)):
+        rel = deriv_relation(system, q0, qf)
+        for step in (rel.u_step, rel.v_step):
+            for key, targets in step.items():
+                assert len(set(targets)) == len(targets), (system, q0, qf, key)

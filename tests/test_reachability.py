@@ -487,6 +487,31 @@ def test_view_errors_and_repair():
             assert view.accepts(c) == fixed.accepts(c), (saturate, c)
 
 
+def test_repair_clones_never_equal_a_callers_state():
+    # p is final, so it is cloned; a caller's state ("clone", "p"), which
+    # prints as the clone does, must stay apart from the clone.  The view
+    # reads "_ A" into a final, which no stack is, so it accepts nothing,
+    # and neither do pre* and post* of it
+    system = pds(controls={"p"}, alphabet={"A", "_"}, bottom="_",
+                 rules=[("p", "A", "p", ())])
+    for other in (("clone", "p"), ("other", "p")):
+        aut = Nfa(frozenset({"p", other, "f"}), system.alphabet,
+                  frozenset({"p", "f"}),
+                  frozenset({("p", "_", other), (other, "A", "f")}))
+        view = PAutomatonView(aut, {"p": "p"})
+        for saturate in (prestar, poststar):
+            with pytest.warns(UserWarning):
+                result = saturate(system, view)
+            assert not any(map(result.accepts,
+                               configurations_upto(system, 3))), \
+                (other, saturate)
+
+
+def test_singleton_view_refuses_an_unknown_control():
+    with pytest.raises(InvalidInputError, match="unknown control: 'r'"):
+        singleton_view(simple_system(), Configuration("r", ("_",)))
+
+
 def test_repair_warning_names_the_callers_line():
     sys1 = simple_system()
     embed = {p: ("ctrl", p) for p in sys1.controls}

@@ -5,6 +5,11 @@ named fields of each rung's line with the file's ``"rungs"`` entry.
 A checked rung must also not answer all one way: its ``members`` (the
 number of ``True`` answers) must lie strictly between 0 and ``answers``,
 since a hash of all ``1``s or all ``0``s pins nothing.
+
+A tool with a second route to its answers runs it in the rung's process
+and reports ``"cross": {route: "agree" | the first disagreement}``; a rung
+whose report holds anything but ``"agree"`` fails the command, with or
+without ``--check``.  The routes record no hash.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ def main(script, rungs, measure, fields, timed):
             if [result.get(k) for k in fields] != [want.get(k) for k in fields] \
                     or result.get("members") in (0, result.get("answers")):
                 bad.append(rung)
+        if any(v != "agree" for v in result.get("cross", {}).values()):
+            bad.append(rung)
     if bad:
-        sys.exit(f"differ from {args.check}, or answer all one way: "
-                 f"{', '.join(bad)}")
+        sys.exit("differ from the record, answer all one way, or disagree "
+                 f"across routes: {', '.join(dict.fromkeys(bad))}")

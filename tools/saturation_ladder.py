@@ -17,7 +17,8 @@ seconds is reported as ``"timeout"``.  With ``--check``, each named rung's
 transition counts, result hashes, pop count and hash, and answer counts and
 hash (``FIELDS``) must equal the file's ``"rungs"`` entry, and its pre* and
 post* answers must not all be one value (see ``ladder.py``), or the command
-exits with code 1.
+exits with code 1; so it does, with or without ``--check``, if a rung's
+``"cross"`` report (below) holds anything but ``"agree"``.
 
 A rung's system is ``saturation_system(rng, controls)`` with the target
 ``target(rng, system)``, built as the ``saturation`` workload builds its
@@ -39,11 +40,27 @@ post*, and the answers hash (``members_sha256``) is over one character,
 ``1`` or ``0``, per answer: all of pre*'s in query order, then all of
 post*'s.  ``answers`` is their number, ``members`` the number of ``1``s and
 ``prestar_members`` and ``poststar_members`` each result's share of them.
-``buchi_target_automaton`` targets ``(q_f, ⊥)`` for the rung's first control
-q_f, drawing no random number, and is reported apart from those answers:
-``buchi_transitions`` and ``buchi_sha256`` as for the other results, and
-``buchi_members`` the number of the same configurations it accepts.
-None of these depends on ``PYTHONHASHSEED``.
+``buchi_target_automaton`` targets ``(q_f, ⊥)`` and is reported apart
+from those answers: ``buchi_transitions`` and ``buchi_sha256`` as for the
+other results, and ``buchi_members`` the number of the same configurations
+it accepts.  q_f (``buchi_control``) is the control with the widest bottom
+stratum among the first ``CANDIDATES`` controls, the earlier one on a tie,
+drawing no random number.  The bottom stratum of q_f is the set of
+controls p with ``(p, ⊥) =>* (q_f, ⊥)``; the tool computes it itself, from
+the pop relation and the rules on ``⊥`` (``strata``), and reports its size
+(``buchi_stratum``).  None of these depends on ``PYTHONHASHSEED``.
+
+Last, the rung builds pre* of ``(q_f, ⊥)`` by ``prestar`` from
+``singleton_view``, a second route to the target automaton's language
+(acceptance criterion 4), asks it the same configurations, and reports
+``"cross": {"prestar": ...}``: ``"agree"``, or the first configuration on
+which the two differ; ``cross_s`` times the route and its queries.  Next
+to it, ``"stratum"`` is ``"agree"`` when the tool's stratum of q_f is the
+set of controls that ``buchi_target_automaton`` lets read ``⊥`` into
+``S_BOT``, and otherwise the control of least ``repr`` that only one of
+the two holds.  That
+check reads the rules as the library does, so only the ``prestar`` route
+is independent of it.
 """
 
 from __future__ import annotations
@@ -58,6 +75,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUERIES = 2000
 RUNGS = ("sat-800", "sat-3200", "sat-12800")
+CANDIDATES = 200  # the controls searched for the widest bottom stratum
 
 
 def sha256(lines) -> str:
@@ -87,12 +105,40 @@ def queries(rng, s, t):
             + [gen.uniform_config(rng, s) for _ in range(QUERIES - 2 * quarter)])
 
 
+def strata(rules, bottom, pops, targets) -> list:
+    """For each q_f of ``targets``, the controls p with ``(p, ⊥) =>* (q_f,
+    ⊥)``, ``⊥`` the ``bottom``: a rule ``(p, ⊥) -> (q, ⊥)`` steps from p to
+    q, and a rule ``(p, ⊥) -> (q, A ⊥)`` from p to each q' of a triple
+    ``(q, A, q')`` of ``pops``, the pop relation; searched backwards from
+    q_f."""
+    popped = {}
+    for q, a, q2 in pops:
+        popped.setdefault((q, a), []).append(q2)
+    into = {}
+    for p, a, q, pushed in rules:
+        if a == bottom:
+            ends = [q] if len(pushed) == 1 else popped.get((q, pushed[0]), ())
+            for q2 in ends:
+                into.setdefault(q2, []).append(p)
+    found = []
+    for q_f in targets:
+        seen, todo = {q_f}, [q_f]
+        while todo:
+            for p in into.get(todo.pop(), ()):
+                if p not in seen:
+                    seen.add(p)
+                    todo.append(p)
+        found.append(seen)
+    return found
+
+
 def measure(rung):
     """Run one rung in this process and print its JSON line."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import gen
     import pdsat
     import workloads
+    from pdsat.automata import S_BOT
     if rung not in RUNGS:
         raise SystemExit(f"unknown rung: {rung}")
     n = int(rung.split("-")[1])
@@ -127,19 +173,34 @@ def measure(rung):
     out.update(pops=len(pops), pops_sha256=sha256(map(repr, pops)),
                answers=len(answers), members=answers.count("1"),
                members_sha256=hashlib.sha256(answers.encode()).hexdigest())
+    found = strata(s.rules, system.bottom, pops, s.controls[:CANDIDATES])
+    widest = max(found, key=len)  # the first of the widest
+    q_f = s.controls[found.index(widest)]
     start = perf_counter()
-    buchi = pdsat.buchi_target_automaton(system, s.controls[0])
+    buchi = pdsat.buchi_target_automaton(system, q_f)
     out["buchi_s"] = round(perf_counter() - start, 2)
-    out.update(buchi_transitions=len(buchi.aut.transitions),
-               buchi_sha256=digest(buchi),
-               buchi_members=sum(map(buchi.accepts, configs)))
+    accepted = [buchi.accepts(c) for c in configs]
+    out.update(buchi_control=q_f, buchi_stratum=len(widest),
+               buchi_transitions=len(buchi.aut.transitions),
+               buchi_sha256=digest(buchi), buchi_members=sum(accepted))
+    start = perf_counter()
+    target = pdsat.singleton_view(
+        system, pdsat.Configuration(q_f, (system.bottom,)))
+    pre = pdsat.prestar(system, target)
+    first = next((c for c, yes in zip(configs, accepted)
+                  if pre.accepts(c) != yes), None)
+    out["cross_s"] = round(perf_counter() - start, 2)
+    apart = widest ^ {p for p, _, t in buchi.aut.transitions if t is S_BOT}
+    out["cross"] = {"prestar": "agree" if first is None else repr(first),
+                    "stratum": "agree" if not apart else min(apart, key=repr)}
     print(json.dumps(out))
 
 
 FIELDS = ("prestar_transitions", "prestar_sha256", "poststar_transitions",
           "poststar_sha256", "pops", "pops_sha256", "prestar_members",
-          "poststar_members", "members", "members_sha256",
-          "buchi_transitions", "buchi_sha256", "buchi_members")
+          "poststar_members", "members", "members_sha256", "buchi_control",
+          "buchi_stratum", "buchi_transitions", "buchi_sha256",
+          "buchi_members")
 
 if __name__ == "__main__":
     import ladder
