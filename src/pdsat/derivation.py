@@ -325,7 +325,9 @@ class PrefixRewriteRelation:
 
     :func:`deriv_member` reads the two sides through ``_mask_index``, which
     the first query builds and which lives on the relation: no other
-    relation, however equal, shares it.
+    relation, however equal, shares it.  A query reads each word in one
+    flat loop per side, and a frontier it has read before costs one dict
+    lookup per symbol.
     """
 
     V_START = ("rev", "start")
@@ -344,7 +346,7 @@ class PrefixRewriteRelation:
         ``int`` mask.  ``moves`` maps a symbol to a dict from a frontier
         mask to the mask of its successors on that symbol.  The dict starts
         with one entry per state with a move on the symbol, keyed by the
-        state's bit, and :func:`_advance` adds the union for each wider
+        state's bit, and :func:`_union` adds the union for each wider
         frontier a query reads: at most one entry per distinct (frontier,
         symbol) pair that the relation's queries have read."""
         states = {self.u_start, self.V_START} | self.finals
@@ -400,53 +402,39 @@ def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
                                  frozenset(finals), tuple(boundary))
 
 
-def _advance(moves, front, a) -> int:
-    """The successors on ``a`` of the frontier mask ``front``, through one
-    side's ``moves`` of :attr:`PrefixRewriteRelation._mask_index`; ``0`` for
-    a symbol with no move.  A frontier read for the first time has its
-    answer, the union over its bits, kept in ``moves``."""
-    table = moves.get(a)
-    if table is None:
-        return 0
-    succ = table.get(front)
-    if succ is None:
-        succ, rest = 0, front
-        while rest:
-            low = rest & -rest
-            succ |= table.get(low, 0)
-            rest ^= low
-        table[front] = succ
+def _union(table, front) -> int:
+    """The successors of the frontier mask ``front`` in ``table``, one
+    symbol's dict of a side's ``moves`` (see
+    :attr:`PrefixRewriteRelation._mask_index`): the OR of the entries of its
+    bits, kept in ``table`` under ``front``."""
+    succ, rest = 0, front
+    while rest:
+        low = rest & -rest
+        succ |= table.get(low, 0)
+        rest ^= low
+    table[front] = succ
     return succ
-
-
-def _frontiers(moves, start, word):
-    """The frontier masks reached from the mask ``start`` through ``moves``
-    after each prefix of ``word``, shortest first; stops after the first
-    empty one."""
-    current = start
-    yield current
-    for a in word:
-        current = _advance(moves, current, a)
-        yield current
-        if not current:
-            return
 
 
 def deriv_member(rel: PrefixRewriteRelation, w1, w2) -> bool:
     """True iff ``w1 = u·w`` and ``w2 = v·w`` for some pair ``(U, V)`` of the
     relation with ``u ∈ U``, ``v ∈ V`` and a common suffix ``w``.
 
-    One pass reads ``w1`` on the pop side, and at most one reads ``w2`` on the
-    push side.  Split k pops ``w1[:k]`` and pushes ``w2[:j]``, with
-    ``j = len(w2) - len(w1) + k``; it holds iff the pop frontier after k
-    symbols meets the push frontier after j, or, for j = 0, meets
-    ``rel.finals``.  A state in both frontiers is a boundary state.  A symbol
-    outside the base alphabet can only sit in the suffix ``w``: every split
-    that would pop or push one fails, and no symbol raises an error.
+    One loop reads ``w1`` on the pop side, and at most one reads ``w2`` on
+    the push side, up to the longest split still open.  Split k pops
+    ``w1[:k]`` and pushes ``w2[:j]``, with ``j = len(w2) - len(w1) + k``; it
+    holds iff the pop frontier after k symbols meets the push frontier
+    after j, or, for j = 0, meets ``rel.finals``.  A state in both
+    frontiers is a boundary state.  A symbol outside the base alphabet can
+    only sit in the suffix ``w``: every split that would pop or push one
+    fails, and no symbol raises an error.
 
     Each frontier is an ``int`` mask over the numbering of the relation's
-    ``_mask_index``, built by the first query: a step ORs the successor
-    masks of the frontier's states, and a meet is a nonzero AND.
+    ``_mask_index``, built by the first query, and a meet is a nonzero AND.
+    A step looks the frontier up in the symbol's dict of successor masks;
+    only a frontier read for the first time calls :func:`_union`, which ORs
+    the successor masks of its states and keeps the result there.  Both
+    loops stop at the first symbol with no move or empty frontier.
     """
     w1, w2 = tuple(w1), tuple(w2)
     shared = 0  # length of the longest common suffix
@@ -454,20 +442,38 @@ def deriv_member(rel: PrefixRewriteRelation, w1, w2) -> bool:
         if a != b:
             break
         shared += 1
-    offset = len(w2) - len(w1)
+    n, offset = len(w1), len(w2) - len(w1)
+    first = n - shared  # the shortest split whose rest of w1 is shared
     u_start, v_start, finals, u_moves, v_moves = rel._mask_index
     wanted = {}  # j > 0 -> the pop frontier of split j - offset
-    for k, front in enumerate(_frontiers(u_moves, u_start, w1)):
-        if not front or k < len(w1) - shared:
-            continue
-        if k + offset == 0:
-            if front & finals:
+    front, k = u_start, 0
+    while True:
+        if k >= first:
+            if k + offset:
+                wanted[k + offset] = front
+            elif front & finals:
                 return True
-        else:
-            wanted[k + offset] = front
+        if k == n:
+            break
+        table = u_moves.get(w1[k])
+        if table is None:
+            break
+        succ = table.get(front)
+        front = _union(table, front) if succ is None else succ
+        if not front:
+            break
+        k += 1
     if not wanted:
         return False
-    for j, front in enumerate(_frontiers(v_moves, v_start, w2[:max(wanted)])):
-        if j in wanted and front & wanted[j]:
+    front = v_start
+    for j, a in enumerate(w2[:max(wanted)], 1):
+        table = v_moves.get(a)
+        if table is None:
+            return False
+        succ = table.get(front)
+        front = _union(table, front) if succ is None else succ
+        if front & wanted.get(j, 0):
             return True
+        if not front:
+            return False
     return False

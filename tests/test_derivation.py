@@ -277,6 +277,64 @@ def test_deriv_member_matches_pairwise_reference_past_64_states():
                if "X" in w1 and len(w1) > 1)
 
 
+def test_deriv_member_matches_pairwise_reference_on_longer_words():
+    # one word of each pair has 4-6 symbols, and "X", outside the
+    # alphabet, takes each of its positions in turn; the other word often
+    # ends in a suffix of it, so both answers occur; the first relation is
+    # empty, since no path leads from p to q
+    empty = pds(controls={"p", "q"}, alphabet={"A", "B", "_"}, bottom="_",
+                rules=[("p", "A", "p", ("B",)), ("q", "B", "q", ())])
+    instances = [(empty, "p", "q")] + list(deriv_instances(44, 39))
+    rng = make_rng(45)
+    positions, answers = set(), []
+    for system, q0, qf in instances:
+        rel = deriv_relation(system, q0, qf)
+        base = sorted(system.alphabet - {system.bottom})
+        for _ in range(520):
+            long = [rng.choice(base) for _ in range(rng.randint(4, 6))]
+            at = rng.randrange(len(long) + 1)
+            if at < len(long):
+                long[at] = "X"
+                positions.add((len(long), at))
+            cut = rng.randrange(len(long) + 1)
+            other = tuple(rng.choice(base) for _ in range(rng.randint(0, 3)))
+            if rng.random() < 0.75:
+                other += tuple(long[cut:])
+            pair = (tuple(long), other)[::rng.choice((1, -1))]
+            answer = deriv_member(rel, *pair)
+            assert answer == deriv_member_pairwise(rel, *pair), \
+                (system, q0, qf, pair)
+            answers.append(answer)
+        if system is empty:
+            assert not any(answers)
+    assert len(answers) >= 20000
+    assert positions == {(n, i) for n in (4, 5, 6) for i in range(n)}
+    assert 0.05 < sum(answers) / len(answers) < 0.95
+
+
+def test_deriv_member_memo_holds_unions_of_single_states():
+    # each key a query adds to a side's per-symbol table is a frontier of
+    # two or more states, and maps to the OR of its states' entries
+    rng = make_rng(46)
+    system = bottom_free(shaped_bottom_free_pds(rng, 6))
+    rel = deriv_relation(system, "q0", "q5")
+    words = all_words(sorted(system.alphabet - {system.bottom}), 4)
+    for _ in range(400):
+        deriv_member(rel, rng.choice(words), rng.choice(words))
+    wide = 0
+    for moves in rel._mask_index[3:]:
+        for table in moves.values():
+            for front, succ in table.items():
+                union, rest = 0, front
+                while rest:
+                    low = rest & -rest
+                    union |= table.get(low, 0)
+                    rest ^= low
+                assert succ == union, (front, succ, union)
+                wide += front.bit_count() >= 2
+    assert wide
+
+
 def test_deriv_relation_unknown_control_named():
     sys1 = pds(controls={"p"}, alphabet={"A", "_"}, bottom="_",
                rules=[("p", "A", "p", ())])

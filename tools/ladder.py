@@ -4,7 +4,13 @@ named fields of each rung's line with the file's ``"rungs"`` entry.
 
 A checked rung must also not answer all one way: its ``members`` (the
 number of ``True`` answers) must lie strictly between 0 and ``answers``,
-since a hash of all ``1``s or all ``0``s pins nothing.
+since a hash of all ``1``s or all ``0``s pins nothing.  A rung missing from
+the file's ``"rungs"`` fails the check too.
+
+A rung whose process exits non-zero is reported as ``{"rung": ...,
+"error": "exit N"}``, its stderr passed through, and fails the command
+whether checked or not; the rungs after it still run, and the last line
+names every failed rung.
 
 A tool with a second route to its answers runs it in the rung's process
 and reports ``"cross": {route: "agree" | the first disagreement}``; a rung
@@ -22,13 +28,15 @@ import sys
 
 def run(script, rung, cap, timed):
     """One rung of ``script`` in a fresh process; its ``timed`` field reads
-    ``"timeout"`` past ``cap`` seconds."""
+    ``"timeout"`` past ``cap`` seconds, and a process that exits non-zero
+    gives an ``"error"`` field instead of its line."""
     try:
         proc = subprocess.run([sys.executable, script, "--measure", rung],
-                              stdout=subprocess.PIPE, text=True, timeout=cap,
-                              check=True)
+                              stdout=subprocess.PIPE, text=True, timeout=cap)
     except subprocess.TimeoutExpired:
         return {"rung": rung, timed: "timeout", "cap_s": cap}
+    if proc.returncode:
+        return {"rung": rung, "error": f"exit {proc.returncode}"}
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -52,13 +60,17 @@ def main(script, rungs, measure, fields, timed):
     for rung in args.rungs or rungs:
         result = run(script, rung, args.cap, timed)
         print(json.dumps(result), flush=True)
-        if args.check:
-            want = expected[rung]
-            if [result.get(k) for k in fields] != [want.get(k) for k in fields] \
+        if "error" in result:
+            bad.append(rung)
+        elif args.check:
+            want = expected.get(rung)
+            if want is None \
+                    or [result.get(k) for k in fields] != [want.get(k) for k in fields] \
                     or result.get("members") in (0, result.get("answers")):
                 bad.append(rung)
         if any(v != "agree" for v in result.get("cross", {}).values()):
             bad.append(rung)
     if bad:
-        sys.exit("differ from the record, answer all one way, or disagree "
-                 f"across routes: {', '.join(dict.fromkeys(bad))}")
+        sys.exit("fail, differ from the record or are missing from it, "
+                 "answer all one way, or disagree across routes: "
+                 f"{', '.join(dict.fromkeys(bad))}")
