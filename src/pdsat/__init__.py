@@ -10,15 +10,14 @@ from .pds import (Configuration, PushdownSystem, Rule, pds, predecessors,
 from .reachability import (PAutomatonView, buchi_target_automaton,
                            pop_relation, poststar, prestar, singleton_view)
 from .derivation import (ActionAlphabet, PrefixRewriteRelation, apply_actions,
-                         behaviour_automaton, benois_reduce, decompose,
-                         deriv_member, deriv_relation, productive_filter,
-                         push, pop)
+                         behaviour_automaton, benois_reduce, deriv_member,
+                         deriv_relation, push, pop)
 from .games import (ABELARD, BuchiCondition, ELOISE, ParityCondition,
                     PushdownGame, ReachabilityCondition, RegionAutomaton,
                     dual_game, project, region_member, solve_buchi_game,
                     solve_parity_game, solve_reachability_game)
 from .oracle import (BoundedGraph, bfs_prestar_member, bounded_graph,
-                     bounded_nodes, bracket_region, finite_game_region)
+                     bounded_nodes, bracket_region)
 
 __all__ = [
     # automata
@@ -35,8 +34,8 @@ __all__ = [
     "prestar", "singleton_view",
     # derivation
     "ActionAlphabet", "PrefixRewriteRelation", "apply_actions",
-    "behaviour_automaton", "benois_reduce", "decompose", "deriv_member",
-    "deriv_relation", "productive_filter", "push", "pop",
+    "behaviour_automaton", "benois_reduce", "deriv_member", "deriv_relation",
+    "push", "pop",
     # games
     "ABELARD", "BuchiCondition", "ELOISE", "ParityCondition", "PushdownGame",
     "ReachabilityCondition", "RegionAutomaton", "dual_game", "project",
@@ -44,5 +43,5 @@ __all__ = [
     "solve_reachability_game",
     # oracle
     "BoundedGraph", "bfs_prestar_member", "bounded_graph", "bounded_nodes",
-    "bracket_region", "finite_game_region",
+    "bracket_region",
 ]

@@ -3,15 +3,15 @@ pushdown system.
 
 Each stack symbol A gets a push action A+ and a pop action A-.  The system is
 turned into a finite automaton over action symbols, epsilon-saturated so that
-push-then-pop factors can be skipped, restricted to reduced and productive
-sequences, and finally decomposed into a finite union of (pop-prefix language,
-push-prefix language) pairs.  Together the two restrictions forbid exactly a
-push followed at once by a pop, so they leave the words in pops* pushes*:
-:func:`deriv_relation` makes them in one product of the saturated automaton
-with the two-state :func:`_phase_pattern`, and splits that product from the
-out-index it is built in, with no ``Nfa`` of it; :func:`benois_reduce` and
-:func:`productive_filter` each make one of them as an ``Nfa``, which
-:func:`decompose` splits.
+push-then-pop factors can be skipped, restricted to reduced sequences (no
+A+A- factor) and productive ones (no A+B- factor with A != B), and finally
+decomposed into a finite union of (pop-prefix language, push-prefix language)
+pairs.  Together the two restrictions forbid exactly a push followed at once
+by a pop, so they leave the words in pops* pushes*: :func:`deriv_relation`
+makes them in one product of the saturated automaton with the two-state
+:func:`_phase_pattern`, and splits that product from the out-index it is
+built in, with no ``Nfa`` of it.  :func:`benois_reduce` makes the first
+restriction alone, as an ``Nfa``.
 """
 
 from __future__ import annotations
@@ -183,18 +183,11 @@ def _reduced_pattern(alpha: ActionAlphabet):
         alpha.symbols, {(push(a), pop(a)) for a in alpha.base})
 
 
-def _productive_pattern(alpha: ActionAlphabet):
-    """The pattern of the productive words: no A+B- factor with A != B."""
-    return pattern_forbidden_factors(
-        alpha.symbols,
-        {(push(a), pop(b)) for a in alpha.base for b in alpha.base if a != b})
-
-
 def _phase_pattern(alpha: ActionAlphabet):
     """The pattern of the reduced productive words, those in pops* pushes*:
     its states are the phase, ``POP`` then ``PUSH``, and both accept.
     ``POP`` reads the pops and any push leads to ``PUSH``, which reads only
-    the pushes.  Returns ``(nfa, start)``, as the other patterns do."""
+    the pushes.  Returns ``(nfa, start)``, as :func:`_reduced_pattern` does."""
     transitions = {(POP, pop(a), POP) for a in alpha.base}
     transitions |= {(phase, push(a), PUSH)
                     for a in alpha.base for phase in (POP, PUSH)}
@@ -212,21 +205,10 @@ def benois_reduce(lang: Language) -> Language:
     automaton: one product state per component and pattern state (see
     ``automata._product_out``).
     :func:`deriv_relation` does not call it: its one product, with
-    :func:`_phase_pattern`, makes this cut and :func:`productive_filter`'s.
+    :func:`_phase_pattern`, makes this cut and the productive one.
     """
     saturated, alpha = _benois_saturate(lang)
     return _reachable_product(saturated, lang.start, *_reduced_pattern(alpha))
-
-
-def productive_filter(lang: Language) -> Language:
-    """Drop the non-productive sequences from a language of reduced
-    sequences: exactly those containing a factor A+B- with A != B.  The
-    product holds only the states reachable from ``(lang.start, pattern
-    start)``; :func:`deriv_relation`'s one product, with
-    :func:`_phase_pattern`, makes this cut and :func:`benois_reduce`'s.
-    """
-    alpha = _check_action_alphabet(lang.aut)
-    return _reachable_product(lang.aut, lang.start, *_productive_pattern(alpha))
 
 
 def _split_out(out, start, finals):
@@ -238,12 +220,12 @@ def _split_out(out, start, finals):
 
     A boundary state is reachable from the start by pops only and reaches a
     final state by pushes only.  The precondition is that no trimmed pop
-    follows a trimmed push: :func:`_split` checks it for :func:`decompose`,
-    and :func:`deriv_relation`'s product holds it by construction, since
-    its ``PUSH`` phase reads no pop.  Then every trimmed path from the start
-    to a pop transition is all pops, and every one from a push transition
-    to a final state all pushes.  So the boundary is the start and the pop
-    targets, met with the finals and the push sources, with no search."""
+    follows a trimmed push: :func:`deriv_relation`'s product holds it by
+    construction, since its ``PUSH`` phase reads no pop.  Then every
+    trimmed path from the start to a pop transition is all pops, and every
+    one from a push transition to a final state all pushes.  So the
+    boundary is the start and the pop targets, met with the finals and the
+    push sources, with no search."""
     into = defaultdict(list)
     for s, edges in out.items():
         for a, t in edges:
@@ -261,46 +243,6 @@ def _split_out(out, start, finals):
     boundary = (({start} | {t for ts in pops.values() for t in ts})
                 & (finals | {s for ss in pushes.values() for s in ss}))
     return keep, dict(pops), dict(pushes), sorted(boundary, key=repr)
-
-
-def _split(lang: Language):
-    """Trim and split ``lang`` by :func:`_split_out`, after a forward search
-    (``decompose`` accepts any language, not only a reachable product), then
-    check ``_split_out``'s precondition by a search from the push targets.
-    Returns its trimmed states, finals, pop and push transitions, and
-    boundary states in the order of ``repr``."""
-    _check_action_alphabet(lang.aut)
-    if lang.aut.has_eps():
-        raise InvalidInputError("decompose requires an epsilon-free automaton")
-    out = defaultdict(list)
-    for s, a, t in lang.aut.transitions:
-        out[s].append((a, t))
-    fwd = _reach(out, {lang.start})
-    finals = lang.aut.finals & fwd
-    keep, pops, pushes, boundary = _split_out(
-        {s: out[s] for s in fwd}, lang.start, finals)
-    after_push = _reach(out, {t for t, _ in pushes}, within=keep)
-    if not after_push.isdisjoint(s for s, _ in pops):
-        raise InvalidInputError("language is not included in pops* pushes*")
-    return (frozenset(keep), finals,
-            frozenset((s, pop(a), t) for (s, a), ts in pops.items() for t in ts),
-            frozenset((s, push(a), t) for (t, a), ss in pushes.items() for s in ss),
-            boundary)
-
-
-def decompose(lang: Language):
-    """Split a language included in pops* pushes* into pairs ``(X, Y)`` of a
-    pop-only language and a push-only language whose concatenations union to
-    the input language: one pair per boundary state q between the pop prefix
-    and the push suffix of some accepting path, in the order of ``repr(q)``.
-    Every X and Y holds the trimmed states: X the pop transitions and final
-    state q, Y the push transitions and start q.  Raises
-    ``InvalidInputError`` when a trimmed pop follows a trimmed push."""
-    keep, finals, pop_trans, push_trans, boundary = _split(lang)
-    alphabet = lang.aut.alphabet
-    return [(Language(Nfa(keep, alphabet, frozenset({q}), pop_trans), lang.start),
-             Language(Nfa(keep, alphabet, finals, push_trans), q))
-            for q in boundary]
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,16 +313,12 @@ def deriv_relation(system: PushdownSystem, q0, qf) -> PrefixRewriteRelation:
     """The relation {(u, v) | (q0, u) =>* (qf, v)} over bottom-free stacks.
 
     The behaviour automaton is epsilon-saturated and cut, in one product
-    with :func:`_phase_pattern`, to its words in pops* pushes*: the language
-    of ``productive_filter(benois_reduce(...))``.  Its states are ``(s,
-    phase)``; a state ``((s, r), p)`` of the two-step product stands for
-    ``(s, POP)`` when r is its pattern's start and for ``(s, PUSH)``
-    otherwise, and under that map the two split field for field alike.
-    :func:`_split_out` splits the product from the out-index it is built
-    in, with no ``Nfa`` of it, as :func:`decompose` splits the language:
-    into its pop side and its reversed push side, once for all pairs.  No
-    pair is built: see :class:`PrefixRewriteRelation`.  The s of a state
-    names its ε-component in the saturated automaton, as in
+    with :func:`_phase_pattern`, to its reduced productive words, those in
+    pops* pushes*.  Its states are ``(s, phase)``.  :func:`_split_out`
+    splits the product from the out-index it is built in, with no ``Nfa``
+    of it, into its pop side and its reversed push side, once for all
+    pairs.  No pair is built: see :class:`PrefixRewriteRelation`.  The s
+    of a state names its ε-component in the saturated automaton, as in
     :func:`benois_reduce`, so the relation has one boundary state per
     component and phase, not one per member.
     """

@@ -22,7 +22,7 @@ automaton names no level that compression removed.
 
 A configuration with no move is lost for Éloïse, whoever owns it: a
 reachability game has it in the region only if the target accepts it, and
-a Büchi or parity game never has it there.  (``oracle.finite_game_region``
+a Büchi or parity game never has it there.  (``oracle.bracket_region``
 refuses Büchi and parity games that have one.)
 
 All solvers run on one kernel.  It keeps the region as a mutable dict

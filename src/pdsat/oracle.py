@@ -159,15 +159,10 @@ def _zielonka(nodes, edges, owner, colour):
     return w0b | b, w1b
 
 
-def finite_game_region(g: BoundedGraph, condition, sink_winner):
-    """Exact Éloïse winning set of the truncated game, with the sink won by
-    ``sink_winner``."""
-    return _regions(g, condition, (sink_winner,))[0]
-
-
 def _regions(g: BoundedGraph, condition, sink_winners):
-    """``finite_game_region`` for each of ``sink_winners`` in turn; what only
-    depends on ``condition`` (a reachability game's target set, the
+    """Exact Éloïse winning sets of the truncated game ``g``, one for each
+    of ``sink_winners`` in turn, with the sink won by that player; what
+    only depends on ``condition`` (a reachability game's target set, the
     colours) is computed once for all of them."""
     if isinstance(condition, ReachabilityCondition):
         aut, embed = condition.target, condition.embed

@@ -8,9 +8,12 @@ from collections import defaultdict
 
 from pdsat import ELOISE, Configuration, InvalidInputError
 from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
-                            _reach, eps_closure)
+                            _reach, _reachable_product, eps_closure,
+                            pattern_forbidden_factors)
 from pdsat.cli import _dot_escape
-from pdsat.derivation import POP, PUSH
+from pdsat.derivation import (POP, PUSH, ActionAlphabet,
+                              _check_action_alphabet, _split_out, pop, push)
+from pdsat.oracle import BoundedGraph, _regions
 
 
 def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
@@ -317,6 +320,64 @@ def emit_relation_dot_pairwise(rel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _productive_pattern(alpha: ActionAlphabet):
+    """The pattern of the productive words: no A+B- factor with A != B."""
+    return pattern_forbidden_factors(
+        alpha.symbols,
+        {(push(a), pop(b)) for a in alpha.base for b in alpha.base if a != b})
+
+
+def productive_filter(lang: Language) -> Language:
+    """Drop the non-productive sequences from a language of reduced
+    sequences: exactly those containing a factor A+B- with A != B.  The
+    product holds only the states reachable from ``(lang.start, pattern
+    start)``.  With ``benois_reduce`` it is the route of two products that
+    ``deriv_relation``'s one product with the phase pattern stands for."""
+    alpha = _check_action_alphabet(lang.aut)
+    return _reachable_product(lang.aut, lang.start, *_productive_pattern(alpha))
+
+
+def _split(lang: Language):
+    """Trim and split ``lang`` by ``derivation._split_out``, after a forward
+    search (``decompose`` accepts any language, not only a reachable
+    product), then check ``_split_out``'s precondition, that no trimmed pop
+    follows a trimmed push, by a search from the push targets.  Returns its
+    trimmed states, finals, pop and push transitions, and boundary states in
+    the order of ``repr``."""
+    _check_action_alphabet(lang.aut)
+    if lang.aut.has_eps():
+        raise InvalidInputError("decompose requires an epsilon-free automaton")
+    out = defaultdict(list)
+    for s, a, t in lang.aut.transitions:
+        out[s].append((a, t))
+    fwd = _reach(out, {lang.start})
+    finals = lang.aut.finals & fwd
+    keep, pops, pushes, boundary = _split_out(
+        {s: out[s] for s in fwd}, lang.start, finals)
+    after_push = _reach(out, {t for t, _ in pushes}, within=keep)
+    if not after_push.isdisjoint(s for s, _ in pops):
+        raise InvalidInputError("language is not included in pops* pushes*")
+    return (frozenset(keep), finals,
+            frozenset((s, pop(a), t) for (s, a), ts in pops.items() for t in ts),
+            frozenset((s, push(a), t) for (t, a), ss in pushes.items() for s in ss),
+            boundary)
+
+
+def decompose(lang: Language):
+    """Split a language included in pops* pushes* into pairs ``(X, Y)`` of a
+    pop-only language and a push-only language whose concatenations union to
+    the input language: one pair per boundary state q between the pop prefix
+    and the push suffix of some accepting path, in the order of ``repr(q)``.
+    Every X and Y holds the trimmed states: X the pop transitions and final
+    state q, Y the push transitions and start q.  Raises
+    ``InvalidInputError`` when a trimmed pop follows a trimmed push."""
+    keep, finals, pop_trans, push_trans, boundary = _split(lang)
+    alphabet = lang.aut.alphabet
+    return [(Language(Nfa(keep, alphabet, frozenset({q}), pop_trans), lang.start),
+             Language(Nfa(keep, alphabet, finals, push_trans), q))
+            for q in boundary]
+
+
 def reduce_word(actions):
     """Brute-force reduction: erase A+A- factors until none remain.  The
     rewriting is confluent, so the order does not matter."""
@@ -331,6 +392,12 @@ def reduce_word(actions):
                 changed = True
                 break
     return tuple(word)
+
+
+def finite_game_region(g: BoundedGraph, condition, sink_winner):
+    """Exact Éloïse winning set of the truncated game, with the sink won by
+    ``sink_winner``: one of the two solves of ``oracle.bracket_region``."""
+    return _regions(g, condition, (sink_winner,))[0]
 
 
 def is_valid_configuration_by_scan(system, c) -> bool:

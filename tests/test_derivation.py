@@ -8,17 +8,17 @@ import pytest
 from conftest import (configurations_upto, make_rng, random_bottom_free_pds,
                       shaped_bottom_free_pds, stacks_upto)
 from pdsat import (Configuration, InvalidInputError, apply_actions, automata,
-                   behaviour_automaton, benois_reduce, cli, decompose,
-                   deriv_member, deriv_relation, derivation, pds, poststar,
-                   productive_filter, singleton_view)
+                   behaviour_automaton, benois_reduce, cli, deriv_member,
+                   deriv_relation, derivation, pds, poststar, singleton_view)
 from pdsat.automata import (EPS, Language, Nfa, eps_closure, nfa_accepts,
                             pattern_forbidden_factors)
 from pdsat.derivation import (POP, PUSH, ActionAlphabet, _benois_saturate,
-                              _phase_pattern, _productive_pattern,
-                              _reduced_pattern, _split, action_alphabet, pop,
-                              push)
-from reference import (deriv_member_pairwise, product_intersect, reduce_word,
-                       relabel, relation_pairs, reverse, words_upto)
+                              _phase_pattern, _reduced_pattern,
+                              action_alphabet, pop, push)
+from reference import (_productive_pattern, _split, decompose,
+                       deriv_member_pairwise, product_intersect,
+                       productive_filter, reduce_word, relabel,
+                       relation_pairs, reverse, words_upto)
 
 
 def test_apply_actions_basic():

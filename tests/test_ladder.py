@@ -1,14 +1,17 @@
 """The ladder tools' shared command line (tools/ladder.py) on a throwaway
 rung script: a rung that fails or is missing from the record is reported
-as a bad rung, and the rungs after it still run."""
+as a bad rung, and the rungs after it still run.  A ladder tool refuses a
+rung name it does not know."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))
 import ladder  # noqa: E402
 
 RUNG_SCRIPT = """\
@@ -60,3 +63,11 @@ def test_a_rung_missing_from_the_record_is_bad(monkeypatch, tmp_path, capfd):
     record.write_text(json.dumps({"rungs": {"good": {"members": 1,
                                                      "sha": "ab"}}}))
     run_main(monkeypatch, tmp_path, "--check", str(record), "good")
+
+
+@pytest.mark.parametrize("tool", ["games_ladder.py", "deriv_ladder.py"])
+def test_an_unknown_rung_name_is_refused(tool):
+    proc = subprocess.run([sys.executable, str(TOOLS / tool), "--measure",
+                           "nope-1"], capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "unknown rung: nope-1" in proc.stderr

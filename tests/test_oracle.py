@@ -10,7 +10,8 @@ from pdsat import (ABELARD, BuchiCondition, Configuration, ELOISE,
                    solve_reachability_game)
 from pdsat import oracle
 from pdsat.oracle import (SINK, attractor, bfs_prestar_member, bounded_graph,
-                          bounded_nodes, bracket_region, finite_game_region)
+                          bounded_nodes, bracket_region)
+from reference import finite_game_region
 
 
 def test_bounded_nodes_count():

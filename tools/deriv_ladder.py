@@ -1,8 +1,8 @@
 """The derivation ladder: ``deriv_relation`` on bottom-free systems past the
 sizes the steady benchmark reaches, then seeded ``deriv_member`` queries,
-each rung reported with the ``deriv_relation`` time, the queries per second,
-a SHA-256 and count of the answers, and the time of the ``deriv`` command
-on the rung's document.
+each rung reported with the ``deriv_relation`` time, the time to build the
+relation's query index, the queries per second, a SHA-256 and count of the
+answers, and the time of the ``deriv`` command on the rung's document.
 
     python3 tools/deriv_ladder.py [--cap S] [RUNG ...]
     python3 tools/deriv_ladder.py --check BENCH_derivation.json RUNG ...
@@ -20,11 +20,13 @@ the command exits with code 1.
 
 The relation runs from the system's first control to its last.  The
 queries are ``QUERIES`` pairs of ``gen.deriv_queries`` drawn from
-``gen.rng_for("deriv-ladder", rules)``; ``queries_per_s`` counts the
-first query, which builds the relation's index.  The answers hash
-(``members_sha256``) is over one character, ``1`` or ``0``, per answer in
-query order; ``answers`` is their number and ``members`` the number of
-``1``s.  None of these depends on ``PYTHONHASHSEED``.
+``gen.rng_for("deriv-ladder", rules)``.  ``index_s`` times the build of
+the relation's index (``_mask_index``, which the first query would
+otherwise build) before the query timer starts, so ``queries_per_s``
+counts the queries alone.  The answers hash (``members_sha256``) is over
+one character, ``1`` or ``0``, per answer in query order; ``answers`` is
+their number and ``members`` the number of ``1``s.  None of these depends
+on ``PYTHONHASHSEED``.
 
 ``cli_s`` is the end-to-end time of ``pdsat.cli.main(["deriv", ...])``
 in the same process: it parses the rung's system, rendered as a document
@@ -84,6 +86,9 @@ def measure(rung):
     rel = pdsat.deriv_relation(system, q0, qf)
     relation_s = perf_counter() - start
     start = perf_counter()
+    rel._mask_index  # the cached index every query reads
+    index_s = perf_counter() - start
+    start = perf_counter()
     answers = "".join("1" if pdsat.deriv_member(rel, w1, w2) else "0"
                       for w1, w2 in queries)
     query_s = perf_counter() - start
@@ -101,6 +106,7 @@ def measure(rung):
         with open(out, "rb") as handle:
             cli_sha256 = hashlib.sha256(handle.read()).hexdigest()
     print(json.dumps({"rung": rung, "deriv_relation_s": round(relation_s, 2),
+                      "index_s": round(index_s, 4),
                       "cli_s": round(cli_s, 2), "cli_sha256": cli_sha256,
                       "queries_per_s": round(len(answers) / query_s),
                       "answers": len(answers), "members": answers.count("1"),

@@ -10,13 +10,15 @@ Run it from the root of a checkout: it imports pdsat from ``src/`` and the
 instance generators from ``bench/`` (read-only).  Rungs are named
 ``reach-<controls>-s<seed>``, ``parity-<controls>-s<seed>`` (colours 0-7),
 ``parity-<controls>-c<top>-s<seed>`` (colours 0-<top>) and
-``parity-empty-<k>`` (k colours and no rules); with no rung named, every
-rung of ``RUNGS`` runs.  Each rung is solved in its own process
-and reported as one JSON line; a solve that exceeds ``--cap`` seconds is
-reported as ``"timeout"``.  With ``--check``, each named rung's transition
-count, both hashes and ``members`` must equal the file's ``"rungs"`` entry,
-and its answers must not all be one value (see ``ladder.py``), or the
-command exits with code 1.
+``parity-empty-<k>`` (k colours and no rules); any other name is refused
+as an unknown rung.  With no rung named, every rung of ``RUNGS`` runs.
+Each rung is solved in its own process and reported as one JSON line; a
+solve that exceeds ``--cap`` seconds is reported as ``"timeout"``.  With
+``--check``, each named rung's transition count, both hashes and
+``members`` must equal the file's ``"rungs"`` entry, and its answers must
+not all be one value (see ``ladder.py``), or the command exits with code
+1; so it does, with or without ``--check``, if a rung's ``"cross"`` report
+(below) holds anything but ``"agree"``.
 
 The region hash (``sha256``) is over the sorted ``repr``s of the region's
 states, finals and transitions, each target set written as its sorted
@@ -25,6 +27,16 @@ character, ``1`` or ``0``, per ``region_member`` answer on the
 configurations of ``oracle.bounded_nodes(pds, 4)``, in that function's
 order; ``answers`` is their number and ``members`` the number of ``1``s.
 None of these depends on ``PYTHONHASHSEED``.
+
+Last, the rung solves the game a second way, by the bounded oracle:
+``oracle.bracket_region(game, 4)`` solves the game truncated at stack
+height 4 with the sink lost for Éloïse, then won, and brackets the region
+on the same configurations.  The rung reports ``"cross": {"bracket":
+...}``: ``"agree"`` when every answer lies within the bracket, and
+otherwise the first configuration whose answer does not; ``cross_s``
+times the route.  A ``parity-empty-<k>`` rung reports no ``"cross"``: its
+configurations have no move, and the oracle refuses a parity game with a
+stuck configuration.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import sys
 from time import perf_counter
 
@@ -56,28 +69,29 @@ def build(rung):
     and no rules.  Every play is stuck at once, so the region is empty, but
     the solver still nests one level per colour.
     """
+    empty = re.fullmatch(r"parity-empty-(\d+)", rung)
+    named = re.fullmatch(r"(reach|parity)-(\d+)(?:-c(\d+))?-s(\d+)", rung)
+    if empty is None and (named is None or named[1] == "reach" and named[3]):
+        raise SystemExit(f"unknown rung: {rung}")
     import gen
     import workloads
-    if rung.startswith("parity-empty-"):
-        k = int(rung.rsplit("-", 1)[1])
+    if empty is not None:
+        k = int(empty[1])
         s = gen.System(gen._names("p", k), ("A",), ())
         cond = (tuple((p, i) for i, p in enumerate(s.controls)), k - 1)
         owner = tuple((p, gen.ELOISE) for p in s.controls)
         return "parity", workloads._game(workloads._pds(s),
                                          ("parity", s, owner, cond))
-    kind, n, *top, seed = rung.split("-")
-    n, seed = int(n), int(seed.lstrip("s"))
-    top = int(top[0].lstrip("c")) if top else 7
+    kind, n, seed = named[1], int(named[2]), int(named[4])
+    top = int(named[3] or 7)
     if kind == "reach":
         rng = gen.rng_for("found-reach", seed)
         s, owner = gen.game_system(rng, n, n_base=5)
         cond = gen.alt_target(rng, s)
-    elif kind == "parity":
+    else:
         rng = gen.rng_for("ladder-parity", seed)
         s, owner = gen.game_system(rng, n)
         cond = (tuple((p, rng.randint(0, top)) for p in s.controls), top)
-    else:
-        raise SystemExit(f"unknown rung: {rung}")
     return kind, workloads._game(workloads._pds(s), (kind, s, owner, cond))
 
 
@@ -89,10 +103,8 @@ def digest(aut) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def members_digest(region, pds) -> dict:
-    from pdsat import oracle, region_member
-    answers = "".join("1" if region_member(region, c) else "0"
-                      for c in oracle.bounded_nodes(pds, 4))
+def members_digest(answers) -> dict:
+    answers = "".join("1" if yes else "0" for yes in answers)
     return {"answers": len(answers), "members": answers.count("1"),
             "members_sha256": hashlib.sha256(answers.encode()).hexdigest()}
 
@@ -101,16 +113,26 @@ def solve(rung):
     """Solve one rung in this process and print its JSON line."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import pdsat
+    from pdsat import oracle
     kind, game = build(rung)
     solver = (pdsat.solve_reachability_game if kind == "reach"
               else pdsat.solve_parity_game)
     start = perf_counter()
     region = solver(game)
     seconds = perf_counter() - start
-    print(json.dumps({"rung": rung, "seconds": round(seconds, 2),
-                      "transitions": len(region.aut.transitions),
-                      "sha256": digest(region.aut),
-                      **members_digest(region, game.pds)}))
+    nodes = oracle.bounded_nodes(game.pds, 4)
+    answers = [pdsat.region_member(region, c) for c in nodes]
+    out = {"rung": rung, "seconds": round(seconds, 2),
+           "transitions": len(region.aut.transitions),
+           "sha256": digest(region.aut), **members_digest(answers)}
+    if not rung.startswith("parity-empty-"):
+        start = perf_counter()
+        under, over = oracle.bracket_region(game, 4)
+        first = next((c for c, yes in zip(nodes, answers)
+                      if not under(c) <= yes <= over(c)), None)
+        out["cross_s"] = round(perf_counter() - start, 2)
+        out["cross"] = {"bracket": "agree" if first is None else repr(first)}
+    print(json.dumps(out))
 
 
 if __name__ == "__main__":
