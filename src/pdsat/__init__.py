@@ -3,7 +3,7 @@ sets, pre*/post*, the derivation relation, and pushdown game solving."""
 
 from .automata import (AltAutomaton, EPS, Language, Nfa, S_BOT, S_STAR, alt,
                        alt_membership, alt_run_targets, eps_closure, nfa,
-                       nfa_accepts, pattern_forbidden_factors)
+                       nfa_accepts)
 from .errors import InvalidInputError, ResourceLimitError
 from .pds import (Configuration, PushdownSystem, Rule, pds, predecessors,
                   successors, validate)
@@ -23,7 +23,6 @@ __all__ = [
     # automata
     "AltAutomaton", "EPS", "Language", "Nfa", "S_BOT", "S_STAR", "alt",
     "alt_membership", "alt_run_targets", "eps_closure", "nfa", "nfa_accepts",
-    "pattern_forbidden_factors",
     # errors
     "InvalidInputError", "ResourceLimitError",
     # pds

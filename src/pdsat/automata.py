@@ -316,7 +316,7 @@ def _product_out(aut: Nfa, start, pattern, pattern_start):
     they make one product state, named by the member of least ``repr``.
 
     The pattern must be deterministic and epsilon-free, and every one of
-    its states accepting, as :func:`pattern_forbidden_factors` and
+    its states accepting, as ``derivation._reduced_pattern`` and
     ``derivation._phase_pattern`` build them: so a product state is final
     when its state of ``aut`` reaches a final state by epsilon moves.
     Epsilon moves of ``aut`` are closed in as the product steps."""
@@ -352,33 +352,6 @@ def _product_out(aut: Nfa, start, pattern, pattern_start):
                     out[target] = set()
                     todo.append(target)
     return origin, finals, out
-
-
-def pattern_forbidden_factors(alphabet, factors):
-    """Deterministic automaton of the words containing none of the two-symbol
-    ``factors``.  Returns ``(nfa, start)``; every state is accepting and the
-    dead sink is omitted.
-    """
-    alphabet = frozenset(alphabet)
-    factors = set(factors)
-    for f in factors:
-        if len(f) != 2:
-            raise InvalidInputError(f"forbidden factor must have length 2: {f!r}")
-        if f[0] not in alphabet or f[1] not in alphabet:
-            raise InvalidInputError(f"factor symbol not in alphabet: {f!r}")
-    heads = {f[0] for f in factors}
-    start = ("pat", None)
-    states = {start} | {("pat", a) for a in heads}
-    transitions = set()
-    for state in states:
-        _, last = state
-        for a in alphabet:
-            if last is not None and (last, a) in factors:
-                continue  # dead sink, omitted
-            nxt = ("pat", a) if a in heads else start
-            transitions.add((state, a, nxt))
-    aut = Nfa(frozenset(states), alphabet, frozenset(states), frozenset(transitions))
-    return aut, start
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .automata import (EPS, Language, Nfa, Sentinel, _mask, _numbering,
-                       _product_out, _reach, _reachable_product,
-                       pattern_forbidden_factors)
+                       _product_out, _reach, _reachable_product)
 from .errors import InvalidInputError
 from .pds import PushdownSystem, check_valid
 
@@ -178,9 +177,17 @@ def _benois_saturate(lang: Language):
 
 
 def _reduced_pattern(alpha: ActionAlphabet):
-    """The pattern of the reduced words: no A+A- factor."""
-    return pattern_forbidden_factors(
-        alpha.symbols, {(push(a), pop(a)) for a in alpha.base})
+    """The pattern of the reduced words, those with no A+A- factor: its
+    states are ``("pat", None)`` and ``("pat", A+)``, and all accept.  Any
+    push A+ leads to ``("pat", A+)`` and any pop to ``("pat", None)``,
+    except that ``("pat", A+)`` reads no A-.  Returns ``(nfa, start)``."""
+    start = ("pat", None)
+    states = frozenset({start} | {("pat", push(a)) for a in alpha.base})
+    transitions = {(s, push(a), ("pat", push(a)))
+                   for s in states for a in alpha.base}
+    transitions |= {(s, pop(a), start) for s in states for a in alpha.base
+                    if s[1] != push(a)}
+    return Nfa(states, alpha.symbols, states, frozenset(transitions)), start
 
 
 def _phase_pattern(alpha: ActionAlphabet):

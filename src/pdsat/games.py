@@ -133,30 +133,34 @@ class RegionAutomaton:
 
 
 def check_game(game: PushdownGame):
+    # A fault of several controls names their least, or all, by repr.
     check_valid(game.pds)
-    for q in game.pds.controls:
-        if game.owner.get(q) not in (ELOISE, ABELARD):
-            raise InvalidInputError(f"control has no owner: {q!r}")
+    controls = game.pds.controls
+    unowned = [q for q in controls if game.owner.get(q) not in (ELOISE, ABELARD)]
+    if unowned:
+        raise InvalidInputError(f"control has no owner: {min(unowned, key=repr)!r}")
     cond = game.condition
     if isinstance(cond, ParityCondition):
-        if not _is_colour(cond.max_colour):
+        top, colours = cond.max_colour, cond.colours
+        if not _is_colour(top):
             raise InvalidInputError(
-                f"max_colour must be a non-negative integer: {cond.max_colour!r}")
-        for q in game.pds.controls:
-            c = cond.colours.get(q)
+                f"max_colour must be a non-negative integer: {top!r}")
+        bad = [q for q in controls
+               if not _is_colour(colours.get(q)) or colours[q] > top]
+        for q in sorted(bad, key=repr):  # the least one raises
+            c = colours.get(q)
             if c is None:
                 raise InvalidInputError(f"control has no colour: {q!r}")
             if not _is_colour(c):
                 raise InvalidInputError(
                     f"colour must be a non-negative integer: {c!r} of control {q!r}")
-            if c > cond.max_colour:
-                raise InvalidInputError(
-                    f"colour {c!r} of control {q!r} exceeds max_colour "
-                    f"{cond.max_colour!r}")
+            raise InvalidInputError(
+                f"colour {c!r} of control {q!r} exceeds max_colour {top!r}")
     elif isinstance(cond, ReachabilityCondition):
-        for q in game.pds.controls:
-            if q not in cond.embed:
-                raise InvalidInputError(f"control not embedded in target: {q!r}")
+        missing = [q for q in controls if q not in cond.embed]
+        if missing:
+            raise InvalidInputError("control not embedded in target: "
+                                    f"{min(missing, key=repr)!r}")
         target = cond.target
         errors = _embedding_errors(cond.embed, target.finals,
                                    target.transitions)
@@ -165,9 +169,10 @@ def check_game(game: PushdownGame):
         if errors:
             raise InvalidInputError("; ".join(errors))
     elif isinstance(cond, BuchiCondition):
-        unknown = cond.finals - game.pds.controls
+        unknown = cond.finals - controls
         if unknown:
-            raise InvalidInputError(f"unknown Büchi controls: {unknown!r}")
+            raise InvalidInputError(
+                f"unknown Büchi controls: {sorted(unknown, key=repr)!r}")
 
 
 def _is_colour(c) -> bool:

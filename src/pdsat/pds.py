@@ -124,7 +124,7 @@ def validate(pds: PushdownSystem):
 
 
 def _find_violations(pds: PushdownSystem):
-    errors = []
+    errors, found = [], []  # found: the rules' faults, in no fixed order
     controls, alphabet, bot = pds.controls, pds.alphabet, pds.bottom
     if bot not in alphabet:
         errors.append("bottom symbol is not in the alphabet")
@@ -134,22 +134,23 @@ def _find_violations(pds: PushdownSystem):
     for r in pds.rules:
         p, a, q, pushed = r
         if p not in controls or q not in controls:
-            errors.append(f"rule {r!r}: unknown control state")
+            found.append(f"rule {r!r}: unknown control state")
         if a not in alphabet or not alphabet.issuperset(pushed):
-            errors.append(f"rule {r!r}: unknown stack symbol")
+            found.append(f"rule {r!r}: unknown stack symbol")
             continue
         if len(pushed) > 2:
-            errors.append(f"rule {r!r}: pushes more than two symbols")
+            found.append(f"rule {r!r}: pushes more than two symbols")
             continue
         if a == bot:
             ok = pushed == (bot,) or (
                 len(pushed) == 2 and pushed[1] == bot and pushed[0] != bot)
             if not ok:
-                errors.append(f"rule {r!r}: pops bottom" if bot not in pushed
-                              else f"rule {r!r}: malformed bottom rule")
+                found.append(f"rule {r!r}: pops bottom" if bot not in pushed
+                             else f"rule {r!r}: malformed bottom rule")
         elif bot in pushed:
-            errors.append(f"rule {r!r}: pushes bottom")
-    return errors
+            found.append(f"rule {r!r}: pushes bottom")
+    # sorted as text, so by the rule's repr first, the same in every process
+    return errors + sorted(found)
 
 
 def check_valid(pds: PushdownSystem):

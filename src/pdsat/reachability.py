@@ -108,7 +108,8 @@ def _saturation_input(system: PushdownSystem, view: PAutomatonView):
     check_valid(system)
     missing = [q for q in system.controls if q not in view.control_embed]
     if missing:
-        raise InvalidInputError(f"controls not embedded: {missing!r}")
+        raise InvalidInputError(
+            f"controls not embedded: {sorted(missing, key=repr)!r}")
     view = _repaired(view)
     errors = view_errors(view)
     if errors:
@@ -119,14 +120,16 @@ def _saturation_input(system: PushdownSystem, view: PAutomatonView):
 
 def _result(system: PushdownSystem, aut: Nfa, states, transitions,
             by_source) -> Nfa:
-    """The saturation of ``aut`` with these states and transitions.  It
-    carries the step index ``by_source`` when every symbol of ``system`` is
-    one of ``aut``'s, and is otherwise checked like any ``Nfa``: a rule may
-    then have added a label outside the alphabet, which raises."""
-    if system.alphabet <= aut.alphabet:
-        return _saturated(states, aut.alphabet, aut.finals, transitions,
-                          dict(by_source))
-    return Nfa(states, aut.alphabet, aut.finals, transitions)
+    """The saturation of ``aut`` with these states and transitions, carrying
+    the step index ``by_source``.  If a rule of ``system`` added a label
+    outside ``aut``'s alphabet, the least such label by ``repr`` raises."""
+    if not system.alphabet <= aut.alphabet:
+        outside = {a for _, a in by_source} - aut.alphabet
+        if outside:
+            raise InvalidInputError("transition label not in alphabet: "
+                                    f"{min(outside, key=repr)!r}")
+    return _saturated(states, aut.alphabet, aut.finals, transitions,
+                      dict(by_source))
 
 
 def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutomatonView:

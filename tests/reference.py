@@ -8,8 +8,7 @@ from collections import defaultdict
 
 from pdsat import ELOISE, Configuration, InvalidInputError
 from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
-                            _reach, _reachable_product, eps_closure,
-                            pattern_forbidden_factors)
+                            _reach, _reachable_product, eps_closure)
 from pdsat.cli import _dot_escape
 from pdsat.derivation import (POP, PUSH, ActionAlphabet,
                               _check_action_alphabet, _split_out, pop, push)
@@ -318,6 +317,35 @@ def emit_relation_dot_pairwise(rel) -> str:
             lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# The generic pattern that ``derivation._reduced_pattern`` and
+# ``derivation._phase_pattern`` write out for their own factors.
+def pattern_forbidden_factors(alphabet, factors):
+    """Deterministic automaton of the words containing none of the two-symbol
+    ``factors``.  Returns ``(nfa, start)``; every state is accepting and the
+    dead sink is omitted.
+    """
+    alphabet = frozenset(alphabet)
+    factors = set(factors)
+    for f in factors:
+        if len(f) != 2:
+            raise InvalidInputError(f"forbidden factor must have length 2: {f!r}")
+        if f[0] not in alphabet or f[1] not in alphabet:
+            raise InvalidInputError(f"factor symbol not in alphabet: {f!r}")
+    heads = {f[0] for f in factors}
+    start = ("pat", None)
+    states = {start} | {("pat", a) for a in heads}
+    transitions = set()
+    for state in states:
+        _, last = state
+        for a in alphabet:
+            if last is not None and (last, a) in factors:
+                continue  # dead sink, omitted
+            nxt = ("pat", a) if a in heads else start
+            transitions.add((state, a, nxt))
+    aut = Nfa(frozenset(states), alphabet, frozenset(states), frozenset(transitions))
+    return aut, start
 
 
 def _productive_pattern(alpha: ActionAlphabet):

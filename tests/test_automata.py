@@ -15,12 +15,11 @@ from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
                             Sentinel, _antichain, _fold, _mask_entries,
                             _reachable_product, _run_targets, _saturated,
                             alt, alt_membership, alt_run_targets,
-                            eps_closure, nfa, nfa_accepts,
-                            pattern_forbidden_factors)
+                            eps_closure, nfa, nfa_accepts)
 from pdsat.derivation import deriv_relation
 from reference import (alt_membership_sets, eps_reach_per_state, minimal,
-                       product_intersect, relabel, reverse,
-                       run_targets_by_product, words_upto)
+                       pattern_forbidden_factors, product_intersect, relabel,
+                       reverse, run_targets_by_product, words_upto)
 
 
 def random_nfa(rng, n_states=4, alphabet=("a", "b"), n_trans=6, eps_frac=0.2):

@@ -386,6 +386,72 @@ def test_deriv_output_independent_of_hash_seed(tmp_path):
     assert len(outputs) == 1
 
 
+POPS_DOC = ("pds\nstates p q r\nalphabet A\nbottom _\n"
+            "rule p _ -> q\nrule q _ -> r\nrule r _ -> p\n")
+
+# Every error message below names several rules or controls, or one of
+# several: the labels outside the view's alphabet that pre* adds.
+SEVERAL_ERRORS = """\
+import sys
+from pdsat import (ABELARD, BuchiCondition, Configuration, ELOISE, Nfa,
+                   PAutomatonView, ParityCondition, PushdownGame,
+                   ReachabilityCondition, alt, cli, pds, prestar,
+                   singleton_view, solve_buchi_game, solve_parity_game,
+                   solve_reachability_game)
+sys.stderr = sys.stdout
+cli.main(["prestar", "--in", sys.argv[1]])
+system = pds([f"p{i}" for i in range(8)], ["A"], bottom="_")
+owner = dict.fromkeys(system.controls, ELOISE)
+target = alt(states=["f"], alphabet=["A", "_"], finals=["f"])
+view = singleton_view(system, Configuration("p0", ("_",)))
+pops = pds(bottom="_", rules=[("p", a, "q", ()) for a in "CAB"])
+single = singleton_view(pops, Configuration("q", ("_",))).aut
+narrow = Nfa(single.states, frozenset("_"), single.finals, single.transitions)
+for attempt in (
+        lambda: solve_buchi_game(PushdownGame(
+            system, {"p0": ABELARD}, BuchiCondition(frozenset()))),
+        lambda: solve_parity_game(PushdownGame(
+            system, owner, ParityCondition({"p0": 0}, 1))),
+        lambda: solve_buchi_game(PushdownGame(system, owner, BuchiCondition(
+            frozenset(f"x{i}" for i in range(8))))),
+        lambda: solve_reachability_game(PushdownGame(
+            system, owner, ReachabilityCondition(target, {}))),
+        lambda: prestar(system, PAutomatonView(view.aut, {})),
+        lambda: prestar(pops, PAutomatonView(
+            narrow, {"p": ("ctrl", "p"), "q": ("ctrl", "q")}))):
+    try:
+        attempt()
+    except Exception as exc:
+        print(exc)
+"""
+
+
+def test_errors_naming_several_things_are_independent_of_hash_seed(tmp_path):
+    doc = tmp_path / "pops.pds"
+    doc.write_text(POPS_DOC)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        cli.__file__)))
+    outputs = set()
+    for seed in ("0", "1"):
+        run = subprocess.run(
+            [sys.executable, "-c", SEVERAL_ERRORS, str(doc)],
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+            check=True, timeout=60)
+        outputs.add(run.stdout)
+    (output,) = outputs
+    assert output.decode().splitlines() == [
+        "error: line 0: rule (p,_)->(q,ε): pops bottom; "
+        "rule (q,_)->(r,ε): pops bottom; rule (r,_)->(p,ε): pops bottom",
+        "control has no owner: 'p1'",
+        "control has no colour: 'p1'",
+        "unknown Büchi controls: ['x0', 'x1', 'x2', 'x3', 'x4', 'x5', "
+        "'x6', 'x7']",
+        "control not embedded in target: 'p0'",
+        "controls not embedded: ['p0', 'p1', 'p2', 'p3', 'p4', 'p5', "
+        "'p6', 'p7']",
+        "transition label not in alphabet: 'A'"]
+
+
 def test_deriv_emitters_match_pairwise_reference():
     # the emitters sort each side of the relation once and cut every pair
     # from that order; the reference sorts each pair on its own

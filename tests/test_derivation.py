@@ -10,15 +10,14 @@ from conftest import (configurations_upto, make_rng, random_bottom_free_pds,
 from pdsat import (Configuration, InvalidInputError, apply_actions, automata,
                    behaviour_automaton, benois_reduce, cli, deriv_member,
                    deriv_relation, derivation, pds, poststar, singleton_view)
-from pdsat.automata import (EPS, Language, Nfa, eps_closure, nfa_accepts,
-                            pattern_forbidden_factors)
+from pdsat.automata import EPS, Language, Nfa, eps_closure, nfa_accepts
 from pdsat.derivation import (POP, PUSH, ActionAlphabet, _benois_saturate,
                               _phase_pattern, _reduced_pattern,
                               action_alphabet, pop, push)
 from reference import (_productive_pattern, _split, decompose,
-                       deriv_member_pairwise, product_intersect,
-                       productive_filter, reduce_word, relabel,
-                       relation_pairs, reverse, words_upto)
+                       deriv_member_pairwise, pattern_forbidden_factors,
+                       product_intersect, productive_filter, reduce_word,
+                       relabel, relation_pairs, reverse, words_upto)
 
 
 def test_apply_actions_basic():
@@ -544,6 +543,13 @@ def action_words(alpha, n):
     symbols = sorted(alpha.symbols)
     return itertools.chain.from_iterable(
         itertools.product(symbols, repeat=k) for k in range(n + 1))
+
+
+def test_reduced_pattern_is_the_generic_pattern_written_out():
+    for n in range(6):
+        alpha = ActionAlphabet(frozenset("ABCDE"[:n]))
+        assert _reduced_pattern(alpha) == pattern_forbidden_factors(
+            alpha.symbols, {(push(a), pop(a)) for a in alpha.base})
 
 
 def test_phase_pattern_is_the_meet_of_the_two_patterns():

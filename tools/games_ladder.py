@@ -34,9 +34,18 @@ height 4 with the sink lost for Éloïse, then won, and brackets the region
 on the same configurations.  The rung reports ``"cross": {"bracket":
 ...}``: ``"agree"`` when every answer lies within the bracket, and
 otherwise the first configuration whose answer does not; ``cross_s``
-times the route.  A ``parity-empty-<k>`` rung reports no ``"cross"``: its
-configurations have no move, and the oracle refuses a parity game with a
-stuck configuration.
+times the route.  A parity rung also solves ``dual_game(game)``, whose
+region is Abelard's, and reports ``"determinacy"``: ``"agree"`` when the
+two regions split the configurations, and otherwise the first one that
+lies in both or in neither; ``dual_s`` times that route.
+
+A ``parity-empty-<k>`` rung has neither route: its configurations have no
+move, and the oracle refuses a parity game with a stuck configuration.
+There a player who cannot move loses, so every answer is known: yes
+exactly where Abelard is to move, which is nowhere.  The rung reports
+``"cross": {"exact": ...}``, ``"agree"`` or the first configuration that
+has a move or whose answer differs.  An exact route checks every answer,
+so the rung may answer all one way under ``--check`` (see ``ladder.py``).
 """
 
 from __future__ import annotations
@@ -125,14 +134,33 @@ def solve(rung):
     out = {"rung": rung, "seconds": round(seconds, 2),
            "transitions": len(region.aut.transitions),
            "sha256": digest(region.aut), **members_digest(answers)}
-    if not rung.startswith("parity-empty-"):
+    if rung.startswith("parity-empty-"):
+        # no configuration has a move, and a player who cannot move loses
+        def wrong(c, yes):
+            return bool(pdsat.successors(game.pds, c)) \
+                or yes != (game.owner[c.control] == pdsat.ABELARD)
+        out["cross"] = {"exact": first_of(nodes, answers, wrong)}
+    else:
         start = perf_counter()
         under, over = oracle.bracket_region(game, 4)
-        first = next((c for c, yes in zip(nodes, answers)
-                      if not under(c) <= yes <= over(c)), None)
+        out["cross"] = {"bracket": first_of(
+            nodes, answers, lambda c, yes: not under(c) <= yes <= over(c))}
         out["cross_s"] = round(perf_counter() - start, 2)
-        out["cross"] = {"bracket": "agree" if first is None else repr(first)}
+        if kind == "parity":
+            start = perf_counter()
+            dual = pdsat.solve_parity_game(pdsat.dual_game(game))
+            out["cross"]["determinacy"] = first_of(
+                nodes, answers,
+                lambda c, yes: yes == pdsat.region_member(dual, c))
+            out["dual_s"] = round(perf_counter() - start, 2)
     print(json.dumps(out))
+
+
+def first_of(nodes, answers, wrong):
+    """``"agree"``, or the ``repr`` of the first configuration c of
+    ``nodes`` with ``wrong(c, yes)``, yes its answer in ``answers``."""
+    first = next((c for c, yes in zip(nodes, answers) if wrong(c, yes)), None)
+    return "agree" if first is None else repr(first)
 
 
 if __name__ == "__main__":
