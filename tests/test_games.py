@@ -510,13 +510,18 @@ def test_unused_colours_cost_no_level(monkeypatch):
     # {0, 0} under max_colour 1: the same nest, so the same number of
     # game-predecessor steps and the same region.
     calls = [0]
-    moves = games._moves
+    moves, saturate = games._moves, games._Saturation.saturate
 
     def counting_moves(*args):
         calls[0] += 1
         return moves(*args)
 
+    def counting_saturate(*args):
+        calls[0] += 1
+        return saturate(*args)
+
     monkeypatch.setattr(games, "_moves", counting_moves)
+    monkeypatch.setattr(games._Saturation, "saturate", counting_saturate)
     system, owner = loop_or_pop_game()
     regions, counts = [], []
     for colours, max_colour in (({"p": 0, "q": 10}, 11),
@@ -628,20 +633,19 @@ def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
                 and isinstance(value, (dict, list, set))}
 
     asked, computed = [0], [0]
-    moves, run_targets = games._moves, games._run_targets
+    run, run_targets = games._run, games._run_targets
 
-    def counting_moves(entries, owner, rules, entry, memo):
-        # the distinct runs one call needs, each of which it used to compute
-        asked[0] += len({(entry[q], pushed)
-                         for applicable in rules.values()
-                         for q, pushed in applicable})
-        return moves(entries, owner, rules, entry, memo)
+    def counting_run(*args):
+        # every run the solve asks for, in _moves or in the worklist; the
+        # memo answers some of them without computing them
+        asked[0] += 1
+        return run(*args)
 
     def counting_run_targets(*args):
         computed[0] += 1
         return run_targets(*args)
 
-    monkeypatch.setattr(games, "_moves", counting_moves)
+    monkeypatch.setattr(games, "_run", counting_run)
     monkeypatch.setattr(games, "_run_targets", counting_run_targets)
     a, b = parity_game(50), parity_game(51)
     before = containers()
@@ -655,3 +659,30 @@ def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
     assert containers() == before
     # the solves read the system's own rule index and leave it as it was
     assert a.pds._rules_from == rules
+
+
+def test_wider_choice_games_match_round_loop_references():
+    # four and five controls with up to three rules per (control, symbol):
+    # the worklist queues a move again only when an entry its runs read
+    # was written, and its fixed point is the round loop's.  The reference
+    # nests one level per colour, so one game in six gets colours 0-3 and
+    # the others 0-1 (this keeps the test near 3 s).
+    rng = make_rng(62)
+    for i in range(60):
+        system, owner = random_total_game(rng, n_controls=rng.randint(4, 5),
+                                          max_rules=3)
+        controls = sorted(system.controls)
+        game = PushdownGame(system, owner,
+                            random_reachability_condition(rng, system))
+        assert solve_reachability_game(game).aut == \
+            reference_reachability(game), (system, owner)
+        finals = frozenset(p for p in controls if rng.random() < 0.5)
+        game = PushdownGame(system, owner, BuchiCondition(finals))
+        assert solve_buchi_game(game).aut == reference_buchi(game), \
+            (system, owner, finals)
+        max_colour = 3 if i % 6 == 0 else 1
+        colours = {p: rng.randint(0, max_colour) for p in controls}
+        game = PushdownGame(system, owner,
+                            ParityCondition(colours, max_colour))
+        assert solve_parity_game(game).aut == reference_parity(game), \
+            (system, owner, colours)

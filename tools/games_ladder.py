@@ -37,7 +37,11 @@ otherwise the first configuration whose answer does not; ``cross_s``
 times the route.  A parity rung also solves ``dual_game(game)``, whose
 region is Abelard's, and reports ``"determinacy"``: ``"agree"`` when the
 two regions split the configurations, and otherwise the first one that
-lies in both or in neither; ``dual_s`` times that route.
+lies in both or in neither; ``dual_s`` times that route.  Determinacy
+checks only that a game and its dual are consistent, so a fault that flips
+both regions alike still passes it (a ``_ranks`` mutant that flips the
+parity test does, on ``parity-8-s8`` and ``parity-12-s1``); only
+``"bracket"`` checks the answers themselves.
 
 A ``parity-empty-<k>`` rung has neither route: its configurations have no
 move, and the oracle refuses a parity game with a stuck configuration.
