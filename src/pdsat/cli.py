@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from . import derivation, games, oracle, reachability
 from .automata import AltAutomaton, Nfa, _reach
 from .errors import InvalidInputError, ResourceLimitError
-from .pds import (Configuration, PushdownSystem, _rule_of, predecessors,
-                  successors, validate)
+from .pds import (Configuration, PushdownSystem, _predecessors, _rule_of,
+                  _successors, validate)
 
 SECTION_NAMES = ("pds", "automaton", "game")
 
@@ -464,9 +464,11 @@ def _run(args) -> int:
     # deriv sets no membership test or oracle bracket: neither runs for it.
     if command in ("prestar", "poststar"):
         view = _as_view(_build_automaton(doc, system), system)
-        saturate, step = ((reachability.prestar, predecessors)
+        # the bracket's steps check nothing: the system passed ``validate``
+        # in ``_build_pds``, and its seeds are bounded nodes
+        saturate, step = ((reachability.prestar, _predecessors)
                           if command == "prestar"
-                          else (reachability.poststar, successors))
+                          else (reachability.poststar, _successors))
         result = saturate(system, view)
         member = result.accepts
 

@@ -16,7 +16,8 @@ from .automata import Sentinel, alt_membership
 from .errors import InvalidInputError, ResourceLimitError
 from .games import (ABELARD, BuchiCondition, ELOISE, ParityCondition,
                     PushdownGame, ReachabilityCondition, check_game)
-from .pds import Configuration, PushdownSystem, check_valid, successors
+from .pds import (Configuration, PushdownSystem, _config_of, _successors,
+                  check_configuration, check_valid)
 
 SINK = Sentinel("sink")
 
@@ -46,7 +47,7 @@ def bounded_nodes(system: PushdownSystem, h: int):
         if size > DEFAULT_NODE_CAP:
             raise ResourceLimitError(
                 f"bounded graph would have more than {DEFAULT_NODE_CAP} nodes")
-    return [Configuration(q, word + (system.bottom,))
+    return [_config_of((q, word + (system.bottom,)))
             for q in sorted(system.controls, key=repr)
             for k in range(h)
             for word in itertools.product(base, repeat=k)]
@@ -57,6 +58,9 @@ def bounded_graph(system_or_game, h: int) -> BoundedGraph:
     most ``h``; moves growing past ``h`` lead to the sink.  Stuck nodes are
     kept without moves: in a reachability game one outside the target is lost
     for Éloïse, whoever owns it, and Büchi and parity solving refuse them.
+    Each node's moves are read in one pass over the system's rules on its
+    control and top symbol; a move past ``h`` goes to the sink without its
+    configuration being built.
     """
     if h < 1:
         raise InvalidInputError("height bound must be at least 1")
@@ -70,19 +74,27 @@ def bounded_graph(system_or_game, h: int) -> BoundedGraph:
     edges = {SINK: {SINK}}
     # The sink belongs to nobody in particular; its self-loop decides it.
     owner = {SINK: ELOISE}
+    rules_from = system._rules_from
     for c in bounded_nodes(system, h):
-        edges[c] = {SINK if len(c2.stack) > h else c2
-                    for c2 in successors(system, c)}
+        q0, stack = c
+        rest = stack[1:]
+        room = h - len(rest)  # the longest word a move may push
+        edges[c] = {_config_of((q, pushed + rest)) if len(pushed) <= room
+                    else SINK
+                    for q, pushed in rules_from.get((q0, stack[0]), ())}
         if game is not None:
-            owner[c] = game.owner[c.control]
+            owner[c] = game.owner[q0]
     return BoundedGraph(set(edges), edges, owner)
 
 
 def _bounded_search(system: PushdownSystem, seeds, step, h: int):
-    """Breadth-first search from ``seeds`` through ``step`` (``successors``
-    or ``predecessors``), keeping to stacks at most ``h`` high: yields each
-    configuration found, seeds first, once.  Raises ``ResourceLimitError``
-    once more than ``DEFAULT_NODE_CAP`` configurations have been found."""
+    """Breadth-first search from ``seeds`` through ``step`` (``pds``'s
+    ``_successors`` or ``_predecessors``, which build nothing above ``h``),
+    keeping to stacks at most ``h`` high: yields each configuration found,
+    seeds first, once.  ``system`` must be checked and the seeds valid
+    configurations in it at most ``h`` high.  Raises
+    ``ResourceLimitError`` once more than ``DEFAULT_NODE_CAP``
+    configurations have been found."""
     seen = set(seeds)
     todo = deque(seen)
     while todo:
@@ -90,70 +102,86 @@ def _bounded_search(system: PushdownSystem, seeds, step, h: int):
         yield cur
         if len(seen) > DEFAULT_NODE_CAP:
             raise ResourceLimitError("bounded search exceeded the node cap")
-        for nxt in step(system, cur):
-            if len(nxt.stack) <= h and nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
+        found = step(system, cur, h) - seen
+        seen |= found
+        todo.extend(found)
 
 
 def bfs_prestar_member(system: PushdownSystem, target, c: Configuration,
                        h: int) -> bool:
     """True iff some path from ``c`` reaches a configuration satisfying the
     ``target`` predicate with every intermediate stack at most ``h`` high.
-    Monotone in ``h``; a sound under-approximation of pre* membership."""
+    Monotone in ``h``; a sound under-approximation of pre* membership.
+    Raises ``InvalidInputError`` for a start above ``h`` or not valid in
+    ``system``."""
     check_valid(system)
     if len(c.stack) > h:
         raise InvalidInputError("start configuration exceeds the height bound")
+    check_configuration(system, c)
     return any(target(cur)
-               for cur in _bounded_search(system, [c], successors, h))
+               for cur in _bounded_search(system, [c], _successors, h))
+
+
+def _predecessor_index(nodes, edges):
+    """dict node of ``nodes`` -> list of the nodes of ``nodes`` with a move
+    to it."""
+    preds = {n: [] for n in nodes}
+    for n in nodes:
+        for m in edges.get(n, ()):
+            if m in preds:
+                preds[m].append(n)
+    return preds
 
 
 def attractor(nodes, edges, owner, target, player):
     """Least set from which ``player`` forces reaching ``target`` inside
     ``nodes``.  A node whose owner cannot move is never attracted."""
+    return _attract(nodes, _predecessor_index(nodes, edges), edges, owner,
+                    target, player)
+
+
+def _attract(nodes, preds, edges, owner, target, player):
+    """``attractor`` inside ``nodes``, a subset of the graph whose
+    predecessor index is ``preds``: one index serves every node set of a
+    graph.  An opponent's count of moves inside ``nodes`` is taken when the
+    search first reaches that node."""
     attracted = set(target) & nodes
-    todo = deque(attracted)
-    preds = {n: set() for n in nodes}
-    for n in nodes:
-        for m in edges.get(n, ()):
-            if m in preds:
-                preds[m].add(n)
-    remaining = {}
-    for n in nodes:
-        remaining[n] = len([m for m in edges.get(n, ()) if m in nodes])
+    todo = list(attracted)
+    remaining = {}  # opponent node -> its moves inside nodes not yet attracted
     while todo:
-        n = todo.popleft()
-        for m in preds[n]:
-            if m in attracted:
+        for m in preds[todo.pop()]:
+            if m in attracted or m not in nodes:
                 continue
-            if owner[m] == player:
-                attracted.add(m)
-                todo.append(m)
-            else:
-                remaining[m] -= 1
-                if remaining[m] == 0:
-                    attracted.add(m)
-                    todo.append(m)
+            if owner[m] != player:
+                left = remaining.get(m)
+                if left is None:
+                    left = len(nodes.intersection(edges[m]))
+                remaining[m] = left = left - 1
+                if left:
+                    continue
+            attracted.add(m)
+            todo.append(m)
     return attracted
 
 
-def _zielonka(nodes, edges, owner, colour):
+def _zielonka(nodes, preds, edges, owner, colour):
     """Winning sets (for-even, for-odd) of a min-parity game on a finite
-    total graph, by the classical recursive decomposition."""
+    total graph, by the classical recursive decomposition; ``preds`` is the
+    whole graph's predecessor index."""
     if not nodes:
         return set(), set()
     m = min(colour[n] for n in nodes)
     player = m % 2  # 0: Éloïse favours colour m, 1: Abelard does
     mine = ELOISE if player == 0 else ABELARD
     top = {n for n in nodes if colour[n] == m}
-    a = attractor(nodes, edges, owner, top, mine)
-    w0, w1 = _zielonka(nodes - a, edges, owner, colour)
+    a = _attract(nodes, preds, edges, owner, top, mine)
+    w0, w1 = _zielonka(nodes - a, preds, edges, owner, colour)
     opponent_win = w1 if player == 0 else w0
     if not opponent_win:
         return (set(nodes), set()) if player == 0 else (set(), set(nodes))
     theirs = ABELARD if player == 0 else ELOISE
-    b = attractor(nodes, edges, owner, opponent_win, theirs)
-    w0b, w1b = _zielonka(nodes - b, edges, owner, colour)
+    b = _attract(nodes, preds, edges, owner, opponent_win, theirs)
+    w0b, w1b = _zielonka(nodes - b, preds, edges, owner, colour)
     if player == 0:
         return w0b, w1b | b
     return w0b | b, w1b
@@ -163,16 +191,17 @@ def _regions(g: BoundedGraph, condition, sink_winners):
     """Exact Éloïse winning sets of the truncated game ``g``, one for each
     of ``sink_winners`` in turn, with the sink won by that player; what
     only depends on ``condition`` (a reachability game's target set, the
-    colours) is computed once for all of them."""
+    colours, the predecessor index) is computed once for all of them."""
+    preds = _predecessor_index(g.nodes, g.edges)
     if isinstance(condition, ReachabilityCondition):
         aut, embed = condition.target, condition.embed
         # an embedded state that is not one of the target's accepts nothing
         target = {n for n in g.nodes
                   if n is not SINK and embed[n.control] in aut.states
                   and alt_membership(aut, embed[n.control], n.stack)}
-        return [attractor(g.nodes, g.edges, g.owner,
-                          target | {SINK} if winner == ELOISE else target,
-                          ELOISE)
+        return [_attract(g.nodes, preds, g.edges, g.owner,
+                         target | {SINK} if winner == ELOISE else target,
+                         ELOISE)
                 for winner in sink_winners]
     if isinstance(condition, BuchiCondition):
         colour = {n: (0 if n is not SINK and n.control in condition.finals else 1)
@@ -189,7 +218,8 @@ def _regions(g: BoundedGraph, condition, sink_winners):
     regions = []
     for winner in sink_winners:
         colour[SINK] = 0 if winner == ELOISE else 1
-        regions.append(_zielonka(set(g.nodes), g.edges, g.owner, colour)[0])
+        regions.append(
+            _zielonka(set(g.nodes), preds, g.edges, g.owner, colour)[0])
     return regions
 
 

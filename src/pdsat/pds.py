@@ -3,7 +3,13 @@
 A rule ``(q, A) -> (p, w)`` with ``|w| <= 2`` rewrites the top stack symbol.
 Stacks are tuples with the top at index 0 and the bottom symbol last.  The
 one-step successor/predecessor enumeration here is the semantic ground truth
-the oracles are built on.
+the oracles are built on.  One enumeration serves each direction: the
+private ``_successors`` and ``_predecessors`` take a checked system and a
+valid configuration, check nothing, and given a height bound build no
+configuration above it, so the oracle's searches never leave their bound;
+the public ``successors`` and ``predecessors`` check the configuration and
+call them.  (The oracle builds each bounded graph's predecessor index once,
+for every attractor that solves it.)
 
 A system is checked once, on first use: the violations ``validate`` reports
 are computed the first time an analysis (or ``validate`` itself) asks for
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
+from math import inf
 from typing import NamedTuple
 
 from .automata import EPS
@@ -91,6 +98,8 @@ class Configuration(NamedTuple):
 # A rule from the tuple of its four fields, built by ``tuple.__new__`` in C:
 # ``Rule(...)`` runs the ``__new__`` that ``NamedTuple`` writes in Python.
 _rule_of = partial(tuple.__new__, Rule)
+# A configuration from the tuple of its two fields, built the same way.
+_config_of = partial(tuple.__new__, Configuration)
 
 
 def pds(controls=(), alphabet=(), *, bottom, rules=()) -> PushdownSystem:
@@ -172,26 +181,62 @@ def check_configuration(pds: PushdownSystem, c: Configuration):
         raise InvalidInputError(f"invalid configuration: {c!r}")
 
 
-def successors(pds: PushdownSystem, c: Configuration):
-    """Exact one-step successors of ``c``: the rules on its control and top
-    symbol, looked up in the system's ``_rules_from`` index."""
-    check_configuration(pds, c)
-    stack = c.stack
+def _successors(pds: PushdownSystem, c: Configuration, h=None):
+    """One-step successors of ``c``, no more than ``h`` high if ``h`` is
+    given: the rules on its control and top symbol, looked up in the
+    system's ``_rules_from`` index.  A successor by a rule pushing ``w`` is
+    ``len(w) + len(rest)`` high, ``rest`` the stack below the top, so a rule
+    that would climb past ``h`` builds nothing.
+
+    ``pds`` must be checked and ``c`` valid in it, and nothing is checked
+    here: then every successor is valid.  Its control is a rule's target.
+    On a non-bottom top the rule pushes known non-bottom symbols onto the
+    rest of a valid stack, which still ends with the bottom symbol; on the
+    bottom the rest is empty and the rule pushes ``⊥`` or ``A⊥``."""
+    stack = c[1]
     rest = stack[1:]
-    return {Configuration(q, pushed + rest)
-            for q, pushed in pds._rules_from.get((c.control, stack[0]), ())}
+    room = inf if h is None else h - len(rest)  # the longest word to push
+    return {_config_of((q, pushed + rest))
+            for q, pushed in pds._rules_from.get((c[0], stack[0]), ())
+            if len(pushed) <= room}
+
+
+def _predecessors(pds: PushdownSystem, c: Configuration, h=None):
+    """Configurations with ``c`` among their one-step successors, no more
+    than ``h`` high if ``h`` is given: the rules into its control whose
+    pushed word of length k is the top k symbols of its stack, looked up in
+    the system's ``_rules_into`` index.  A predecessor by such a rule is
+    ``1 + len(stack) - k`` high, one symbol higher than ``c`` by a pop rule,
+    so a word length that would climb past ``h`` is not looked up.
+
+    ``pds`` must be checked and ``c`` valid in it, and nothing is checked
+    here: then every predecessor is valid.  Its control is a rule's source.
+    A rule on a non-bottom symbol pushes no ``⊥``, so its word is a proper
+    prefix of the stack, and the symbol goes onto the rest of a valid
+    stack.  A rule on the bottom pushes a word ending with ``⊥``, which only
+    the whole stack matches, so the predecessor is ``(p, ⊥)``."""
+    stack = c[1]
+    # the shortest pushed word whose predecessor is at most h high
+    shortest = 0 if h is None else len(stack) + 1 - h
+    result = set()
+    for k, by_word in pds._rules_into.get(c[0], {}).items():
+        if k >= shortest:
+            rest = stack[k:]
+            result.update(_config_of((p, (a,) + rest))
+                          for p, a in by_word.get(stack[:k], ()))
+    return result
+
+
+def successors(pds: PushdownSystem, c: Configuration):
+    """Exact one-step successors of ``c``, a configuration checked here."""
+    check_configuration(pds, c)
+    return _successors(pds, c)
 
 
 def predecessors(pds: PushdownSystem, c: Configuration):
-    """Valid configurations with ``c`` among their one-step successors: the
-    rules into its control whose pushed word of length k is the top k
-    symbols of its stack, looked up in the system's ``_rules_into`` index."""
+    """Valid configurations with ``c``, a configuration checked here, among
+    their one-step successors.  Each candidate is checked too, since the
+    system may not be."""
     check_configuration(pds, c)
-    stack = c.stack
-    result = set()
-    for k, by_word in pds._rules_into.get(c.control, {}).items():
-        for p, a in by_word.get(stack[:k], ()):
-            pre = Configuration(p, (a,) + stack[k:])
-            if is_valid_configuration(pds, pre):
-                result.add(pre)
-    return result
+    return {pre for pre in _predecessors(pds, c)
+            if is_valid_configuration(pds, pre)}

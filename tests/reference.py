@@ -4,7 +4,7 @@ pruning."""
 
 import functools
 import itertools
-from collections import defaultdict
+from collections import defaultdict, deque
 
 from pdsat import ELOISE, Configuration, InvalidInputError
 from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
@@ -12,7 +12,8 @@ from pdsat.automata import (EPS, S_BOT, S_STAR, AltAutomaton, Language, Nfa,
 from pdsat.cli import _dot_escape
 from pdsat.derivation import (POP, PUSH, ActionAlphabet,
                               _check_action_alphabet, _split_out, pop, push)
-from pdsat.oracle import BoundedGraph, _regions
+from pdsat.oracle import SINK, BoundedGraph, _regions, bounded_nodes
+from pdsat.pds import successors
 
 
 def product_intersect(aut: Nfa, pattern: Nfa, pattern_start) -> Nfa:
@@ -457,3 +458,59 @@ def predecessors_by_scan(system, c):
             if is_valid_configuration_by_scan(system, pre):
                 result.add(pre)
     return result
+
+
+def bounded_search_by_filter(system, seeds, step, h: int) -> set:
+    """The configurations a search from ``seeds`` finds through ``step``
+    (``successors`` or ``predecessors``), each step built in full and then
+    cut to stacks at most ``h`` high."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for nxt in step(system, todo.pop()):
+            if len(nxt.stack) <= h and nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+def bounded_graph_by_filter(game, h: int) -> BoundedGraph:
+    """``oracle.bounded_graph(game, h)``, with every successor built in full
+    and then sent to the sink if it is taller than ``h``."""
+    system = game.pds
+    edges = {SINK: {SINK}}
+    owner = {SINK: ELOISE}
+    for c in bounded_nodes(system, h):
+        edges[c] = {SINK if len(c2.stack) > h else c2
+                    for c2 in successors(system, c)}
+        owner[c] = game.owner[c.control]
+    return BoundedGraph(set(edges), edges, owner)
+
+
+def attractor_by_own_preds(nodes, edges, owner, target, player):
+    """``oracle.attractor``, which builds the predecessor sets and move
+    counts of ``nodes`` afresh on every call."""
+    attracted = set(target) & nodes
+    todo = deque(attracted)
+    preds = {n: set() for n in nodes}
+    for n in nodes:
+        for m in edges.get(n, ()):
+            if m in preds:
+                preds[m].add(n)
+    remaining = {}
+    for n in nodes:
+        remaining[n] = len([m for m in edges.get(n, ()) if m in nodes])
+    while todo:
+        n = todo.popleft()
+        for m in preds[n]:
+            if m in attracted:
+                continue
+            if owner[m] == player:
+                attracted.add(m)
+                todo.append(m)
+            else:
+                remaining[m] -= 1
+                if remaining[m] == 0:
+                    attracted.add(m)
+                    todo.append(m)
+    return attracted

@@ -2,16 +2,19 @@ import re
 
 import pytest
 
-from conftest import make_rng, random_pds, random_total_game
+from conftest import (make_rng, random_pds, random_reachability_condition,
+                      random_total_game)
 from pdsat import (ABELARD, BuchiCondition, Configuration, ELOISE,
                    InvalidInputError, ParityCondition, PushdownGame,
                    ReachabilityCondition, ResourceLimitError, alt, pds,
                    region_member, solve_buchi_game, solve_parity_game,
                    solve_reachability_game)
 from pdsat import oracle
-from pdsat.oracle import (SINK, attractor, bfs_prestar_member, bounded_graph,
-                          bounded_nodes, bracket_region)
-from reference import finite_game_region
+from pdsat.oracle import (SINK, _regions, attractor, bfs_prestar_member,
+                          bounded_graph, bounded_nodes, bracket_region)
+from pdsat.pds import _predecessors, _successors, predecessors, successors
+from reference import (attractor_by_own_preds, bounded_graph_by_filter,
+                       bounded_search_by_filter, finite_game_region)
 
 
 def test_bounded_nodes_count():
@@ -38,7 +41,7 @@ def test_bounded_graph_caps(monkeypatch):
         raise AssertionError("a bounded node was listed")
 
     # 1 + 4 + ... + 4**9 = 349,525 stacks, more than DEFAULT_NODE_CAP
-    monkeypatch.setattr(oracle, "Configuration", fail)
+    monkeypatch.setattr(oracle, "_config_of", fail)
     with pytest.raises(ResourceLimitError):
         bounded_graph(sys1, 10)
     with pytest.raises(InvalidInputError):
@@ -65,6 +68,13 @@ def test_bfs_prestar_member():
     with pytest.raises(InvalidInputError,
                        match="start configuration exceeds the height bound"):
         bfs_prestar_member(sys1, target, Configuration("q", ("A", "A", "_")), 2)
+    # the start is checked before the search, whatever the target says of it
+    for start in (Configuration("zz", ("A", "A", "_")),
+                  Configuration("p", ("A", "A"))):
+        for anything in (lambda c: True, lambda c: False):
+            with pytest.raises(InvalidInputError,
+                               match="invalid configuration"):
+                bfs_prestar_member(sys1, anything, start, 5)
 
 
 def test_attractor_hand_example():
@@ -230,3 +240,68 @@ def test_oracle_rejects_invalid_games_as_the_solvers_do():
     with pytest.raises(InvalidInputError,
                        match=re.escape("unsupported condition: 'reach'")):
         bracket_region(game, 3)
+
+
+def test_bounded_searches_match_the_filtering_reference():
+    # the steps build nothing past the bound, the reference cuts a full
+    # step; seeds up to height 2, bounds 1-5 on either side of them
+    rng = make_rng(3901)
+    for _ in range(200):
+        system = random_pds(rng, n_controls=rng.randint(1, 3),
+                            n_symbols=rng.randint(1, 3),
+                            n_rules=rng.randint(2, 8))
+        seeds = rng.sample(bounded_nodes(system, 2), 2)
+        for h in range(1, 6):
+            start = [c for c in seeds if len(c.stack) <= h]
+            for step, public in ((_successors, successors),
+                                 (_predecessors, predecessors)):
+                assert set(oracle._bounded_search(system, start, step, h)) \
+                    == bounded_search_by_filter(system, start, public, h), \
+                    (system, start, step.__name__, h)
+
+
+def test_bounded_games_match_the_references(monkeypatch):
+    # one graph built in one pass and one predecessor index per graph,
+    # against the graph built in full and cut, solved with the attractor
+    # that builds its own predecessor sets
+    rng = make_rng(3902)
+    cases = []
+    for i in range(200):
+        system, owner = random_total_game(rng, n_controls=rng.randint(1, 3),
+                                          max_rules=rng.randint(1, 2))
+        if i % 3 == 0:
+            condition = random_reachability_condition(rng, system)
+        elif i % 3 == 1:
+            condition = BuchiCondition(frozenset(
+                p for p in sorted(system.controls) if rng.random() < 0.5))
+        else:
+            condition = ParityCondition(
+                {p: rng.randint(0, 3) for p in sorted(system.controls)}, 3)
+        game = PushdownGame(system, owner, condition)
+        h = rng.randint(1, 4)
+        g, ref = bounded_graph(game, h), bounded_graph_by_filter(game, h)
+        assert list(g.edges.items()) == list(ref.edges.items()), (game, h)
+        assert g.nodes == ref.nodes and g.owner == ref.owner, (game, h)
+        # an attractor inside a subgame, as Zielonka's recursion asks for
+        # one, reads the whole graph's index
+        preds = oracle._predecessor_index(g.nodes, g.edges)
+        order = sorted(g.nodes, key=repr)
+        inside = {n for n in order if rng.random() < 0.7}
+        target = {n for n in order if rng.random() < 0.2}
+        for player in (ELOISE, ABELARD):
+            assert oracle._attract(inside, preds, g.edges, g.owner, target,
+                                   player) == attractor_by_own_preds(
+                inside, g.edges, g.owner, target, player), (game, h)
+        cases.append((game, h, _regions(g, condition, (ABELARD, ELOISE)),
+                      bracket_region(game, h)))
+    monkeypatch.setattr(
+        oracle, "_attract",
+        lambda nodes, preds, edges, owner, target, player:
+        attractor_by_own_preds(nodes, edges, owner, target, player))
+    for game, h, regions, (under, over) in cases:
+        expected = _regions(bounded_graph_by_filter(game, h), game.condition,
+                            (ABELARD, ELOISE))
+        assert regions == expected, (game, h)
+        for c in bounded_nodes(game.pds, h):
+            assert (under(c), over(c)) == (c in expected[0],
+                                           c in expected[1]), (game, c)

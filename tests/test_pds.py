@@ -205,6 +205,16 @@ def test_successors_rejects_invalid_configuration():
         successors(simple_system(), Configuration("p", ()))
 
 
+def test_predecessors_on_an_unchecked_system_keeps_only_valid_ones():
+    # (p, A) pushing the bottom symbol is a fault of the system; the
+    # candidate (p, A) it gives for (q, _) has no bottom and is dropped
+    system = pds(bottom="_", rules=[("p", "A", "q", ("_",)),
+                                    ("r", "_", "q", ("_",))])
+    assert validate(system) == ["rule (p,A)->(q,_): pushes bottom"]
+    assert predecessors(system, Configuration("q", ("_",))) == {
+        Configuration("r", ("_",))}
+
+
 # ---------------------------------------------------------------------------
 # Each system is checked once
 

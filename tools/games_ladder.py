@@ -34,7 +34,9 @@ height 4 with the sink lost for Éloïse, then won, and brackets the region
 on the same configurations.  The rung reports ``"cross": {"bracket":
 ...}``: ``"agree"`` when every answer lies within the bracket, and
 otherwise the first configuration whose answer does not; ``cross_s``
-times the route.  A parity rung also solves ``dual_game(game)``, whose
+times the route, and ``undecided`` counts the configurations where the two
+bounds differ, on which the bracket checks nothing.  ``--check`` compares
+neither.  A parity rung also solves ``dual_game(game)``, whose
 region is Abelard's, and reports ``"determinacy"``: ``"agree"`` when the
 two regions split the configurations, and otherwise the first one that
 lies in both or in neither; ``dual_s`` times that route.  Determinacy
@@ -150,6 +152,7 @@ def solve(rung):
         out["cross"] = {"bracket": first_of(
             nodes, answers, lambda c, yes: not under(c) <= yes <= over(c))}
         out["cross_s"] = round(perf_counter() - start, 2)
+        out["undecided"] = sum(under(c) != over(c) for c in nodes)
         if kind == "parity":
             start = perf_counter()
             dual = pdsat.solve_parity_game(pdsat.dual_game(game))
