@@ -194,7 +194,8 @@ def _saturated(states, alphabet, finals, transitions, step_index) -> Nfa:
     (a saturation's labels are its checked system's symbols, so that
     system's alphabet must lie within ``alphabet``).  ``step_index`` must
     map each ``(state, symbol)`` of ``transitions`` to a sequence of its
-    distinct targets, and nothing else.
+    distinct targets, and nothing else, and a read of a key it lacks must
+    add none (a ``defaultdict`` needs its default factory cleared).
     """
     aut = object.__new__(Nfa)
     aut.__dict__.update(states=states, alphabet=alphabet, finals=finals,

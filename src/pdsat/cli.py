@@ -1,9 +1,9 @@
 """Command line front end.
 
-Input documents are line oriented: a line holding just ``pds``, ``automaton``
-or ``game`` opens a block, ``#`` starts a comment, tokens are whitespace
-separated.  Exit codes: 0 success (or membership yes), 1 membership no,
-2 parse or validation failure, 3 oracle disagreement.
+Input documents are UTF-8 text, line oriented: a line holding just ``pds``,
+``automaton`` or ``game`` opens a block, ``#`` starts a comment, tokens are
+whitespace separated.  Exit codes: 0 success (or membership yes),
+1 membership no, 2 parse or validation failure, 3 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -55,34 +55,46 @@ def parse(text: str) -> dict:
 
 
 def _build_pds(doc: dict):
+    """The checked system of ``doc``'s pds section.  ``controls`` and
+    ``alphabet`` map each declared name to the string its first declaration
+    read, and a rule line's one lookup of a name both checks it and fetches
+    that string: every rule shares the declared strings, and keeps none of
+    its line's own."""
     body = doc["pds"]
-    controls, alphabet, rules = set(), set(), set()
+    controls, alphabet, rules = {}, {}, set()
     bottom = None
     for lineno, tokens in body:
         key = tokens[0]
         if key == "states":
-            controls.update(tokens[1:])
+            for name in tokens[1:]:
+                controls.setdefault(name, name)
         elif key == "alphabet":
-            alphabet.update(tokens[1:])
+            for name in tokens[1:]:
+                alphabet.setdefault(name, name)
         elif key == "bottom":
             if len(tokens) != 2:
                 raise ParseError(lineno, "bottom takes exactly one symbol")
             if bottom is not None:
                 raise ParseError(lineno, "duplicate bottom declaration")
-            bottom = tokens[1]
-            alphabet.add(bottom)
+            bottom = alphabet.setdefault(tokens[1], tokens[1])
         elif key == "rule":
-            if len(tokens) < 5 or tokens[3] != "->":
+            n = len(tokens)
+            if n < 5 or tokens[3] != "->":
                 raise ParseError(lineno, "rule syntax: rule p A -> q [B [C]]")
-            p, a, q, pushed = tokens[1], tokens[2], tokens[4], tuple(tokens[5:])
-            if len(pushed) > 2:
+            if n > 7:
                 raise ParseError(lineno, "a rule may push at most two symbols")
-            for name in (p, q):
-                if name not in controls:
-                    raise ParseError(lineno, f"undeclared control state {name!r}")
-            for name in (a,) + pushed:
-                if name not in alphabet:
-                    raise ParseError(lineno, f"undeclared stack symbol {name!r}")
+            try:
+                p, q = controls[tokens[1]], controls[tokens[4]]
+            except KeyError as missing:
+                raise ParseError(lineno, "undeclared control state "
+                                         f"{missing.args[0]!r}") from None
+            try:
+                a = alphabet[tokens[2]]
+                pushed = (() if n == 5 else (alphabet[tokens[5]],) if n == 6
+                          else (alphabet[tokens[5]], alphabet[tokens[6]]))
+            except KeyError as missing:
+                raise ParseError(lineno, "undeclared stack symbol "
+                                         f"{missing.args[0]!r}") from None
             rules.add(_rule_of((p, a, q, pushed)))
         else:
             raise ParseError(lineno, f"unknown keyword {key!r} in pds section")
@@ -450,20 +462,36 @@ def _write(handle, lines):
         handle.write(chunk)
 
 
-def _run(args) -> int:
-    with open(args.infile, encoding="utf-8") as handle:
+def _inputs(args):
+    """Read ``--in`` and build what the command runs on: ``(command,
+    system, config, view or game)``, with ``command`` the analysis that
+    ``member`` runs, ``config`` None but for ``member``, and neither view
+    nor game for ``deriv``.  The parsed document dies on return, before any
+    analysis runs.  A leading UTF-8 byte-order mark is skipped."""
+    with open(args.infile, encoding="utf-8-sig") as handle:
         doc = parse(handle.read())
     system = _build_pds(doc)
-    command = args.command
+    command, config = args.command, None
     if command == "member":
         config = _parse_config(system, args.config)
         command = args.analysis
+    if command in ("prestar", "poststar"):
+        built = _as_view(_build_automaton(doc, system), system)
+    elif command == "deriv":
+        built = None
+    else:
+        built = _build_game(doc, system, command)
+    return command, system, config, built
+
+
+def _run(args) -> int:
+    command, system, config, built = _inputs(args)
     h = getattr(args, "oracle_check", None)
 
     emit = {"text": _emit_automaton, "dot": _emit_automaton_dot}
     # deriv sets no membership test or oracle bracket: neither runs for it.
     if command in ("prestar", "poststar"):
-        view = _as_view(_build_automaton(doc, system), system)
+        view = built
         # the bracket's steps check nothing: the system passed ``validate``
         # in ``_build_pds``, and its seeds are bounded nodes
         saturate, step = ((reachability.prestar, _predecessors)
@@ -490,7 +518,7 @@ def _run(args) -> int:
         emit = {"text": _emit_relation, "dot": _emit_relation_dot}
         printed = result,
     else:
-        game = _build_game(doc, system, command)
+        game = built
         solve = {"reachgame": games.solve_reachability_game,
                  "buchigame": games.solve_buchi_game,
                  "paritygame": games.solve_parity_game}[command]

@@ -120,16 +120,19 @@ def _saturation_input(system: PushdownSystem, view: PAutomatonView):
 
 def _result(system: PushdownSystem, aut: Nfa, states, transitions,
             by_source) -> Nfa:
-    """The saturation of ``aut`` with these states and transitions, carrying
-    the step index ``by_source``.  If a rule of ``system`` added a label
-    outside ``aut``'s alphabet, the least such label by ``repr`` raises."""
+    """The saturation of ``aut`` with these states and transitions, handed
+    the worklist's own step index ``by_source``, a ``defaultdict`` whose
+    default factory is cleared first, so that a read never adds a key.  If
+    a rule of ``system`` added a label outside ``aut``'s alphabet, the least
+    such label by ``repr`` raises."""
+    by_source.default_factory = None
     if not system.alphabet <= aut.alphabet:
         outside = {a for _, a in by_source} - aut.alphabet
         if outside:
             raise InvalidInputError("transition label not in alphabet: "
                                     f"{min(outside, key=repr)!r}")
     return _saturated(states, aut.alphabet, aut.finals, transitions,
-                      dict(by_source))
+                      by_source)
 
 
 def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutomatonView:
@@ -185,6 +188,7 @@ def prestar(system: PushdownSystem, view: PAutomatonView, trace=None) -> PAutoma
         for ps, A in pending.get(key, ()):
             worklist.append((ps, A, s2))
 
+    del swap_idx, push_idx, pending, initial  # the result needs none of them
     out = _result(system, aut, aut.states, frozenset(rel), by_source)
     return PAutomatonView(out, dict(embed))
 
@@ -288,6 +292,7 @@ def poststar(system: PushdownSystem, view: PAutomatonView) -> PAutomatonView:
                 for ps in eps_into.get(m, ()):
                     worklist.append((ps, c, s2))
 
+    del pop_idx, swap_idx, push_idx, out, eps_into  # the result needs none
     transitions = frozenset(t for t in rel if t[1] is not EPS)
     result = _result(system, aut, aut.states | fresh, transitions, by_source)
     return PAutomatonView(result, dict(embed))
@@ -367,13 +372,14 @@ def buchi_target_automaton(system: PushdownSystem, q_f) -> PAutomatonView:
                 preds[q2].add((bot, p))
     reaches_qf = _reach(preds, (q_f,))
 
-    # A checked system never pops its bottom symbol, so no triple reads ⊥.
-    index = dict(pops_from)
+    # A checked system never pops its bottom symbol, so no triple reads ⊥;
+    # the index becomes the result's, and a read of it must add no key.
+    pops_from.default_factory = None
     for p in reaches_qf:
         pops.add((p, bot, S_BOT))
-        index[(p, bot)] = (S_BOT,)
+        pops_from[(p, bot)] = (S_BOT,)
     aut = _saturated(system.controls | {S_BOT}, system.alphabet,
-                     frozenset({S_BOT}), frozenset(pops), index)
+                     frozenset({S_BOT}), frozenset(pops), pops_from)
     return PAutomatonView(aut, {p: p for p in system.controls})
 
 

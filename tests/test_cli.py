@@ -1,7 +1,9 @@
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,23 @@ POST_DOC = (REACH_DOC.split("automaton")[0]
 def test_parse_sections_and_comments():
     doc = cli.parse("# header\npds\nstates p  # trailing comment\nbottom _\n")
     assert doc == {"pds": [(3, ["states", "p"]), (4, ["bottom", "_"])]}
+
+
+def test_rules_share_one_string_per_declared_name():
+    # names of two characters or more: CPython keeps one object per
+    # 1-character string, but each line's split makes its own longer ones
+    rules = "".join(f"rule {p} {a} -> {q} {w}\n" for p, a, q, w in
+                    [("pp", "AA", "qq", ""), ("qq", "BB", "pp", "AA BB"),
+                     ("pp", "BB", "pp", "BB"), ("qq", "__", "pp", "AA __")])
+    system = cli._build_pds(cli.parse(
+        "pds\nstates pp qq\nstates pp\nalphabet AA BB\nbottom __\n" + rules))
+    names = [name for rule in system.rules for name in
+             (rule.from_control, rule.from_symbol, rule.to_control,
+              *rule.pushed)]
+    declared = {id(name) for name in system.controls | system.alphabet}
+    assert len(system.rules) == 4 and len(declared) == 5
+    assert len({id(name) for name in names}) == len(set(names)) == 5
+    assert {id(name) for name in names} <= declared
 
 
 def test_parse_errors_carry_line_numbers():
@@ -560,6 +579,48 @@ def test_output_matches_fixture(command, capsys):
             (data / f"{name}{suffix}").read_bytes()
 
 
+class _Document(dict):
+    """A parsed document that a weak reference can follow."""
+
+
+# the analysis each command's run calls, as (module, name)
+ANALYSES = {"prestar": (cli.reachability, "prestar"),
+            "poststar": (cli.reachability, "poststar"),
+            "deriv": (cli.derivation, "deriv_relation"),
+            "reachgame": (games, "solve_reachability_game")}
+
+
+@pytest.mark.parametrize("command", ANALYSES)
+def test_parsed_document_dies_before_the_analysis(command, capsys,
+                                                  monkeypatch):
+    documents, ran = [], []
+    parse = cli.parse
+
+    def traced_parse(text):
+        doc = _Document(parse(text))
+        documents.append(weakref.ref(doc))
+        return doc
+
+    module, name = ANALYSES[command]
+    analysis = getattr(module, name)
+
+    def checked(*args):
+        gc.collect()
+        assert [ref() for ref in documents] == [None], \
+            "the parsed document outlived the build of its inputs"
+        ran.append(name)
+        return analysis(*args)
+
+    monkeypatch.setattr(cli, "parse", traced_parse)
+    monkeypatch.setattr(module, name, checked)
+    data = Path(__file__).parent / "data"
+    doc, extra = FIXTURES[command]
+    assert cli.main([command, "--in", str(data / f"{doc}.pds"), *extra]) == 0
+    assert ran == [name]
+    assert capsys.readouterr().out.encode() == \
+        (data / f"{doc}.txt").read_bytes()
+
+
 def test_paritygame_with_a_large_colour(tmp_path, capsys):
     # Colours {0, 0, 3001} compress to the ranks of {0, 0, 3}, so the region
     # is the fixture's; the nest used to recurse once per colour up to 3001
@@ -697,6 +758,32 @@ def test_input_that_is_not_utf8_exit_code(tmp_path, capsys):
     for args in (["member", "--config", "p : _"], ["prestar"]):
         assert cli.main([args[0], "--in", str(path), *args[1:]]) == 2
         assert "error: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_input_with_a_byte_order_mark(tmp_path, capsys):
+    # a leading UTF-8 byte-order mark is no text; one anywhere else is
+    path = tmp_path / "bom.pds"
+    path.write_bytes(b"\xef\xbb\xbf" + REACH_DOC.encode())
+    assert cli.main(["prestar", "--in", str(path)]) == 0
+    with_mark = capsys.readouterr().out
+    assert run_cli(tmp_path, REACH_DOC, "prestar") == 0
+    assert capsys.readouterr().out == with_mark
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + REACH_DOC.encode())
+    assert cli.main(["prestar", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 1: content before any section: '\\ufeffpds'\n"
+
+
+def test_input_without_a_byte_order_mark_reads_as_utf8(tmp_path, capsys):
+    # only a leading mark is dropped: a document's first character is kept
+    path = tmp_path / "in.pds"
+    path.write_bytes(("\u00e9" + REACH_DOC).encode())
+    assert cli.main(["prestar", "--in", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: line 1: content before any section: '\u00e9pds'\n"
+    path.write_bytes(REACH_DOC.replace("q", "\u00e9").encode())
+    assert cli.main(["prestar", "--in", str(path)]) == 0
+    assert "embed \u00e9 \u00e9\n" in capsys.readouterr().out
 
 
 def test_controls_sharing_an_embedded_state_rejected(tmp_path, capsys):

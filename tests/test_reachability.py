@@ -367,6 +367,21 @@ def test_saturations_hand_over_the_index_a_checked_nfa_builds():
                     for key, targets in checked._step_index.items()})
 
 
+def test_a_handed_step_index_raises_on_a_missing_key_and_never_grows():
+    # a saturation hands over its worklist's own index: a read of it must
+    # neither make up an entry nor add a key
+    for system, result in _saturation_results(make_rng(37), 6):
+        index = result.aut.__dict__["_step_index"]
+        before = {key: list(targets) for key, targets in index.items()}
+        for key in [(s, a) for s in result.aut.states
+                    for a in system.alphabet if (s, a) not in index]:
+            with pytest.raises(KeyError):
+                index[key]
+        for c in configurations_upto(system, 3):
+            result.accepts(c)
+        assert {key: list(targets) for key, targets in index.items()} == before
+
+
 def test_queries_on_saturation_results_build_no_index(monkeypatch):
     results = _saturation_results(make_rng(36), 6)
     sys1, first = results[0]

@@ -2,8 +2,9 @@
 systems past the sizes the steady benchmark reaches, then seeded ``accepts``
 queries on both saturated automata, and last ``buchi_target_automaton`` and
 the same queries on it, each rung reported with the time of every step,
-each result's transition count and SHA-256, and a SHA-256 and count of the
-answers.
+each result's transition count and SHA-256, a SHA-256 and count of the
+answers, and the time and output SHA-256 of the ``prestar`` and
+``poststar`` commands on the rung's document.
 
     python3 tools/saturation_ladder.py [--cap S] [RUNG ...]
     python3 tools/saturation_ladder.py --check BENCH_saturation.json RUNG ...
@@ -14,11 +15,12 @@ instance generators from ``bench/`` (read-only).  Rungs are named
 rung named, every rung of ``RUNGS`` runs.  Each rung runs in its own
 process and is reported as one JSON line; a rung that exceeds ``--cap``
 seconds is reported as ``"timeout"``.  With ``--check``, each named rung's
-transition counts, result hashes, pop count and hash, and answer counts and
-hash (``FIELDS``) must equal the file's ``"rungs"`` entry, and its pre* and
-post* answers must not all be one value (see ``ladder.py``), or the command
-exits with code 1; so it does, with or without ``--check``, if a rung's
-``"cross"`` report (below) holds anything but ``"agree"``.
+transition counts, result hashes, pop count and hash, answer counts and
+hash, and command output hashes (``FIELDS``) must equal the file's
+``"rungs"`` entry, and its pre* and post* answers must not all be one value
+(see ``ladder.py``), or the command exits with code 1; so it does, with or
+without ``--check``, if a rung's ``"cross"`` report (below) holds anything
+but ``"agree"``.
 
 A rung's system is ``saturation_system(rng, controls)`` with the target
 ``target(rng, system)``, built as the ``saturation`` workload builds its
@@ -61,6 +63,16 @@ set of controls that ``buchi_target_automaton`` lets read ``⊥`` into
 the two holds.  That
 check reads the rules as the library does, so only the ``prestar`` route
 is independent of it.
+
+``cli_prestar_s`` and ``cli_poststar_s`` are the end-to-end times of
+``pdsat.cli.main(["prestar", ...])`` and ``(["poststar", ...])`` in the
+same process: each parses the rung's system and view, rendered as one
+document by ``workloads._pds_text`` and ``workloads._view_text``, builds
+its result again and writes it with ``--out`` to a temporary file.  A
+command that does not exit 0 fails the rung.  ``cli_prestar_sha256`` and
+``cli_poststar_sha256`` are the SHA-256s of those files, and ``--check``
+compares them too: the printed automata must not depend on
+``PYTHONHASHSEED`` either.
 """
 
 from __future__ import annotations
@@ -70,6 +82,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -137,6 +150,7 @@ def measure(rung):
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import gen
     import pdsat
+    import pdsat.cli
     import workloads
     from pdsat.automata import S_BOT
     if rung not in RUNGS:
@@ -193,6 +207,20 @@ def measure(rung):
     apart = widest ^ {p for p, _, t in buchi.aut.transitions if t is S_BOT}
     out["cross"] = {"prestar": "agree" if first is None else repr(first),
                     "stratum": "agree" if not apart else min(apart, key=repr)}
+    del results, buchi, pre  # each command builds its own result
+    with tempfile.TemporaryDirectory() as folder:
+        doc, printed = os.path.join(folder, "rung.pds"), os.path.join(folder, "out")
+        with open(doc, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(workloads._pds_text(s)
+                                   + workloads._view_text(t)) + "\n")
+        for name in ("prestar", "poststar"):
+            start = perf_counter()
+            code = pdsat.cli.main([name, "--in", doc, "--out", printed])
+            out[f"cli_{name}_s"] = round(perf_counter() - start, 2)
+            if code != 0:
+                sys.exit(f"{rung}: pdsat {name} exited with code {code}")
+            with open(printed, "rb") as handle:
+                out[f"cli_{name}_sha256"] = hashlib.sha256(handle.read()).hexdigest()
     print(json.dumps(out))
 
 
@@ -200,7 +228,7 @@ FIELDS = ("prestar_transitions", "prestar_sha256", "poststar_transitions",
           "poststar_sha256", "pops", "pops_sha256", "prestar_members",
           "poststar_members", "members", "members_sha256", "buchi_control",
           "buchi_stratum", "buchi_transitions", "buchi_sha256",
-          "buchi_members")
+          "buchi_members", "cli_prestar_sha256", "cli_poststar_sha256")
 
 if __name__ == "__main__":
     import ladder
