@@ -14,7 +14,7 @@ from .derivation import (ActionAlphabet, PrefixRewriteRelation, apply_actions,
                          deriv_relation, push, pop)
 from .games import (ABELARD, BuchiCondition, ELOISE, ParityCondition,
                     PushdownGame, ReachabilityCondition, RegionAutomaton,
-                    dual_game, project, region_member, solve_buchi_game,
+                    dual_game, region_member, solve_buchi_game,
                     solve_parity_game, solve_reachability_game)
 from .oracle import (BoundedGraph, bfs_prestar_member, bounded_graph,
                      bounded_nodes, bracket_region)
@@ -37,9 +37,8 @@ __all__ = [
     "push", "pop",
     # games
     "ABELARD", "BuchiCondition", "ELOISE", "ParityCondition", "PushdownGame",
-    "ReachabilityCondition", "RegionAutomaton", "dual_game", "project",
-    "region_member", "solve_buchi_game", "solve_parity_game",
-    "solve_reachability_game",
+    "ReachabilityCondition", "RegionAutomaton", "dual_game", "region_member",
+    "solve_buchi_game", "solve_parity_game", "solve_reachability_game",
     # oracle
     "BoundedGraph", "bfs_prestar_member", "bounded_graph", "bounded_nodes",
     "bracket_region",

@@ -12,7 +12,6 @@ import argparse
 import functools
 import itertools
 import sys
-from dataclasses import dataclass
 
 from . import derivation, games, oracle, reachability
 from .automata import AltAutomaton, Nfa, _reach
@@ -108,16 +107,10 @@ def _build_pds(doc: dict):
     return system
 
 
-@dataclass
-class AutomatonSection:
-    states: set
-    finals: set
-    trans: set       # (s, A, t)
-    alttrans: set    # (s, A, frozenset)
-    embed: dict      # control -> state
-
-
-def _build_automaton(doc: dict, system: PushdownSystem) -> AutomatonSection:
+def _build_automaton(doc: dict, system: PushdownSystem, alternating: bool):
+    """The automaton section of ``doc``: a pre*/post* view, or with
+    ``alternating`` a reachability game's target, which reads each ``trans``
+    line as an ``alttrans`` line with one target."""
     body = doc.get("automaton")
     if body is None:
         raise ParseError(0, "this command needs an automaton section")
@@ -174,24 +167,17 @@ def _build_automaton(doc: dict, system: PushdownSystem) -> AutomatonSection:
     states |= set(embed.values())
     states |= {s for s, _, _ in trans} | {t for _, _, t in trans}
     states |= {s for s, _, _ in alttrans} | {t for _, _, ts in alttrans for t in ts}
-    return AutomatonSection(states, finals, trans, alttrans, embed)
-
-
-def _as_view(section: AutomatonSection, system: PushdownSystem):
-    if section.alttrans:
+    if alternating:
+        alttrans |= {(s, a, frozenset({t})) for s, a, t in trans}
+        return games.ReachabilityCondition(AltAutomaton(
+            frozenset(states), system.alphabet, frozenset(finals),
+            frozenset(alttrans)), embed)
+    if alttrans:
         raise ParseError(0, "this command needs a nondeterministic automaton "
                             "(trans lines only)")
-    aut = Nfa(frozenset(section.states), system.alphabet,
-              frozenset(section.finals), frozenset(section.trans))
-    return reachability.PAutomatonView(aut, dict(section.embed))
-
-
-def _as_alt_target(section: AutomatonSection, system: PushdownSystem):
-    transitions = set(section.alttrans)
-    transitions |= {(s, a, frozenset({t})) for s, a, t in section.trans}
-    aut = AltAutomaton(frozenset(section.states), system.alphabet,
-                       frozenset(section.finals), frozenset(transitions))
-    return games.ReachabilityCondition(aut, dict(section.embed))
+    return reachability.PAutomatonView(Nfa(
+        frozenset(states), system.alphabet, frozenset(finals),
+        frozenset(trans)), embed)
 
 
 def _build_game(doc: dict, system: PushdownSystem, kind: str):
@@ -236,7 +222,7 @@ def _build_game(doc: dict, system: PushdownSystem, kind: str):
     if missing:
         raise ParseError(0, f"controls without owner: {sorted(missing)}")
     if kind == "reachgame":
-        condition = _as_alt_target(_build_automaton(doc, system), system)
+        condition = _build_automaton(doc, system, True)
     elif kind == "buchigame":
         condition = games.BuchiCondition(frozenset(buchi))
     else:
@@ -476,7 +462,7 @@ def _inputs(args):
         config = _parse_config(system, args.config)
         command = args.analysis
     if command in ("prestar", "poststar"):
-        built = _as_view(_build_automaton(doc, system), system)
+        built = _build_automaton(doc, system, False)
     elif command == "deriv":
         built = None
     else:
@@ -489,26 +475,15 @@ def _run(args) -> int:
     h = getattr(args, "oracle_check", None)
 
     emit = {"text": _emit_automaton, "dot": _emit_automaton_dot}
-    # deriv sets no membership test or oracle bracket: neither runs for it.
+    # deriv sets no membership test: neither member nor the oracle runs it.
     if command in ("prestar", "poststar"):
-        view = built
         # the bracket's steps check nothing: the system passed ``validate``
         # in ``_build_pds``, and its seeds are bounded nodes
         saturate, step = ((reachability.prestar, _predecessors)
                           if command == "prestar"
                           else (reachability.poststar, _successors))
-        result = saturate(system, view)
+        result = saturate(system, built)
         member = result.accepts
-
-        def bracket():
-            # a bounded search cannot refute an accepted node: its path may
-            # climb above the bound, so every node is in the upper side
-            nodes = oracle.bounded_nodes(system, h)
-            found = set(oracle._bounded_search(
-                system, [c for c in nodes if view.accepts(c)], step, h))
-            return nodes, found.__contains__, lambda c: True, \
-                "oracle agreement"
-
         printed = result.aut, result.control_embed
     elif command == "deriv":
         if h is not None:
@@ -518,19 +493,11 @@ def _run(args) -> int:
         emit = {"text": _emit_relation, "dot": _emit_relation_dot}
         printed = result,
     else:
-        game = built
         solve = {"reachgame": games.solve_reachability_game,
                  "buchigame": games.solve_buchi_game,
                  "paritygame": games.solve_parity_game}[command]
-        result = solve(game)
+        result = solve(built)
         member = lambda c: games.region_member(result, c)
-
-        def bracket():
-            under, over = oracle.bracket_region(game, h)
-            nodes = oracle.bounded_nodes(system, h)
-            return nodes, under, over, \
-                f"bracket agreement on {len(nodes)} nodes"
-
         printed = result.aut, result.entry
 
     if args.command == "member":
@@ -538,9 +505,22 @@ def _run(args) -> int:
         sys.stdout.write("yes\n" if answer else "no\n")
         return 0 if answer else 1
     if h is not None:
+        if command in ("prestar", "poststar"):
+            nodes = oracle.bounded_nodes(system, h)
+            found = set(oracle._bounded_search(
+                system, [c for c in nodes if built.accepts(c)], step, h))
+            # a bounded search cannot refute an accepted node: its path may
+            # climb above the bound, so every node is in the upper side
+            under, over = found.__contains__, lambda c: True
+            agreement = "oracle agreement"
+        else:
+            graph = oracle.bounded_graph(built, h)
+            nodes = list(graph.edges)[1:]  # the sink, then ``bounded_nodes``
+            under, over = (region.__contains__ for region
+                           in oracle._regions(graph, built.condition))
+            agreement = f"bracket agreement on {len(nodes)} nodes"
         # the first bounded node outside the oracle's bracket, in
         # ``bounded_nodes`` order
-        nodes, under, over, agreement = bracket()
         bad = next((c for c in nodes if not under(c) <= member(c) <= over(c)),
                    None)
         if bad is not None:

@@ -32,8 +32,7 @@ index, ``PushdownSystem._rules_from``.  The round loop it stands for, one
 game-predecessor step, projection and subsumption over whole automata per
 round, is written out in the tests as a frozenset reference, its start
 value (``S_STAR`` reading the bottom symbol into ``S_BOT`` and any other
-into itself) included, that shares no code with the kernel; of its steps
-only ``project``, the renaming of one level onto another, is public here.
+into itself) included, that shares no code with the kernel.
 
 Inside the kernel a state is a bit and a target set an ``int`` mask:
 
@@ -370,38 +369,6 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
 
 # ---------------------------------------------------------------------------
 # Büchi and parity games
-
-
-def project(aut: AltAutomaton, from_idx, to_idx) -> AltAutomaton:
-    """Transfer the value of the states ``(p, from_idx)`` onto
-    ``(p, to_idx)`` and delete the former.
-
-    Old transitions out of ``(p, to_idx)`` are dropped; transitions out of
-    ``(p, from_idx)`` are re-sourced at ``(p, to_idx)`` with ``from_idx``
-    renamed to ``to_idx`` inside their target sets.  Target occurrences of
-    ``(p, to_idx)`` are deliberately left alone: runs reaching them pick up
-    the new value, which only accelerates the fixed point.
-    """
-    if from_idx == to_idx:
-        raise InvalidInputError("projection indices must differ")
-
-    def level(idx):
-        return {s for s in aut.states
-                if isinstance(s, tuple) and len(s) == 2 and s[1] == idx}
-
-    rename = {s: (s[0], to_idx) for s in level(from_idx)}
-    if not rename:
-        raise InvalidInputError(f"no states at level {from_idx!r}")
-    dropped = level(to_idx)
-    transitions = set()
-    for s, a, targets in aut.transitions:
-        if s in rename:
-            transitions.add((rename[s], a,
-                             frozenset(rename.get(t, t) for t in targets)))
-        elif s not in dropped:
-            transitions.add((s, a, targets))
-    return AltAutomaton(aut.states - rename.keys(), aut.alphabet, aut.finals,
-                        frozenset(transitions))
 
 
 def _lowered(sets, hi, n):

@@ -28,7 +28,7 @@ DEFAULT_NODE_CAP = 200_000
 class BoundedGraph:
     nodes: set  # configurations plus SINK
     edges: dict  # node -> set of successors; SINK, then bounded_nodes order
-    owner: dict  # node -> ELOISE | ABELARD (games only)
+    owner: dict  # node -> ELOISE | ABELARD
 
 
 def bounded_nodes(system: PushdownSystem, h: int):
@@ -53,37 +53,30 @@ def bounded_nodes(system: PushdownSystem, h: int):
             for word in itertools.product(base, repeat=k)]
 
 
-def bounded_graph(system_or_game, h: int) -> BoundedGraph:
-    """Finite restriction of the configuration graph to stacks of length at
-    most ``h``; moves growing past ``h`` lead to the sink.  Stuck nodes are
-    kept without moves: in a reachability game one outside the target is lost
-    for Éloïse, whoever owns it, and Büchi and parity solving refuse them.
-    Each node's moves are read in one pass over the system's rules on its
-    control and top symbol; a move past ``h`` goes to the sink without its
-    configuration being built.
+def bounded_graph(game: PushdownGame, h: int) -> BoundedGraph:
+    """Finite restriction of the game's configuration graph to stacks of
+    length at most ``h``; moves growing past ``h`` lead to the sink.  Stuck
+    nodes are kept without moves: in a reachability game one outside the
+    target is lost for Éloïse, whoever owns it, and Büchi and parity solving
+    refuse them.  Each node's moves are read in one pass over the system's
+    rules on its control and top symbol; a move past ``h`` goes to the sink
+    without its configuration being built.
     """
     if h < 1:
         raise InvalidInputError("height bound must be at least 1")
-    game = system_or_game if isinstance(system_or_game, PushdownGame) else None
-    if game is None:
-        system = system_or_game
-        check_valid(system)
-    else:
-        system = game.pds
-        check_game(game)
+    check_game(game)
     edges = {SINK: {SINK}}
     # The sink belongs to nobody in particular; its self-loop decides it.
     owner = {SINK: ELOISE}
-    rules_from = system._rules_from
-    for c in bounded_nodes(system, h):
+    rules_from = game.pds._rules_from
+    for c in bounded_nodes(game.pds, h):
         q0, stack = c
         rest = stack[1:]
         room = h - len(rest)  # the longest word a move may push
         edges[c] = {_config_of((q, pushed + rest)) if len(pushed) <= room
                     else SINK
                     for q, pushed in rules_from.get((q0, stack[0]), ())}
-        if game is not None:
-            owner[c] = game.owner[q0]
+        owner[c] = game.owner[q0]
     return BoundedGraph(set(edges), edges, owner)
 
 
@@ -133,18 +126,12 @@ def _predecessor_index(nodes, edges):
     return preds
 
 
-def attractor(nodes, edges, owner, target, player):
-    """Least set from which ``player`` forces reaching ``target`` inside
-    ``nodes``.  A node whose owner cannot move is never attracted."""
-    return _attract(nodes, _predecessor_index(nodes, edges), edges, owner,
-                    target, player)
-
-
 def _attract(nodes, preds, edges, owner, target, player):
-    """``attractor`` inside ``nodes``, a subset of the graph whose
-    predecessor index is ``preds``: one index serves every node set of a
-    graph.  An opponent's count of moves inside ``nodes`` is taken when the
-    search first reaches that node."""
+    """Least set from which ``player`` forces reaching ``target`` inside
+    ``nodes``, a subset of the graph whose predecessor index is ``preds``:
+    one index serves every node set of a graph.  A node whose owner cannot
+    move is never attracted.  An opponent's count of moves inside ``nodes``
+    is taken when the search first reaches that node."""
     attracted = set(target) & nodes
     todo = list(attracted)
     remaining = {}  # opponent node -> its moves inside nodes not yet attracted
@@ -187,11 +174,11 @@ def _zielonka(nodes, preds, edges, owner, colour):
     return w0b | b, w1b
 
 
-def _regions(g: BoundedGraph, condition, sink_winners):
-    """Exact Éloïse winning sets of the truncated game ``g``, one for each
-    of ``sink_winners`` in turn, with the sink won by that player; what
-    only depends on ``condition`` (a reachability game's target set, the
-    colours, the predecessor index) is computed once for all of them."""
+def _regions(g: BoundedGraph, condition):
+    """Exact Éloïse winning sets ``(under, over)`` of the truncated game
+    ``g``, with the sink lost for her, then won; what only depends on
+    ``condition`` (a reachability game's target set, the colours, the
+    predecessor index) is computed once for both."""
     preds = _predecessor_index(g.nodes, g.edges)
     if isinstance(condition, ReachabilityCondition):
         aut, embed = condition.target, condition.embed
@@ -199,10 +186,8 @@ def _regions(g: BoundedGraph, condition, sink_winners):
         target = {n for n in g.nodes
                   if n is not SINK and embed[n.control] in aut.states
                   and alt_membership(aut, embed[n.control], n.stack)}
-        return [_attract(g.nodes, preds, g.edges, g.owner,
-                         target | {SINK} if winner == ELOISE else target,
-                         ELOISE)
-                for winner in sink_winners]
+        return tuple(_attract(g.nodes, preds, g.edges, g.owner, target | sink,
+                              ELOISE) for sink in (set(), {SINK}))
     if isinstance(condition, BuchiCondition):
         colour = {n: (0 if n is not SINK and n.control in condition.finals else 1)
                   for n in g.nodes}
@@ -215,18 +200,14 @@ def _regions(g: BoundedGraph, condition, sink_winners):
     if stuck:
         raise InvalidInputError("finite Büchi/parity solving needs a total "
                                 f"graph; {min(stuck, key=repr)!r} is stuck")
-    regions = []
-    for winner in sink_winners:
-        colour[SINK] = 0 if winner == ELOISE else 1
-        regions.append(
-            _zielonka(set(g.nodes), preds, g.edges, g.owner, colour)[0])
-    return regions
+    # the sink's colour decides it: odd is lost for Éloïse, even is won
+    return tuple(_zielonka(set(g.nodes), preds, g.edges, g.owner,
+                           {**colour, SINK: sink})[0] for sink in (1, 0))
 
 
 def bracket_region(game: PushdownGame, h: int):
     """Lower and upper bounds on Éloïse's winning region, as predicates on
     configurations with stack height at most ``h``: the truncated game solved
     with the sink lost for her, then won."""
-    under, over = _regions(bounded_graph(game, h), game.condition,
-                           (ABELARD, ELOISE))
+    under, over = _regions(bounded_graph(game, h), game.condition)
     return under.__contains__, over.__contains__

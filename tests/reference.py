@@ -216,6 +216,39 @@ def pre_step(aut: AltAutomaton, game, fresh_idx, colour_of) -> AltAutomaton:
                         frozenset(transitions))
 
 
+def project(aut: AltAutomaton, from_idx, to_idx) -> AltAutomaton:
+    """Transfer the value of the states ``(p, from_idx)`` onto
+    ``(p, to_idx)`` and delete the former.
+
+    Old transitions out of ``(p, to_idx)`` are dropped; transitions out of
+    ``(p, from_idx)`` are re-sourced at ``(p, to_idx)`` with ``from_idx``
+    renamed to ``to_idx`` inside their target sets.  Target occurrences of
+    ``(p, to_idx)`` are deliberately left alone: runs reaching them pick up
+    the new value, which only accelerates the fixed point.  The solvers
+    make this step on masks (``games._lowered``).
+    """
+    if from_idx == to_idx:
+        raise InvalidInputError("projection indices must differ")
+
+    def level(idx):
+        return {s for s in aut.states
+                if isinstance(s, tuple) and len(s) == 2 and s[1] == idx}
+
+    rename = {s: (s[0], to_idx) for s in level(from_idx)}
+    if not rename:
+        raise InvalidInputError(f"no states at level {from_idx!r}")
+    dropped = level(to_idx)
+    transitions = set()
+    for s, a, targets in aut.transitions:
+        if s in rename:
+            transitions.add((rename[s], a,
+                             frozenset(rename.get(t, t) for t in targets)))
+        elif s not in dropped:
+            transitions.add((s, a, targets))
+    return AltAutomaton(aut.states - rename.keys(), aut.alphabet, aut.finals,
+                        frozenset(transitions))
+
+
 def _closure(edges, sources) -> frozenset:
     """The states reachable from ``sources`` along ``edges``, a set of pairs
     ``(from, to)``: the least fixed point, one layer per round."""
@@ -426,7 +459,7 @@ def reduce_word(actions):
 def finite_game_region(g: BoundedGraph, condition, sink_winner):
     """Exact Éloïse winning set of the truncated game, with the sink won by
     ``sink_winner``: one of the two solves of ``oracle.bracket_region``."""
-    return _regions(g, condition, (sink_winner,))[0]
+    return _regions(g, condition)[sink_winner == ELOISE]
 
 
 def is_valid_configuration_by_scan(system, c) -> bool:
@@ -488,8 +521,9 @@ def bounded_graph_by_filter(game, h: int) -> BoundedGraph:
 
 
 def attractor_by_own_preds(nodes, edges, owner, target, player):
-    """``oracle.attractor``, which builds the predecessor sets and move
-    counts of ``nodes`` afresh on every call."""
+    """``oracle._attract``, building the predecessor sets and move counts
+    of ``nodes`` afresh on every call instead of reading the graph's
+    index."""
     attracted = set(target) & nodes
     todo = deque(attracted)
     preds = {n: set() for n in nodes}

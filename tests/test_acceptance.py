@@ -17,9 +17,8 @@ from conftest import (BOT, make_rng, random_pds, random_bottom_free_pds,
 import pdsat as P
 from pdsat.automata import S_BOT, S_STAR
 from pdsat.derivation import pop, push
-from pdsat.games import project
 from pdsat.oracle import bounded_nodes, bracket_region
-from reference import reduce_word, words_upto
+from reference import project, reduce_word, words_upto
 
 
 def announce(capsys, number, label, failures):

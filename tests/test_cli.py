@@ -147,7 +147,7 @@ def test_prestar_output_round_trips(tmp_path, capsys):
     # the emitted automaton section parses back under the same pds
     doc = cli.parse(REACH_DOC.split("automaton")[0] + text)
     system = cli._build_pds(doc)
-    view = cli._as_view(cli._build_automaton(doc, system), system)
+    view = cli._build_automaton(doc, system, False)
     from pdsat import Configuration
     assert view.accepts(Configuration("q", ("B", "A", "_")))
     assert not view.accepts(Configuration("q", ("A", "_")))
@@ -160,7 +160,7 @@ def test_poststar_output_round_trips(tmp_path, capsys):
     assert "None" not in text  # no ε-labels in the saturated automaton
     back = cli.parse(POST_DOC.split("automaton")[0] + text)
     system = cli._build_pds(back)
-    view = cli._as_view(cli._build_automaton(back, system), system)
+    view = cli._build_automaton(back, system, False)
     from pdsat import Configuration
     for stack in [("A", "_"), ("_",)]:
         assert view.accepts(Configuration("p", stack))
@@ -212,7 +212,7 @@ def test_oracle_disagreement_names_a_counterexample(tmp_path, capsys,
     h = 4
     doc = cli.parse(POST_DOC)
     system = cli._build_pds(doc)
-    view = cli._as_view(cli._build_automaton(doc, system), system)
+    view = cli._build_automaton(doc, system, False)
     nodes = bounded_nodes(system, h)
     sources = [c for c in nodes if view.accepts(c)]
     monkeypatch.setattr(cli.reachability, "prestar", lambda s, v: v)
@@ -266,7 +266,7 @@ def test_names_with_backslashes_and_quotes(tmp_path, capsys):
     assert "embed p\\ " in text and 'embed q" ' in text
     doc = cli.parse(ESCAPE_DOC.split("automaton")[0] + text)
     system = cli._build_pds(doc)
-    view = cli._as_view(cli._build_automaton(doc, system), system)
+    view = cli._build_automaton(doc, system, False)
     from pdsat import Configuration
     assert view.accepts(Configuration('q"', ("B", "A", "_")))
     assert not view.accepts(Configuration('q"', ("A", "_")))
@@ -307,7 +307,7 @@ def test_printed_states_never_take_a_control_name(command, tmp_path, capsys):
     system = cli._build_pds(doc)
     if command == "prestar":
         result = cli.reachability.prestar(
-            system, cli._as_view(cli._build_automaton(doc, system), system))
+            system, cli._build_automaton(doc, system, False))
     else:
         result = games.solve_reachability_game(
             cli._build_game(doc, system, command))
@@ -315,11 +315,11 @@ def test_printed_states_never_take_a_control_name(command, tmp_path, capsys):
     assert run_cli(tmp_path, COLLIDING_DOC, command) == 0
     back = cli.parse(COLLIDING_DOC.split("automaton")[0]
                      + capsys.readouterr().out)
-    section = cli._build_automaton(back, system)
     if command == "prestar":
-        printed, expected = cli._as_view(section, system).accepts, result.accepts
+        printed = cli._build_automaton(back, system, False).accepts
+        expected = result.accepts
     else:
-        target = cli._as_alt_target(section, system)
+        target = cli._build_automaton(back, system, True)
         printed = lambda c: alt_membership(target.target, target.embed[c.control],
                                            c.stack)
         expected = lambda c: games.region_member(result, c)
@@ -535,7 +535,6 @@ def test_deriv_unknown_control_named(capsys):
     assert "unknown control: 'zz'" in capsys.readouterr().err
 
 
-# Each fixture document comes with the bytes the command printed for it,
 def test_oracle_check_refutes_a_region_above_the_bracket(capsys, monkeypatch):
     # Each game solver is replaced by one returning every configuration; the
     # check must exit 3 and name the first bounded node outside the upper
@@ -561,6 +560,7 @@ def test_oracle_check_refutes_a_region_above_the_bracket(capsys, monkeypatch):
                                              if not over(c))
 
 
+# Each fixture document comes with the bytes the command printed for it,
 # as text (.txt) and as dot (.dot)
 FIXTURES = {"prestar": ("prestar", []), "poststar": ("poststar", []),
             "deriv": ("deriv", ["--from", "q0", "--to", "q3"]),
@@ -653,6 +653,29 @@ def test_reachgame_oracle_check_computes_the_target_set_once(capsys,
     assert capsys.readouterr().out.encode() == \
         b"bracket agreement on 200 nodes\n" \
         + (data / "reachgame.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", [c for c in FIXTURES if c != "deriv"])
+def test_oracle_check_lists_the_bounded_nodes_once(command, capsys,
+                                                   monkeypatch):
+    # one list of the bounded nodes gives a search its seeds, or a game its
+    # graph, and the nodes that the check compares
+    heights = []
+    listing = cli.oracle.bounded_nodes
+
+    def counted(system, h):
+        heights.append(h)
+        return listing(system, h)
+
+    monkeypatch.setattr(cli.oracle, "bounded_nodes", counted)
+    data = Path(__file__).parent / "data"
+    name, _ = FIXTURES[command]
+    assert cli.main([command, "--in", str(data / f"{name}.pds"),
+                     "--oracle-check", "3"]) == 0
+    assert heights == [3]
+    agreement, printed = capsys.readouterr().out.encode().split(b"\n", 1)
+    assert b"agreement" in agreement
+    assert printed == (data / f"{name}.txt").read_bytes()
 
 
 def test_deriv_oracle_check_rejected_before_analysis(tmp_path, capsys, monkeypatch):

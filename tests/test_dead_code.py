@@ -1,14 +1,17 @@
 """A guard against dead code in the library, read off the source with
 ``ast``: every module-level private function or class of ``src/pdsat`` is
-used by the program itself, and every name a module imports is used in it.
+used by the program itself, every public one is exported by ``pdsat`` or
+used by the program, and every name a module imports is used in it.
 
-"The program" is ``src/pdsat``, ``tools/`` and ``bench/``; a private name
+"The program" is ``src/pdsat``, ``tools/`` and ``bench/``; a definition
 that only the tests call belongs with them, in ``tests/reference.py``.  A
 use is matched by name (a read of the name, an attribute of that name, or
 a ``from ... import`` of it), outside the definition's own body."""
 
 import ast
 from pathlib import Path
+
+import pdsat
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pdsat"
@@ -36,20 +39,33 @@ def program_files():
         yield from sorted(folder.glob("*.py"))
 
 
-def test_every_private_definition_has_a_caller_in_the_program():
-    private = {}  # name -> the modules that define it
+def unused_definitions(wanted):
+    """The module-level functions and classes of ``src/pdsat`` whose name
+    passes ``wanted`` and that the program never uses, each with the
+    modules that define it."""
+    defined = {}  # name -> the modules that define it
     uses = set()  # (name, the top-level definition it is used from)
     for path in program_files():
         tree = parse(path)
         for node in tree.body:
             name = node.name if isinstance(node, DEFINITIONS) else None
-            if name and path.parent == PACKAGE and name.startswith("_") \
-                    and not name.startswith("__"):
-                private.setdefault(name, []).append(path.name)
+            if name and path.parent == PACKAGE and wanted(name):
+                defined.setdefault(name, []).append(path.name)
             uses.update((used, name) for used in names_used(node))
-    unused = {name: modules for name, modules in private.items()
-              if not any(used == name and owner != name
-                         for used, owner in uses)}
+    return {name: modules for name, modules in defined.items()
+            if not any(used == name and owner != name
+                       for used, owner in uses)}
+
+
+def test_every_private_definition_has_a_caller_in_the_program():
+    unused = unused_definitions(
+        lambda name: name.startswith("_") and not name.startswith("__"))
+    assert not unused, unused
+
+
+def test_every_public_definition_is_exported_or_has_a_caller():
+    unused = unused_definitions(
+        lambda name: not name.startswith("_") and name not in pdsat.__all__)
     assert not unused, unused
 
 

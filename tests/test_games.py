@@ -10,10 +10,9 @@ from pdsat import (ABELARD, AltAutomaton, BuchiCondition, Configuration,
                    solve_reachability_game)
 from pdsat import automata, games
 from pdsat.automata import S_BOT, S_STAR, _members
-from pdsat.games import project
 from pdsat.oracle import bounded_nodes, bracket_region
 from reference import (alt_membership_sets, initial_region_automaton,
-                       pre_step, subsume)
+                       pre_step, project, subsume)
 
 
 def loop_or_pop_game():
@@ -355,8 +354,8 @@ def test_solver_input_validation():
 
 
 # Reference solvers: the round loops written over whole automata, one new
-# automaton per round, with the public project and the frozenset pre_step
-# and subsume of reference.py, which share no code with the solvers' kernel.
+# automaton per round, with the frozenset pre_step, project and subsume of
+# reference.py, which share no code with the solvers' kernel.
 
 
 def extend(aut, states, transitions):

@@ -10,11 +10,24 @@ from pdsat import (ABELARD, BuchiCondition, Configuration, ELOISE,
                    region_member, solve_buchi_game, solve_parity_game,
                    solve_reachability_game)
 from pdsat import oracle
-from pdsat.oracle import (SINK, _regions, attractor, bfs_prestar_member,
-                          bounded_graph, bounded_nodes, bracket_region)
+from pdsat.oracle import (SINK, _regions, bfs_prestar_member, bounded_graph,
+                          bounded_nodes, bracket_region)
 from pdsat.pds import _predecessors, _successors, predecessors, successors
 from reference import (attractor_by_own_preds, bounded_graph_by_filter,
                        bounded_search_by_filter, finite_game_region)
+
+
+def one_owner_game(system):
+    """``system`` as a game: Éloïse owns every control, and no control is
+    Büchi-final."""
+    return PushdownGame(system, dict.fromkeys(system.controls, ELOISE),
+                        BuchiCondition(frozenset()))
+
+
+def attract(nodes, edges, owner, target, player):
+    """``oracle._attract`` reading the predecessor index of ``nodes``."""
+    return oracle._attract(nodes, oracle._predecessor_index(nodes, edges),
+                           edges, owner, target, player)
 
 
 def test_bounded_nodes_count():
@@ -27,7 +40,7 @@ def test_bounded_nodes_count():
 def test_bounded_graph_redirects_tall_pushes_to_sink():
     sys1 = pds(controls={"p"}, alphabet={"A", "_"}, bottom="_",
                rules=[("p", "A", "p", ("A", "A")), ("p", "_", "p", ("A", "_"))])
-    g = bounded_graph(sys1, 2)
+    g = bounded_graph(one_owner_game(sys1), 2)
     tall = Configuration("p", ("A", "_"))
     assert g.edges[tall] == {SINK}
     assert g.edges[SINK] == {SINK}
@@ -43,9 +56,9 @@ def test_bounded_graph_caps(monkeypatch):
     # 1 + 4 + ... + 4**9 = 349,525 stacks, more than DEFAULT_NODE_CAP
     monkeypatch.setattr(oracle, "_config_of", fail)
     with pytest.raises(ResourceLimitError):
-        bounded_graph(sys1, 10)
+        bounded_graph(one_owner_game(sys1), 10)
     with pytest.raises(InvalidInputError):
-        bounded_graph(sys1, 0)
+        bounded_graph(one_owner_game(sys1), 0)
     # the bounded search stops once it has found more than the cap: from
     # (p, A _) it finds 1 + 2 + 4 + 8 = 15 stacks up to height 5
     growing = pds(controls={"p"}, alphabet={"A", "B", "_"}, bottom="_",
@@ -83,17 +96,17 @@ def test_attractor_hand_example():
     edges = {"a": {"b"}, "b": {"goal", "dead"}, "goal": {"goal"},
              "dead": {"dead"}}
     owner_e = {"a": ELOISE, "b": ELOISE, "goal": ELOISE, "dead": ELOISE}
-    assert attractor(nodes, edges, owner_e, {"goal"}, ELOISE) == \
+    assert attract(nodes, edges, owner_e, {"goal"}, ELOISE) == \
         {"a", "b", "goal"}
     owner_a = dict(owner_e, b=ABELARD)
-    assert attractor(nodes, edges, owner_a, {"goal"}, ELOISE) == {"goal"}
+    assert attract(nodes, edges, owner_a, {"goal"}, ELOISE) == {"goal"}
 
 
 def test_attractor_never_attracts_stuck_opponent():
     nodes = {"a", "goal"}
     edges = {"a": set(), "goal": {"goal"}}
     owner = {"a": ABELARD, "goal": ELOISE}
-    assert attractor(nodes, edges, owner, {"goal"}, ELOISE) == {"goal"}
+    assert attract(nodes, edges, owner, {"goal"}, ELOISE) == {"goal"}
 
 
 def test_stuck_abelard_outside_the_target_is_lost_for_eloise():
@@ -281,6 +294,8 @@ def test_bounded_games_match_the_references(monkeypatch):
         h = rng.randint(1, 4)
         g, ref = bounded_graph(game, h), bounded_graph_by_filter(game, h)
         assert list(g.edges.items()) == list(ref.edges.items()), (game, h)
+        # ``pdsat --oracle-check`` reads the bounded nodes off the graph
+        assert list(g.edges)[1:] == bounded_nodes(system, h), (game, h)
         assert g.nodes == ref.nodes and g.owner == ref.owner, (game, h)
         # an attractor inside a subgame, as Zielonka's recursion asks for
         # one, reads the whole graph's index
@@ -292,15 +307,14 @@ def test_bounded_games_match_the_references(monkeypatch):
             assert oracle._attract(inside, preds, g.edges, g.owner, target,
                                    player) == attractor_by_own_preds(
                 inside, g.edges, g.owner, target, player), (game, h)
-        cases.append((game, h, _regions(g, condition, (ABELARD, ELOISE)),
+        cases.append((game, h, _regions(g, condition),
                       bracket_region(game, h)))
     monkeypatch.setattr(
         oracle, "_attract",
         lambda nodes, preds, edges, owner, target, player:
         attractor_by_own_preds(nodes, edges, owner, target, player))
     for game, h, regions, (under, over) in cases:
-        expected = _regions(bounded_graph_by_filter(game, h), game.condition,
-                            (ABELARD, ELOISE))
+        expected = _regions(bounded_graph_by_filter(game, h), game.condition)
         assert regions == expected, (game, h)
         for c in bounded_nodes(game.pds, h):
             assert (under(c), over(c)) == (c in expected[0],

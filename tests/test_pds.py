@@ -94,7 +94,7 @@ def test_a_none_stack_symbol_is_refused_as_eps():
             lambda: P.deriv_relation(system, "p", "q"),
             lambda: P.solve_buchi_game(buchi),
             lambda: P.solve_parity_game(parity),
-            lambda: P.bounded_graph(system, 2),
+            lambda: P.bounded_graph(buchi, 2),
             lambda: P.bfs_prestar_member(system, bool,
                                          Configuration("q", (None,)), 2)):
         with pytest.raises(InvalidInputError, match="EPS"):
@@ -283,7 +283,8 @@ def test_invalid_system_fails_alike_at_every_entry_point(monkeypatch):
         "solve_parity_game": lambda: P.solve_parity_game(
             P.PushdownGame(system, owner,
                            P.ParityCondition({"p": 0, "q": 1}, 1))),
-        "bounded_graph": lambda: P.bounded_graph(system, 2),
+        "bounded_graph": lambda: P.bounded_graph(
+            P.PushdownGame(system, owner, P.BuchiCondition(frozenset())), 2),
         "bfs_prestar_member": lambda: P.bfs_prestar_member(
             system, lambda c: False, start, 2),
     }

@@ -39,12 +39,12 @@ compares it too: the printed relation must not depend on
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from time import perf_counter
+
+import ladder
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUERIES = 2000
@@ -78,7 +78,6 @@ def measure(rung):
     """Run one rung in this process and print its JSON line."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import pdsat
-    import pdsat.cli
     import workloads
     s, q0, qf, queries = build(rung)
     system = workloads._pds(s)
@@ -89,33 +88,19 @@ def measure(rung):
     rel._mask_index  # the cached index every query reads
     index_s = perf_counter() - start
     start = perf_counter()
-    answers = "".join("1" if pdsat.deriv_member(rel, w1, w2) else "0"
-                      for w1, w2 in queries)
+    answers = [pdsat.deriv_member(rel, w1, w2) for w1, w2 in queries]
     query_s = perf_counter() - start
     del rel  # the command builds its own: hold one relation at a time
-    with tempfile.TemporaryDirectory() as folder:
-        doc, out = os.path.join(folder, "rung.pds"), os.path.join(folder, "out")
-        with open(doc, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(workloads._pds_text(s)) + "\n")
-        start = perf_counter()
-        code = pdsat.cli.main(["deriv", "--in", doc, "--from", q0, "--to", qf,
-                               "--out", out])
-        cli_s = perf_counter() - start
-        if code != 0:
-            sys.exit(f"{rung}: pdsat deriv exited with code {code}")
-        with open(out, "rb") as handle:
-            cli_sha256 = hashlib.sha256(handle.read()).hexdigest()
+    cli_s, cli_sha256 = ladder.cli_output(
+        rung, workloads._pds_text(s), "deriv", "--from", q0, "--to", qf)
     print(json.dumps({"rung": rung, "deriv_relation_s": round(relation_s, 2),
                       "index_s": round(index_s, 4),
                       "cli_s": round(cli_s, 2), "cli_sha256": cli_sha256,
                       "queries_per_s": round(len(answers) / query_s),
-                      "answers": len(answers), "members": answers.count("1"),
-                      "members_sha256":
-                          hashlib.sha256(answers.encode()).hexdigest()}))
+                      **ladder.members_digest(answers)}))
 
 
 if __name__ == "__main__":
-    import ladder
     ladder.main(os.path.abspath(__file__), RUNGS, measure,
                 ("members", "members_sha256", "cli_sha256"),
                 "deriv_relation_s")

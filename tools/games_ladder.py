@@ -63,6 +63,8 @@ import re
 import sys
 from time import perf_counter
 
+import ladder
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNGS = ([f"reach-16-s{s}" for s in range(3)]
          + [f"reach-32-s{s}" for s in range(3)]
@@ -118,12 +120,6 @@ def digest(aut) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def members_digest(answers) -> dict:
-    answers = "".join("1" if yes else "0" for yes in answers)
-    return {"answers": len(answers), "members": answers.count("1"),
-            "members_sha256": hashlib.sha256(answers.encode()).hexdigest()}
-
-
 def solve(rung):
     """Solve one rung in this process and print its JSON line."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -139,7 +135,7 @@ def solve(rung):
     answers = [pdsat.region_member(region, c) for c in nodes]
     out = {"rung": rung, "seconds": round(seconds, 2),
            "transitions": len(region.aut.transitions),
-           "sha256": digest(region.aut), **members_digest(answers)}
+           "sha256": digest(region.aut), **ladder.members_digest(answers)}
     if rung.startswith("parity-empty-"):
         # no configuration has a move, and a player who cannot move loses
         def wrong(c, yes):
@@ -171,7 +167,6 @@ def first_of(nodes, answers, wrong):
 
 
 if __name__ == "__main__":
-    import ladder
     ladder.main(os.path.abspath(__file__), RUNGS, solve,
                 ("transitions", "sha256", "members_sha256", "members"),
                 "seconds")

@@ -23,9 +23,13 @@ without ``--check``.  The routes record no hash.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from time import perf_counter
 
 
 def run(script, rung, cap, timed):
@@ -40,6 +44,32 @@ def run(script, rung, cap, timed):
     if proc.returncode:
         return {"rung": rung, "error": f"exit {proc.returncode}"}
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def members_digest(answers) -> dict:
+    """A rung's boolean ``answers``: their number, the number of ``True``s,
+    and a SHA-256 over one character, ``1`` or ``0``, per answer."""
+    answers = "".join("1" if yes else "0" for yes in answers)
+    return {"answers": len(answers), "members": answers.count("1"),
+            "members_sha256": hashlib.sha256(answers.encode()).hexdigest()}
+
+
+def cli_output(rung, lines, name, *options):
+    """The seconds of ``pdsat.cli.main([name, "--in", doc, *options, "--out",
+    out])`` alone, ``doc`` a temporary document of ``lines``, and the SHA-256
+    of ``out``; a command that does not exit 0 ends the rung's process."""
+    import pdsat.cli
+    with tempfile.TemporaryDirectory() as folder:
+        doc, out = os.path.join(folder, "rung.pds"), os.path.join(folder, "out")
+        with open(doc, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        start = perf_counter()
+        code = pdsat.cli.main([name, "--in", doc, *options, "--out", out])
+        seconds = perf_counter() - start
+        if code != 0:
+            sys.exit(f"{rung}: pdsat {name} exited with code {code}")
+        with open(out, "rb") as handle:
+            return seconds, hashlib.sha256(handle.read()).hexdigest()
 
 
 def main(script, rungs, measure, fields, timed):

@@ -82,8 +82,9 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from time import perf_counter
+
+import ladder
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUERIES = 2000
@@ -150,7 +151,6 @@ def measure(rung):
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     import gen
     import pdsat
-    import pdsat.cli
     import workloads
     from pdsat.automata import S_BOT
     if rung not in RUNGS:
@@ -172,21 +172,20 @@ def measure(rung):
         start = perf_counter()
         results[name] = call()
         out[f"{name}_s"] = round(perf_counter() - start, 2)
-    answers = ""
+    answers = []
     for name in ("prestar", "poststar"):
         result = results[name]
         gc.collect()  # bill no collection of the saturations to the queries
         start = perf_counter()
-        mine = "".join("1" if result.accepts(c) else "0" for c in configs)
+        mine = [result.accepts(c) for c in configs]
         out[f"{name}_queries_per_s"] = round(len(mine) / (perf_counter() - start))
         out[f"{name}_transitions"] = len(result.aut.transitions)
         out[f"{name}_sha256"] = digest(result)
-        out[f"{name}_members"] = mine.count("1")
+        out[f"{name}_members"] = sum(mine)
         answers += mine
     pops = results["pop_relation"]
     out.update(pops=len(pops), pops_sha256=sha256(map(repr, pops)),
-               answers=len(answers), members=answers.count("1"),
-               members_sha256=hashlib.sha256(answers.encode()).hexdigest())
+               **ladder.members_digest(answers))
     found = strata(s.rules, system.bottom, pops, s.controls[:CANDIDATES])
     widest = max(found, key=len)  # the first of the widest
     q_f = s.controls[found.index(widest)]
@@ -208,19 +207,11 @@ def measure(rung):
     out["cross"] = {"prestar": "agree" if first is None else repr(first),
                     "stratum": "agree" if not apart else min(apart, key=repr)}
     del results, buchi, pre  # each command builds its own result
-    with tempfile.TemporaryDirectory() as folder:
-        doc, printed = os.path.join(folder, "rung.pds"), os.path.join(folder, "out")
-        with open(doc, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(workloads._pds_text(s)
-                                   + workloads._view_text(t)) + "\n")
-        for name in ("prestar", "poststar"):
-            start = perf_counter()
-            code = pdsat.cli.main([name, "--in", doc, "--out", printed])
-            out[f"cli_{name}_s"] = round(perf_counter() - start, 2)
-            if code != 0:
-                sys.exit(f"{rung}: pdsat {name} exited with code {code}")
-            with open(printed, "rb") as handle:
-                out[f"cli_{name}_sha256"] = hashlib.sha256(handle.read()).hexdigest()
+    lines = workloads._pds_text(s) + workloads._view_text(t)
+    for name in ("prestar", "poststar"):
+        seconds, printed = ladder.cli_output(rung, lines, name)
+        out.update({f"cli_{name}_s": round(seconds, 2),
+                    f"cli_{name}_sha256": printed})
     print(json.dumps(out))
 
 
@@ -231,6 +222,5 @@ FIELDS = ("prestar_transitions", "prestar_sha256", "poststar_transitions",
           "buchi_members", "cli_prestar_sha256", "cli_poststar_sha256")
 
 if __name__ == "__main__":
-    import ladder
     ladder.main(os.path.abspath(__file__), RUNGS, measure, FIELDS,
                 "prestar_s")
