@@ -59,16 +59,16 @@ at again only when an entry that its run reads is written.
 - The worklist queues every move ``(p, A)`` once.  ``readers`` maps each
   entry to the runs that read it, from the keys ``_run_targets`` records,
   and ``users`` maps each run to the moves made from it.  When a move
-  changes its entry, the runs that read that entry go stale and their
-  moves are queued again, first in, first out.  A move adds its targets
-  to its entry, which starts from the target's transitions in a
+  changes its entry, the moves of the runs that read it are queued again
+  unless they are queued already, first in, first out.  A move adds its
+  targets to its entry, which starts from the target's transitions in a
   reachability game and from nothing at the top level.
-- A memo lives for one solve.  It keeps each run, ``(state, pushed) ->
-  (run targets, entries read)``, and computes it again only when an entry
-  it read no longer compares equal, so a stale run, or one met again in a
-  later call of the top level, is not run again if its inputs did not
-  change.  It keeps each move ``(p, A)`` with the runs of its rules, and
-  combines them again only when one of those runs changed.
+- One memo per solve alone decides what is computed again.  It keeps each
+  run, ``(state, pushed) -> (run targets, entries read)``, and computes it
+  again only when an entry it read no longer compares equal, and each
+  move ``(p, A)`` with the runs of its rules, combined again only when one
+  of them changed.  A parity solve's levels share it: a run of colour c
+  starts at a level-c bit, and a move belongs to its control's colour.
 
 Below the top, a parity round costs what its own level changed:
 
@@ -219,34 +219,28 @@ class _Memo:
 
 
 def _moves(entries, owner, rules, entry, memo) -> dict:
-    """Entries of one game-predecessor step, keyed ``(p, A)``.
-
-    For every control p and top symbol A: an Éloïse control gets one target
-    per rule and per minimal run of the rule's pushed word; an Abelard
-    control gets the minimal unions of one run target per rule.
-    ``entry[q]`` is the bit of the state standing for the successor control
-    ``q``; runs read the mask ``entries``.  From the ``_Memo``, a run is
-    computed again only when an entry it read no longer compares equal,
-    and a move only when a run of one of its rules does.
-    """
-    runs = {}  # (state, pushed) -> minimal run targets, shared by the rules
+    """Entries of one game-predecessor step, keyed ``(p, A)``: each move of
+    ``rules`` made by ``_move``, the empty ones left out."""
     moves = {}
     for move, applicable in rules.items():
-        per_rule = []
-        for q, pushed in applicable:
-            key = (entry[q], pushed)
-            if key not in runs:
-                runs[key] = _run(entries, key, memo)
-            per_rule.append(runs[key])
-        sets = _move(move, owner, per_rule, memo)
+        sets = _move(entries, move, applicable, owner, entry, memo)
         if sets:
             moves[move] = sets
     return moves
 
 
-def _move(move, owner, per_rule, memo):
-    """The move ``(p, A)`` made of its rules' runs ``per_rule``, reused
-    from ``memo`` while every run is the one it was made of."""
+def _move(entries, move, applicable, owner, entry, memo, readers=None):
+    """The move ``(p, A)`` of the rules ``applicable``.
+
+    Each rule's run starts at ``entry[q]``, the bit of the state standing
+    for its successor control ``q``, and reads the mask ``entries``
+    through ``_run``.  An Éloïse control gets one target per rule and per
+    minimal run of the rule's pushed word; an Abelard control gets the
+    minimal unions of one run target per rule.  The move is reused from
+    ``memo`` while every run is the one it was made of.
+    """
+    per_rule = [_run(entries, (entry[q], pushed), memo, readers)
+                for q, pushed in applicable]
     last = memo.moves.get(move)
     if last is None or last[0] != per_rule:
         if owner[move[0]] == ELOISE:
@@ -264,47 +258,37 @@ class _Saturation:
     control q.
 
     A call queues every move once, and a move is queued again only when an
-    entry that one of its runs read was written.  ``readers`` maps an entry
-    to every run that has read it in this solve, ``users`` a run to the
-    moves made from it; both live for the solve, as the ``_Memo`` does.  A
-    call marks a run fresh when it goes through ``_run`` and stale when an
-    entry it read is written; a fresh run is reused as it stands, and a
-    stale one goes through ``_run`` again, whose memo still reuses it if
-    every entry it read compares equal.  The queue is first in, first out:
-    last in, first out gives the same entries, but it was more than five
-    times slower on the games ladder's ``reach-32-s2``.
+    entry that one of its runs read was written, unless it is queued
+    already.  ``readers`` maps an entry to every run that has read it in
+    this solve, ``users`` a run to the moves made from it; both live for
+    the solve, as the solve's ``_Memo`` does.  Every run goes through
+    ``_run``, so the memo alone decides what is computed again: a run
+    whose entries all compare equal is reused.  The queue is first in,
+    first out: last in, first out gives the same entries, but it was more
+    than five times slower on the games ladder's ``reach-32-s2``.
     """
 
     __slots__ = ("owner", "rules", "entry", "users", "readers", "memo")
 
-    def __init__(self, owner, rules, entry):
+    def __init__(self, owner, rules, entry, memo):
         self.owner, self.rules, self.entry = owner, rules, entry
         self.users = defaultdict(list)  # run -> the moves made from it
         for move, applicable in rules.items():
             for q, pushed in applicable:
                 self.users[(entry[q], pushed)].append(move)
         self.readers = defaultdict(set)  # entry -> the runs that read it
-        self.memo = _Memo()
+        self.memo = memo
 
     def saturate(self, entries):
         """Write the fixed point into ``entries``."""
         owner, rules, entry = self.owner, self.rules, self.entry
         users, readers, memo = self.users, self.readers, self.memo
-        runs = memo.runs
-        fresh = set()
         queue, queued = deque(rules), set(rules)
         while queue:
             move = queue.popleft()
             queued.remove(move)
-            per_rule = []
-            for q, pushed in rules[move]:
-                key = (entry[q], pushed)
-                if key in fresh:
-                    per_rule.append(runs[key][0])
-                else:
-                    per_rule.append(_run(entries, key, memo, readers))
-                    fresh.add(key)
-            sets = _move(move, owner, per_rule, memo)
+            sets = _move(entries, move, rules[move], owner, entry, memo,
+                         readers)
             if not sets:
                 continue
             key = (entry[move[0]], move[1])
@@ -316,16 +300,11 @@ class _Saturation:
                 if sets == old:
                     continue
             entries[key] = sets
-            # A stale run's moves are queued already: the moves of a run
-            # that no move used since the call began or since it went
-            # stale have all been queued and none popped since.
             for run in readers.get(key, ()):
-                if run in fresh:
-                    fresh.remove(run)
-                    for user in users[run]:
-                        if user not in queued:
-                            queued.add(user)
-                            queue.append(user)
+                for user in users[run]:
+                    if user not in queued:
+                        queued.add(user)
+                        queue.append(user)
 
 
 def _run(entries, key, memo, readers=None):
@@ -362,7 +341,8 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     entries = _mask_entries(target.transitions, bit)
     entry = {q: bit[s] for q, s in embed.items()}
     # check_game holds the embedding injective: one entry per move
-    _Saturation(game.owner, game.pds._rules_from, entry).saturate(entries)
+    _Saturation(game.owner, game.pds._rules_from, entry,
+                _Memo()).saturate(entries)
     return RegionAutomaton(_alt_from_masks(
         names, bit, target.alphabet, target.finals, entries), embed)
 
@@ -424,8 +404,6 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     # 2 + level * n + index of p.
     controls, n = list(system.controls), len(system.controls)
     index = {p: i for i, p in enumerate(controls)}
-    names = [S_STAR, S_BOT] + [(p, level) for level in range(top + 1)
-                               for p in controls]
 
     def bit(p, level):
         return 2 + level * n + index[p]
@@ -442,7 +420,7 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
     memo = _Memo()
     # the top colour's moves, whose runs read the top level
     at_top = {q: bit(q, top) for q in controls}
-    top_moves = (_Saturation(game.owner, by_colour[top], at_top)
+    top_moves = (_Saturation(game.owner, by_colour[top], at_top, memo)
                  if top in by_colour else None)
 
     def forget(level):
@@ -500,10 +478,11 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
             forget(level)
 
     fix(0)
+    # only level 0's entries and S_STAR's are left, and they target nothing
+    # above level 0, so the region names bits 0 to 2 + n - 1 alone
+    names = [S_STAR, S_BOT] + [(p, 0) for p in controls]
     return RegionAutomaton(
-        # only level 0's entries and S_STAR's are left, and they target
-        # nothing above level 0
-        _alt_from_masks(*_numbering(names[:2 + n]), system.alphabet,
+        _alt_from_masks(*_numbering(names), system.alphabet,
                         frozenset({S_BOT}), entries),
         {p: (p, 0) for p in controls})
 

@@ -693,6 +693,47 @@ def test_run_memo_skips_runs_and_lives_for_one_solve(monkeypatch):
     assert a.pds._rules_from == rules
 
 
+def test_a_run_is_computed_again_only_when_an_entry_it_read_changed(
+        monkeypatch):
+    # The memo is the one rule for reusing a run: within a solve, the run
+    # (state, pushed) is computed again only when some entry that its last
+    # computation read no longer compares equal to what it read then.
+    last = {}  # run -> the entries its last computation read, and values
+    again = [0]
+    run_targets = games._run_targets
+
+    def checked_run_targets(index, start, word, reads=None):
+        key = (start, word)
+        if key in last:
+            assert any(index.get(k) != v for k, v in last[key].items()), \
+                f"run {key} computed again on the entries it read"
+            again[0] += 1
+        seen = {}
+        targets = run_targets(index, start, word, seen)
+        if reads is not None:
+            reads.update(seen)
+        last[key] = seen
+        return targets
+
+    monkeypatch.setattr(games, "_run_targets", checked_run_targets)
+    rng = make_rng(63)
+    for i in range(30):
+        system, owner = random_total_game(rng, n_controls=rng.randint(2, 4),
+                                          max_rules=3)
+        controls = sorted(system.controls)
+        finals = frozenset(p for p in controls if rng.random() < 0.5)
+        colours = {p: rng.randint(0, 3) for p in controls}
+        for solve, cond in (
+                (solve_reachability_game,
+                 random_reachability_condition(rng, system)),
+                (solve_buchi_game, BuchiCondition(finals)),
+                (solve_parity_game, ParityCondition(colours, 3))):
+            last.clear()  # a memo lives for one solve
+            solve(PushdownGame(system, owner, cond))
+    # runs are computed again, so the check above is not vacuous
+    assert again[0] > 0
+
+
 def test_wider_choice_games_match_round_loop_references():
     # four and five controls with up to three rules per (control, symbol):
     # the worklist queues a move again only when an entry its runs read

@@ -9,9 +9,10 @@ answers.
 Run it from the root of a checkout: it imports pdsat from ``src/`` and the
 instance generators from ``bench/`` (read-only).  Rungs are named
 ``reach-<controls>-s<seed>``, ``parity-<controls>-s<seed>`` (colours 0-7),
-``parity-<controls>-c<top>-s<seed>`` (colours 0-<top>) and
-``parity-empty-<k>`` (k colours and no rules); any other name is refused
-as an unknown rung.  With no rung named, every rung of ``RUNGS`` runs.
+``parity-<controls>-c<top>-s<seed>`` (colours 0-<top>),
+``parity-empty-<k>`` (k colours and no rules) and ``parity-sink-<k>`` (k
+colours and one swap rule per control and symbol); any other name is
+refused as an unknown rung.  With no rung named, every rung of ``RUNGS`` runs.
 Each rung is solved in its own process and reported as one JSON line; a
 solve that exceeds ``--cap`` seconds is reported as ``"timeout"``.  With
 ``--check``, each named rung's transition count, both hashes and
@@ -52,6 +53,8 @@ exactly where Abelard is to move, which is nowhere.  The rung reports
 ``"cross": {"exact": ...}``, ``"agree"`` or the first configuration that
 has a move or whose answer differs.  An exact route checks every answer,
 so the rung may answer all one way under ``--check`` (see ``ladder.py``).
+A ``parity-sink-<k>`` rung runs both routes of a parity rung; no rule
+pushes, so the bracket leaves no configuration undecided.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ RUNGS = ([f"reach-16-s{s}" for s in range(3)]
          + [f"parity-8-s{s}" for s in (0, 1, 2, 8)]
          + [f"parity-8-c11-s{s}" for s in range(3)]
          + [f"parity-12-s{s}" for s in range(2)]
-         + [f"parity-empty-{k}" for k in (16, 24, 32, 64)])
+         + [f"parity-empty-{k}" for k in (16, 24, 32, 64)]
+         + [f"parity-sink-{k}" for k in (8, 10, 12)])
 
 
 def build(rung):
@@ -84,17 +88,27 @@ def build(rung):
     the rung names it, and ``max_colour`` top.  Empty parity: k controls
     with the colours 0..k-1, one each, all Éloïse's, over one stack symbol
     and no rules.  Every play is stuck at once, so the region is empty, but
-    the solver still nests one level per colour.
+    the solver still nests one level per colour.  Sink parity: the same
+    controls, colours and owner, and on each symbol, ``A`` and the bottom,
+    one swap rule per control to the first control, but the second
+    control's, which goes to itself.  So Éloïse wins everywhere but at the
+    second control: she moves to the colour-0 loop, and the second control
+    loops on colour 1.  No rule pushes, so the bounded oracle's bracket
+    decides every answer.
     """
-    empty = re.fullmatch(r"parity-empty-(\d+)", rung)
+    cliff = re.fullmatch(r"parity-(empty|sink)-(\d+)", rung)
     named = re.fullmatch(r"(reach|parity)-(\d+)(?:-c(\d+))?-s(\d+)", rung)
-    if empty is None and (named is None or named[1] == "reach" and named[3]):
+    if cliff is None and (named is None or named[1] == "reach" and named[3]):
         raise SystemExit(f"unknown rung: {rung}")
     import gen
     import workloads
-    if empty is not None:
-        k = int(empty[1])
-        s = gen.System(gen._names("p", k), ("A",), ())
+    if cliff is not None:
+        k = int(cliff[2])
+        controls = gen._names("p", k)
+        rules = () if cliff[1] == "empty" else tuple(sorted(
+            (p, a, p if i == 1 else controls[0], (a,))
+            for i, p in enumerate(controls) for a in ("A", gen.BOT)))
+        s = gen.System(controls, ("A",), rules)
         cond = (tuple((p, i) for i, p in enumerate(s.controls)), k - 1)
         owner = tuple((p, gen.ELOISE) for p in s.controls)
         return "parity", workloads._game(workloads._pds(s),
