@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import sys
 
@@ -28,43 +29,66 @@ class ParseError(Exception):
         self.lineno = lineno
 
 
-def parse(text: str) -> dict:
-    """Parse the textual input format: a dict mapping each section name to
-    its ``[(lineno, tokens)]``, in document order."""
-    doc = {}
-    current = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
+def parse(text: str):
+    """Read the textual input format in one pass: ``(system, sections)``,
+    the checked system of the pds section, built as its lines are read, and
+    a dict mapping each other section's name to its ``[(lineno, tokens)]``,
+    in document order.
+
+    A pds line's tokens die with the line.  ``controls`` and ``alphabet``
+    map each declared name to the string its first declaration read, and a
+    rule line's one lookup of a name both checks it and fetches that string:
+    every rule shares the declared strings, and keeps none of its line's
+    own.  A structural error (content before any section, a duplicate
+    section, no pds section) is reported before any error inside the pds
+    section, even one on an earlier line: the first pds error waits in
+    ``pending`` until the whole document is read."""
+    controls, alphabet, rules = {}, {}, set()
+    bottom = pending = None
+    sections, current, in_pds = {}, None, False
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
             line = line[:line.index("#")]
         tokens = line.split()
         if not tokens:
             continue
-        if tokens[0] in SECTION_NAMES and len(tokens) == 1:
-            if tokens[0] in doc:
-                raise ParseError(lineno, f"duplicate section {tokens[0]!r}")
-            current = doc[tokens[0]] = []
-            continue
-        if current is None:
-            raise ParseError(lineno, f"content before any section: {line.strip()!r}")
-        current.append((lineno, tokens))
-    if "pds" not in doc:
-        raise ParseError(0, "document has no pds section")
-    return doc
-
-
-def _build_pds(doc: dict):
-    """The checked system of ``doc``'s pds section.  ``controls`` and
-    ``alphabet`` map each declared name to the string its first declaration
-    read, and a rule line's one lookup of a name both checks it and fetches
-    that string: every rule shares the declared strings, and keeps none of
-    its line's own."""
-    body = doc["pds"]
-    controls, alphabet, rules = {}, {}, set()
-    bottom = None
-    for lineno, tokens in body:
         key = tokens[0]
-        if key == "states":
+        if len(tokens) == 1 and key in SECTION_NAMES:
+            if key in sections:
+                raise ParseError(lineno, f"duplicate section {key!r}")
+            current = sections[key] = []
+            in_pds = key == "pds"
+        elif not in_pds:
+            if current is None:
+                raise ParseError(lineno, "content before any section: "
+                                         f"{line.strip()!r}")
+            current.append((lineno, tokens))
+        elif pending is not None:
+            continue
+        elif key == "rule":
+            n = len(tokens)
+            if n < 5 or tokens[3] != "->":
+                pending = ParseError(lineno, "rule syntax: rule p A -> q [B [C]]")
+                continue
+            if n > 7:
+                pending = ParseError(lineno, "a rule may push at most two symbols")
+                continue
+            try:
+                p, q = controls[tokens[1]], controls[tokens[4]]
+            except KeyError as missing:
+                pending = ParseError(lineno, "undeclared control state "
+                                             f"{missing.args[0]!r}")
+                continue
+            try:
+                a = alphabet[tokens[2]]
+                pushed = (() if n == 5 else (alphabet[tokens[5]],) if n == 6
+                          else (alphabet[tokens[5]], alphabet[tokens[6]]))
+            except KeyError as missing:
+                pending = ParseError(lineno, "undeclared stack symbol "
+                                             f"{missing.args[0]!r}")
+                continue
+            rules.add(_rule_of((p, a, q, pushed)))
+        elif key == "states":
             for name in tokens[1:]:
                 controls.setdefault(name, name)
         elif key == "alphabet":
@@ -72,31 +96,17 @@ def _build_pds(doc: dict):
                 alphabet.setdefault(name, name)
         elif key == "bottom":
             if len(tokens) != 2:
-                raise ParseError(lineno, "bottom takes exactly one symbol")
-            if bottom is not None:
-                raise ParseError(lineno, "duplicate bottom declaration")
-            bottom = alphabet.setdefault(tokens[1], tokens[1])
-        elif key == "rule":
-            n = len(tokens)
-            if n < 5 or tokens[3] != "->":
-                raise ParseError(lineno, "rule syntax: rule p A -> q [B [C]]")
-            if n > 7:
-                raise ParseError(lineno, "a rule may push at most two symbols")
-            try:
-                p, q = controls[tokens[1]], controls[tokens[4]]
-            except KeyError as missing:
-                raise ParseError(lineno, "undeclared control state "
-                                         f"{missing.args[0]!r}") from None
-            try:
-                a = alphabet[tokens[2]]
-                pushed = (() if n == 5 else (alphabet[tokens[5]],) if n == 6
-                          else (alphabet[tokens[5]], alphabet[tokens[6]]))
-            except KeyError as missing:
-                raise ParseError(lineno, "undeclared stack symbol "
-                                         f"{missing.args[0]!r}") from None
-            rules.add(_rule_of((p, a, q, pushed)))
+                pending = ParseError(lineno, "bottom takes exactly one symbol")
+            elif bottom is not None:
+                pending = ParseError(lineno, "duplicate bottom declaration")
+            else:
+                bottom = alphabet.setdefault(tokens[1], tokens[1])
         else:
-            raise ParseError(lineno, f"unknown keyword {key!r} in pds section")
+            pending = ParseError(lineno, f"unknown keyword {key!r} in pds section")
+    if sections.pop("pds", None) is None:
+        raise ParseError(0, "document has no pds section")
+    if pending is not None:
+        raise pending
     if bottom is None:
         raise ParseError(0, "pds section declares no bottom symbol")
     system = PushdownSystem(frozenset(controls), frozenset(alphabet), bottom,
@@ -104,14 +114,14 @@ def _build_pds(doc: dict):
     errors = validate(system)
     if errors:
         raise ParseError(0, "; ".join(errors))
-    return system
+    return system, sections
 
 
-def _build_automaton(doc: dict, system: PushdownSystem, alternating: bool):
-    """The automaton section of ``doc``: a pre*/post* view, or with
+def _build_automaton(sections: dict, system: PushdownSystem, alternating: bool):
+    """The automaton section of ``sections``: a pre*/post* view, or with
     ``alternating`` a reachability game's target, which reads each ``trans``
     line as an ``alttrans`` line with one target."""
-    body = doc.get("automaton")
+    body = sections.get("automaton")
     if body is None:
         raise ParseError(0, "this command needs an automaton section")
     states, finals, trans, alttrans = set(), set(), set(), set()
@@ -180,8 +190,8 @@ def _build_automaton(doc: dict, system: PushdownSystem, alternating: bool):
         frozenset(trans)), embed)
 
 
-def _build_game(doc: dict, system: PushdownSystem, kind: str):
-    body = doc.get("game")
+def _build_game(sections: dict, system: PushdownSystem, kind: str):
+    body = sections.get("game")
     if body is None:
         raise ParseError(0, "this command needs a game section")
     owner, colours, buchi = {}, {}, set()
@@ -222,7 +232,7 @@ def _build_game(doc: dict, system: PushdownSystem, kind: str):
     if missing:
         raise ParseError(0, f"controls without owner: {sorted(missing)}")
     if kind == "reachgame":
-        condition = _build_automaton(doc, system, True)
+        condition = _build_automaton(sections, system, True)
     elif kind == "buchigame":
         condition = games.BuchiCondition(frozenset(buchi))
     else:
@@ -256,40 +266,71 @@ def _parse_config(system: PushdownSystem, text: str) -> Configuration:
 # Output
 
 
-def _state_names(states, embed):
-    """Stable printable names: embedded controls keep their own names, and
-    the other states take ``s0``, ``s1``, ... in order, skipping the names of
-    controls, so that no printed state merges with a control's."""
+def _state_order(aut, embed):
+    """``aut``'s states sorted by ``repr`` once, and what the output reads
+    off that order: ``(rank, names, key)``.
+
+    - ``rank`` maps each state to its place in that order, and lists the
+      states in it.
+    - ``names`` are stable printable names: embedded controls keep their
+      own names, and the other states take ``s0``, ``s1``, ... in that
+      order, skipping the names of controls, so that no printed state
+      merges with a control's.
+    - ``key`` sorts ``aut``'s transitions as ``repr`` sorts them, from int
+      ranks, a symbol's rank being its place in the ``repr`` order of the
+      alphabet.  A transition's key is the int made of its source, symbol
+      and target ranks, or for an alternating transition the int of its
+      source and symbol with its target ranks sorted (the ``repr`` of a
+      frozenset of targets lists them in hash order, which varies with the
+      hash seed).
+
+    Ranks give the order of ``repr`` because every state's ``repr`` is
+    unique and none is a proper prefix of another's, so the ``repr``s of
+    two transitions first differ inside the first part in which they
+    differ.  The states the command can hold are the document's strings,
+    and around them post*'s ``_PushState(control='q', symbol='B')``, the
+    clones ``('clone', 's')`` of ``reachability._repaired``, a parity or
+    Büchi region's ``('p', 0)``, and ``s_star`` and ``s_bot``.  A string's
+    ``repr`` is quoted, and its quote appears unescaped only at its end, so
+    two different string ``repr``s with the same quote are not prefixes of
+    each other, and with different quotes they differ at once.  Each other
+    kind begins with its own character (``_``, ``(`` or ``s``) and is fixed
+    text around string ``repr``s and the ``0``, closed by ``)``; the two
+    sentinels differ at their third character."""
+    rank = {s: i for i, s in enumerate(sorted(aut.states, key=repr))}
     names = {state: str(control) for control, state
              in sorted(embed.items(), key=lambda kv: str(kv[0]))}
     taken = {str(control) for control in embed}
     fresh = (name for name in map("s{}".format, itertools.count())
              if name not in taken)
-    names.update(zip(sorted((s for s in states if s not in names), key=repr),
-                     fresh))
-    return names
-
-
-def _alt_key(transition):
-    """Sort key of an alternating transition.  The ``repr`` of its frozenset
-    of targets lists them in hash order, which varies with the hash seed."""
-    s, a, targets = transition
-    return repr(s), repr(a), sorted(map(repr, targets))
+    names.update(zip((s for s in rank if s not in names), fresh))
+    symbols = {a: i for i, a in enumerate(sorted(aut.alphabet, key=repr))}
+    width, n = len(symbols), len(rank)
+    if isinstance(aut, Nfa):
+        def key(transition):
+            s, a, t = transition
+            return (rank[s] * width + symbols[a]) * n + rank[t]
+    else:
+        def key(transition):
+            s, a, targets = transition
+            return (rank[s] * width + symbols[a],
+                    sorted([rank[t] for t in targets]))
+    return rank, names, key
 
 
 def _emit_automaton(aut, embed):
     """The lines of a P-automaton (``trans``) or a region (``alttrans``)
     with its ``embed`` of controls, in the input format."""
-    names = _state_names(aut.states, embed)
+    _, names, key = _state_order(aut, embed)
     yield "automaton\n"
     yield "states " + " ".join(sorted(set(names.values()))) + "\n"
     if aut.finals:
         yield "final " + " ".join(sorted(names[s] for s in aut.finals)) + "\n"
     if isinstance(aut, Nfa):
-        for s, a, t in sorted(aut.transitions, key=repr):
+        for s, a, t in sorted(aut.transitions, key=key):
             yield f"trans {names[s]} {a} {names[t]}\n"
     else:
-        for s, a, targets in sorted(aut.transitions, key=_alt_key):
+        for s, a, targets in sorted(aut.transitions, key=key):
             ts = " ".join(sorted(names[t] for t in targets))
             yield f"alttrans {names[s]} {a} {{ {ts} }}\n"
     for p, s in sorted(embed.items(), key=lambda kv: str(kv[0])):
@@ -364,23 +405,22 @@ def _dot_escape(name) -> str:
 def _emit_automaton_dot(aut, embed):
     """``_emit_automaton``'s input as a dot graph; an alternating
     transition is a hyperedge through a point node."""
-    names = {s: _dot_escape(name)
-             for s, name in _state_names(aut.states, embed).items()}
+    rank, names, key = _state_order(aut, embed)
+    names = {s: _dot_escape(name) for s, name in names.items()}
     alternating = not isinstance(aut, Nfa)
     yield "digraph region {\n" if alternating else "digraph pautomaton {\n"
     yield "  rankdir=LR;\n"
-    for s in sorted(aut.states, key=repr):
+    for s in rank:
         shape = "doublecircle" if s in aut.finals else "circle"
         yield f"  {names[s]} [shape={shape}];\n"
     if not alternating:
-        for s, a, t in sorted(aut.transitions, key=repr):
+        for s, a, t in sorted(aut.transitions, key=key):
             yield f"  {names[s]} -> {names[t]} [label={_dot_escape(a)}];\n"
     else:
-        for i, (s, a, targets) in enumerate(sorted(aut.transitions,
-                                                   key=_alt_key)):
+        for i, (s, a, targets) in enumerate(sorted(aut.transitions, key=key)):
             yield f"  h{i} [shape=point];\n"
             yield f"  {names[s]} -> h{i} [label={_dot_escape(a)}];\n"
-            for t in sorted(targets, key=repr):
+            for t in sorted(targets, key=rank.__getitem__):
                 yield f"  h{i} -> {names[t]};\n"
     yield "}\n"
 
@@ -452,21 +492,20 @@ def _inputs(args):
     """Read ``--in`` and build what the command runs on: ``(command,
     system, config, view or game)``, with ``command`` the analysis that
     ``member`` runs, ``config`` None but for ``member``, and neither view
-    nor game for ``deriv``.  The parsed document dies on return, before any
-    analysis runs.  A leading UTF-8 byte-order mark is skipped."""
+    nor game for ``deriv``.  The document's sections die on return, before
+    any analysis runs.  A leading UTF-8 byte-order mark is skipped."""
     with open(args.infile, encoding="utf-8-sig") as handle:
-        doc = parse(handle.read())
-    system = _build_pds(doc)
+        system, sections = parse(handle.read())
     command, config = args.command, None
     if command == "member":
         config = _parse_config(system, args.config)
         command = args.analysis
     if command in ("prestar", "poststar"):
-        built = _build_automaton(doc, system, False)
+        built = _build_automaton(sections, system, False)
     elif command == "deriv":
         built = None
     else:
-        built = _build_game(doc, system, command)
+        built = _build_game(sections, system, command)
     return command, system, config, built
 
 
@@ -478,7 +517,7 @@ def _run(args) -> int:
     # deriv sets no membership test: neither member nor the oracle runs it.
     if command in ("prestar", "poststar"):
         # the bracket's steps check nothing: the system passed ``validate``
-        # in ``_build_pds``, and its seeds are bounded nodes
+        # in ``parse``, and its seeds are bounded nodes
         saturate, step = ((reachability.prestar, _predecessors)
                           if command == "prestar"
                           else (reachability.poststar, _successors))
@@ -546,5 +585,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def _console() -> int:
+    """The ``pdsat`` command and ``python -m pdsat.cli``: ``main`` with the
+    cyclic collector switched off.  The command owns its process, which
+    ends with the run, and a run leaves only a few hundred objects of
+    cyclic garbage, so every full collection would walk the whole live
+    heap (the rules, the automata, the worklist) to free almost nothing.
+    ``main`` itself sets no collector policy: its callers own their
+    processes."""
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_console())

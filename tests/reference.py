@@ -353,6 +353,69 @@ def emit_relation_dot_pairwise(rel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _names_by_repr(states, embed):
+    """The printable names of the old emitters: embedded controls keep
+    their own names, and the other states take ``s0``, ``s1``, ... in the
+    order of ``repr``, skipping the names of controls."""
+    names = {state: str(control) for control, state
+             in sorted(embed.items(), key=lambda kv: str(kv[0]))}
+    taken = {str(control) for control in embed}
+    fresh = (name for name in map("s{}".format, itertools.count())
+             if name not in taken)
+    names.update(zip(sorted((s for s in states if s not in names), key=repr),
+                     fresh))
+    return names
+
+
+def _alt_key_by_repr(transition):
+    s, a, targets = transition
+    return repr(s), repr(a), sorted(map(repr, targets))
+
+
+def emit_automaton_by_repr(aut, embed) -> str:
+    """``pdsat prestar``'s (or a game's) text output as the emitter wrote it
+    before it ranked the states: every transition sorted by ``repr``."""
+    names = _names_by_repr(aut.states, embed)
+    lines = ["automaton", "states " + " ".join(sorted(set(names.values())))]
+    if aut.finals:
+        lines.append("final " + " ".join(sorted(names[s] for s in aut.finals)))
+    if isinstance(aut, Nfa):
+        for s, a, t in sorted(aut.transitions, key=repr):
+            lines.append(f"trans {names[s]} {a} {names[t]}")
+    else:
+        for s, a, targets in sorted(aut.transitions, key=_alt_key_by_repr):
+            ts = " ".join(sorted(names[t] for t in targets))
+            lines.append(f"alttrans {names[s]} {a} {{ {ts} }}")
+    for p, s in sorted(embed.items(), key=lambda kv: str(kv[0])):
+        lines.append(f"embed {p} {names[s]}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_automaton_dot_by_repr(aut, embed) -> str:
+    """``emit_automaton_by_repr``'s input as the dot emitter wrote it
+    before it ranked the states."""
+    names = {s: _dot_escape(name)
+             for s, name in _names_by_repr(aut.states, embed).items()}
+    alternating = not isinstance(aut, Nfa)
+    lines = ["digraph region {" if alternating else "digraph pautomaton {",
+             "  rankdir=LR;"]
+    for s in sorted(aut.states, key=repr):
+        shape = "doublecircle" if s in aut.finals else "circle"
+        lines.append(f"  {names[s]} [shape={shape}];")
+    if not alternating:
+        for s, a, t in sorted(aut.transitions, key=repr):
+            lines.append(f"  {names[s]} -> {names[t]} [label={_dot_escape(a)}];")
+    else:
+        for i, (s, a, targets) in enumerate(sorted(aut.transitions,
+                                                   key=_alt_key_by_repr)):
+            lines.append(f"  h{i} [shape=point];")
+            lines.append(f"  {names[s]} -> h{i} [label={_dot_escape(a)}];")
+            for t in sorted(targets, key=repr):
+                lines.append(f"  h{i} -> {names[t]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # The generic pattern that ``derivation._reduced_pattern`` and
 # ``derivation._phase_pattern`` write out for their own factors.
 def pattern_forbidden_factors(alphabet, factors):

@@ -645,11 +645,11 @@ def test_indexes_die_with_their_automata():
 
 def test_sentinels_survive_copy_and_pickle():
     data = Path(__file__).parent / "data"
-    doc = cli.parse((data / "parity_game.pds").read_text())
+    system, sections = cli.parse((data / "parity_game.pds").read_text())
     region = games.solve_parity_game(
-        cli._build_game(doc, cli._build_pds(doc), "paritygame"))
+        cli._build_game(sections, system, "paritygame"))
     assert {S_BOT, S_STAR} <= region.aut.states
-    system = cli._build_pds(cli.parse((data / "deriv.pds").read_text()))
+    system, _ = cli.parse((data / "deriv.pds").read_text())
     rel = deriv_relation(system, "q0", "q3")
     # the behaviour automaton's intermediate states are headed by a Sentinel
     assert any("beh" in repr(s) for s, _ in rel.u_step)

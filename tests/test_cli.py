@@ -3,16 +3,20 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import make_rng, random_bottom_free_pds
-from pdsat import alt, alt_membership, cli, deriv_relation, games
+from pdsat import (S_BOT, S_STAR, AltAutomaton, alt, alt_membership, cli,
+                   deriv_relation, games)
 from pdsat.automata import Nfa
 from pdsat.oracle import bfs_prestar_member, bounded_nodes, bracket_region
-from reference import emit_relation_dot_pairwise, emit_relation_pairwise
+from pdsat.reachability import _CLONE, _PushState
+from reference import (emit_automaton_by_repr, emit_automaton_dot_by_repr,
+                       emit_relation_dot_pairwise, emit_relation_pairwise)
 
 REACH_DOC = """\
 pds
@@ -54,8 +58,10 @@ POST_DOC = (REACH_DOC.split("automaton")[0]
 
 
 def test_parse_sections_and_comments():
-    doc = cli.parse("# header\npds\nstates p  # trailing comment\nbottom _\n")
-    assert doc == {"pds": [(3, ["states", "p"]), (4, ["bottom", "_"])]}
+    system, sections = cli.parse("# header\npds\nstates p  # trailing comment\n"
+                                 "bottom _\ngame\nowner E p # comment\n")
+    assert (system.controls, system.bottom) == ({"p"}, "_")
+    assert sections == {"game": [(6, ["owner", "E", "p"])]}
 
 
 def test_rules_share_one_string_per_declared_name():
@@ -64,8 +70,8 @@ def test_rules_share_one_string_per_declared_name():
     rules = "".join(f"rule {p} {a} -> {q} {w}\n" for p, a, q, w in
                     [("pp", "AA", "qq", ""), ("qq", "BB", "pp", "AA BB"),
                      ("pp", "BB", "pp", "BB"), ("qq", "__", "pp", "AA __")])
-    system = cli._build_pds(cli.parse(
-        "pds\nstates pp qq\nstates pp\nalphabet AA BB\nbottom __\n" + rules))
+    system, _ = cli.parse(
+        "pds\nstates pp qq\nstates pp\nalphabet AA BB\nbottom __\n" + rules)
     names = [name for rule in system.rules for name in
              (rule.from_control, rule.from_symbol, rule.to_control,
               *rule.pushed)]
@@ -73,6 +79,27 @@ def test_rules_share_one_string_per_declared_name():
     assert len(system.rules) == 4 and len(declared) == 5
     assert len({id(name) for name in names}) == len(set(names)) == 5
     assert {id(name) for name in names} <= declared
+
+
+def test_reading_holds_no_token_list_of_the_pds_section():
+    # 800 controls with 10 rules each, pushing 0, 1 or 2 symbols; a reader
+    # that listed every line's tokens before building the system peaked at
+    # 5.95 MB on this document (Python 3.11), and the one-pass reader at
+    # 2.05 MB, of which 1.19 MB is the system it returns
+    lines = ["pds", "states " + " ".join(f"q{i:03}" for i in range(800)),
+             "alphabet " + " ".join(f"A{j}" for j in range(9)), "bottom _"]
+    for i in range(8000):
+        pushed = "".join(f" A{(i + k) % 9}" for k in range(i % 3))
+        lines.append(f"rule q{i // 10:03} A{i % 9} -> q{i * 7 % 800:03}{pushed}")
+    text = "\n".join(lines) + "\nautomaton\nstates f\nfinal f\n"
+    tracemalloc.start()
+    try:
+        system, _ = cli.parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(system.rules) == 8000
+    assert peak < 3 * 2**20, f"{peak / 2**20:.2f} MB"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -88,10 +115,10 @@ def test_parse_errors_carry_line_numbers():
 
 def test_build_pds_validates():
     with pytest.raises(cli.ParseError) as err:
-        cli._build_pds(cli.parse("pds\nstates p\nbottom _\nrule p A -> p\n"))
+        cli.parse("pds\nstates p\nbottom _\nrule p A -> p\n")
     assert "undeclared stack symbol" in str(err.value)
     with pytest.raises(cli.ParseError):
-        cli._build_pds(cli.parse("pds\nstates p\nalphabet A\n"))
+        cli.parse("pds\nstates p\nalphabet A\n")
 
 
 def run_cli(tmp_path, doc, *args, capsys=None):
@@ -145,8 +172,7 @@ def test_prestar_output_round_trips(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("automaton")
     # the emitted automaton section parses back under the same pds
-    doc = cli.parse(REACH_DOC.split("automaton")[0] + text)
-    system = cli._build_pds(doc)
+    system, doc = cli.parse(REACH_DOC.split("automaton")[0] + text)
     view = cli._build_automaton(doc, system, False)
     from pdsat import Configuration
     assert view.accepts(Configuration("q", ("B", "A", "_")))
@@ -158,8 +184,7 @@ def test_poststar_output_round_trips(tmp_path, capsys):
     assert run_cli(tmp_path, POST_DOC, "poststar", "--out", str(out)) == 0
     text = out.read_text()
     assert "None" not in text  # no ε-labels in the saturated automaton
-    back = cli.parse(POST_DOC.split("automaton")[0] + text)
-    system = cli._build_pds(back)
+    system, back = cli.parse(POST_DOC.split("automaton")[0] + text)
     view = cli._build_automaton(back, system, False)
     from pdsat import Configuration
     for stack in [("A", "_"), ("_",)]:
@@ -210,8 +235,7 @@ def test_oracle_disagreement_names_a_counterexample(tmp_path, capsys,
     # Each analysis is replaced by one returning too small a result; the
     # check must exit 3 and print a configuration the true result holds.
     h = 4
-    doc = cli.parse(POST_DOC)
-    system = cli._build_pds(doc)
+    system, doc = cli.parse(POST_DOC)
     view = cli._build_automaton(doc, system, False)
     nodes = bounded_nodes(system, h)
     sources = [c for c in nodes if view.accepts(c)]
@@ -235,8 +259,8 @@ def test_oracle_disagreement_names_a_counterexample(tmp_path, capsys,
 
     monkeypatch.setattr(games, "solve_buchi_game", empty_region)
     assert run_cli(tmp_path, GAME_DOC, "buchigame", "--oracle-check", "3") == 3
-    game_doc = cli.parse(GAME_DOC)
-    game = cli._build_game(game_doc, cli._build_pds(game_doc), "buchigame")
+    game_system, game_doc = cli.parse(GAME_DOC)
+    game = cli._build_game(game_doc, game_system, "buchigame")
     under, _ = bracket_region(game, 3)
     winning = {repr(c) for c in bounded_nodes(game.pds, 3) if under(c)}
     assert winning and _disagreement(capsys) in winning
@@ -264,8 +288,7 @@ def test_names_with_backslashes_and_quotes(tmp_path, capsys):
     assert run_cli(tmp_path, ESCAPE_DOC, "prestar") == 0
     text = capsys.readouterr().out
     assert "embed p\\ " in text and 'embed q" ' in text
-    doc = cli.parse(ESCAPE_DOC.split("automaton")[0] + text)
-    system = cli._build_pds(doc)
+    system, doc = cli.parse(ESCAPE_DOC.split("automaton")[0] + text)
     view = cli._build_automaton(doc, system, False)
     from pdsat import Configuration
     assert view.accepts(Configuration('q"', ("B", "A", "_")))
@@ -278,6 +301,89 @@ def test_names_with_backslashes_and_quotes(tmp_path, capsys):
         assert '"' not in rest and "\\" not in rest, line
     ids = {m for line in lines for m in DOT_ID.findall(line)}
     assert {'"p\\\\"', '"q\\""'} <= ids
+
+
+# Names whose reprs share prefixes (q1, q10, q1x) or take either quote or
+# a backslash
+ODD_NAMES = ("q1", "q10", "q1x", "q1'", "it's", 'say"hi"', "both'\"",
+             "back\\", "back\\\\")
+ODD_SYMBOLS = ("A", "A1", "A'", 'A"', "\\", "_")
+
+
+def test_ranked_output_lists_lines_in_repr_order():
+    # automata over every kind of state the command prints, all at once:
+    # the odd names, post*'s push states, the clones of a repaired view, a
+    # parity region's (p, 0), S_STAR and S_BOT; each emitter must print
+    # what the emitters that sorted by repr printed
+    kinds = [list(ODD_NAMES),
+             [_PushState(q, a) for q in ODD_NAMES[:5] for a in ODD_SYMBOLS[:3]],
+             [(_CLONE, q) for q in ODD_NAMES],
+             [(q, 0) for q in ODD_NAMES],
+             [S_STAR, S_BOT]]
+    every = [state for kind in kinds for state in kind]
+    embed = {q: q for q in ODD_NAMES[:4]}
+    rng = make_rng(45)
+    for _ in range(30):
+        states = set(rng.sample(every, rng.randint(2, len(every)))) \
+            | set(embed.values())
+        ordered = sorted(states, key=repr)
+        finals = frozenset(rng.sample(ordered, 3))
+        nfa_trans = frozenset(
+            (rng.choice(ordered), rng.choice(ODD_SYMBOLS), rng.choice(ordered))
+            for _ in range(60))
+        alt_trans = frozenset(
+            (rng.choice(ordered), rng.choice(ODD_SYMBOLS),
+             frozenset(rng.sample(ordered, rng.randint(1, 4))))
+            for _ in range(60))
+        for aut in (Nfa(frozenset(states), frozenset(ODD_SYMBOLS), finals,
+                        nfa_trans),
+                    AltAutomaton(frozenset(states), frozenset(ODD_SYMBOLS),
+                                 finals, alt_trans)):
+            assert "".join(cli._emit_automaton(aut, embed)) == \
+                emit_automaton_by_repr(aut, embed)
+            assert "".join(cli._emit_automaton_dot(aut, embed)) == \
+                emit_automaton_dot_by_repr(aut, embed)
+
+
+# A system over the odd names whose view has transitions into controls and
+# a final control, so that pre* and post* clone them, and whose push rules
+# give post* its push states; its parity game's region holds (p, 0),
+# S_STAR and S_BOT
+ODD_DOC = (
+    "pds\nstates " + " ".join(ODD_NAMES) + "\nalphabet "
+    + " ".join(ODD_SYMBOLS) + "\nbottom _\n"
+    + "".join(f"rule {p} {a} -> {q} {b} {c}\nrule {p} {b} -> {r}\n"
+              f"rule {p} {c} -> {q} {a}\nrule {p} _ -> {r} {c} _\n"
+              for p, q, r, a, b, c in zip(
+                  ODD_NAMES, ODD_NAMES[1:] + ODD_NAMES[:1],
+                  ODD_NAMES[3:] + ODD_NAMES[:3], ODD_SYMBOLS[:5] * 2,
+                  ODD_SYMBOLS[1:5] * 3, ODD_SYMBOLS[2:5] * 3))
+    + "automaton\nstates f\nfinal f q1x\ntrans q1 A q10\ntrans q10 A' f\n"
+    "trans it's _ f\ntrans back\\ A1 q1\n"
+    "game\nowner E " + " ".join(ODD_NAMES[::2]) + "\nowner A "
+    + " ".join(ODD_NAMES[1::2]) + "\n"
+    + "".join(f"colour {q} {i % 3}\n" for i, q in enumerate(ODD_NAMES)))
+
+
+def test_ranked_output_of_results_on_odd_names():
+    system, sections = cli.parse(ODD_DOC)
+    view = cli._build_automaton(sections, system, False)
+    with pytest.warns(UserWarning, match="cloning"):
+        results = [cli.reachability.prestar(system, view),
+                   cli.reachability.poststar(system, view)]
+    region = games.solve_parity_game(
+        cli._build_game(sections, system, "paritygame"))
+    printed = [(r.aut, r.control_embed) for r in results] \
+        + [(region.aut, region.entry)]
+    states = set().union(*(aut.states for aut, _ in printed))
+    assert any(isinstance(s, _PushState) for s in states)
+    assert any(type(s) is tuple and s[0] is _CLONE for s in states)
+    assert {S_STAR, S_BOT, ("q1", 0)} <= states
+    for aut, embed in printed:
+        assert "".join(cli._emit_automaton(aut, embed)) == \
+            emit_automaton_by_repr(aut, embed)
+        assert "".join(cli._emit_automaton_dot(aut, embed)) == \
+            emit_automaton_dot_by_repr(aut, embed)
 
 
 # Controls named like the printed names of unembedded states
@@ -303,8 +409,7 @@ owner A s1
 
 @pytest.mark.parametrize("command", ["prestar", "reachgame"])
 def test_printed_states_never_take_a_control_name(command, tmp_path, capsys):
-    doc = cli.parse(COLLIDING_DOC)
-    system = cli._build_pds(doc)
+    system, doc = cli.parse(COLLIDING_DOC)
     if command == "prestar":
         result = cli.reachability.prestar(
             system, cli._build_automaton(doc, system, False))
@@ -313,7 +418,7 @@ def test_printed_states_never_take_a_control_name(command, tmp_path, capsys):
             cli._build_game(doc, system, command))
 
     assert run_cli(tmp_path, COLLIDING_DOC, command) == 0
-    back = cli.parse(COLLIDING_DOC.split("automaton")[0]
+    _, back = cli.parse(COLLIDING_DOC.split("automaton")[0]
                      + capsys.readouterr().out)
     if command == "prestar":
         printed = cli._build_automaton(back, system, False).accepts
@@ -343,6 +448,46 @@ def outputs_under_hash_seeds(args, seeds):
                              timeout=60)
         outputs.add(run.stdout)
     return outputs
+
+
+def test_console_entry_prints_the_fixture():
+    # python -m pdsat.cli runs the console entry, as the pdsat script does
+    data = Path(__file__).parent / "data"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        cli.__file__)))
+    run = subprocess.run([sys.executable, "-m", "pdsat.cli", "prestar", "--in",
+                          str(data / "prestar.pds")],
+                         env=env, capture_output=True, check=True, timeout=60)
+    assert run.stdout == (data / "prestar.txt").read_bytes()
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^pdsat = "pdsat\.cli:_console"$', pyproject, re.M)
+
+
+def test_console_entry_runs_main_with_the_collector_off(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    was = gc.isenabled()
+    try:
+        assert cli._console() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert seen == [False]
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert run_cli(tmp_path, REACH_DOC, "prestar") == 0
+            assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_a_pipe_closed_early_exits_2(tmp_path):
@@ -474,7 +619,7 @@ def test_errors_naming_several_things_are_independent_of_hash_seed(tmp_path):
 def test_deriv_emitters_match_pairwise_reference():
     # the emitters sort each side of the relation once and cut every pair
     # from that order; the reference sorts each pair on its own
-    relations = [deriv_relation(cli._build_pds(cli.parse(TIE_DOC)), "p", "r")]
+    relations = [deriv_relation(cli.parse(TIE_DOC)[0], "p", "r")]
     rng = make_rng(83)
     for _ in range(100):
         system = random_bottom_free_pds(
@@ -504,7 +649,7 @@ def test_deriv_emitters_build_no_automaton(monkeypatch):
     # each printed pair is cut from the relation's two sides: no pair is
     # built as an automaton of its own
     fixture = Path(__file__).parent / "data" / "deriv.pds"
-    system = cli._build_pds(cli.parse(fixture.read_text()))
+    system, _ = cli.parse(fixture.read_text())
     rel = deriv_relation(system, "q0", "q3")
     assert len(rel.boundary) > 1
 
@@ -550,8 +695,8 @@ def test_oracle_check_refutes_a_region_above_the_bracket(capsys, monkeypatch):
     data = Path(__file__).parent / "data"
     for command, won, listed in (("reachgame", 9, 65), ("buchigame", 6, 78)):
         path = data / f"{command}.pds"
-        doc = cli.parse(path.read_text())
-        game = cli._build_game(doc, cli._build_pds(doc), command)
+        system, doc = cli.parse(path.read_text())
+        game = cli._build_game(doc, system, command)
         _, over = bracket_region(game, 3)
         nodes = bounded_nodes(game.pds, 3)
         assert (sum(map(over, nodes)), len(nodes)) == (won, listed)
@@ -580,7 +725,8 @@ def test_output_matches_fixture(command, capsys):
 
 
 class _Document(dict):
-    """A parsed document that a weak reference can follow."""
+    """The sections a parse keeps (the automaton and game lines), as a dict
+    that a weak reference can follow."""
 
 
 # the analysis each command's run calls, as (module, name)
@@ -597,9 +743,10 @@ def test_parsed_document_dies_before_the_analysis(command, capsys,
     parse = cli.parse
 
     def traced_parse(text):
-        doc = _Document(parse(text))
+        system, sections = parse(text)
+        doc = _Document(sections)
         documents.append(weakref.ref(doc))
-        return doc
+        return system, doc
 
     module, name = ANALYSES[command]
     analysis = getattr(module, name)
@@ -773,6 +920,38 @@ def test_parse_errors_exit_2_naming_their_line(tmp_path, capsys):
         run_cli(tmp_path, HEAD, "prestar", "--oracle-check", "x")
     assert exit_.value.code == 2
     assert "not an integer: 'x'" in capsys.readouterr().err
+
+
+# (document, line, message): documents with several errors, each reporting
+# the error that a reader of the whole document's sections first, and of
+# the pds lines after it, reported: a structural error (a duplicate or
+# missing section) before any error inside the pds section, and then the
+# first of those, before a missing bottom and before ``validate``
+SEVERAL_PARSE_ERRORS = [
+    (HEAD + "rule p A q\npds\n", 6, "duplicate section 'pds'"),
+    ("pds\nstates p q\nalphabet A\nrule p A q\n", 4,
+     "rule syntax: rule p A -> q [B [C]]"),
+    (HEAD + "rule p B -> q\nautomaton\nstates f\nautomaton\n", 8,
+     "duplicate section 'automaton'"),
+    ("automaton\nstates f\ngame\nowner E p\n", 0,
+     "document has no pds section"),
+    (HEAD + "rule p _ -> q\nrule p A -> r\n", 6,
+     "undeclared control state 'r'"),
+    (HEAD + "stack A\nbottom _ _\n", 5,
+     "unknown keyword 'stack' in pds section"),
+    ("automaton\nstates f\npds\nstates p\nbottom _\nrule p A q\n", 6,
+     "rule syntax: rule p A -> q [B [C]]"),
+    (HEAD + "rule p A q\nautomaton\nstates f\nfinal g\n", 5,
+     "rule syntax: rule p A -> q [B [C]]"),
+]
+
+
+def test_several_parse_errors_report_the_first_by_precedence(tmp_path,
+                                                             capsys):
+    for doc, lineno, message in SEVERAL_PARSE_ERRORS:
+        assert run_cli(tmp_path, doc, "prestar") == 2, doc
+        assert capsys.readouterr().err == \
+            f"error: line {lineno}: {message}\n", doc
 
 
 def test_input_that_is_not_utf8_exit_code(tmp_path, capsys):

@@ -628,7 +628,7 @@ def test_deriv_boundary_has_one_state_per_eps_component():
     # on the deriv fixture, the ten boundary states of the product over the
     # unmerged states lie in five ε-components of the saturated automaton
     data = Path(__file__).parent / "data"
-    system = cli._build_pds(cli.parse((data / "deriv.pds").read_text()))
+    system, _ = cli.parse((data / "deriv.pds").read_text())
     rel = deriv_relation(system, "q0", "q3")
     saturated, alpha = _benois_saturate(behaviour_automaton(system, "q0", "q3"))
     rep = saturated._eps_components[0]

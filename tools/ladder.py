@@ -23,6 +23,7 @@ without ``--check``.  The routes record no hash.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -54,22 +55,70 @@ def members_digest(answers) -> dict:
             "members_sha256": hashlib.sha256(answers.encode()).hexdigest()}
 
 
+@contextlib.contextmanager
+def _files(lines):
+    """A temporary document of ``lines``, and a path for a command's output
+    next to it."""
+    with tempfile.TemporaryDirectory() as folder:
+        doc, out = os.path.join(folder, "rung.pds"), os.path.join(folder, "out")
+        with open(doc, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        yield doc, out
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
 def cli_output(rung, lines, name, *options):
     """The seconds of ``pdsat.cli.main([name, "--in", doc, *options, "--out",
     out])`` alone, ``doc`` a temporary document of ``lines``, and the SHA-256
     of ``out``; a command that does not exit 0 ends the rung's process."""
     import pdsat.cli
-    with tempfile.TemporaryDirectory() as folder:
-        doc, out = os.path.join(folder, "rung.pds"), os.path.join(folder, "out")
-        with open(doc, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+    with _files(lines) as (doc, out):
         start = perf_counter()
         code = pdsat.cli.main([name, "--in", doc, *options, "--out", out])
         seconds = perf_counter() - start
         if code != 0:
             sys.exit(f"{rung}: pdsat {name} exited with code {code}")
-        with open(out, "rb") as handle:
-            return seconds, hashlib.sha256(handle.read()).hexdigest()
+        return seconds, _sha256(out)
+
+
+# Starts the command in its argv, times it to its exit, and prints its
+# seconds, exit code and peak RSS in KB as JSON.  A child's ``ru_maxrss``
+# starts from its parent's resident size at the fork, so the command is
+# started from this small process, not from a rung's large one.
+_LAUNCH = """\
+import json, os, subprocess, sys
+from time import perf_counter
+start = perf_counter()
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+seconds = perf_counter() - start
+child.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps([seconds, child.returncode, usage.ru_maxrss]))
+"""
+
+
+def console_output(rung, lines, name, *options):
+    """The console entry, ``python -m pdsat.cli`` with ``cli_output``'s
+    arguments, run as a process of its own on the pdsat this process
+    imported: the seconds from its start to its exit, the SHA-256 of
+    ``out``, and its peak RSS in MB (``ru_maxrss``).  A command that does
+    not exit 0 ends the rung's process."""
+    import pdsat
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(
+        pdsat.__file__)))
+    with _files(lines) as (doc, out):
+        launched = subprocess.run(
+            [sys.executable, "-c", _LAUNCH, sys.executable, "-m", "pdsat.cli",
+             name, "--in", doc, *options, "--out", out],
+            env=env, stdout=subprocess.PIPE, text=True, check=True)
+        seconds, code, rss_kb = json.loads(launched.stdout)
+        if code != 0:
+            sys.exit(f"{rung}: python -m pdsat.cli {name} exited with code {code}")
+        return seconds, _sha256(out), rss_kb / 1024
 
 
 def main(script, rungs, measure, fields, timed):

@@ -4,7 +4,8 @@ queries on both saturated automata, and last ``buchi_target_automaton`` and
 the same queries on it, each rung reported with the time of every step,
 each result's transition count and SHA-256, a SHA-256 and count of the
 answers, and the time and output SHA-256 of the ``prestar`` and
-``poststar`` commands on the rung's document.
+``poststar`` commands on the rung's document, in the rung's process and
+through the console entry.
 
     python3 tools/saturation_ladder.py [--cap S] [RUNG ...]
     python3 tools/saturation_ladder.py --check BENCH_saturation.json RUNG ...
@@ -73,6 +74,14 @@ command that does not exit 0 fails the rung.  ``cli_prestar_sha256`` and
 ``cli_poststar_sha256`` are the SHA-256s of those files, and ``--check``
 compares them too: the printed automata must not depend on
 ``PYTHONHASHSEED`` either.
+
+``proc_prestar_s`` and ``proc_poststar_s`` time the same two commands
+through the console entry, ``python -m pdsat.cli``, run as a child process
+from its start to its exit, as a user runs ``pdsat``: the interpreter's
+start, the import, and the run with the collector off.  Each must write the
+bytes that ``pdsat.cli.main`` wrote, or the rung fails, so ``--check`` pins
+them through ``cli_*_sha256``.  ``proc_prestar_maxrss_mb`` and
+``proc_poststar_maxrss_mb`` are the child's peak RSS.
 """
 
 from __future__ import annotations
@@ -212,6 +221,12 @@ def measure(rung):
         seconds, printed = ladder.cli_output(rung, lines, name)
         out.update({f"cli_{name}_s": round(seconds, 2),
                     f"cli_{name}_sha256": printed})
+        seconds, console, rss = ladder.console_output(rung, lines, name)
+        if console != printed:
+            sys.exit(f"{rung}: python -m pdsat.cli {name} printed other bytes "
+                     "than pdsat.cli.main")
+        out.update({f"proc_{name}_s": round(seconds, 2),
+                    f"proc_{name}_maxrss_mb": round(rss, 1)})
     print(json.dumps(out))
 
 
