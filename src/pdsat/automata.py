@@ -560,12 +560,12 @@ def _fold(options) -> frozenset:
     return frozenset(acc)
 
 
-def _run_targets(index, start, word, reads=None) -> frozenset:
+def _run_targets(index, start, word, reads) -> frozenset:
     """``alt_run_targets`` over masks: ``index`` maps ``(bit of state,
-    symbol)`` to an antichain of target masks, and ``start`` is a bit.  With
-    a dict ``reads``, each entry the run looks up is recorded in it as
-    ``key -> value`` (None when absent): the targets are a function of those
-    values alone."""
+    symbol)`` to an antichain of target masks, and ``start`` is a bit.  Each
+    entry the run looks up is recorded in the dict ``reads`` as ``key ->
+    value`` (None when absent): the targets are a function of those values
+    alone, and the game solver's memo keeps them as what the run read."""
     frontier = (1 << start,)
     for a in word:
         runs = []
@@ -575,9 +575,7 @@ def _run_targets(index, start, word, reads=None) -> frozenset:
                 low = mask & -mask
                 mask ^= low
                 key = (low.bit_length() - 1, a)
-                sets = index.get(key)
-                if reads is not None:
-                    reads[key] = sets
+                reads[key] = sets = index.get(key)
                 options.append(sets or ())
             runs.append(options[0] if len(options) == 1 else _fold(options))
         frontier = runs[0] if len(runs) == 1 else _antichain(
@@ -593,4 +591,4 @@ def alt_run_targets(aut: AltAutomaton, start, word) -> frozenset:
         raise InvalidInputError(f"unknown state: {start!r}")
     names, bit, entries = aut._mask_index
     return frozenset(_members(m, names)
-                     for m in _run_targets(entries, bit[start], word))
+                     for m in _run_targets(entries, bit[start], word, {}))

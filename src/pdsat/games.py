@@ -52,23 +52,25 @@ Inside the kernel a state is a bit and a target set an ``int`` mask:
   y lies within it (absorption): x | y = x lies within every x | y'.
 
 The reachability solver's fixed point and the parity solver's top level
-are least fixed points, each made by a worklist (``_Saturation``), as the
+are least fixed points, each made by a worklist (``_saturate``), as the
 saturations of Caucal (1988) and Cachat (ICALP 2002) are: a rule is looked
 at again only when an entry that its run reads is written.
 
-- The worklist queues every move ``(p, A)`` once.  ``readers`` maps each
-  entry to the runs that read it, from the keys ``_run_targets`` records,
-  and ``users`` maps each run to the moves made from it.  When a move
-  changes its entry, the moves of the runs that read it are queued again
-  unless they are queued already, first in, first out.  A move adds its
-  targets to its entry, which starts from the target's transitions in a
+- One memo per solve (``_Memo``) holds the solve's state, and alone
+  decides what is computed again.  It keeps each run, ``(state, pushed) ->
+  (run targets, entries read)``, and computes it again only when an entry
+  it read no longer compares equal, and each move ``(p, A)`` with the runs
+  of its rules, combined again only when one of them changed.  Its
+  ``readers`` maps each entry to every run that has read it: a run always
+  records its reads, from the keys ``_run_targets`` records.  A parity
+  solve's levels share the memo: a run of colour c starts at a level-c
+  bit, and a move belongs to its control's colour.
+- The worklist queues every move ``(p, A)`` once.  ``users``, built on
+  each call, maps each run to the moves made from it.  When a move changes
+  its entry, the moves of the runs that read it are queued again unless
+  they are queued already, first in, first out.  A move adds its targets
+  to its entry, which starts from the target's transitions in a
   reachability game and from nothing at the top level.
-- One memo per solve alone decides what is computed again.  It keeps each
-  run, ``(state, pushed) -> (run targets, entries read)``, and computes it
-  again only when an entry it read no longer compares equal, and each
-  move ``(p, A)`` with the runs of its rules, combined again only when one
-  of them changed.  A parity solve's levels share it: a run of colour c
-  starts at a level-c bit, and a move belongs to its control's colour.
 
 Below the top, a parity round costs what its own level changed:
 
@@ -207,15 +209,17 @@ def region_member(region: RegionAutomaton, c: Configuration) -> bool:
 
 
 class _Memo:
-    """The runs and moves of one solve, each with what it was computed
-    from: ``runs`` maps ``(state, pushed)`` to the run's targets, the keys
-    of the entries it read and their values, ``moves`` maps ``(p, A)`` to
-    the runs of the rules and the move made of them."""
+    """One solve's state, each value with what it was computed from:
+    ``runs`` maps ``(state, pushed)`` to the run's targets, the keys of the
+    entries it read and their values, ``moves`` maps ``(p, A)`` to the runs
+    of the rules and the move made of them, and ``readers`` maps each entry
+    to every run that has read it in this solve."""
 
-    __slots__ = ("runs", "moves")
+    __slots__ = ("runs", "moves", "readers")
 
     def __init__(self):
         self.runs, self.moves = {}, {}
+        self.readers = defaultdict(set)
 
 
 def _moves(entries, owner, rules, entry, memo) -> dict:
@@ -229,7 +233,7 @@ def _moves(entries, owner, rules, entry, memo) -> dict:
     return moves
 
 
-def _move(entries, move, applicable, owner, entry, memo, readers=None):
+def _move(entries, move, applicable, owner, entry, memo):
     """The move ``(p, A)`` of the rules ``applicable``.
 
     Each rule's run starts at ``entry[q]``, the bit of the state standing
@@ -239,7 +243,7 @@ def _move(entries, move, applicable, owner, entry, memo, readers=None):
     minimal unions of one run target per rule.  The move is reused from
     ``memo`` while every run is the one it was made of.
     """
-    per_rule = [_run(entries, (entry[q], pushed), memo, readers)
+    per_rule = [_run(entries, (entry[q], pushed), memo)
                 for q, pushed in applicable]
     last = memo.moves.get(move)
     if last is None or last[0] != per_rule:
@@ -251,68 +255,66 @@ def _move(entries, move, applicable, owner, entry, memo, readers=None):
     return last[1]
 
 
-class _Saturation:
-    """The least fixed point of one solve's moves ``rules``, made by a
-    worklist: the move ``(p, A)`` adds its targets to the entry
+def _saturate(entries, owner, rules, entry, memo):
+    """Write into ``entries`` the least fixed point of the moves ``rules``,
+    made by a worklist: the move ``(p, A)`` adds its targets to the entry
     ``(entry[p], A)``, and its runs start at ``entry[q]`` for each rule's
     control q.
 
-    A call queues every move once, and a move is queued again only when an
+    Every move is queued once, and a move is queued again only when an
     entry that one of its runs read was written, unless it is queued
-    already.  ``readers`` maps an entry to every run that has read it in
-    this solve, ``users`` a run to the moves made from it; both live for
-    the solve, as the solve's ``_Memo`` does.  Every run goes through
-    ``_run``, so the memo alone decides what is computed again: a run
-    whose entries all compare equal is reused.  The queue is first in,
-    first out: last in, first out gives the same entries, but it was more
-    than five times slower on the games ladder's ``reach-32-s2``.
+    already.  ``users`` maps a run to the moves of ``rules`` made from it
+    and is built on each call; ``memo.readers`` maps an entry to every run
+    that has read it in this solve.  Every run goes through ``_run``, so
+    the memo alone decides what is computed again: a run whose entries all
+    compare equal is reused.  The queue is first in, first out: last in,
+    first out gives the same entries, but it was more than five times
+    slower on the games ladder's ``reach-32-s2``.
+
+    A parity solve's runs of colours below the top (``_moves``) register
+    their reads in ``memo.readers`` too, but no write here ever queues
+    their moves, so the entries are those of the top colour's moves alone:
+    this function writes only top-level keys ``(bit(p, top), A)``, a run
+    of colour c below the top reads levels <= c only, and ``users`` names
+    only the moves of ``rules``.  ``memo.readers`` lives for the whole
+    solve, so a write may queue a move for a read made in an earlier call;
+    a move queued more often than it needs changes no fixed point (see the
+    module docstring).
     """
-
-    __slots__ = ("owner", "rules", "entry", "users", "readers", "memo")
-
-    def __init__(self, owner, rules, entry, memo):
-        self.owner, self.rules, self.entry = owner, rules, entry
-        self.users = defaultdict(list)  # run -> the moves made from it
-        for move, applicable in rules.items():
-            for q, pushed in applicable:
-                self.users[(entry[q], pushed)].append(move)
-        self.readers = defaultdict(set)  # entry -> the runs that read it
-        self.memo = memo
-
-    def saturate(self, entries):
-        """Write the fixed point into ``entries``."""
-        owner, rules, entry = self.owner, self.rules, self.entry
-        users, readers, memo = self.users, self.readers, self.memo
-        queue, queued = deque(rules), set(rules)
-        while queue:
-            move = queue.popleft()
-            queued.remove(move)
-            sets = _move(entries, move, rules[move], owner, entry, memo,
-                         readers)
-            if not sets:
+    users = defaultdict(list)  # run -> the moves made from it
+    for move, applicable in rules.items():
+        for q, pushed in applicable:
+            users[(entry[q], pushed)].append(move)
+    readers = memo.readers
+    queue, queued = deque(rules), set(rules)
+    while queue:
+        move = queue.popleft()
+        queued.remove(move)
+        sets = _move(entries, move, rules[move], owner, entry, memo)
+        if not sets:
+            continue
+        key = (entry[move[0]], move[1])
+        old = entries.get(key)
+        if old:
+            if sets <= old:  # no target is new
                 continue
-            key = (entry[move[0]], move[1])
-            old = entries.get(key)
-            if old:
-                if sets <= old:  # no target is new
-                    continue
-                sets = _antichain(sets | old)
-                if sets == old:
-                    continue
-            entries[key] = sets
-            for run in readers.get(key, ()):
-                for user in users[run]:
-                    if user not in queued:
-                        queued.add(user)
-                        queue.append(user)
+            sets = _antichain(sets | old)
+            if sets == old:
+                continue
+        entries[key] = sets
+        for run in readers.get(key, ()):
+            for user in users[run]:
+                if user not in queued:
+                    queued.add(user)
+                    queue.append(user)
 
 
-def _run(entries, key, memo, readers=None):
+def _run(entries, key, memo):
     """Minimal targets of the run ``key = (state, pushed)`` over
     ``entries``, reused from ``memo`` while each entry it read still
     compares equal: a run is a function of the entries it reads.  A run
-    computed again is added to ``readers[k]`` for each entry ``k`` it
-    read, if ``readers`` is given."""
+    computed again is added to ``memo.readers[k]`` for each entry ``k`` it
+    read."""
     hit = memo.runs.get(key)
     # tuples compare item by item, each by identity first
     if hit is not None and tuple(map(entries.get, hit[1])) == hit[2]:
@@ -320,9 +322,8 @@ def _run(entries, key, memo, readers=None):
     reads = {}
     targets = _run_targets(entries, *key, reads)
     memo.runs[key] = (targets, tuple(reads), tuple(reads.values()))
-    if readers is not None:
-        for read in reads:
-            readers[read].add(key)
+    for read in reads:
+        memo.readers[read].add(key)
     return targets
 
 
@@ -341,8 +342,7 @@ def solve_reachability_game(game: PushdownGame) -> RegionAutomaton:
     entries = _mask_entries(target.transitions, bit)
     entry = {q: bit[s] for q, s in embed.items()}
     # check_game holds the embedding injective: one entry per move
-    _Saturation(game.owner, game.pds._rules_from, entry,
-                _Memo()).saturate(entries)
+    _saturate(entries, game.owner, game.pds._rules_from, entry, _Memo())
     return RegionAutomaton(_alt_from_masks(
         names, bit, target.alphabet, target.finals, entries), embed)
 
@@ -418,10 +418,6 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
                for a in system.alphabet}
     known = {}  # colour c -> moves of its controls, whose runs start at level c
     memo = _Memo()
-    # the top colour's moves, whose runs read the top level
-    at_top = {q: bit(q, top) for q in controls}
-    top_moves = (_Saturation(game.owner, by_colour[top], at_top, memo)
-                 if top in by_colour else None)
 
     def forget(level):
         """Level-c entries only target states of levels <= c, so the moves
@@ -455,8 +451,9 @@ def solve_parity_game(game: PushdownGame) -> RegionAutomaton:
                                       {q: bit(q, c) for q in controls}, memo)
                 entries.update(((bit(p, top), a), sets)
                                for (p, a), sets in known[c].items())
-            if top_moves is not None:
-                top_moves.saturate(entries)
+            if top in by_colour:  # the top colour's moves read this level
+                _saturate(entries, game.owner, by_colour[top],
+                          {q: bit(q, top) for q in controls}, memo)
             return
         forget(level)
         hi = ((1 << n) - 1) << (2 + (level + 1) * n)  # level + 1's bits

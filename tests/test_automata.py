@@ -564,7 +564,7 @@ def test_mask_run_targets_match_product_reference():
                 # the targets are a function of the entries read
                 assert _run_targets({k: v for k, v in reads.items()
                                      if v is not None},
-                                    bit[start], word) == got
+                                    bit[start], word, {}) == got
 
 
 def test_alt_rejects_empty_target_set():

@@ -542,7 +542,7 @@ def test_unused_colours_cost_no_level(monkeypatch):
     # {0, 0} under max_colour 1: the same nest, so the same number of
     # game-predecessor steps and the same region.
     calls = [0]
-    moves, saturate = games._moves, games._Saturation.saturate
+    moves, saturate = games._moves, games._saturate
 
     def counting_moves(*args):
         calls[0] += 1
@@ -553,7 +553,7 @@ def test_unused_colours_cost_no_level(monkeypatch):
         return saturate(*args)
 
     monkeypatch.setattr(games, "_moves", counting_moves)
-    monkeypatch.setattr(games._Saturation, "saturate", counting_saturate)
+    monkeypatch.setattr(games, "_saturate", counting_saturate)
     system, owner = loop_or_pop_game()
     regions, counts = [], []
     for colours, max_colour in (({"p": 0, "q": 10}, 11),
@@ -702,7 +702,7 @@ def test_a_run_is_computed_again_only_when_an_entry_it_read_changed(
     again = [0]
     run_targets = games._run_targets
 
-    def checked_run_targets(index, start, word, reads=None):
+    def checked_run_targets(index, start, word, reads):
         key = (start, word)
         if key in last:
             assert any(index.get(k) != v for k, v in last[key].items()), \
@@ -710,8 +710,7 @@ def test_a_run_is_computed_again_only_when_an_entry_it_read_changed(
             again[0] += 1
         seen = {}
         targets = run_targets(index, start, word, seen)
-        if reads is not None:
-            reads.update(seen)
+        reads.update(seen)
         last[key] = seen
         return targets
 

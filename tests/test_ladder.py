@@ -1,6 +1,6 @@
 """The ladder tools' shared command line (tools/ladder.py) on a throwaway
-rung script: a rung that fails or is missing from the record is reported
-as a bad rung, and the rungs after it still run; a rung may answer all one
+rung script: a rung that fails, prints no result line or is missing from
+the record is reported as a bad rung, and the rungs after it still run; a rung may answer all one
 way only beside an exact route.  A ladder tool refuses a rung name it does
 not know."""
 
@@ -20,6 +20,11 @@ import json, sys
 rung = sys.argv[sys.argv.index("--measure") + 1]
 if rung == "bad":
     sys.exit("rung bad broke")
+if rung == "mute":  # exits 0 without a result line
+    sys.exit(0)
+if rung == "garbled":
+    print("done, no JSON")
+    sys.exit(0)
 print(json.dumps({"rung": rung, "answers": 2, "members": 1, "sha": "ab"}))
 """
 FIELDS = ("members", "sha")
@@ -43,13 +48,15 @@ def lines(out):
 def test_a_failing_rung_is_bad_and_the_next_rung_runs(monkeypatch, tmp_path,
                                                       capfd):
     with pytest.raises(SystemExit) as exited:
-        run_main(monkeypatch, tmp_path, "bad", "good")
+        run_main(monkeypatch, tmp_path, "bad", "mute", "garbled", "good")
     out, err = capfd.readouterr()
     assert lines(out) == [
         {"rung": "bad", "error": "exit 1"},
+        {"rung": "mute", "error": "no result line"},
+        {"rung": "garbled", "error": "no result line"},
         {"rung": "good", "answers": 2, "members": 1, "sha": "ab"}]
     assert "rung bad broke" in err  # the rung's stderr passes through
-    assert str(exited.value.code).endswith(": bad")
+    assert str(exited.value.code).endswith(": bad, mute, garbled")
 
 
 def test_a_rung_missing_from_the_record_is_bad(monkeypatch, tmp_path, capfd):

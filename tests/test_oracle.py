@@ -152,18 +152,43 @@ def test_finite_parity_region_respects_colours():
 
 
 def test_bracket_monotone_in_height():
+    # Brackets built at heights 3, 4 and 5 nest on the configurations of
+    # height <= 3, for reachability, Büchi and parity games alike, so no
+    # two of them contradict each other, and the solver's answer lies
+    # within every one of them.
     rng = make_rng(51)
-    for i in range(10):
-        system, owner = random_total_game(rng)
-        colours = {p: rng.randint(0, 2) for p in sorted(system.controls)}
-        game = PushdownGame(system, owner, ParityCondition(colours, 2))
-        u3, o3 = bracket_region(game, 3)
-        u4, o4 = bracket_region(game, 4)
+    decided_higher = 0  # configurations only the height-5 bracket decides
+    for i in range(90):
+        system, owner = random_total_game(rng, n_controls=rng.randint(2, 3),
+                                          max_rules=2)
+        controls = sorted(system.controls)
+        kind = i % 3
+        if kind == 0:
+            cond = random_reachability_condition(rng, system)
+            solve = solve_reachability_game
+        elif kind == 1:
+            cond = BuchiCondition(frozenset(
+                p for p in controls if rng.random() < 0.5))
+            solve = solve_buchi_game
+        else:
+            cond = ParityCondition({p: rng.randint(0, 2) for p in controls},
+                                   2)
+            solve = solve_parity_game
+        game = PushdownGame(system, owner, cond)
+        region = solve(game)
+        brackets = [bracket_region(game, h) for h in (3, 4, 5)]
         for c in bounded_nodes(system, 3):
-            # higher bounds refine the bracket from both sides
-            assert not (u3(c) and not u4(c)), (system, c)
-            assert not (o4(c) and not o3(c)), (system, c)
-            assert not (u3(c) and not o3(c)), (system, c)
+            yes = region_member(region, c)
+            for (lower, upper), (higher_lower, higher_upper) in zip(
+                    brackets, brackets[1:]):
+                # a higher bound refines the bracket from both sides
+                assert not lower(c) or higher_lower(c), (game, c)
+                assert not higher_upper(c) or upper(c), (game, c)
+            for lower, upper in brackets:
+                assert lower(c) <= yes <= upper(c), (game, c)
+            (u3, o3), (u5, o5) = brackets[0], brackets[2]
+            decided_higher += u3(c) != o3(c) and u5(c) == o5(c)
+    assert decided_higher > 0
 
 
 def test_totality_enforcement():

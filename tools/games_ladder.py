@@ -30,14 +30,17 @@ order; ``answers`` is their number and ``members`` the number of ``1``s.
 None of these depends on ``PYTHONHASHSEED``.
 
 Last, the rung solves the game a second way, by the bounded oracle:
-``oracle.bracket_region(game, 4)`` solves the game truncated at stack
-height 4 with the sink lost for Éloïse, then won, and brackets the region
-on the same configurations.  The rung reports ``"cross": {"bracket":
-...}``: ``"agree"`` when every answer lies within the bracket, and
-otherwise the first configuration whose answer does not; ``cross_s``
-times the route, and ``undecided`` counts the configurations where the two
-bounds differ, on which the bracket checks nothing.  ``--check`` compares
-neither.  A parity rung also solves ``dual_game(game)``, whose
+``oracle.bracket_region(game, H)`` solves the game truncated at stack
+height H with the sink lost for Éloïse, then won, and brackets the region
+on the same height-4 configurations.  H is the highest of 6, 5 and 4 whose
+graph fits ``oracle.DEFAULT_NODE_CAP``: a bracket built higher is just as
+sound, and it decides more of them, since fewer of their plays climb into
+the sink.  The rung reports ``"cross": {"bracket": ...}``: ``"agree"``
+when every answer lies within the bracket, and otherwise the first
+configuration whose answer does not; ``cross_s`` times the route,
+``bracket_h`` is H, and ``undecided`` counts the configurations where the
+two bounds differ, on which the bracket checks nothing.  ``--check``
+compares neither.  A parity rung also solves ``dual_game(game)``, whose
 region is Abelard's, and reports ``"determinacy"``: ``"agree"`` when the
 two regions split the configurations, and otherwise the first one that
 lies in both or in neither; ``dual_s`` times that route.  Determinacy
@@ -54,7 +57,7 @@ exactly where Abelard is to move, which is nowhere.  The rung reports
 has a move or whose answer differs.  An exact route checks every answer,
 so the rung may answer all one way under ``--check`` (see ``ladder.py``).
 A ``parity-sink-<k>`` rung runs both routes of a parity rung; no rule
-pushes, so the bracket leaves no configuration undecided.
+pushes, so the bracket leaves no configuration undecided at any height.
 """
 
 from __future__ import annotations
@@ -158,10 +161,11 @@ def solve(rung):
         out["cross"] = {"exact": first_of(nodes, answers, wrong)}
     else:
         start = perf_counter()
-        under, over = oracle.bracket_region(game, 4)
+        h, (under, over) = deepest_bracket(game)
         out["cross"] = {"bracket": first_of(
             nodes, answers, lambda c, yes: not under(c) <= yes <= over(c))}
         out["cross_s"] = round(perf_counter() - start, 2)
+        out["bracket_h"] = h
         out["undecided"] = sum(under(c) != over(c) for c in nodes)
         if kind == "parity":
             start = perf_counter()
@@ -171,6 +175,19 @@ def solve(rung):
                 lambda c, yes: yes == pdsat.region_member(dual, c))
             out["dual_s"] = round(perf_counter() - start, 2)
     print(json.dumps(out))
+
+
+def deepest_bracket(game):
+    """The highest H of 6, 5 and 4 whose bounded graph fits the oracle's
+    node cap, and ``oracle.bracket_region(game, H)``; ``bounded_nodes``
+    raises ``ResourceLimitError`` before it lists anything."""
+    from pdsat import ResourceLimitError, oracle
+    for h in (6, 5):
+        try:
+            return h, oracle.bracket_region(game, h)
+        except ResourceLimitError:
+            pass
+    return 4, oracle.bracket_region(game, 4)
 
 
 def first_of(nodes, answers, wrong):

@@ -10,9 +10,11 @@ that knows every answer, not a bound on it.  A rung missing from the
 file's ``"rungs"`` fails the check too.
 
 A rung whose process exits non-zero is reported as ``{"rung": ...,
-"error": "exit N"}``, its stderr passed through, and fails the command
-whether checked or not; the rungs after it still run, and the last line
-names every failed rung.
+"error": "exit N"}``, its stderr passed through, and one that exits 0 but
+whose last line of output is not a JSON object as ``{"rung": ...,
+"error": "no result line"}``.  Either fails the command whether checked or
+not; the rungs after it still run, and the last line names every failed
+rung.
 
 A tool with a second route to its answers runs it in the rung's process
 and reports ``"cross": {route: "agree" | the first disagreement}``; a rung
@@ -35,8 +37,9 @@ from time import perf_counter
 
 def run(script, rung, cap, timed):
     """One rung of ``script`` in a fresh process; its ``timed`` field reads
-    ``"timeout"`` past ``cap`` seconds, and a process that exits non-zero
-    gives an ``"error"`` field instead of its line."""
+    ``"timeout"`` past ``cap`` seconds, and a process that exits non-zero,
+    or prints no JSON object last, gives an ``"error"`` field instead of
+    its line."""
     try:
         proc = subprocess.run([sys.executable, script, "--measure", rung],
                               stdout=subprocess.PIPE, text=True, timeout=cap)
@@ -44,7 +47,13 @@ def run(script, rung, cap, timed):
         return {"rung": rung, timed: "timeout", "cap_s": cap}
     if proc.returncode:
         return {"rung": rung, "error": f"exit {proc.returncode}"}
-    return json.loads(proc.stdout.splitlines()[-1])
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):  # no output, or not JSON
+        result = None
+    if isinstance(result, dict):
+        return result
+    return {"rung": rung, "error": "no result line"}
 
 
 def members_digest(answers) -> dict:
